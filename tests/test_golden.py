@@ -1,0 +1,185 @@
+"""Golden digests of the seeded outputs.
+
+Each case renders a deterministic output of the library as text and pins
+its blake2b digest, so any change to discovery order, vertex tokens, edge
+order, canonical numbering or exact masses shows up as a failing case. A
+change to these outputs must be deliberate: it updates the digest and says
+why in CHANGES.md.
+"""
+
+import hashlib
+from fractions import Fraction
+
+import pytest
+
+from irslab import (
+    FiniteOracle,
+    NormalizerLaw,
+    PoulsenLaw,
+    aut_trivial_mass,
+    ball,
+    canonical_code,
+    emit_edgelist,
+    emit_sgr,
+    enumerate_normalizer_law,
+    orbit_schreier,
+    parse_sgr,
+    trivial_law,
+)
+from irslab.actions import random_action, random_transitive_action
+from irslab.analysis import conjugate_code
+from irslab.cli import main
+from irslab.encoding import point_class_code, random_subshift_space
+from irslab.normalizer import NormalizerOracle
+from irslab.oracles import sub_ball
+from irslab.poulsen import PercolationGraph, star_ball
+from irslab.randomness import KeyedRng
+
+from helpers import cyclic_oracle, index2_oracle
+
+P = Fraction(1, 10)
+SEEDS = (0, 1, 2, 3, 4)
+
+
+def _laws():
+    trivial = trivial_law(2)
+    normalizer = NormalizerLaw(trivial, P)
+    return {
+        "trivial": trivial,
+        "normalizer:trivial": normalizer,
+        "poulsen:normalizer:trivial": PoulsenLaw(normalizer, P),
+    }
+
+
+def _view_text(view) -> str:
+    """A view, its sub-balls, and the radius and re-emission of its parse."""
+    text = emit_sgr(view)
+    out = [text, emit_edgelist(view)]
+    for k in range(view.radius + 1):
+        out.append(emit_sgr(sub_ball(view, k)))
+    back = parse_sgr(text)
+    out.append(f"parsed radius {back.radius}\n")
+    out.append(emit_sgr(back))
+    return "".join(out)
+
+
+def _balls(spec: str) -> str:
+    law = _laws()[spec]
+    seeds = SEEDS[:1] if spec == "trivial" else SEEDS
+    out = []
+    for seed in seeds:
+        oracle = law.sample(seed)
+        for radius in range(6):
+            out.append(_view_text(ball(oracle, radius)))
+    return "".join(out)
+
+
+def _star_balls(spec: str, p: Fraction) -> str:
+    law = _laws()[spec]
+    out = []
+    for seed in SEEDS:
+        graph = PercolationGraph(law, p, seed)
+        for radius in (0, 2, 4):
+            out.append(_view_text(star_ball(graph, radius)))
+    return "".join(out)
+
+
+def _orbit_codes() -> str:
+    out = []
+    for n in range(1, 9):
+        for seed in SEEDS:
+            action = random_action(n, 2, seed)
+            for x in range(n):
+                graph = orbit_schreier(action, x)
+                out.append(f"{graph.vertices} {canonical_code(graph)}\n")
+    return "".join(out)
+
+
+def _tripled_codes() -> str:
+    bases = [index2_oracle(), cyclic_oracle(4), cyclic_oracle(5, 2),
+             orbit_schreier(random_transitive_action(6, 2, 3), 0)]
+    out = []
+    for k, base in enumerate(bases):
+        rng = KeyedRng(k, "golden-marks")
+        for _ in range(20):
+            table = {v: rng.randrange(base.rank + 1) for v in base.vertices}
+            for slot in (0, 1, 2):
+                code = canonical_code(
+                    NormalizerOracle(base, table.__getitem__, slot))
+                out.append(f"{code} {conjugate_code(code, (1, -2))}\n")
+    return "".join(out)
+
+
+def _point_classes() -> str:
+    out = []
+    for n, alphabet in ((1, 1), (3, 2), (5, 3), (8, 2), (12, 4)):
+        for seed in SEEDS:
+            space = random_subshift_space(n, 2, alphabet, seed)
+            for q in range(n):
+                out.append(f"{point_class_code(space, q)}\n")
+    return "".join(out)
+
+
+def _aut_masses() -> str:
+    bases = [FiniteOracle.from_perms([tuple((v + 1) % n for v in range(n))] * 2)
+             for n in range(1, 7)]
+    bases += [orbit_schreier(random_transitive_action(n, 2, 5), 0)
+              for n in (4, 5, 6)]
+    out = []
+    for base in bases:
+        for p in (Fraction(1, 2), Fraction(1, 3)):
+            out.append(f"{aut_trivial_mass(base, p)}\n")
+    return "".join(out)
+
+
+def _normalizer_laws() -> str:
+    out = []
+    for base in (index2_oracle(), cyclic_oracle(3)):
+        for slot in (None, 0):
+            law = enumerate_normalizer_law(base, Fraction(1, 2),
+                                           biased_root_slot=slot)
+            out.append(f"{law.items_sorted()}\n")
+    return "".join(out)
+
+
+CASES = {
+    **{f"ball {spec}": (lambda spec=spec: _balls(spec)) for spec in _laws()},
+    "star_ball trivial p=1/2": lambda: _star_balls("trivial", Fraction(1, 2)),
+    "star_ball normalizer:trivial p=1/10":
+        lambda: _star_balls("normalizer:trivial", P),
+    "canonical_code orbit": _orbit_codes,
+    "canonical_code tripled": _tripled_codes,
+    "point_class_code": _point_classes,
+    "aut_trivial_mass": _aut_masses,
+    "enumerate_normalizer_law": _normalizer_laws,
+}
+
+GOLDEN = {
+    "aut_trivial_mass": "2a7a3f63d1b6e95085814eeece786e64",
+    "ball normalizer:trivial": "428fbb1f1ca9145fe16045da723aacb0",
+    "ball poulsen:normalizer:trivial": "357e9c1ccdc34246d05d2e44963a057b",
+    "ball trivial": "d4d080b7f6c08c2ffd0ab95d51357bf7",
+    "canonical_code orbit": "cc0e2b30ab01db2804fd1f4d01f9b701",
+    "canonical_code tripled": "ad3e31219dc778fd011ad9f2f3774f8d",
+    "cli ball": "c9a4344a9e6fb6186faa2da8af08ae36",
+    "enumerate_normalizer_law": "00acbe9bbe9e9b045594ef23d8d846dc",
+    "point_class_code": "d4b3a7bcfe6d454ff33946ebc805a78c",
+    "star_ball normalizer:trivial p=1/10": "c59461659dd1dfe02175219083a67165",
+    "star_ball trivial p=1/2": "52b4f746c7c1948681c960575a09192f",
+}
+
+
+def _digest(text: str) -> str:
+    return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(name):
+    assert _digest(CASES[name]()) == GOLDEN[name]
+
+
+def test_golden_cli_ball(capsys):
+    for spec in _laws():
+        assert main(["ball", "--base", spec, "--p", "1/10", "--seed", "1",
+                     "--radius", "3"]) == 0
+    assert _digest(capsys.readouterr().out) == GOLDEN["cli ball"]
