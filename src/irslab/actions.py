@@ -13,9 +13,9 @@ from fractions import Fraction
 from .analysis import canonical_code, rooted_equal_finite
 from .errors import DomainError
 from .measures import AtomicMeasure
-from .oracles import FiniteOracle
+from .oracles import FiniteOracle, bfs
 from .randomness import KeyedRng
-from .words import Word, words_upto
+from .words import Word, letters_ordered, words_upto
 
 
 @dataclass(frozen=True)
@@ -59,23 +59,10 @@ class FiniteAction:
 def orbit_schreier(action: FiniteAction, point: int) -> FiniteOracle:
     """Schreier graph of the stabilizer of `point`: the orbit with an
     s_i-edge v -> perms[i](v), rooted at `point`."""
-    orbit = {point}
-    stack = [point]
-    while stack:
-        v = stack.pop()
-        for i in range(action.rank):
-            for w in (action.perms[i][v], action.inv[i][v]):
-                if w not in orbit:
-                    orbit.add(w)
-                    stack.append(w)
-    names = {v: str(v) for v in orbit}
-    succ = {}
-    for v in orbit:
-        for i in range(1, action.rank + 1):
-            w = action.perms[i - 1][v]
-            succ[(names[v], i)] = names[w]
-    return FiniteOracle(action.rank, sorted(names.values(), key=int),
-                        names[point], succ)
+    orbit = sorted(bfs(point, action.step, letters_ordered(action.rank)))
+    succ = {(str(v), i): str(action.step(v, i))
+            for v in orbit for i in range(1, action.rank + 1)}
+    return FiniteOracle(action.rank, map(str, orbit), str(point), succ)
 
 
 def stab_equal(action: FiniteAction, x: int, y: int) -> bool:

@@ -16,6 +16,7 @@ from .oracles import (
     FiniteOracle,
     SchreierOracle,
     ball,
+    bfs,
     conjugate,
     contains,
 )
@@ -165,23 +166,13 @@ def canonical_code(oracle: SchreierOracle) -> tuple:
     """Canonical form of a complete finite rooted Schreier graph: successor
     tables under BFS numbering from the root. Equal codes <=> root-isomorphic.
     The oracle must be finite (the BFS must terminate)."""
-    order = {oracle.root: 0}
-    seq = [oracle.root]
-    ls = letters_ordered(oracle.rank)
-    i = 0
-    while i < len(seq):
-        v = seq[i]
-        i += 1
-        for l in ls:
-            w = oracle.neighbor(v, l)
-            if w not in order:
-                order[w] = len(seq)
-                seq.append(w)
+    dist = bfs(oracle.root, oracle.neighbor, letters_ordered(oracle.rank))
+    order = {v: i for i, v in enumerate(dist)}
     rows = tuple(
         tuple(order[oracle.neighbor(v, j)] for j in range(1, oracle.rank + 1))
-        for v in seq
+        for v in dist
     )
-    return (oracle.rank, len(seq), rows)
+    return (oracle.rank, len(dist), rows)
 
 
 def oracle_from_code(code: tuple) -> FiniteOracle:

@@ -22,12 +22,13 @@ from fractions import Fraction
 from .actions import FiniteAction
 from .errors import AmbiguityError, DomainError, HorizonError, NotInYError, NotInZError
 from .measures import AtomicMeasure
-from .oracles import SchreierOracle, ball, conjugate, trace
+from .oracles import SchreierOracle, ball, bfs, conjugate, trace
 from .analysis import root_isomorphic
 from .randomness import KeyedRng
 from .words import (
     Word,
     inverse_word,
+    letters_ordered,
     phi_word,
     reduce_word,
     word_to_str,
@@ -231,23 +232,14 @@ def point_class_code(space: SubshiftSpace, q: int) -> tuple:
     if got is not None:
         return got
     action = space.action
-    order = {q: 0}
-    seq = [q]
-    i = 0
-    while i < len(seq):
-        v = seq[i]
-        i += 1
-        for k in range(action.rank):
-            for w in (action.perms[k][v], action.inv[k][v]):
-                if w not in order:
-                    order[w] = len(seq)
-                    seq.append(w)
+    dist = bfs(q, action.step, letters_ordered(action.rank))
+    order = {v: i for i, v in enumerate(dist)}
     rows = tuple(
         tuple(order[action.perms[k][v]] for k in range(action.rank))
-        for v in seq
+        for v in dist
     )
-    labels = tuple(space.labels[v] for v in seq)
-    code = ("pc", action.rank, space.alphabet, len(seq), labels, rows)
+    labels = tuple(space.labels[v] for v in dist)
+    code = ("pc", action.rank, space.alphabet, len(dist), labels, rows)
     space._pc[q] = code
     return code
 

@@ -105,19 +105,7 @@ class FiniteOracle(SchreierOracle):
                     )
                 seen_dst.add(w)
                 self.pred[(w, i)] = v
-        self._check_connected()
-
-    def _check_connected(self) -> None:
-        seen = {self.root}
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            for l in letters_ordered(self.rank):
-                w = self.neighbor(v, l)
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != len(self.vertices):
+        if len(bfs(root, self.neighbor, letters_ordered(rank))) != len(vset):
             raise DomainError("graph is not connected from the root")
 
     def neighbor(self, vertex, letter: int):
@@ -140,6 +128,33 @@ class FiniteOracle(SchreierOracle):
             for v in range(n):
                 succ[(names[v], i)] = names[p[v]]
         return cls(len(perms), names, names[root], succ)
+
+
+def bfs(root, step, letters, radius=None, budget=None) -> dict:
+    """Breadth-first distances from `root`, in discovery order.
+
+    Each vertex is expanded along `letters` in turn; `step(v, letter)` gives
+    the neighbor, or None where there is none. Vertices at distance
+    `radius` are not expanded. Raises BudgetError as soon as more than
+    `budget` vertices are discovered.
+    """
+    dist = {root: 0}
+    queue = [root]
+    for v in queue:
+        d = dist[v]
+        if d == radius:
+            break
+        d += 1
+        for l in letters:
+            w = step(v, l)
+            if w is not None and w not in dist:
+                dist[w] = d
+                queue.append(w)
+                if budget is not None and len(queue) > budget:
+                    raise BudgetError(
+                        f"ball exploration exceeded budget {budget}"
+                    )
+    return dist
 
 
 def trace(oracle: SchreierOracle, w: Word):
@@ -173,28 +188,45 @@ class BallView:
         self.radius = radius
         self.root = root
         self.vertices = tuple(vertices)
-        self.edges = tuple(edges)
         self.boundary = frozenset(boundary)
+        self.letters = letters_ordered(rank) + [STAR]
         self.out = {}
         self.inc = {}
         self.star = {}
-        for src, label, dst in self.edges:
+        kept = []
+        for edge in edges:
+            src, label, dst = edge
             if label == STAR:
+                if self.star.get(src) == dst:
+                    continue  # keep only the first record of a star edge
                 for a, b in ((src, dst), (dst, src)):
-                    if a in self.star and self.star[a] != b:
+                    if self.star.get(a, b) != b:
                         raise DomainError(
                             f"vertex {a!r} is incident to two star edges"
                         )
                     self.star[a] = b
-                continue
-            key = (src, label)
-            if key in self.out:
-                raise InvalidGraphError(f"two outgoing s{label}-edges at {src!r}")
-            self.out[key] = dst
-            key = (dst, label)
-            if key in self.inc:
-                raise InvalidGraphError(f"two incoming s{label}-edges at {dst!r}")
-            self.inc[key] = src
+            else:
+                key = (src, label)
+                if key in self.out:
+                    raise InvalidGraphError(
+                        f"two outgoing s{label}-edges at {src!r}")
+                self.out[key] = dst
+                key = (dst, label)
+                if key in self.inc:
+                    raise InvalidGraphError(
+                        f"two incoming s{label}-edges at {dst!r}")
+                self.inc[key] = src
+            kept.append(edge)
+        self.edges = tuple(kept)
+
+    def step(self, vertex, letter):
+        """Neighbor along a letter or along the star edge (letter STAR);
+        None where the view has no such edge."""
+        if letter == STAR:
+            return self.star.get(vertex)
+        if letter > 0:
+            return self.out.get((vertex, letter))
+        return self.inc.get((vertex, -letter))
 
     @property
     def interior(self):
@@ -252,19 +284,13 @@ class BallBackedOracle(SchreierOracle):
         self.root = view.root
 
     def neighbor(self, vertex, letter: int):
-        if letter > 0:
-            key = (vertex, letter)
-            table = self.view.out
-        else:
-            key = (vertex, -letter)
-            table = self.view.inc
-        try:
-            return table[key]
-        except KeyError:
+        w = self.view.step(vertex, letter)
+        if w is None:
             raise HorizonError(
                 f"walk left the stored ball at {vertex!r} (letter {letter}); "
                 "provide a larger ball"
-            ) from None
+            )
+        return w
 
     def token(self, vertex) -> str:
         return vertex
@@ -288,45 +314,29 @@ def ball(oracle: SchreierOracle, radius: int, budget: int = DEFAULT_BUDGET) -> B
     custom = getattr(oracle, "extract_ball", None)
     if custom is not None:
         return custom(radius, budget)
-    ls = letters_ordered(oracle.rank)
-    dist = {oracle.root: 0}
-    order = [oracle.root]
-    frontier = [oracle.root]
-    for d in range(radius):
-        nxt = []
-        for v in frontier:
-            for l in ls:
-                w = oracle.neighbor(v, l)
-                if oracle.neighbor(w, -l) != v:
-                    raise InvalidGraphError(
-                        f"permutation property fails at {oracle.token(v)} "
-                        f"(letter {l})"
-                    )
-                if w not in dist:
-                    dist[w] = d + 1
-                    order.append(w)
-                    nxt.append(w)
-                    if len(order) > budget:
-                        raise BudgetError(
-                            f"ball exploration exceeded budget {budget}"
-                        )
-        if not nxt:
-            break
-        frontier = nxt
-    tok = {v: oracle.token(v) for v in order}
-    if len(set(tok.values())) != len(order):
+
+    def step(v, l):
+        w = oracle.neighbor(v, l)
+        if oracle.neighbor(w, -l) != v:
+            raise InvalidGraphError(
+                f"permutation property fails at {oracle.token(v)} "
+                f"(letter {l})"
+            )
+        return w
+
+    dist = bfs(oracle.root, step, letters_ordered(oracle.rank), radius, budget)
+    tok = {v: oracle.token(v) for v in dist}
+    if len(set(tok.values())) != len(dist):
         raise InvalidGraphError("oracle tokens are not injective")
     edges = []
-    for v in order:
+    for v in dist:
         for i in range(1, oracle.rank + 1):
             w = oracle.neighbor(v, i)
             if w in dist:
                 edges.append((tok[v], i, tok[w]))
-    boundary = [tok[v] for v in order if dist[v] == radius]
-    return BallView(
-        oracle.rank, radius, tok[oracle.root], [tok[v] for v in order],
-        edges, boundary,
-    )
+    boundary = [tok[v] for v, d in dist.items() if d == radius]
+    return BallView(oracle.rank, radius, tok[oracle.root], tok.values(),
+                    edges, boundary)
 
 
 def sub_ball(view: BallView, radius: int) -> BallView:
@@ -334,38 +344,7 @@ def sub_ball(view: BallView, radius: int) -> BallView:
     star edges count as length-1 steps)."""
     if radius < 0:
         raise DomainError("radius must be >= 0")
-    dist = {view.root: 0}
-    order = [view.root]
-    frontier = [view.root]
-    for d in range(radius):
-        nxt = []
-        for v in frontier:
-            neighbors = []
-            for i in range(1, view.rank + 1):
-                if (v, i) in view.out:
-                    neighbors.append(view.out[(v, i)])
-                if (v, i) in view.inc:
-                    neighbors.append(view.inc[(v, i)])
-            if v in view.star:
-                neighbors.append(view.star[v])
-            for w in neighbors:
-                if w not in dist:
-                    dist[w] = d + 1
-                    order.append(w)
-                    nxt.append(w)
-        if not nxt:
-            break
-        frontier = nxt
-    included = set(order)
-    edges = []
-    seen_star = set()
-    for src, label, dst in view.edges:
-        if src in included and dst in included:
-            if label == STAR:
-                key = frozenset((src, dst))
-                if key in seen_star:
-                    continue
-                seen_star.add(key)
-            edges.append((src, label, dst))
-    boundary = [v for v in order if dist[v] == radius]
-    return BallView(view.rank, radius, view.root, order, edges, boundary)
+    dist = bfs(view.root, view.step, view.letters, radius)
+    edges = [e for e in view.edges if e[0] in dist and e[2] in dist]
+    boundary = [v for v, d in dist.items() if d == radius]
+    return BallView(view.rank, radius, view.root, dist, edges, boundary)

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import BudgetError, DomainError
-from .oracles import STAR, BallView, DEFAULT_BUDGET, SchreierOracle
+from .errors import DomainError
+from .oracles import STAR, BallView, DEFAULT_BUDGET, SchreierOracle, bfs
 from .randomness import digest128, subseed
 from .words import letters_ordered
 
@@ -121,43 +121,26 @@ def star_ball(graph: PercolationGraph, radius: int,
     appear with label '*'."""
     if radius < 0:
         raise DomainError("radius must be >= 0")
-    ls = letters_ordered(graph.rank)
-    dist = {graph.root: 0}
-    order = [graph.root]
-    frontier = [graph.root]
-    for d in range(radius):
-        nxt = []
-        for u in frontier:
-            steps = [graph.step(u, l) for l in ls]
-            partner = graph.star(u)
-            if partner is not None:
-                steps.append(partner)
-            for w in steps:
-                if w not in dist:
-                    dist[w] = d + 1
-                    order.append(w)
-                    nxt.append(w)
-                    if len(order) > budget:
-                        raise BudgetError(
-                            f"star ball exceeded budget {budget}"
-                        )
-        if not nxt:
-            break
-        frontier = nxt
-    tok = {u: graph.token(u) for u in order}
+
+    def step(u, l):
+        return graph.star(u) if l == STAR else graph.step(u, l)
+
+    dist = bfs(graph.root, step, letters_ordered(graph.rank) + [STAR],
+               radius, budget)
+    tok = {u: graph.token(u) for u in dist}
     edges = []
-    for u in order:
+    for u in dist:
         for i in range(1, graph.rank + 1):
             w = graph.step(u, i)
             if w in dist:
                 edges.append((tok[u], i, tok[w]))
-    for u in order:
+    for u in dist:
         partner = graph.star(u)
         if partner is not None and partner in dist and tok[u] < tok[partner]:
             edges.append((tok[u], STAR, tok[partner]))
-    boundary = [tok[u] for u in order if dist[u] == radius]
-    return BallView(graph.rank, radius, tok[graph.root],
-                    [tok[u] for u in order], edges, boundary)
+    boundary = [tok[u] for u, d in dist.items() if d == radius]
+    return BallView(graph.rank, radius, tok[graph.root], tok.values(),
+                    edges, boundary)
 
 
 def star_records(view: BallView) -> tuple:

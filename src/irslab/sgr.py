@@ -14,7 +14,7 @@ emitted text.
 from __future__ import annotations
 
 from .errors import DomainError
-from .oracles import STAR, BallView, FiniteOracle
+from .oracles import STAR, BallView, FiniteOracle, bfs
 
 
 def _label_str(label) -> str:
@@ -23,13 +23,7 @@ def _label_str(label) -> str:
 
 def emit_sgr(view: BallView) -> str:
     lines = [f"schreier r={view.rank}", f"root {view.root}"]
-    seen_star = set()
     for src, label, dst in view.edges:
-        if label == STAR:
-            key = frozenset((src, dst))
-            if key in seen_star:
-                continue
-            seen_star.add(key)
         lines.append(f"{src} {_label_str(label)} {dst}")
     for v in sorted(view.boundary):
         lines.append(f"boundary {v}")
@@ -95,34 +89,14 @@ def parse_sgr(text: str) -> BallView:
     for v in boundary:
         if v not in seen:
             raise DomainError(f"boundary vertex {v!r} has no edges")
-    radius = _root_eccentricity(rank, root, vertices, edges, boundary)
-    return BallView(rank, radius, root, vertices, edges, boundary)
-
-
-def _root_eccentricity(rank, root, vertices, edges, boundary) -> int:
-    adj: dict[str, list[str]] = {v: [] for v in vertices}
-    for src, _lab, dst in edges:
-        adj[src].append(dst)
-        adj[dst].append(src)
-    dist = {root: 0}
-    frontier = [root]
-    ecc = 0
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    ecc = dist[w]
-                    nxt.append(w)
-        frontier = nxt
+    view = BallView(rank, None, root, vertices, edges, boundary)
+    dist = bfs(root, view.step, view.letters)
     if len(dist) != len(vertices):
         raise DomainError("graph is not connected from the root")
-    if boundary:
-        bd = max(dist[v] for v in boundary)
-        if bd != ecc:
-            raise DomainError("boundary vertices are not the farthest layer")
-    return ecc
+    view.radius = max(dist.values())
+    if boundary and max(dist[v] for v in boundary) != view.radius:
+        raise DomainError("boundary vertices are not the farthest layer")
+    return view
 
 
 def parse_complete_oracle(text: str) -> FiniteOracle:
@@ -137,12 +111,6 @@ def parse_complete_oracle(text: str) -> FiniteOracle:
 def emit_edgelist(view: BallView) -> str:
     """Plain edge-list export with labels as attributes, one edge per line."""
     lines = []
-    seen_star = set()
     for src, label, dst in view.edges:
-        if label == STAR:
-            key = frozenset((src, dst))
-            if key in seen_star:
-                continue
-            seen_star.add(key)
         lines.append(f"{src} {dst} label={_label_str(label)}")
     return "\n".join(lines) + "\n"

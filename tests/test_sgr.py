@@ -86,6 +86,23 @@ def test_parse_rejects_disconnected():
         parse_sgr(text)
 
 
+STAR_TEXT = """\
+schreier r=1
+root a
+a s1 a
+b s1 b
+a * b
+"""
+
+
+def test_star_edge_recorded_both_ways_is_stored_once():
+    once = parse_sgr(STAR_TEXT)
+    twice = parse_sgr(STAR_TEXT + "b * a\n")
+    assert emit_sgr(twice) == emit_sgr(once) == STAR_TEXT
+    assert twice.edges == once.edges
+    assert root_isomorphic(once, twice)
+
+
 def test_edgelist_export(index2):
     out = emit_edgelist(ball(index2, 1))
     lines = out.strip().splitlines()
