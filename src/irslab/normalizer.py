@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analysis import canonical_code
+from .analysis import aut_count, canonical_code, oracle_from_code
 from .errors import BudgetError, DomainError
 from .measures import AtomicMeasure
 from .oracles import FiniteOracle, SchreierOracle
@@ -62,6 +62,18 @@ class MarkLaw:
             cuts.append(min(TWO128, (acc.numerator * TWO128) // acc.denominator))
         cuts[-1] = TWO128
         return cuts
+
+    def assignments(self, base: FiniteOracle):
+        """Every mark table of a finite base, with its probability."""
+        root_masses = self.masses(at_root=True)
+        other_masses = self.masses(at_root=False)
+        for marks in itertools.product(range(self.rank + 1),
+                                       repeat=len(base.vertices)):
+            table = dict(zip(base.vertices, marks))
+            prob = Fraction(1)
+            for v, m in table.items():
+                prob *= root_masses[m] if v == base.root else other_masses[m]
+            yield table, prob
 
 
 def mark(seed: int, vertex_key, law: MarkLaw, at_root: bool) -> int:
@@ -181,32 +193,23 @@ def enumerate_normalizer_law(base: FiniteOracle, p,
     """Exact output law over root-isomorphism classes for a finite base:
     every mark assignment and root slot enumerated with its rational
     probability. Atom keys are canonical graph codes."""
-    law = MarkLaw(Fraction(p), base.rank)
-    verts = base.vertices
-    outcomes = (base.rank + 1) ** len(verts) * 3
+    law = MarkLaw(p, base.rank)
+    outcomes = (base.rank + 1) ** len(base.vertices) * 3
     if outcomes > budget:
         raise BudgetError(
             f"{outcomes} outcomes exceed enumeration budget {budget}"
         )
-    root_masses = law.masses(at_root=True)
-    other_masses = law.masses(at_root=False)
     measure = AtomicMeasure()
-    for assignment in itertools.product(range(base.rank + 1), repeat=len(verts)):
-        table = dict(zip(verts, assignment))
-        prob = Fraction(1)
-        for v, m in table.items():
-            prob *= root_masses[m] if v == base.root else other_masses[m]
-        markfn = table.__getitem__
-        if table[base.root] == 0:
-            oracle = NormalizerOracle(base, markfn, 0)
-            measure.add(canonical_code(oracle), prob)
-        elif biased_root_slot is not None:
-            oracle = NormalizerOracle(base, markfn, biased_root_slot)
-            measure.add(canonical_code(oracle), prob)
+    for table, prob in law.assignments(base):
+        if biased_root_slot is not None:
+            slots = (biased_root_slot,)
+        elif table[base.root]:
+            slots, prob = (0, 1, 2), prob / 3
         else:
-            for slot in (0, 1, 2):
-                oracle = NormalizerOracle(base, markfn, slot)
-                measure.add(canonical_code(oracle), prob * Fraction(1, 3))
+            slots = (0,)
+        for slot in slots:
+            oracle = NormalizerOracle(base, table.__getitem__, slot)
+            measure.add(canonical_code(oracle), prob)
     return measure
 
 
@@ -214,19 +217,9 @@ def aut_trivial_mass(base: FiniteOracle, p) -> Fraction:
     """Exact probability that the perturbed graph has trivial automorphism
     group (the subgroup is self-normalizing). Root-independent, so root
     slots are not enumerated."""
-    from .analysis import aut_count, oracle_from_code
-
-    law = MarkLaw(Fraction(p), base.rank)
-    verts = base.vertices
-    root_masses = law.masses(at_root=True)
-    other_masses = law.masses(at_root=False)
     total = Fraction(0)
     by_code: dict = {}
-    for assignment in itertools.product(range(base.rank + 1), repeat=len(verts)):
-        table = dict(zip(verts, assignment))
-        prob = Fraction(1)
-        for v, m in table.items():
-            prob *= root_masses[m] if v == base.root else other_masses[m]
+    for table, prob in MarkLaw(p, base.rank).assignments(base):
         oracle = NormalizerOracle(base, table.__getitem__, 0)
         code = canonical_code(oracle)
         hit = by_code.get(code)
