@@ -46,10 +46,8 @@ from .montecarlo import (
     render_invariance,
     render_sweep,
 )
-from .normalizer import enumerate_normalizer_law, normalizer_oracle
+from .normalizer import enumerate_normalizer_law
 from .oracles import BallBackedOracle, ball, conjugate
-from .poulsen import poulsen_oracle
-from .randomness import subseed
 from .sgr import emit_edgelist, emit_sgr, parse_complete_oracle, parse_sgr
 from .words import word_from_str, word_to_str
 
@@ -163,23 +161,6 @@ def cmd_aut(args) -> int:
     with open(args.graph, "r", encoding="utf-8") as fh:
         oracle = parse_complete_oracle(fh.read())
     _write(args, f"{aut_count(oracle)}\n")
-    return EXIT_OK
-
-
-def cmd_sample_normalizer(args) -> int:
-    base = parse_base_spec(args.base, args.rank, args.p).sample(
-        subseed(args.seed, "cli", "base-draw"))
-    oracle = normalizer_oracle(base, _need_p(args.p), args.seed)
-    view = ball(oracle, args.radius, args.budget)
-    _write(args, _header(args) + emit_sgr(view))
-    return EXIT_OK
-
-
-def cmd_sample_poulsen(args) -> int:
-    law = parse_base_spec(args.base, args.rank, args.p)
-    oracle = poulsen_oracle(law, _need_p(args.p), args.seed)
-    view = ball(oracle, args.radius, args.budget)
-    _write(args, _header(args) + emit_sgr(view))
     return EXIT_OK
 
 
@@ -376,9 +357,6 @@ def _add_common(sp, *, seed=True, rank=True, p=False, budget=True, out=True,
         sp.add_argument("--out", default=None, help="write output to a file")
     if fmt:
         sp.add_argument("--format", choices=("text", "csv"), default="text")
-    sp.add_argument("--threads", type=int, default=1,
-                    help="accepted for compatibility; sampling is sequential "
-                             "and output never depends on it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,19 +394,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, seed=False, rank=False, budget=False)
     sp.set_defaults(fn=cmd_aut)
 
-    sp = sub.add_parser("sample-normalizer",
-                        help="sample the tripling perturbation")
-    sp.add_argument("--base", required=True)
-    sp.add_argument("--radius", type=int, required=True)
-    _add_common(sp, p=True)
-    sp.set_defaults(fn=cmd_sample_normalizer)
-
-    sp = sub.add_parser("sample-poulsen",
-                        help="sample the percolation-surgery construction")
-    sp.add_argument("--base", required=True)
-    sp.add_argument("--radius", type=int, required=True)
-    _add_common(sp, p=True)
-    sp.set_defaults(fn=cmd_sample_poulsen)
+    for name, head in (("sample-normalizer", "normalizer:"),
+                       ("sample-poulsen", "poulsen:")):
+        sp = sub.add_parser(name, help=f"alias of ball --base {head}<base>")
+        sp.add_argument("--base", required=True,
+                        type=lambda spec, head=head: head + spec)
+        sp.add_argument("--radius", type=int, required=True)
+        _add_common(sp, p=True)
+        sp.set_defaults(fn=cmd_ball, format="sgr")
 
     sp = sub.add_parser("enumerate-normalizer",
                         help="exact output law over a finite base")

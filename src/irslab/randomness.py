@@ -41,11 +41,6 @@ def digest128(seed: int, namespace: str, key) -> int:
     return int.from_bytes(h.digest(), "big")
 
 
-def unit_fraction(seed: int, namespace: str, key) -> Fraction:
-    """Uniform value in [0, 1) with denominator 2^128."""
-    return Fraction(digest128(seed, namespace, key), TWO128)
-
-
 def below(seed: int, namespace: str, key, n: int) -> int:
     """Uniform-up-to-2^-128-bias integer in [0, n)."""
     return digest128(seed, namespace, key) * n // TWO128

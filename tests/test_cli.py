@@ -124,6 +124,20 @@ def test_sample_poulsen(capsys):
     assert "root p(|e)" in out
 
 
+@pytest.mark.parametrize("alias, head", [("sample-normalizer", "normalizer:"),
+                                         ("sample-poulsen", "poulsen:")])
+def test_sample_alias_is_ball(capsys, alias, head):
+    common = ("--p", "1/2", "--seed", "5", "--radius", "3")
+    code, alias_out, _ = run(capsys, alias, "--base", "trivial", *common)
+    assert code == 0
+    _, ball_out, _ = run(capsys, "ball", "--base", head + "trivial", *common)
+
+    def body(out):
+        return [l for l in out.splitlines() if not l.startswith("#")]
+
+    assert body(alias_out) == body(ball_out)
+
+
 def test_enumerate_normalizer_invariance(capsys, index2_file):
     code, out, _ = run(capsys, "enumerate-normalizer",
                        "--base", f"file:{index2_file}", "--p", "1/2",
