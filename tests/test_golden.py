@@ -22,6 +22,7 @@ from irslab import (
     emit_edgelist,
     emit_sgr,
     enumerate_normalizer_law,
+    oracle_from_code,
     orbit_schreier,
     parse_sgr,
     trivial_law,
@@ -30,10 +31,13 @@ from irslab.actions import random_action, random_transitive_action
 from irslab.analysis import conjugate_code
 from irslab.cli import main
 from irslab.encoding import point_class_code, random_subshift_space
+from irslab.montecarlo import exact_invariance_rows, render_invariance
 from irslab.normalizer import NormalizerOracle
 from irslab.oracles import sub_ball
 from irslab.poulsen import PercolationGraph, star_ball
 from irslab.randomness import KeyedRng
+
+from irslab.words import letters_ordered
 
 from helpers import cyclic_oracle, index2_oracle
 
@@ -142,6 +146,27 @@ def _normalizer_laws() -> str:
     return "".join(out)
 
 
+def _cyclic5_law():
+    return enumerate_normalizer_law(cyclic_oracle(5), Fraction(1, 2))
+
+
+def _exact_rows() -> str:
+    rows = exact_invariance_rows(_cyclic5_law(), 2)
+    return render_invariance(rows) + render_invariance(rows, "csv")
+
+
+def _conjugate_codes() -> str:
+    out = []
+    for code, mass in _cyclic5_law().items_sorted():
+        for l in letters_ordered(2):
+            out.append(f"{code} {mass} {l} {conjugate_code(code, (l,))}\n")
+    return "".join(out)
+
+
+def _complete_sgr(graph) -> str:
+    return emit_sgr(ball(graph, len(graph.vertices)))
+
+
 CASES = {
     **{f"ball {spec}": (lambda spec=spec: _balls(spec)) for spec in _laws()},
     "star_ball trivial p=1/2": lambda: _star_balls("trivial", Fraction(1, 2)),
@@ -152,6 +177,8 @@ CASES = {
     "point_class_code": _point_classes,
     "aut_trivial_mass": _aut_masses,
     "enumerate_normalizer_law": _normalizer_laws,
+    "exact_invariance_rows cyclic5": _exact_rows,
+    "conjugate_code cyclic5 atoms": _conjugate_codes,
 }
 
 GOLDEN = {
@@ -161,8 +188,12 @@ GOLDEN = {
     "ball trivial": "d4d080b7f6c08c2ffd0ab95d51357bf7",
     "canonical_code orbit": "cc0e2b30ab01db2804fd1f4d01f9b701",
     "canonical_code tripled": "ad3e31219dc778fd011ad9f2f3774f8d",
+    "cli aut": "d0e6474100e8cd7f5cefb4790e41da0d",
     "cli ball": "c9a4344a9e6fb6186faa2da8af08ae36",
+    "cli enumerate-normalizer": "8ac0feefd0102d2d8b90474c404ca073",
+    "conjugate_code cyclic5 atoms": "a756bd5eb75ccb3910886671db3ec230",
     "enumerate_normalizer_law": "00acbe9bbe9e9b045594ef23d8d846dc",
+    "exact_invariance_rows cyclic5": "e7aa0d730c3ce116b5a684edbefc006c",
     "point_class_code": "d4b3a7bcfe6d454ff33946ebc805a78c",
     "star_ball normalizer:trivial p=1/10": "c59461659dd1dfe02175219083a67165",
     "star_ball trivial p=1/2": "52b4f746c7c1948681c960575a09192f",
@@ -183,3 +214,25 @@ def test_golden_cli_ball(capsys):
         assert main(["ball", "--base", spec, "--p", "1/10", "--seed", "1",
                      "--radius", "3"]) == 0
     assert _digest(capsys.readouterr().out) == GOLDEN["cli ball"]
+
+
+def test_golden_cli_enumerate_normalizer(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for n in (3, 4):
+        (tmp_path / f"cyclic{n}.sgr").write_text(_complete_sgr(cyclic_oracle(n)))
+        for p in ("1/2", "1/3"):
+            assert main(["enumerate-normalizer", "--base", f"file:cyclic{n}.sgr",
+                         "--p", p, "--check-invariance", "--radius", "2"]) == 0
+    assert _digest(capsys.readouterr().out) == GOLDEN["cli enumerate-normalizer"]
+
+
+def test_golden_cli_aut(capsys, tmp_path):
+    graphs = [index2_oracle(), cyclic_oracle(5, 2), cyclic_oracle(6, 3),
+              orbit_schreier(random_transitive_action(7, 2, 2), 0)]
+    law = enumerate_normalizer_law(cyclic_oracle(3), Fraction(1, 2))
+    graphs += [oracle_from_code(code) for code, _ in law.items_sorted()]
+    for k, graph in enumerate(graphs):
+        path = tmp_path / f"g{k}.sgr"
+        path.write_text(_complete_sgr(graph))
+        assert main(["aut", "--graph", str(path)]) == 0
+    assert _digest(capsys.readouterr().out) == GOLDEN["cli aut"]
