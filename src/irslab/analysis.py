@@ -10,19 +10,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, InvalidGraphError
 from .oracles import (
     BallView,
     FiniteOracle,
     SchreierOracle,
     ball,
     bfs,
-    conjugate,
     contains,
 )
 from .words import (
     Word,
+    check_letter,
     conjugated_word,
+    inverse_word,
     iter_reduced_extensions,
     letters_ordered,
     reduce_word,
@@ -72,25 +73,8 @@ def root_isomorphic(a: BallView, b: BallView) -> bool:
 
 
 def rooted_equal_finite(a: SchreierOracle, b: SchreierOracle) -> bool:
-    """Root-isomorphism of two *finite* oracles by full parallel closure."""
-    if a.rank != b.rank:
-        return False
-    ls = letters_ordered(a.rank)
-    fwd = {a.root: b.root}
-    bwd = {b.root: a.root}
-    stack = [(a.root, b.root)]
-    while stack:
-        u, v = stack.pop()
-        for l in ls:
-            ua = a.neighbor(u, l)
-            vb = b.neighbor(v, l)
-            if fwd.get(ua, vb) != vb or bwd.get(vb, ua) != ua:
-                return False
-            if ua not in fwd:
-                fwd[ua] = vb
-                bwd[vb] = ua
-                stack.append((ua, vb))
-    return True
+    """Root-isomorphism of two *finite* oracles: equal canonical codes."""
+    return canonical_code(a) == canonical_code(b)
 
 
 def metric(a: SchreierOracle, b: SchreierOracle, max_radius: int,
@@ -137,11 +121,48 @@ def aut_count(graph) -> int:
     oracle = graph.to_oracle() if isinstance(graph, BallView) else graph
     if not isinstance(oracle, FiniteOracle):
         raise DomainError("aut_count needs a complete finite Schreier graph")
-    count = 0
-    for v in oracle.vertices:
-        if rooted_equal_finite(oracle.rebased(v), oracle):
-            count += 1
-    return count
+    return 1 + sum(1 for _ in _moved_anchor(code_succ(canonical_code(oracle))))
+
+
+def aut_trivial(succ) -> bool:
+    """Whether a finite connected Schreier graph, given as one successor
+    list per letter on vertices 0..n-1, has no automorphism but the
+    identity. Stops at the first other automorphism found."""
+    return next(_moved_anchor(succ), None) is None
+
+
+def _moved_anchor(succ):
+    """Yield the image of an anchor vertex under each automorphism but the
+    identity. Automorphisms act freely and map the s_i-loops onto
+    themselves, so the anchor is taken from the smallest nonempty set of
+    s_i-loops and only the other vertices of that set are tried."""
+    loops = [[u for u, w in enumerate(s) if u == w] for s in succ]
+    images = min(filter(None, loops), key=len, default=range(len(succ[0])))
+    for v in images[1:]:
+        if _automorphic(succ, images[0], v):
+            yield v
+
+
+def _automorphic(succ, anchor: int, v: int) -> bool:
+    """Whether an automorphism sends anchor to v. Positive letters reach
+    every vertex of a finite connected Schreier graph, and a label-preserving
+    map between two rootings of one finite transitive graph is onto, so
+    following successors suffices."""
+    image = [-1] * len(succ[0])
+    image[anchor] = v
+    stack = [anchor]
+    while stack:
+        u = stack.pop()
+        x = image[u]
+        for s in succ:
+            a = s[u]
+            seen = image[a]
+            if seen < 0:
+                image[a] = s[x]
+                stack.append(a)
+            elif seen != s[x]:
+                return False
+    return True
 
 
 def z_set_member(oracle: SchreierOracle, g: Word, check_radius: int) -> str:
@@ -175,16 +196,52 @@ def canonical_code(oracle: SchreierOracle) -> tuple:
     return (oracle.rank, len(dist), rows)
 
 
-def oracle_from_code(code: tuple) -> FiniteOracle:
+def array_code(succ, root: int) -> tuple:
+    """Canonical code of a finite graph on vertices 0..n-1 given as one
+    successor list per letter: the BFS numbering of canonical_code, so the
+    two agree."""
+    steps = []
+    for s in succ:
+        steps += [s, sorted(range(len(s)), key=s.__getitem__)]  # s, s^-1
+    number = [-1] * len(succ[0])
+    number[root] = 0
+    order = [root]
+    for v in order:
+        for step in steps:
+            w = step[v]
+            if number[w] < 0:
+                number[w] = len(order)
+                order.append(w)
+    columns = [[number[s[v]] for v in order] for s in succ]
+    return (len(succ), len(order), tuple(zip(*columns)))
+
+
+def code_succ(code: tuple) -> list:
+    """The successor list of each letter in a code's graph. Raises
+    InvalidGraphError unless every letter permutes the vertices."""
     rank, n, rows = code
-    names = [str(i) for i in range(n)]
-    succ = {}
-    for v in range(n):
-        for j in range(1, rank + 1):
-            succ[(names[v], j)] = names[rows[v][j - 1]]
-    return FiniteOracle(rank, names, names[0], succ)
+    if len(rows) != n or set(map(len, rows)) - {rank}:
+        raise InvalidGraphError(f"code rows do not form an {n} x {rank} table")
+    succ = list(zip(*rows))
+    for i, s in enumerate(succ, start=1):
+        if sorted(s) != list(range(n)):
+            raise InvalidGraphError(f"s{i} does not permute the code's vertices")
+    return succ
+
+
+def oracle_from_code(code: tuple) -> FiniteOracle:
+    return FiniteOracle.from_perms(code_succ(code))
 
 
 def conjugate_code(code: tuple, g: Word) -> tuple:
-    """Canonical code of the conjugated (rebased) finite graph."""
-    return canonical_code(conjugate(oracle_from_code(code), g))
+    """Canonical code of the conjugated (rebased) finite graph: the root
+    moves along g^-1."""
+    succ = code_succ(code)
+    v = 0
+    for l in inverse_word(g):
+        check_letter(l, code[0])
+        v = succ[l - 1][v] if l > 0 else succ[-l - 1].index(v)
+    moved = array_code(succ, v)
+    if moved[1] != code[1]:
+        raise DomainError("graph is not connected from the root")
+    return moved

@@ -153,35 +153,30 @@ def exact_invariance_rows(measure: AtomicMeasure, radius: int) -> list[Invarianc
     """Exact conjugation-invariance table for an atomic law over canonical
     graph codes: deviations are rational and must all be zero for an
     invariant law."""
-    letters_all: list[int] = []
+    rank = next(iter(measure.data))[0] if measure.data else 0
     fps: dict = {}
-    base = AtomicMeasure()
-    for code, mass in measure.data.items():
-        rank = code[0]
-        if not letters_all:
-            letters_all = letters_ordered(rank)
+
+    def fingerprint(code):
         fp = fps.get(code)
         if fp is None:
-            fp = cylinder_fingerprint(oracle_from_code(code), radius)
-            fps[code] = fp
-        base.add(fp, mass)
+            fp = fps[code] = cylinder_fingerprint(oracle_from_code(code), radius)
+        return fp
+
+    base = AtomicMeasure()
+    for code, mass in measure.data.items():
+        base.add(fingerprint(code), mass)
     rows = []
     conj_measures = {}
-    for l in letters_all:
+    for l in letters_ordered(rank):
         pushed = AtomicMeasure()
         for code, mass in measure.data.items():
-            moved = conjugate_code(code, (l,))
-            fp = fps.get(moved)
-            if fp is None:
-                fp = cylinder_fingerprint(oracle_from_code(moved), radius)
-                fps[moved] = fp
-            pushed.add(fp, mass)
+            pushed.add(fingerprint(conjugate_code(code, (l,))), mass)
         conj_measures[l] = pushed
     all_fps = set(base.keys())
     for m in conj_measures.values():
         all_fps |= set(m.keys())
     for fp in sorted(all_fps, key=lambda f: (len(f), tuple(map(shortlex_key, f)))):
-        for l in letters_all:
+        for l in letters_ordered(rank):
             mass = base.mass(fp)
             cmass = conj_measures[l].mass(fp)
             rows.append(InvarianceRow(fp, l, mass, cmass, abs(mass - cmass), None))

@@ -17,11 +17,13 @@ slightly while almost surely destroying every graph automorphism.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analysis import aut_count, canonical_code, oracle_from_code
+from .analysis import array_code, aut_trivial
 from .errors import BudgetError, DomainError
 from .measures import AtomicMeasure
 from .oracles import FiniteOracle, SchreierOracle
@@ -52,37 +54,36 @@ class MarkLaw:
         level = self.q if at_root else self.p
         return [1 - level] + [level / self.rank] * self.rank
 
-    def thresholds(self, at_root: bool) -> list[int]:
+    @functools.lru_cache(maxsize=64)
+    def thresholds(self, at_root: bool) -> tuple[int, ...]:
         """Integer cutoffs c_0 < ... < c_r = 2^128 so that a uniform 128-bit
-        draw d yields mark = first i with d < c_i."""
+        draw d yields mark = first i with d < c_i. Cached per law value."""
         cuts = []
         acc = Fraction(0)
         for m in self.masses(at_root):
             acc += m
             cuts.append(min(TWO128, (acc.numerator * TWO128) // acc.denominator))
         cuts[-1] = TWO128
-        return cuts
+        return tuple(cuts)
 
     def assignments(self, base: FiniteOracle):
-        """Every mark table of a finite base, with its probability."""
-        root_masses = self.masses(at_root=True)
-        other_masses = self.masses(at_root=False)
-        for marks in itertools.product(range(self.rank + 1),
-                                       repeat=len(base.vertices)):
-            table = dict(zip(base.vertices, marks))
-            prob = Fraction(1)
-            for v, m in table.items():
-                prob *= root_masses[m] if v == base.root else other_masses[m]
-            yield table, prob
+        """Every mark assignment of a finite base, as marks in vertex order,
+        with its probability: a function of the root's mark and of the
+        number of other vertices marked."""
+        n = len(base.vertices)
+        root = base.vertices.index(base.root)
+        others = [(1 - self.p) ** (n - 1 - k) * (self.p / self.rank) ** k
+                  for k in range(n)]
+        probs = [[m * o for o in others] for m in self.masses(at_root=True)]
+        for marks in itertools.product(range(self.rank + 1), repeat=n):
+            marked = sum(1 for v, m in zip(base.vertices, marks)
+                         if m and v != base.root)
+            yield marks, probs[marks[root]][marked]
 
 
 def mark(seed: int, vertex_key, law: MarkLaw, at_root: bool) -> int:
     """Deterministic mark of a vertex: a pure function of (seed, vertex)."""
-    d = digest128(seed, "mark", vertex_key)
-    for i, cut in enumerate(law.thresholds(at_root)):
-        if d < cut:
-            return i
-    raise AssertionError("thresholds must cover 2^128")
+    return bisect_right(law.thresholds(at_root), digest128(seed, "mark", vertex_key))
 
 
 class NormalizerOracle(SchreierOracle):
@@ -90,7 +91,7 @@ class NormalizerOracle(SchreierOracle):
 
     `markfn` maps a base vertex to its mark; `root_slot` fixes the slot when
     the root coset is marked. The sampling constructors derive both from a
-    seed; the exact enumerator passes explicit tables.
+    seed. The exact enumerators build the same graphs as int arrays.
     """
 
     def __init__(self, base: SchreierOracle, markfn, root_slot: int):
@@ -161,12 +162,9 @@ class _HashMarks:
     def __call__(self, v) -> int:
         m = self.cache.get(v)
         if m is None:
-            d = digest128(self.seed, "mark", self.key_of(v))
             cuts = self.root_cuts if v == self.base.root else self.other_cuts
-            m = 0
-            while d >= cuts[m]:
-                m += 1
-            self.cache[v] = m
+            d = digest128(self.seed, "mark", self.key_of(v))
+            m = self.cache[v] = bisect_right(cuts, d)
         return m
 
 
@@ -187,6 +185,38 @@ def normalizer_oracle(base: SchreierOracle, p, seed: int,
     return NormalizerOracle(base, marks, slot)
 
 
+def _tripled(base: FiniteOracle):
+    """Int-array form of the perturbed graphs over a finite base.
+
+    Returns build(marks) -> (succ, enter) for marks in vertex order: one
+    successor list per letter of the tripled-and-rewired graph, and the id
+    at which each base vertex is entered. An unmarked vertex owns one id; a
+    marked one owns enter, enter+1 and enter+2 for slots 0, 1 and 2."""
+    index = {v: k for k, v in enumerate(base.vertices)}
+    base_succ = [[index[base.neighbor(v, i)] for v in index]
+                 for i in range(1, base.rank + 1)]
+
+    def build(marks):
+        enter, size = [], 0
+        for m in marks:
+            enter.append(size)
+            size += 3 if m else 1
+        succ = []
+        for i, targets in enumerate(base_succ, start=1):
+            s = [0] * size
+            for v, m in enumerate(marks):
+                a = enter[v]
+                s[a + 2 if m else a] = enter[targets[v]]
+                if m == i:
+                    s[a], s[a + 1] = a + 2, a + 1
+                elif m:
+                    s[a], s[a + 1] = a + 1, a + 2
+            succ.append(s)
+        return succ, enter
+
+    return build
+
+
 def enumerate_normalizer_law(base: FiniteOracle, p,
                              biased_root_slot: int | None = None,
                              budget: int = 10**6) -> AtomicMeasure:
@@ -199,17 +229,21 @@ def enumerate_normalizer_law(base: FiniteOracle, p,
         raise BudgetError(
             f"{outcomes} outcomes exceed enumeration budget {budget}"
         )
+    if biased_root_slot not in (None, 0, 1, 2):
+        raise DomainError("root slot must be 0, 1 or 2")
+    build = _tripled(base)
+    root = base.vertices.index(base.root)
     measure = AtomicMeasure()
-    for table, prob in law.assignments(base):
-        if biased_root_slot is not None:
-            slots = (biased_root_slot,)
-        elif table[base.root]:
-            slots, prob = (0, 1, 2), prob / 3
-        else:
+    for marks, prob in law.assignments(base):
+        succ, enter = build(marks)
+        if not marks[root]:
             slots = (0,)
+        elif biased_root_slot is not None:
+            slots = (biased_root_slot,)
+        else:
+            slots, prob = (0, 1, 2), prob / 3
         for slot in slots:
-            oracle = NormalizerOracle(base, table.__getitem__, slot)
-            measure.add(canonical_code(oracle), prob)
+            measure.add(array_code(succ, enter[root] + slot), prob)
     return measure
 
 
@@ -217,15 +251,9 @@ def aut_trivial_mass(base: FiniteOracle, p) -> Fraction:
     """Exact probability that the perturbed graph has trivial automorphism
     group (the subgroup is self-normalizing). Root-independent, so root
     slots are not enumerated."""
+    build = _tripled(base)
     total = Fraction(0)
-    by_code: dict = {}
-    for table, prob in MarkLaw(p, base.rank).assignments(base):
-        oracle = NormalizerOracle(base, table.__getitem__, 0)
-        code = canonical_code(oracle)
-        hit = by_code.get(code)
-        if hit is None:
-            hit = aut_count(oracle_from_code(code)) == 1
-            by_code[code] = hit
-        if hit:
+    for marks, prob in MarkLaw(p, base.rank).assignments(base):
+        if aut_trivial(build(marks)[0]):
             total += prob
     return total

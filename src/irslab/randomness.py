@@ -10,7 +10,6 @@ the key, so nested vertex identities (tuples of ints/strings) hash stably.
 from __future__ import annotations
 
 import hashlib
-from fractions import Fraction
 
 TWO128 = 1 << 128
 MASK64 = (1 << 64) - 1
@@ -66,9 +65,6 @@ class KeyedRng:
 
     def randrange(self, n: int) -> int:
         return self._next() * n // TWO128
-
-    def fraction(self) -> Fraction:
-        return Fraction(self._next(), TWO128)
 
     def permutation(self, n: int) -> tuple[int, ...]:
         perm = list(range(n))

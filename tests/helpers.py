@@ -4,10 +4,14 @@ The brute-force routines deliberately avoid the library's algorithms so
 that tests cross-check two separate code paths.
 """
 
+import itertools
+from fractions import Fraction
 from itertools import permutations
 
-from irslab import FiniteOracle
-from irslab.oracles import STAR, BallView
+from irslab import AtomicMeasure, FiniteOracle, MarkLaw, canonical_code
+from irslab.normalizer import NormalizerOracle
+from irslab.oracles import STAR, BallView, conjugate
+from irslab.words import letters_ordered
 
 
 def brute_reduce(letters):
@@ -90,3 +94,83 @@ def cyclic_oracle(n: int, shift2: int = 1) -> FiniteOracle:
     p1 = tuple((i + 1) % n for i in range(n))
     p2 = tuple((i + shift2) % n for i in range(n))
     return FiniteOracle.from_perms([p1, p2])
+
+
+# -- the lazy-oracle path of exact enumeration, kept as a reference ----------
+
+
+def reference_aut_count(oracle: FiniteOracle) -> int:
+    """Count the vertices v for which a parallel walk from the root and
+    from v never contradicts itself: one dict-based walk per vertex."""
+    count = 0
+    for v in oracle.vertices:
+        fwd = {oracle.root: v}
+        bwd = {v: oracle.root}
+        stack = [(oracle.root, v)]
+        ok = True
+        while stack and ok:
+            a, b = stack.pop()
+            for l in letters_ordered(oracle.rank):
+                x, y = oracle.neighbor(a, l), oracle.neighbor(b, l)
+                if fwd.get(x, y) != y or bwd.get(y, x) != x:
+                    ok = False
+                    break
+                if x not in fwd:
+                    fwd[x] = y
+                    bwd[y] = x
+                    stack.append((x, y))
+        count += ok
+    return count
+
+
+def reference_oracle_from_code(code: tuple) -> FiniteOracle:
+    rank, n, rows = code
+    names = [str(i) for i in range(n)]
+    succ = {(names[v], j): names[rows[v][j - 1]]
+            for v in range(n) for j in range(1, rank + 1)}
+    return FiniteOracle(rank, names, names[0], succ)
+
+
+def reference_conjugate_code(code: tuple, g) -> tuple:
+    return canonical_code(conjugate(reference_oracle_from_code(code), g))
+
+
+def _mark_tables(base: FiniteOracle, p):
+    """Every mark table of a finite base as a dict, with its probability
+    as a product over the vertices."""
+    law = MarkLaw(Fraction(p), base.rank)
+    for marks in itertools.product(range(base.rank + 1),
+                                   repeat=len(base.vertices)):
+        table = dict(zip(base.vertices, marks))
+        prob = Fraction(1)
+        for v, m in table.items():
+            prob *= law.masses(at_root=v == base.root)[m]
+        yield table, prob
+
+
+def reference_normalizer_law(base: FiniteOracle, p,
+                             biased_root_slot=None) -> AtomicMeasure:
+    """enumerate_normalizer_law through one lazy NormalizerOracle per mark
+    table and root slot."""
+    measure = AtomicMeasure()
+    for table, prob in _mark_tables(base, p):
+        if biased_root_slot is not None:
+            slots = (biased_root_slot,)
+        elif table[base.root]:
+            slots, prob = (0, 1, 2), prob / 3
+        else:
+            slots = (0,)
+        for slot in slots:
+            oracle = NormalizerOracle(base, table.__getitem__, slot)
+            measure.add(canonical_code(oracle), prob)
+    return measure
+
+
+def reference_aut_trivial_mass(base: FiniteOracle, p) -> Fraction:
+    total = Fraction(0)
+    for table, prob in _mark_tables(base, p):
+        oracle = NormalizerOracle(base, table.__getitem__, 0)
+        code = canonical_code(oracle)
+        if reference_aut_count(reference_oracle_from_code(code)) == 1:
+            total += prob
+    return total
