@@ -67,22 +67,15 @@ def orbit_schreier(action: FiniteAction, point: int) -> FiniteOracle:
 
 def stab_equal(action: FiniteAction, x: int, y: int) -> bool:
     """Whether two points have the same stabilizer subgroup."""
-    if x == y:
-        return True
-    return rooted_equal_finite(
-        orbit_schreier(action, x), orbit_schreier(action, y)
-    )
+    return x == y or rooted_equal_finite(orbit_schreier(action, x),
+                                         orbit_schreier(action, y))
 
 
 def is_totally_nonfree(action: FiniteAction) -> bool:
     """True iff the stabilizer map separates points (all stabilizers
     pairwise distinct)."""
-    graphs = [orbit_schreier(action, x) for x in range(action.n)]
-    for i in range(action.n):
-        for j in range(i + 1, action.n):
-            if rooted_equal_finite(graphs[i], graphs[j]):
-                return False
-    return True
+    codes = {canonical_code(orbit_schreier(action, x)) for x in range(action.n)}
+    return len(codes) == action.n
 
 
 def first_return(perm: tuple, subset) -> dict:
@@ -177,7 +170,10 @@ def parse_cycles(text: str, n: int) -> tuple:
             continue
         if not (chunk.startswith("(") and chunk.endswith(")")):
             raise DomainError(f"bad cycle {chunk!r}")
-        pts = [int(s) for s in chunk[1:-1].replace(",", " ").split()]
+        try:
+            pts = [int(s) for s in chunk[1:-1].replace(",", " ").split()]
+        except ValueError:
+            raise DomainError(f"bad cycle {chunk!r}") from None
         if len(pts) != len(set(pts)):
             raise DomainError(f"repeated point in cycle {chunk!r}")
         for x in pts:
@@ -218,15 +214,18 @@ def parse_action(text: str) -> FiniteAction:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("points"):
-            n = int(line.split()[1])
+        head, _, cyc = line.partition(":")
+        words = head.split()
+        if len(words) == 2 and words[0] == "points" and not cyc:
+            if not words[1].isdecimal():
+                raise DomainError(f"line {lineno}: bad point count {words[1]!r}")
+            n = int(words[1])
             continue
-        if line.startswith("perm"):
+        if len(words) == 2 and words[0] == "perm":
             if n is None:
                 raise DomainError("'points <n>' must come first")
-            head, _, cyc = line.partition(":")
-            gen = head.split()[1]
-            if not gen.startswith("s"):
+            gen = words[1]
+            if not (gen.startswith("s") and gen[1:].isdecimal()):
                 raise DomainError(f"line {lineno}: bad generator {gen!r}")
             perms[int(gen[1:])] = parse_cycles(cyc, n)
             continue

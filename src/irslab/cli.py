@@ -25,6 +25,7 @@ from .analysis import (
     cylinder_fingerprint,
     metric,
     oracle_from_code,
+    root_isomorphic,
 )
 from .encoding import (
     decode,
@@ -49,7 +50,9 @@ from .montecarlo import (
 from .normalizer import enumerate_normalizer_law
 from .oracles import BallBackedOracle, ball, conjugate
 from .sgr import emit_edgelist, emit_sgr, parse_complete_oracle, parse_sgr
-from .words import word_from_str, word_to_str
+from .randomness import KeyedRng
+from .words import (letters_ordered, phi_word, word_from_str, word_to_str,
+                    words_upto)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -121,7 +124,7 @@ def _load_graph_oracle(path: str):
 
 
 def _fingerprint_spec(args) -> CylinderSpec:
-    words = tuple(word_from_str(w) for w in args.fingerprint.split(","))
+    words = tuple(word_from_str(w, args.rank) for w in args.fingerprint.split(","))
     return CylinderSpec(words, args.radius)
 
 
@@ -173,11 +176,12 @@ def cmd_enumerate_normalizer(args) -> int:
     out = _header(args)
     out += f"atoms {len(measure)} total {measure.total()}\n"
     for i, (code, mass) in enumerate(measure.items_sorted()):
-        fp = cylinder_fingerprint(oracle_from_code(code), 2)
+        oracle = oracle_from_code(code)
+        fp = cylinder_fingerprint(oracle, 2)
         fp_s = "{" + " ".join(word_to_str(w) for w in fp) + "}"
         out += (
             f"atom {i}: mass {mass} vertices {code[1]} "
-            f"aut {aut_count(oracle_from_code(code))} fp2 {fp_s}\n"
+            f"aut {aut_count(oracle)} fp2 {fp_s}\n"
         )
     if args.check_invariance:
         rows = exact_invariance_rows(measure, args.radius)
@@ -213,16 +217,10 @@ def cmd_decode(args) -> int:
 
 
 def cmd_check_equivariance(args) -> int:
-    from .randomness import KeyedRng
-    from .words import words_upto
-
     with open(args.subshift, "r", encoding="utf-8") as fh:
         space, _ = parse_subshift(fh.read())
     rng = KeyedRng(args.seed, "equivariance")
     candidates = [w for w in words_upto(space.rank, args.max_word_len) if w]
-    from .analysis import root_isomorphic
-    from .words import phi_word
-
     failures = 0
     for _ in range(args.trials):
         q = rng.randrange(space.action.n)
@@ -262,8 +260,6 @@ def cmd_lambda(args) -> int:
         kind, k, _pc = key
         out += f"atom {i}: kind {kind} offset {k} mass {mass}\n"
     ok = True
-    from .words import letters_ordered
-
     for l in letters_ordered(space.rank):
         if lambda_conjugate(space, lam, reps, l) != lam:
             ok = False

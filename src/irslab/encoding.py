@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .actions import FiniteAction
+from .actions import FiniteAction, parse_action
 from .errors import AmbiguityError, DomainError, HorizonError, NotInYError, NotInZError
 from .measures import AtomicMeasure
 from .oracles import SchreierOracle, ball, bfs, conjugate, trace
@@ -350,49 +350,36 @@ def random_subshift_space(n_points: int, rank: int, alphabet: int,
 
 
 def parse_subshift(text: str):
-    """Subshift file: alphabet/points/perm/label/basepoint lines. Returns
-    (SubshiftSpace, basepoint)."""
-    from .actions import parse_cycles
-
+    """Subshift file: the points/perm lines of an action file plus
+    alphabet/label/basepoint lines. Returns (SubshiftSpace, basepoint)."""
     alphabet = None
-    n = None
-    perms: dict[int, tuple] = {}
     labels: dict[int, int] = {}
     basepoint = 0
+    action_lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        is_action = parts[:1] in (["points"], ["perm"])
+        action_lines.append(raw if is_action else "")
+        if is_action or not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
+        values = [int(x) for x in parts[1:] if x.isdecimal()]
+        arity = {"alphabet": 1, "label": 2, "basepoint": 1}.get(parts[0])
+        if arity is None or len(parts) != arity + 1 or len(values) != arity:
+            raise DomainError(f"line {lineno}: cannot parse {raw.strip()!r}")
         if parts[0] == "alphabet":
-            alphabet = int(parts[1])
-        elif parts[0] == "points":
-            n = int(parts[1])
-        elif parts[0] == "perm":
-            if n is None:
-                raise DomainError("'points' must precede 'perm' lines")
-            head, _, cyc = line.partition(":")
-            gen = head.split()[1]
-            perms[int(gen[1:])] = parse_cycles(cyc, n)
+            alphabet = values[0]
         elif parts[0] == "label":
-            labels[int(parts[1])] = int(parts[2])
-        elif parts[0] == "basepoint":
-            basepoint = int(parts[1])
+            labels[values[0]] = values[1]
         else:
-            raise DomainError(f"line {lineno}: cannot parse {line!r}")
-    if alphabet is None or n is None or not perms:
-        raise DomainError("subshift file needs alphabet, points and perms")
-    rank = max(perms)
-    if sorted(perms) != list(range(1, rank + 1)):
-        raise DomainError("perm lines must cover s1..sr without gaps")
-    if sorted(labels) != list(range(n)):
+            basepoint = values[0]
+    if alphabet is None:
+        raise DomainError("subshift file needs an alphabet line")
+    action = parse_action("\n".join(action_lines))
+    if sorted(labels) != list(range(action.n)):
         raise DomainError("need a label line for every point")
-    space = SubshiftSpace(
-        FiniteAction(n, tuple(perms[i] for i in range(1, rank + 1))),
-        tuple(labels[i] for i in range(n)),
-        alphabet,
-    )
-    if not 0 <= basepoint < n:
+    space = SubshiftSpace(action, tuple(labels[i] for i in range(action.n)),
+                          alphabet)
+    if not 0 <= basepoint < action.n:
         raise DomainError("basepoint out of range")
     return space, basepoint
 

@@ -49,9 +49,10 @@ def parse_sgr(text: str) -> BallView:
             continue
         parts = line.split()
         if parts[0] == "schreier":
-            if len(parts) != 2 or not parts[1].startswith("r="):
+            head = parts[1] if len(parts) == 2 else ""
+            if not (head.startswith("r=") and head[2:].isdecimal()):
                 raise DomainError(f"line {lineno}: bad header {line!r}")
-            rank = int(parts[1][2:])
+            rank = int(head[2:])
             if rank < 1:
                 raise DomainError(f"line {lineno}: rank must be >= 1")
             continue
@@ -73,7 +74,7 @@ def parse_sgr(text: str) -> BallView:
             raise DomainError("edge line before 'schreier' header")
         if label == STAR:
             lab = STAR
-        elif label.startswith("s") and label[1:].isdigit():
+        elif label.startswith("s") and label[1:].isdecimal():
             lab = int(label[1:])
             if not 1 <= lab <= rank:
                 raise DomainError(f"line {lineno}: label {label} out of range")

@@ -113,7 +113,7 @@ def word_from_str(text: str, rank: int | None = None) -> Word:
         neg = part.endswith("^-1")
         if neg:
             part = part[:-3]
-        if not part.startswith("s") or not part[1:].isdigit():
+        if not part.startswith("s") or not part[1:].isdecimal():
             raise DomainError(f"cannot parse word letter {part!r}")
         i = int(part[1:])
         if i == 0:

@@ -280,3 +280,57 @@ def test_budget_exit_code(capsys):
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "aut", "--graph", "/nonexistent/g.sgr")
     assert code == 1
+
+
+@pytest.mark.parametrize("text", [
+    "points x\nperm s1: (0 1)\n",
+    "points\nperm s1: (0 1)\n",
+    "points 2\nperm sx: (0 1)\n",
+    "points 2\nperm s: (0 1)\n",
+    "points 2\nperm\n",
+    "points 2\nperm s1: (0 a)\n",
+    ":\n",
+], ids=["points-x", "bare-points", "perm-sx", "perm-s", "bare-perm",
+        "cycle-a", "colon"])
+def test_malformed_action_file_exits_1(capsys, tmp_path, text):
+    path = tmp_path / "act.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "stab-law", "--action", str(path))
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [
+    SUBSHIFT_TEXT.replace("label 1 2", "label 1 x"),
+    SUBSHIFT_TEXT.replace("alphabet 2", "alphabet"),
+    SUBSHIFT_TEXT.replace("points 2", "points two"),
+], ids=["label-x", "bare-alphabet", "points-two"])
+def test_malformed_subshift_file_exits_1(capsys, tmp_path, text):
+    path = tmp_path / "bad.sub"
+    path.write_text(text)
+    code, _, err = run(capsys, "lambda", "--subshift", str(path))
+    assert code == 1
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("text", [
+    INDEX2_TEXT.replace("r=2", "r=x"),
+    INDEX2_TEXT.replace("schreier r=2", "schreier"),
+    INDEX2_TEXT.replace("A s2 A", "A s² A"),
+], ids=["rank-x", "bare-schreier", "label-superscript"])
+def test_malformed_graph_file_exits_1(capsys, tmp_path, text):
+    path = tmp_path / "bad.sgr"
+    path.write_text(text)
+    code, _, err = run(capsys, "aut", "--graph", str(path))
+    assert code == 1
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("fingerprint", ["e,s3,s3^-1", "e,s²"],
+                         ids=["s3-at-rank-2", "superscript"])
+def test_fingerprint_letters_checked_against_rank(capsys, fingerprint):
+    code, out, err = run(capsys, "estimate", "--sampler", "trivial",
+                         "--fingerprint", fingerprint, "--radius", "2",
+                         "--samples", "1")
+    assert code == 1
+    assert out == "" and err.startswith("error:")
