@@ -2,29 +2,35 @@
 """Exact probability that the tripling perturbation yields a trivial
 automorphism group (a self-normalizing subgroup), as the base index grows.
 
-Enumeration is exponential in the base size: index 12 runs about half a
-million mark assignments and takes a few minutes; pass --max-index 8 for a
-quick look.
+The base of index n is the cyclic Schreier graph on Z/n with s1 = s2 = +1.
+It has n automorphisms (every rotation), so the table shows how the
+perturbation destroys them. Enumeration is exponential in the base size:
+index 12 runs 531 441 mark assignments and takes about 12 s, the whole
+table about 18 s (Python 3.11, one core of a 2-core Xeon); pass
+--max-index 8 for a quick look.
 """
 
 import argparse
 import time
 from fractions import Fraction
 
-from irslab import aut_trivial_mass
-from irslab.actions import orbit_schreier, random_transitive_action
+from irslab import FiniteOracle, aut_trivial_mass
+
+
+def cyclic_base(n: int) -> FiniteOracle:
+    step = tuple((v + 1) % n for v in range(n))
+    return FiniteOracle.from_perms([step, step])
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--p", type=Fraction, default=Fraction(1, 2))
     ap.add_argument("--max-index", type=int, default=12)
-    ap.add_argument("--seed", type=int, default=41)
     args = ap.parse_args()
 
     print(f"{'index':>6} {'P(aut trivial)':>20} {'float':>10} {'secs':>8}")
-    for n in range(2, args.max_index + 1, 2):
-        base = orbit_schreier(random_transitive_action(n, 2, args.seed), 0)
+    for n in range(2, args.max_index + 1):
+        base = cyclic_base(n)
         t0 = time.time()
         mass = aut_trivial_mass(base, args.p)
         dt = time.time() - t0
