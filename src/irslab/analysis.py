@@ -121,13 +121,12 @@ def aut_count(graph) -> int:
     oracle = graph.to_oracle() if isinstance(graph, BallView) else graph
     if not isinstance(oracle, FiniteOracle):
         raise DomainError("aut_count needs a complete finite Schreier graph")
-    return 1 + sum(1 for _ in _moved_anchor(code_succ(canonical_code(oracle))))
+    return 1 + sum(1 for _ in _moved_anchor(_succ_lists(oracle)))
 
 
 def aut_trivial(succ) -> bool:
     """Whether a finite connected Schreier graph, given as one successor
-    list per letter on vertices 0..n-1, has no automorphism but the
-    identity. Stops at the first other automorphism found."""
+    list per letter, has no automorphism but the identity."""
     return next(_moved_anchor(succ), None) is None
 
 
@@ -187,19 +186,22 @@ def canonical_code(oracle: SchreierOracle) -> tuple:
     """Canonical form of a complete finite rooted Schreier graph: successor
     tables under BFS numbering from the root. Equal codes <=> root-isomorphic.
     The oracle must be finite (the BFS must terminate)."""
+    return array_code(_succ_lists(oracle), 0)
+
+
+def _succ_lists(oracle: SchreierOracle) -> list:
+    """One successor list per letter of a finite oracle, over its vertices
+    numbered in BFS order from the root (so the root is 0)."""
     dist = bfs(oracle.root, oracle.neighbor, letters_ordered(oracle.rank))
-    order = {v: i for i, v in enumerate(dist)}
-    rows = tuple(
-        tuple(order[oracle.neighbor(v, j)] for j in range(1, oracle.rank + 1))
-        for v in dist
-    )
-    return (oracle.rank, len(dist), rows)
+    number = {v: k for k, v in enumerate(dist)}
+    return [[number[oracle.neighbor(v, i)] for v in dist]
+            for i in range(1, oracle.rank + 1)]
 
 
 def array_code(succ, root: int) -> tuple:
     """Canonical code of a finite graph on vertices 0..n-1 given as one
-    successor list per letter: the BFS numbering of canonical_code, so the
-    two agree."""
+    successor list per letter: successor tables under BFS numbering from
+    the root, expanding along letters_ordered."""
     steps = []
     for s in succ:
         steps += [s, sorted(range(len(s)), key=s.__getitem__)]  # s, s^-1

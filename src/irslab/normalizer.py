@@ -68,8 +68,7 @@ class MarkLaw:
 
     def assignments(self, base: FiniteOracle):
         """Every mark assignment of a finite base, as marks in vertex order,
-        with its probability: a function of the root's mark and of the
-        number of other vertices marked."""
+        with its probability (set by the root's mark and the marked count)."""
         n = len(base.vertices)
         root = base.vertices.index(base.root)
         others = [(1 - self.p) ** (n - 1 - k) * (self.p / self.rank) ** k
