@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .analysis import canonical_code, rooted_equal_finite
+from .analysis import array_code
 from .errors import DomainError
 from .measures import AtomicMeasure
 from .oracles import FiniteOracle, bfs
@@ -67,14 +67,13 @@ def orbit_schreier(action: FiniteAction, point: int) -> FiniteOracle:
 
 def stab_equal(action: FiniteAction, x: int, y: int) -> bool:
     """Whether two points have the same stabilizer subgroup."""
-    return x == y or rooted_equal_finite(orbit_schreier(action, x),
-                                         orbit_schreier(action, y))
+    return array_code(action.perms, x) == array_code(action.perms, y)
 
 
 def is_totally_nonfree(action: FiniteAction) -> bool:
     """True iff the stabilizer map separates points (all stabilizers
     pairwise distinct)."""
-    codes = {canonical_code(orbit_schreier(action, x)) for x in range(action.n)}
+    codes = {array_code(action.perms, x) for x in range(action.n)}
     return len(codes) == action.n
 
 
@@ -117,7 +116,7 @@ def stab_pushforward_law(action: FiniteAction) -> AtomicMeasure:
     atomic law over root-isomorphism classes of orbit Schreier graphs."""
     law = AtomicMeasure()
     for x in range(action.n):
-        law.add(canonical_code(orbit_schreier(action, x)), Fraction(1, action.n))
+        law.add(array_code(action.perms, x), Fraction(1, action.n))
     return law
 
 

@@ -199,9 +199,9 @@ def _succ_lists(oracle: SchreierOracle) -> list:
 
 
 def array_code(succ, root: int) -> tuple:
-    """Canonical code of a finite graph on vertices 0..n-1 given as one
-    successor list per letter: successor tables under BFS numbering from
-    the root, expanding along letters_ordered."""
+    """Canonical code of the component of `root` in a finite graph on
+    vertices 0..n-1 given as one permutation per letter: successor tables
+    under BFS numbering from the root, expanding along letters_ordered."""
     steps = []
     for s in succ:
         steps += [s, sorted(range(len(s)), key=s.__getitem__)]  # s, s^-1

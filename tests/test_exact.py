@@ -1,9 +1,8 @@
 """The int-array exact enumerators against the lazy-oracle reference path.
 
-enumerate_normalizer_law, aut_trivial_mass, aut_count and conjugate_code
-build the tripled graphs, codes and automorphism tests on int arrays; the
-helpers rebuild the same quantities one NormalizerOracle and one
-FiniteOracle at a time, as the library did before.
+enumerate_normalizer_law, aut_trivial_mass, aut_count, conjugate_code and
+the stabilizer codes of an action work on int arrays; the helpers rebuild
+the same quantities one NormalizerOracle and one FiniteOracle at a time.
 """
 
 from fractions import Fraction
@@ -21,8 +20,8 @@ from irslab import (
     oracle_from_code,
     orbit_schreier,
 )
-from irslab.actions import random_transitive_action
-from irslab.analysis import conjugate_code
+from irslab.actions import random_action, random_transitive_action
+from irslab.analysis import array_code, canonical_code, conjugate_code
 from irslab.words import letters_ordered
 
 from helpers import (
@@ -71,7 +70,8 @@ def test_aut_trivial_mass_matches_reference(name, p):
 def test_aut_count_and_conjugate_code_match_reference(name):
     base = BASES[name]()
     law = enumerate_normalizer_law(base, Fraction(1, 2))
-    words = [(l,) for l in letters_ordered(base.rank)] + [(), (1, -2), (2, 2, -1)]
+    words = [(l,) for l in letters_ordered(base.rank)]
+    words += [(), (1, -2), (2, 2, -1)]
     for code in law.keys():
         reference = reference_oracle_from_code(code)
         count = aut_count(oracle_from_code(code))
@@ -88,6 +88,15 @@ def test_aut_count_of_base_graphs_matches_reference():
                for n in (5, 6, 7) for r in (2, 3) for seed in range(3)]
     for g in graphs:
         assert aut_count(g) == reference_aut_count(g)
+
+
+def test_array_code_of_an_action_is_the_orbit_graph_code():
+    for n in range(1, 8):
+        for rank in (1, 2, 3):
+            action = random_action(n, rank, 10 * n + rank)
+            for x in range(n):
+                assert array_code(action.perms, x) == \
+                    canonical_code(orbit_schreier(action, x))
 
 
 @pytest.mark.parametrize("code", [
@@ -107,7 +116,8 @@ def test_code_rows_that_are_not_permutations_raise(code):
 def test_conjugate_code_rejects_disconnected_codes_and_bad_letters():
     with pytest.raises(DomainError):
         conjugate_code((1, 2, ((0,), (1,))), (1,))
-    code = enumerate_normalizer_law(index2_oracle(), Fraction(1, 2)).items_sorted()[0][0]
+    law = enumerate_normalizer_law(index2_oracle(), Fraction(1, 2))
+    code = law.items_sorted()[0][0]
     for g in ((3,), (0,), (-3, 1)):
         with pytest.raises(DomainError):
             conjugate_code(code, g)
