@@ -82,7 +82,8 @@ class MarkLaw:
 
 def mark(seed: int, vertex_key, law: MarkLaw, at_root: bool) -> int:
     """Deterministic mark of a vertex: a pure function of (seed, vertex)."""
-    return bisect_right(law.thresholds(at_root), digest128(seed, "mark", vertex_key))
+    d = digest128(seed, "mark", vertex_key)
+    return bisect_right(law.thresholds(at_root), d)
 
 
 class NormalizerOracle(SchreierOracle):
