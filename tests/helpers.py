@@ -174,3 +174,22 @@ def reference_aut_trivial_mass(base: FiniteOracle, p) -> Fraction:
         if reference_aut_count(reference_oracle_from_code(code)) == 1:
             total += prob
     return total
+
+
+# -- the recursive key encoder of the keyed draws, kept as a reference -------
+
+
+def token_bytes(obj) -> bytes:
+    """Canonical, injective byte encoding of nested tuples/ints/strings."""
+    if isinstance(obj, bool):  # bool is an int subclass; keep it distinct
+        return b"b1" if obj else b"b0"
+    if isinstance(obj, int):
+        return b"i" + str(obj).encode() + b";"
+    if isinstance(obj, str):
+        data = obj.encode()
+        return b"s" + str(len(data)).encode() + b":" + data
+    if isinstance(obj, tuple):
+        return b"(" + b"".join(token_bytes(x) for x in obj) + b")"
+    if obj is None:
+        return b"n;"
+    raise TypeError(f"cannot encode {type(obj).__name__} as a hash key")

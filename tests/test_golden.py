@@ -15,10 +15,12 @@ import pytest
 from irslab import (
     FiniteOracle,
     NormalizerLaw,
+    PointLaw,
     PoulsenLaw,
     aut_trivial_mass,
     ball,
     canonical_code,
+    cylinder_fingerprint,
     emit_edgelist,
     emit_sgr,
     enumerate_normalizer_law,
@@ -31,7 +33,15 @@ from irslab.actions import random_action, random_transitive_action
 from irslab.analysis import conjugate_code
 from irslab.cli import main
 from irslab.encoding import point_class_code, random_subshift_space
-from irslab.montecarlo import exact_invariance_rows, render_invariance
+from irslab.montecarlo import (
+    CylinderSpec,
+    convergence_sweep,
+    estimate_cylinder,
+    exact_invariance_rows,
+    invariance_report,
+    render_invariance,
+    render_sweep,
+)
 from irslab.normalizer import NormalizerOracle
 from irslab.oracles import sub_ball
 from irslab.poulsen import PercolationGraph, star_ball
@@ -163,6 +173,35 @@ def _conjugate_codes() -> str:
     return "".join(out)
 
 
+# Monte Carlo reports: seeded draws of whole samples through nested laws,
+# point base laws and roots both marked and unmarked, at small sizes.
+MC_SPEC = CylinderSpec(((),), 2)
+MC_SWEEP_P = (Fraction(1, 5), Fraction(1, 10), Fraction(1, 20), Fraction(1, 100))
+
+
+def _invariance(law, n: int) -> str:
+    rows = invariance_report(law, 1, n, 11)
+    return render_invariance(rows) + render_invariance(rows, "csv")
+
+
+def _sweep(construction: str, base_law, spec) -> str:
+    rows = convergence_sweep(construction, base_law, MC_SWEEP_P, spec, 1000, 12)
+    return render_sweep(rows) + render_sweep(rows, "csv")
+
+
+def _cyclic3_sweep() -> str:
+    # Poulsen over the trivial point law keeps every sample a tree, so its
+    # sweep reads no draw; over a finite point law the draws show.
+    base = cyclic_oracle(3)
+    spec = CylinderSpec(cylinder_fingerprint(base, 2), 2)
+    return _sweep("poulsen", PointLaw(base, "cyclic3"), spec)
+
+
+def _estimate() -> str:
+    law = _laws()["poulsen:normalizer:trivial"]
+    return estimate_cylinder(law, MC_SPEC, 2000, 13).render() + "\n"
+
+
 def _complete_sgr(graph) -> str:
     return emit_sgr(ball(graph, len(graph.vertices)))
 
@@ -179,6 +218,19 @@ CASES = {
     "enumerate_normalizer_law": _normalizer_laws,
     "exact_invariance_rows cyclic5": _exact_rows,
     "conjugate_code cyclic5 atoms": _conjugate_codes,
+    "invariance_report poulsen:normalizer:trivial":
+        lambda: _invariance(_laws()["poulsen:normalizer:trivial"], 2000),
+    "invariance_report biased-normalizer:trivial p=1/2":
+        lambda: _invariance(NormalizerLaw(trivial_law(2), Fraction(1, 2),
+                                          biased_root_slot=0), 2000),
+    "invariance_report normalizer:trivial p=1/2":
+        lambda: _invariance(NormalizerLaw(trivial_law(2), Fraction(1, 2)), 2000),
+    "convergence_sweep poulsen":
+        lambda: _sweep("poulsen", trivial_law(2), MC_SPEC),
+    "convergence_sweep normalizer":
+        lambda: _sweep("normalizer", trivial_law(2), MC_SPEC),
+    "convergence_sweep poulsen cyclic3": _cyclic3_sweep,
+    "estimate_cylinder poulsen:normalizer:trivial": _estimate,
 }
 
 GOLDEN = {
@@ -192,8 +244,19 @@ GOLDEN = {
     "cli ball": "c9a4344a9e6fb6186faa2da8af08ae36",
     "cli enumerate-normalizer": "8ac0feefd0102d2d8b90474c404ca073",
     "conjugate_code cyclic5 atoms": "a756bd5eb75ccb3910886671db3ec230",
+    "convergence_sweep normalizer": "8c90da4ff46c861275d3c3dede789e61",
+    "convergence_sweep poulsen": "a77566d1948a8dbf9e4e4072f6616a9e",
+    "convergence_sweep poulsen cyclic3": "e29c42d14dd4eb372724665b652071fd",
     "enumerate_normalizer_law": "00acbe9bbe9e9b045594ef23d8d846dc",
+    "estimate_cylinder poulsen:normalizer:trivial":
+        "cf7aedfab6f3c9d0731fa8e29d656ca7",
     "exact_invariance_rows cyclic5": "e7aa0d730c3ce116b5a684edbefc006c",
+    "invariance_report biased-normalizer:trivial p=1/2":
+        "abc44fe43f56dbdc6d9fa216e3fe175d",
+    "invariance_report normalizer:trivial p=1/2":
+        "1fe8ddaf72abc9739d8bae5632142da8",
+    "invariance_report poulsen:normalizer:trivial":
+        "d5d5376ea33f75f5c7941c2fc0a7dfc1",
     "point_class_code": "d4b3a7bcfe6d454ff33946ebc805a78c",
     "star_ball normalizer:trivial p=1/10": "c59461659dd1dfe02175219083a67165",
     "star_ball trivial p=1/2": "52b4f746c7c1948681c960575a09192f",
