@@ -3,7 +3,8 @@
 A law draws an oracle from a seed; point laws ignore the seed. Laws
 compose: the percolation and tripling constructions each accept any law as
 their base, with sub-seeds derived per stage so that one top-level seed
-determines the whole sample.
+determines the whole sample. A stage asks its base law for a sample with
+`draw`, which derives the sub-seed only where the law reads it.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ class PointLaw:
     def sample(self, seed: int) -> SchreierOracle:
         return self.oracle
 
+    def draw(self, seed: int, namespace: str, key) -> SchreierOracle:
+        return self.oracle
+
     def describe(self) -> str:
         return self.name
 
@@ -36,18 +40,27 @@ def trivial_law(rank: int) -> PointLaw:
     return PointLaw(CayleyOracle(rank), "trivial")
 
 
-class NormalizerLaw:
+class _SeededLaw:
+    """A law whose sample depends on its seed."""
+
+    is_point = False
+
+    def draw(self, seed: int, namespace: str, key) -> SchreierOracle:
+        """The sample at the sub-seed of (seed, namespace, key)."""
+        return self.sample(subseed(seed, namespace, key))
+
+
+class NormalizerLaw(_SeededLaw):
     """Law of the tripling perturbation over a base law."""
 
     def __init__(self, inner, p, biased_root_slot: int | None = None):
         self.inner = inner
         self.p = Fraction(p)
         self.rank = inner.rank
-        self.is_point = False
         self.biased_root_slot = biased_root_slot
 
     def sample(self, seed: int) -> SchreierOracle:
-        base = self.inner.sample(subseed(seed, "law", "base-draw"))
+        base = self.inner.draw(seed, "law", "base-draw")
         return normalizer_oracle(
             base, self.p, subseed(seed, "law", "marks"),
             biased_root_slot=self.biased_root_slot,
@@ -59,14 +72,13 @@ class NormalizerLaw:
         return f"{tag}:{self.inner.describe()}"
 
 
-class PoulsenLaw:
+class PoulsenLaw(_SeededLaw):
     """Law of the percolation-and-surgery construction over a base law."""
 
     def __init__(self, inner, p):
         self.inner = inner
         self.p = Fraction(p)
         self.rank = inner.rank
-        self.is_point = False
 
     def sample(self, seed: int) -> SchreierOracle:
         return poulsen_oracle(self.inner, self.p, subseed(seed, "law", "perc"))

@@ -90,17 +90,20 @@ class NormalizerOracle(SchreierOracle):
     """Lazy tripled-and-rewired graph over an arbitrary base oracle.
 
     `markfn` maps a base vertex to its mark; `root_slot` fixes the slot when
-    the root coset is marked. The sampling constructors derive both from a
-    seed. The exact enumerators build the same graphs as int arrays.
+    the root coset is marked, or is a function of no arguments that gives
+    it and is called only then. The sampling constructors derive both from
+    a seed. The exact enumerators build the same graphs as int arrays.
     """
 
-    def __init__(self, base: SchreierOracle, markfn, root_slot: int):
+    def __init__(self, base: SchreierOracle, markfn, root_slot):
         self.base = base
         self.rank = base.rank
         self._mark = markfn
         if self._mark(base.root) == 0:
             self.root = ("b", base.root)
         else:
+            if callable(root_slot):
+                root_slot = root_slot()
             if root_slot not in (0, 1, 2):
                 raise DomainError("root slot must be 0, 1 or 2")
             self.root = ("t", base.root, root_slot)
@@ -179,7 +182,7 @@ def normalizer_oracle(base: SchreierOracle, p, seed: int,
     law = MarkLaw(Fraction(p), base.rank)
     marks = _HashMarks(base, law, seed)
     if biased_root_slot is None:
-        slot = below(seed, "rootslot", "root", 3)
+        slot = functools.partial(below, seed, "rootslot", "root", 3)
     else:
         slot = biased_root_slot
     return NormalizerOracle(base, marks, slot)

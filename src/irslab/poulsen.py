@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .oracles import STAR, BallView, DEFAULT_BUDGET, SchreierOracle, bfs
-from .randomness import digest128, subseed
+from .randomness import digest128
 from .words import letters_ordered
 
 
@@ -45,7 +45,7 @@ class PercolationGraph:
     def copy(self, path) -> SchreierOracle:
         o = self._copies.get(path)
         if o is None:
-            o = self.law.sample(subseed(self.seed, "attach", path))
+            o = self.law.draw(self.seed, "attach", path)
             self._copies[path] = o
         return o
 

@@ -5,39 +5,82 @@ Every random quantity in the samplers is a pure function of
 same value, and identical seeds give identical graphs on every platform.
 Draws come from 128-bit blake2b digests over a canonical byte encoding of
 the key, so nested vertex identities (tuples of ints/strings) hash stably.
+
+Because a draw depends on nothing else, the samplers skip draws whose value
+they would never read, and `digest128` keeps a bounded cache of key
+encodings, keyed exactly by the key's marshal form (which keeps True apart
+from 1 and 1.0). Neither changes any draw: a seed gives the same stream.
 """
 
 from __future__ import annotations
 
-import hashlib
+import marshal
+from hashlib import blake2b
 
 TWO128 = 1 << 128
 MASK64 = (1 << 64) - 1
+ENCODING_CACHE_SIZE = 4096
+
+_encodings: dict[bytes, bytes] = {}
+
+
+def _text_of(obj) -> str:
+    """The encoding by isinstance, for subclasses and the rare leaf types."""
+    if isinstance(obj, bool):  # bool is an int subclass; keep it distinct
+        return "b1" if obj else "b0"
+    if isinstance(obj, int):
+        return "i" + str(obj) + ";"
+    if isinstance(obj, str):
+        return f"s{len(obj.encode())}:{str.__str__(obj)}"
+    if isinstance(obj, tuple):
+        return "(" + "".join(map(_text, obj)) + ")"
+    if obj is None:
+        return "n;"
+    raise TypeError(f"cannot encode {type(obj).__name__} as a hash key")
+
+
+def _text(obj) -> str:
+    """The encoding as text: one UTF-8 encode of it gives the bytes. Exact
+    tuples, ints and strings, the shapes of vertex keys, take the short way;
+    a string's length prefix counts its UTF-8 bytes."""
+    t = type(obj)
+    if t is tuple:
+        parts = []
+        for x in obj:
+            tx = type(x)
+            if tx is int:
+                parts.append(f"i{x};")
+            elif tx is str and x.isascii():
+                parts.append(f"s{len(x)}:{x}")
+            else:
+                parts.append(_text(x))
+        return "(" + "".join(parts) + ")"
+    if t is str:
+        return f"s{len(obj) if obj.isascii() else len(obj.encode())}:{obj}"
+    if t is int:
+        return f"i{obj};"
+    return _text_of(obj)
 
 
 def token_bytes(obj) -> bytes:
     """Canonical, injective byte encoding of nested tuples/ints/strings."""
-    if isinstance(obj, bool):  # bool is an int subclass; keep it distinct
-        return b"b1" if obj else b"b0"
-    if isinstance(obj, int):
-        return b"i" + str(obj).encode() + b";"
-    if isinstance(obj, str):
-        data = obj.encode()
-        return b"s" + str(len(data)).encode() + b":" + data
-    if isinstance(obj, tuple):
-        return b"(" + b"".join(token_bytes(x) for x in obj) + b")"
-    if obj is None:
-        return b"n;"
-    raise TypeError(f"cannot encode {type(obj).__name__} as a hash key")
+    return _text(obj).encode()
 
 
 def digest128(seed: int, namespace: str, key) -> int:
-    h = hashlib.blake2b(digest_size=16)
-    h.update(seed.to_bytes(8, "big", signed=False))
-    h.update(namespace.encode())
-    h.update(b"\x00")
-    h.update(token_bytes(key))
-    return int.from_bytes(h.digest(), "big")
+    try:
+        exact = marshal.dumps(key, 2)
+    except ValueError:  # subclasses and other objects marshal cannot write
+        data = token_bytes(key)
+    else:
+        data = _encodings.get(exact)
+        if data is None:
+            data = token_bytes(key)
+            if len(_encodings) >= ENCODING_CACHE_SIZE:
+                _encodings.clear()
+            _encodings[exact] = data
+    block = seed.to_bytes(8, "big") + namespace.encode() + b"\x00" + data
+    return int.from_bytes(blake2b(block, digest_size=16).digest(), "big")
 
 
 def below(seed: int, namespace: str, key, n: int) -> int:

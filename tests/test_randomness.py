@@ -1,13 +1,22 @@
 """Keyed draws: pinned values for each key shape the samplers use, the key
-encoder against the recursive reference in helpers, and keys that compare
-equal across types but must draw apart."""
+encoder against the recursive reference in helpers, and the exactness and
+bound of the key-encoding cache."""
 
+import enum
 import hashlib
+from collections import namedtuple
 
 import pytest
 from hypothesis import given, strategies as st
 
-from irslab.randomness import below, digest128, subseed, token_bytes
+from irslab import randomness
+from irslab.randomness import (
+    ENCODING_CACHE_SIZE,
+    below,
+    digest128,
+    subseed,
+    token_bytes,
+)
 
 from helpers import token_bytes as reference_token_bytes
 
@@ -81,6 +90,13 @@ def test_token_bytes_matches_reference(key):
         assert digest == (None, expected[1])
 
 
+@pytest.fixture
+def fresh_cache():
+    randomness._encodings.clear()
+    yield randomness._encodings
+    randomness._encodings.clear()
+
+
 @pytest.mark.parametrize("first, second", [
     ((True,), (1,)),
     ((1,), (True,)),
@@ -88,7 +104,7 @@ def test_token_bytes_matches_reference(key):
     (("b", (0,)), ("b", (False,))),
 ], ids=["bool-then-int", "int-then-bool", "nested-bool-then-int",
         "nested-int-then-bool"])
-def test_equal_keys_of_other_types_draw_apart(first, second):
+def test_equal_keys_of_other_types_draw_apart(fresh_cache, first, second):
     assert first == second
     for key in (first, second, first, second):
         assert digest128(SEED, "perc", key) == \
@@ -98,9 +114,45 @@ def test_equal_keys_of_other_types_draw_apart(first, second):
 
 @pytest.mark.parametrize("bad, good", [(1.0, 1), ([1], (1,)), ((1.0,), (1,))],
                          ids=["float", "list", "tuple-of-float"])
-def test_unsupported_key_raises_after_like_key_drawn(bad, good):
+def test_unsupported_key_raises_after_like_key_drawn(fresh_cache, bad, good):
     digest128(SEED, "mark", good)
+    cached = dict(fresh_cache)
     with pytest.raises(TypeError):
         digest128(SEED, "mark", bad)
     with pytest.raises(TypeError):
         token_bytes(bad)
+    assert fresh_cache == cached
+
+
+class _Slot(enum.IntEnum):
+    MIDDLE = 1
+
+
+class _Kind(str, enum.Enum):
+    BASE = "b"
+
+
+_Vertex = namedtuple("_Vertex", "kind coset")
+
+
+@pytest.mark.parametrize("key", [
+    _Slot.MIDDLE, _Kind.BASE, ("t", (1,), _Slot.MIDDLE),
+    _Vertex(_Kind.BASE, (1, -2)), (_Vertex("b", ()), True),
+], ids=["int-enum", "str-enum", "int-enum-in-tuple", "namedtuple",
+        "namedtuple-in-tuple"])
+def test_subclass_keys_match_reference(fresh_cache, key):
+    assert token_bytes(key) == reference_token_bytes(key)
+    for _ in range(2):
+        assert digest128(SEED, "perc", key) == \
+            reference_digest128(SEED, "perc", key)
+
+
+def test_encoding_cache_is_bounded(fresh_cache):
+    largest = 0
+    for k in range(3 * ENCODING_CACHE_SIZE):
+        key = ("b", (1, k))
+        assert digest128(SEED, "perc", key) == \
+            reference_digest128(SEED, "perc", key)
+        largest = max(largest, len(fresh_cache))
+        assert largest <= ENCODING_CACHE_SIZE
+    assert largest == ENCODING_CACHE_SIZE
