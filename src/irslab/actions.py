@@ -218,6 +218,8 @@ def parse_action(text: str) -> FiniteAction:
         if len(words) == 2 and words[0] == "points" and not cyc:
             if not words[1].isdecimal():
                 raise DomainError(f"line {lineno}: bad point count {words[1]!r}")
+            if n is not None:
+                raise DomainError(f"line {lineno}: second 'points' line")
             n = int(words[1])
             continue
         if len(words) == 2 and words[0] == "perm":
@@ -226,7 +228,10 @@ def parse_action(text: str) -> FiniteAction:
             gen = words[1]
             if not (gen.startswith("s") and gen[1:].isdecimal()):
                 raise DomainError(f"line {lineno}: bad generator {gen!r}")
-            perms[int(gen[1:])] = parse_cycles(cyc, n)
+            i = int(gen[1:])
+            if i in perms:
+                raise DomainError(f"line {lineno}: second 'perm s{i}' line")
+            perms[i] = parse_cycles(cyc, n)
             continue
         raise DomainError(f"line {lineno}: cannot parse {line!r}")
     if n is None or not perms:

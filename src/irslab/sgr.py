@@ -52,6 +52,8 @@ def parse_sgr(text: str) -> BallView:
             head = parts[1] if len(parts) == 2 else ""
             if not (head.startswith("r=") and head[2:].isdecimal()):
                 raise DomainError(f"line {lineno}: bad header {line!r}")
+            if rank is not None:
+                raise DomainError(f"line {lineno}: second 'schreier' header")
             rank = int(head[2:])
             if rank < 1:
                 raise DomainError(f"line {lineno}: rank must be >= 1")
@@ -59,6 +61,8 @@ def parse_sgr(text: str) -> BallView:
         if parts[0] == "root":
             if len(parts) != 2:
                 raise DomainError(f"line {lineno}: bad root line")
+            if root is not None:
+                raise DomainError(f"line {lineno}: second 'root' line")
             root = parts[1]
             note(root)
             continue

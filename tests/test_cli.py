@@ -290,8 +290,11 @@ def test_missing_file_exit_code(capsys):
     "points 2\nperm\n",
     "points 2\nperm s1: (0 a)\n",
     ":\n",
+    "points 2\npoints 3\nperm s1: (0 1)\n",
+    "points 2\nperm s1: (0 1)\nperm s1: id\n",
+    "points 2\nperm s1: (0 1)\nperm s01: id\n",
 ], ids=["points-x", "bare-points", "perm-sx", "perm-s", "bare-perm",
-        "cycle-a", "colon"])
+        "cycle-a", "colon", "two-points", "repeated-perm", "repeated-perm-s01"])
 def test_malformed_action_file_exits_1(capsys, tmp_path, text):
     path = tmp_path / "act.txt"
     path.write_text(text)
@@ -304,7 +307,10 @@ def test_malformed_action_file_exits_1(capsys, tmp_path, text):
     SUBSHIFT_TEXT.replace("label 1 2", "label 1 x"),
     SUBSHIFT_TEXT.replace("alphabet 2", "alphabet"),
     SUBSHIFT_TEXT.replace("points 2", "points two"),
-], ids=["label-x", "bare-alphabet", "points-two"])
+    SUBSHIFT_TEXT.replace("points 2", "points 2\npoints 2"),
+    SUBSHIFT_TEXT.replace("perm s2: id", "perm s2: id\nperm s2: (0 1)"),
+], ids=["label-x", "bare-alphabet", "points-two", "two-points",
+        "repeated-perm"])
 def test_malformed_subshift_file_exits_1(capsys, tmp_path, text):
     path = tmp_path / "bad.sub"
     path.write_text(text)
@@ -317,7 +323,12 @@ def test_malformed_subshift_file_exits_1(capsys, tmp_path, text):
     INDEX2_TEXT.replace("r=2", "r=x"),
     INDEX2_TEXT.replace("schreier r=2", "schreier"),
     INDEX2_TEXT.replace("A s2 A", "A s² A"),
-], ids=["rank-x", "bare-schreier", "label-superscript"])
+    INDEX2_TEXT.replace("schreier r=2", "schreier r=2\nschreier r=2"),
+    INDEX2_TEXT.replace("schreier r=2", "schreier r=1\nschreier r=2"),
+    INDEX2_TEXT.replace("root A", "root A\nroot B"),
+    INDEX2_TEXT.replace("root A", "root A\nroot A"),
+], ids=["rank-x", "bare-schreier", "label-superscript", "two-headers",
+        "second-header-other-rank", "two-roots", "repeated-root"])
 def test_malformed_graph_file_exits_1(capsys, tmp_path, text):
     path = tmp_path / "bad.sgr"
     path.write_text(text)
