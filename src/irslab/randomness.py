@@ -24,25 +24,11 @@ ENCODING_CACHE_SIZE = 4096
 _encodings: dict[bytes, bytes] = {}
 
 
-def _text_of(obj) -> str:
-    """The encoding by isinstance, for subclasses and the rare leaf types."""
-    if isinstance(obj, bool):  # bool is an int subclass; keep it distinct
-        return "b1" if obj else "b0"
-    if isinstance(obj, int):
-        return "i" + str(obj) + ";"
-    if isinstance(obj, str):
-        return f"s{len(obj.encode())}:{str.__str__(obj)}"
-    if isinstance(obj, tuple):
-        return "(" + "".join(map(_text, obj)) + ")"
-    if obj is None:
-        return "n;"
-    raise TypeError(f"cannot encode {type(obj).__name__} as a hash key")
-
-
 def _text(obj) -> str:
     """The encoding as text: one UTF-8 encode of it gives the bytes. Exact
     tuples, ints and strings, the shapes of vertex keys, take the short way;
-    a string's length prefix counts its UTF-8 bytes."""
+    subclasses and the rare leaf types go by isinstance. A string's length
+    prefix counts its UTF-8 bytes."""
     t = type(obj)
     if t is tuple:
         parts = []
@@ -59,7 +45,17 @@ def _text(obj) -> str:
         return f"s{len(obj) if obj.isascii() else len(obj.encode())}:{obj}"
     if t is int:
         return f"i{obj};"
-    return _text_of(obj)
+    if isinstance(obj, bool):  # bool is an int subclass; keep it distinct
+        return "b1" if obj else "b0"
+    if isinstance(obj, int):
+        return "i" + str(obj) + ";"
+    if isinstance(obj, str):
+        return f"s{len(obj.encode())}:{str.__str__(obj)}"
+    if isinstance(obj, tuple):
+        return "(" + "".join(map(_text, obj)) + ")"
+    if obj is None:
+        return "n;"
+    raise TypeError(f"cannot encode {type(obj).__name__} as a hash key")
 
 
 def token_bytes(obj) -> bytes:
