@@ -1,68 +1,29 @@
 """Finite actions of the free group: r permutations of a point set.
 
-Points act on the right: point . s_i = perms[i](point), and a word acts
-letter by letter, so the stabilizer of a point is exactly the set of words
-whose walk in the orbit Schreier graph returns to the point.
+`FiniteAction` itself lives in `oracles`, since a finite Schreier graph is
+such an action seen from a point; this module adds orbit graphs,
+stabilizer codes, first returns, random actions and the action file format.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .analysis import array_code
 from .errors import DomainError
 from .measures import AtomicMeasure
-from .oracles import FiniteOracle, bfs
+from .oracles import FiniteAction, FiniteOracle, bfs
 from .randomness import KeyedRng
-from .words import Word, letters_ordered, words_upto
-
-
-@dataclass(frozen=True)
-class FiniteAction:
-    n: int
-    perms: tuple  # r tuples, images of s_1..s_r
-
-    inv: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise DomainError("need at least one point")
-        invs = []
-        for k, p in enumerate(self.perms, start=1):
-            if len(p) != self.n or sorted(p) != list(range(self.n)):
-                raise DomainError(f"perm s{k} is not a permutation of 0..{self.n - 1}")
-            q = [0] * self.n
-            for i, j in enumerate(p):
-                q[j] = i
-            invs.append(tuple(q))
-        object.__setattr__(self, "inv", tuple(invs))
-
-    @property
-    def rank(self) -> int:
-        return len(self.perms)
-
-    def step(self, point: int, letter: int) -> int:
-        if letter > 0:
-            return self.perms[letter - 1][point]
-        return self.inv[-letter - 1][point]
-
-    def act(self, point: int, w: Word) -> int:
-        for l in w:
-            point = self.step(point, l)
-        return point
-
-    def fixes(self, point: int, w: Word) -> bool:
-        return self.act(point, w) == point
+from .words import letters_ordered, words_upto
 
 
 def orbit_schreier(action: FiniteAction, point: int) -> FiniteOracle:
-    """Schreier graph of the stabilizer of `point`: the orbit with an
-    s_i-edge v -> perms[i](v), rooted at `point`."""
+    """Schreier graph of the stabilizer of `point`: the action on the orbit
+    of `point`, rooted there, with each orbit point v named `str(v)`."""
     orbit = sorted(bfs(point, action.step, letters_ordered(action.rank)))
-    succ = {(str(v), i): str(action.step(v, i))
-            for v in orbit for i in range(1, action.rank + 1)}
-    return FiniteOracle(action.rank, map(str, orbit), str(point), succ)
+    pos = {v: k for k, v in enumerate(orbit)}
+    perms = [[pos[p[v]] for v in orbit] for p in action.perms]
+    return FiniteOracle.from_perms(perms, pos[point], map(str, orbit))
 
 
 def stab_equal(action: FiniteAction, x: int, y: int) -> bool:
@@ -149,7 +110,7 @@ def random_transitive_action(n: int, rank: int, seed: int) -> FiniteAction:
     """First transitive action in a seeded stream of random actions."""
     for k in range(10_000):
         a = random_action(n, rank, seed + k * 0x9E3779B9)
-        if len(orbit_schreier(a, 0).vertices) == n:
+        if len(bfs(0, a.step, letters_ordered(rank))) == n:
             return a
     raise DomainError("could not find a transitive action")
 

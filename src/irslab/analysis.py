@@ -13,6 +13,7 @@ from fractions import Fraction
 from .errors import DomainError, InvalidGraphError
 from .oracles import (
     BallView,
+    FiniteAction,
     FiniteOracle,
     SchreierOracle,
     ball,
@@ -114,14 +115,13 @@ def cylinder_fingerprint(oracle: SchreierOracle, radius: int) -> tuple[Word, ...
     return tuple(sorted(hits, key=shortlex_key))
 
 
-def aut_count(graph) -> int:
+def aut_count(oracle: FiniteOracle) -> int:
     """Number of vertices whose rebasing is root-isomorphic to the graph;
     equals the order of its label-preserving automorphism group, i.e. the
     index of the subgroup in its normalizer."""
-    oracle = graph.to_oracle() if isinstance(graph, BallView) else graph
     if not isinstance(oracle, FiniteOracle):
         raise DomainError("aut_count needs a complete finite Schreier graph")
-    return 1 + sum(1 for _ in _moved_anchor(_succ_lists(oracle)))
+    return 1 + sum(1 for _ in _moved_anchor(oracle.action.perms))
 
 
 def aut_trivial(succ) -> bool:
@@ -218,32 +218,29 @@ def array_code(succ, root: int) -> tuple:
     return (len(succ), len(order), tuple(zip(*columns)))
 
 
-def code_succ(code: tuple) -> list:
-    """The successor list of each letter in a code's graph. Raises
-    InvalidGraphError unless every letter permutes the vertices."""
+def code_action(code: tuple) -> FiniteAction:
+    """The action of a code's letters on its vertices. Raises
+    InvalidGraphError unless the rows form an n x rank table (and, through
+    FiniteAction, unless every letter permutes the vertices)."""
     rank, n, rows = code
     if len(rows) != n or set(map(len, rows)) - {rank}:
         raise InvalidGraphError(f"code rows do not form an {n} x {rank} table")
-    succ = list(zip(*rows))
-    for i, s in enumerate(succ, start=1):
-        if sorted(s) != list(range(n)):
-            raise InvalidGraphError(f"s{i} does not permute the code's vertices")
-    return succ
+    return FiniteAction(n, tuple(zip(*rows)))
 
 
 def oracle_from_code(code: tuple) -> FiniteOracle:
-    return FiniteOracle.from_perms(code_succ(code))
+    return FiniteOracle(code_action(code))
 
 
 def conjugate_code(code: tuple, g: Word) -> tuple:
     """Canonical code of the conjugated (rebased) finite graph: the root
     moves along g^-1."""
-    succ = code_succ(code)
+    action = code_action(code)
     v = 0
     for l in inverse_word(g):
         check_letter(l, code[0])
-        v = succ[l - 1][v] if l > 0 else succ[-l - 1].index(v)
-    moved = array_code(succ, v)
+        v = action.step(v, l)
+    moved = array_code(action.perms, v)
     if moved[1] != code[1]:
         raise DomainError("graph is not connected from the root")
     return moved

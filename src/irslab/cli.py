@@ -48,7 +48,7 @@ from .montecarlo import (
     render_sweep,
 )
 from .normalizer import enumerate_normalizer_law
-from .oracles import BallBackedOracle, ball, conjugate
+from .oracles import BallBackedOracle, FiniteOracle, ball, conjugate
 from .sgr import emit_edgelist, emit_sgr, parse_complete_oracle, parse_sgr
 from .randomness import KeyedRng
 from .words import (letters_ordered, phi_word, word_from_str, word_to_str,
@@ -169,7 +169,7 @@ def cmd_aut(args) -> int:
 
 def cmd_enumerate_normalizer(args) -> int:
     law = parse_base_spec(args.base, args.rank, args.p)
-    if not law.is_point:
+    if not (law.is_point and isinstance(law.oracle, FiniteOracle)):
         raise DomainError("enumeration needs a finite point-mass base")
     base = law.oracle
     measure = enumerate_normalizer_law(base, _need_p(args.p), budget=args.budget)
@@ -335,7 +335,7 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sp, *, seed=True, rank=True, p=False, budget=True, out=True,
+def _add_common(sp, *, seed=True, rank=True, p=False, budget=False, out=True,
                 fmt=False):
     if seed:
         sp.add_argument("--seed", type=int, default=0,
@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--base", required=True)
     sp.add_argument("--radius", type=int, required=True)
     sp.add_argument("--format", choices=("sgr", "edgelist"), default="sgr")
-    _add_common(sp, p=True)
+    _add_common(sp, p=True, budget=True)
     sp.set_defaults(fn=cmd_ball)
 
     sp = sub.add_parser("metric", help="local distance between two graphs")
@@ -375,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--other", required=True)
     sp.add_argument("--max-radius", type=int, required=True)
     sp.add_argument("--other-seed", type=int, default=0)
-    _add_common(sp, p=True)
+    _add_common(sp, p=True, budget=True)
     sp.set_defaults(fn=cmd_metric)
 
     sp = sub.add_parser("fingerprint",
@@ -387,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("aut", help="automorphism count of a finite graph")
     sp.add_argument("--graph", required=True)
-    _add_common(sp, seed=False, rank=False, budget=False)
+    _add_common(sp, seed=False, rank=False)
     sp.set_defaults(fn=cmd_aut)
 
     for name, head in (("sample-normalizer", "normalizer:"),
@@ -396,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--base", required=True,
                         type=lambda spec, head=head: head + spec)
         sp.add_argument("--radius", type=int, required=True)
-        _add_common(sp, p=True)
+        _add_common(sp, p=True, budget=True)
         sp.set_defaults(fn=cmd_ball, format="sgr")
 
     sp = sub.add_parser("enumerate-normalizer",
@@ -404,14 +404,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--base", required=True)
     sp.add_argument("--check-invariance", action="store_true")
     sp.add_argument("--radius", type=int, default=2)
-    _add_common(sp, p=True)
+    _add_common(sp, p=True, budget=True)
     sp.set_defaults(fn=cmd_enumerate_normalizer)
 
     sp = sub.add_parser("encode", help="encode a configuration as a graph")
     sp.add_argument("--subshift", required=True)
     sp.add_argument("--radius", type=int, required=True)
     sp.add_argument("--basepoint", type=int, default=None)
-    _add_common(sp, rank=False)
+    _add_common(sp, rank=False, budget=True)
     sp.set_defaults(fn=cmd_encode)
 
     sp = sub.add_parser("decode", help="read a configuration off a graph")
@@ -426,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, required=True)
     sp.add_argument("--radius", type=int, default=4)
     sp.add_argument("--max-word-len", type=int, default=3)
-    _add_common(sp, rank=False)
+    _add_common(sp, rank=False, budget=True)
     sp.set_defaults(fn=cmd_check_equivariance)
 
     sp = sub.add_parser("upsilon",
@@ -434,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--graph", required=True)
     sp.add_argument("--subshift", required=True)
     sp.add_argument("--radius", type=int, required=True)
-    _add_common(sp, seed=False, rank=False)
+    _add_common(sp, seed=False, rank=False, budget=True)
     sp.set_defaults(fn=cmd_upsilon)
 
     sp = sub.add_parser("lambda",
@@ -445,12 +445,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("stab-law", help="stabilizer pushforward law")
     sp.add_argument("--action", required=True)
-    _add_common(sp, seed=False, rank=False, budget=False)
+    _add_common(sp, seed=False, rank=False)
     sp.set_defaults(fn=cmd_stab_law)
 
     sp = sub.add_parser("tnf-check", help="totally-non-free test")
     sp.add_argument("--action", required=True)
-    _add_common(sp, seed=False, rank=False, budget=False)
+    _add_common(sp, seed=False, rank=False)
     sp.set_defaults(fn=cmd_tnf_check)
 
     sp = sub.add_parser("first-return", help="first-return map on a subset")
@@ -458,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gen", type=int, required=True)
     sp.add_argument("--subset", required=True,
                     help="comma-separated points, e.g. 0,2")
-    _add_common(sp, seed=False, rank=False, budget=False)
+    _add_common(sp, seed=False, rank=False)
     sp.set_defaults(fn=cmd_first_return)
 
     sp = sub.add_parser("estimate", help="Monte Carlo cylinder mass")

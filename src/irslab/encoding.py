@@ -23,7 +23,7 @@ from .actions import FiniteAction, parse_action
 from .errors import AmbiguityError, DomainError, HorizonError, NotInYError, NotInZError
 from .measures import AtomicMeasure
 from .oracles import SchreierOracle, ball, bfs, conjugate, trace
-from .analysis import root_isomorphic
+from .analysis import array_code, root_isomorphic
 from .randomness import KeyedRng
 from .words import (
     Word,
@@ -233,13 +233,9 @@ def point_class_code(space: SubshiftSpace, q: int) -> tuple:
         return got
     action = space.action
     dist = bfs(q, action.step, letters_ordered(action.rank))
-    order = {v: i for i, v in enumerate(dist)}
-    rows = tuple(
-        tuple(order[action.perms[k][v]] for k in range(action.rank))
-        for v in dist
-    )
-    labels = tuple(space.labels[v] for v in dist)
-    code = ("pc", action.rank, space.alphabet, len(dist), labels, rows)
+    labels = tuple(space.labels[v] for v in dist)  # in array_code's order
+    rank, n, rows = array_code(action.perms, q)
+    code = ("pc", rank, space.alphabet, n, labels, rows)
     space._pc[q] = code
     return code
 
@@ -356,6 +352,7 @@ def parse_subshift(text: str):
     labels: dict[int, int] = {}
     basepoint = 0
     action_lines = []
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         is_action = parts[:1] in (["points"], ["perm"])
@@ -366,6 +363,11 @@ def parse_subshift(text: str):
         arity = {"alphabet": 1, "label": 2, "basepoint": 1}.get(parts[0])
         if arity is None or len(parts) != arity + 1 or len(values) != arity:
             raise DomainError(f"line {lineno}: cannot parse {raw.strip()!r}")
+        key = (parts[0], *values[:-1])  # a label line is keyed by its point
+        if key in seen:
+            raise DomainError(
+                f"line {lineno}: second {' '.join(map(str, key))!r} line")
+        seen.add(key)
         if parts[0] == "alphabet":
             alphabet = values[0]
         elif parts[0] == "label":

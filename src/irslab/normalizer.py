@@ -195,9 +195,7 @@ def _tripled(base: FiniteOracle):
     successor list per letter of the tripled-and-rewired graph, and the id
     at which each base vertex is entered. An unmarked vertex owns one id; a
     marked one owns enter, enter+1 and enter+2 for slots 0, 1 and 2."""
-    index = {v: k for k, v in enumerate(base.vertices)}
-    base_succ = [[index[base.neighbor(v, i)] for v in index]
-                 for i in range(1, base.rank + 1)]
+    perms = base.action.perms  # vertex k of the base is point k
 
     def build(marks):
         enter, size = [], 0
@@ -205,7 +203,7 @@ def _tripled(base: FiniteOracle):
             enter.append(size)
             size += 3 if m else 1
         succ = []
-        for i, targets in enumerate(base_succ, start=1):
+        for i, targets in enumerate(perms, start=1):
             s = [0] * size
             for v, m in enumerate(marks):
                 a = enter[v]

@@ -9,6 +9,8 @@ are write-once.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 from .errors import BudgetError, DomainError, HorizonError, InvalidGraphError
 from .words import (
     Word,
@@ -73,45 +75,72 @@ class CayleyOracle(SchreierOracle):
         return word_to_str(vertex)
 
 
-class FiniteOracle(SchreierOracle):
-    """Explicit finite Schreier graph: r permutations of a finite vertex set.
+@dataclass(frozen=True)
+class FiniteAction:
+    """r permutations of the points 0..n-1, acting on the right: point . s_i
+    = perms[i](point), and a word acts letter by letter, so the stabilizer
+    of a point is the set of words whose walk returns to the point.
 
-    Vertices are strings. Validates the permutation property and
-    connectivity from the root at construction.
+    The one place where a finite graph is checked to be a permutation
+    graph; raises InvalidGraphError unless each perm permutes 0..n-1."""
+
+    n: int
+    perms: tuple  # r tuples, images of s_1..s_r
+
+    inv: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise DomainError("need at least one point")
+        perms = tuple(map(tuple, self.perms))
+        points = list(range(self.n))
+        for k, p in enumerate(perms, start=1):
+            if sorted(p) != points:
+                raise InvalidGraphError(
+                    f"perm s{k} is not a permutation of 0..{self.n - 1}")
+        object.__setattr__(self, "perms", perms)
+        object.__setattr__(self, "inv", tuple(
+            tuple(sorted(points, key=p.__getitem__)) for p in perms))
+
+    @property
+    def rank(self) -> int:
+        return len(self.perms)
+
+    def step(self, point: int, letter: int) -> int:
+        if letter > 0:
+            return self.perms[letter - 1][point]
+        return self.inv[-letter - 1][point]
+
+    def act(self, point: int, w: Word) -> int:
+        for l in w:
+            point = self.step(point, l)
+        return point
+
+
+class FiniteOracle(SchreierOracle):
+    """Finite Schreier graph: a transitive finite action seen from its root
+    point. Vertices are the point names (`str(k)` by default), so
+    `vertices[k]` is point k of `action`. Checks connectivity from the
+    root; `FiniteAction` checks the permutation property.
     """
 
-    def __init__(self, rank: int, vertices, root: str, succ: dict):
-        self.rank = rank
-        self.vertices = tuple(vertices)
-        self.root = root
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
-            raise DomainError("duplicate vertex names")
-        if root not in vset:
-            raise DomainError(f"root {root!r} not a vertex")
-        self.succ = dict(succ)
-        self.pred: dict = {}
-        for i in range(1, rank + 1):
-            seen_dst = set()
-            for v in self.vertices:
-                w = self.succ.get((v, i))
-                if w is None or w not in vset:
-                    raise InvalidGraphError(
-                        f"vertex {v!r} lacks an outgoing s{i}-edge"
-                    )
-                if w in seen_dst:
-                    raise InvalidGraphError(
-                        f"two s{i}-edges directed into {w!r}"
-                    )
-                seen_dst.add(w)
-                self.pred[(w, i)] = v
-        if len(bfs(root, self.neighbor, letters_ordered(rank))) != len(vset):
+    def __init__(self, action: FiniteAction, root: int = 0, names=None):
+        self.action = action
+        self.rank = action.rank
+        if names is None:
+            names = map(str, range(action.n))
+        self.vertices = tuple(names)
+        self.index = {v: k for k, v in enumerate(self.vertices)}
+        if not len(self.vertices) == len(self.index) == action.n:
+            raise DomainError(f"need {action.n} distinct vertex names")
+        if not 0 <= root < action.n:
+            raise DomainError(f"root {root} is not a point")
+        self.root = self.vertices[root]
+        if len(bfs(root, action.step, letters_ordered(self.rank))) != action.n:
             raise DomainError("graph is not connected from the root")
 
     def neighbor(self, vertex, letter: int):
-        if letter > 0:
-            return self.succ[(vertex, letter)]
-        return self.pred[(vertex, -letter)]
+        return self.vertices[self.action.step(self.index[vertex], letter)]
 
     def token(self, vertex) -> str:
         return vertex
@@ -119,15 +148,7 @@ class FiniteOracle(SchreierOracle):
     @classmethod
     def from_perms(cls, perms, root: int = 0, names=None) -> "FiniteOracle":
         """Build from r permutations of {0..n-1} given as tuples/lists."""
-        n = len(perms[0])
-        names = names or [str(i) for i in range(n)]
-        succ = {}
-        for i, p in enumerate(perms, start=1):
-            if sorted(p) != list(range(n)):
-                raise DomainError(f"perm {i} is not a permutation of 0..{n-1}")
-            for v in range(n):
-                succ[(names[v], i)] = names[p[v]]
-        return cls(len(perms), names, names[root], succ)
+        return cls(FiniteAction(len(perms[0]), perms), root, names)
 
 
 def bfs(root, step, letters, radius=None, budget=None) -> dict:
@@ -248,12 +269,10 @@ class BallView:
             raise DomainError("ball has star edges; not a Schreier graph")
         if not self.is_complete():
             raise DomainError("ball is not a complete finite Schreier graph")
-        succ = {
-            (v, i): self.out[(v, i)]
-            for v in self.vertices
-            for i in range(1, self.rank + 1)
-        }
-        return FiniteOracle(self.rank, self.vertices, self.root, succ)
+        index = {v: k for k, v in enumerate(self.vertices)}
+        perms = [[index[self.out[(v, i)]] for v in self.vertices]
+                 for i in range(1, self.rank + 1)]
+        return FiniteOracle.from_perms(perms, index[self.root], self.vertices)
 
 
 def validate_schreier_ball(view: BallView) -> None:
@@ -325,9 +344,7 @@ def ball(oracle: SchreierOracle, radius: int, budget: int = DEFAULT_BUDGET) -> B
         return w
 
     dist = bfs(oracle.root, step, letters_ordered(oracle.rank), radius, budget)
-    tok = {v: oracle.token(v) for v in dist}
-    if len(set(tok.values())) != len(dist):
-        raise InvalidGraphError("oracle tokens are not injective")
+    tok = vertex_tokens(dist, oracle.token)
     edges = []
     for v in dist:
         for i in range(1, oracle.rank + 1):
@@ -337,6 +354,15 @@ def ball(oracle: SchreierOracle, radius: int, budget: int = DEFAULT_BUDGET) -> B
     boundary = [tok[v] for v, d in dist.items() if d == radius]
     return BallView(oracle.rank, radius, tok[oracle.root], tok.values(),
                     edges, boundary)
+
+
+def vertex_tokens(vertices, token) -> dict:
+    """The token of each vertex. Raises InvalidGraphError unless they are
+    distinct, since a view names its vertices by their tokens."""
+    tok = {v: token(v) for v in vertices}
+    if len(set(tok.values())) != len(tok):
+        raise InvalidGraphError("oracle tokens are not injective")
+    return tok
 
 
 def sub_ball(view: BallView, radius: int) -> BallView:

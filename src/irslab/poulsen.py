@@ -17,7 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError
-from .oracles import STAR, BallView, DEFAULT_BUDGET, SchreierOracle, bfs
+from .oracles import (STAR, BallView, DEFAULT_BUDGET, SchreierOracle, bfs,
+                      vertex_tokens)
 from .randomness import digest128
 from .words import letters_ordered
 
@@ -77,14 +78,25 @@ class PercolationGraph:
         return (path, self.copy(path).neighbor(v, letter))
 
     def token(self, u) -> str:
+        """Printable name p(<trail>|<inner>): the tokens of the percolated
+        cosets on the path joined by "/", then that of the coset in its own
+        copy, each with backslash, "/" and "|" escaped so that distinct
+        vertices get distinct tokens."""
         path, v = u
-        inner = self.copy(path).token(v)
+        inner = _escaped(self.copy(path).token(v))
         if not path:
             return f"p(|{inner})"
         trail = "/".join(
-            self.copy(path[:k]).token(path[k]) for k in range(len(path))
+            _escaped(self.copy(path[:k]).token(path[k]))
+            for k in range(len(path))
         )
         return f"p({trail}|{inner})"
+
+
+def _escaped(token: str) -> str:
+    if "\\" in token or "/" in token or "|" in token:
+        return token.replace("\\", "\\\\").replace("/", "\\/").replace("|", "\\|")
+    return token
 
 
 class PoulsenOracle(SchreierOracle):
@@ -127,7 +139,7 @@ def star_ball(graph: PercolationGraph, radius: int,
 
     dist = bfs(graph.root, step, letters_ordered(graph.rank) + [STAR],
                radius, budget)
-    tok = {u: graph.token(u) for u in dist}
+    tok = vertex_tokens(dist, graph.token)
     edges = []
     for u in dist:
         for i in range(1, graph.rank + 1):

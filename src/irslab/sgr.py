@@ -48,7 +48,9 @@ def parse_sgr(text: str) -> BallView:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if parts[0] == "schreier":
+        # three fields make an edge line, even from a vertex named "root"
+        kind = parts[0] if len(parts) != 3 else "edge"
+        if kind == "schreier":
             head = parts[1] if len(parts) == 2 else ""
             if not (head.startswith("r=") and head[2:].isdecimal()):
                 raise DomainError(f"line {lineno}: bad header {line!r}")
@@ -58,7 +60,7 @@ def parse_sgr(text: str) -> BallView:
             if rank < 1:
                 raise DomainError(f"line {lineno}: rank must be >= 1")
             continue
-        if parts[0] == "root":
+        if kind == "root":
             if len(parts) != 2:
                 raise DomainError(f"line {lineno}: bad root line")
             if root is not None:
@@ -66,7 +68,7 @@ def parse_sgr(text: str) -> BallView:
             root = parts[1]
             note(root)
             continue
-        if parts[0] == "boundary":
+        if kind == "boundary":
             if len(parts) != 2:
                 raise DomainError(f"line {lineno}: bad boundary line")
             boundary.append(parts[1])

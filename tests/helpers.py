@@ -125,10 +125,8 @@ def reference_aut_count(oracle: FiniteOracle) -> int:
 
 def reference_oracle_from_code(code: tuple) -> FiniteOracle:
     rank, n, rows = code
-    names = [str(i) for i in range(n)]
-    succ = {(names[v], j): names[rows[v][j - 1]]
-            for v in range(n) for j in range(1, rank + 1)}
-    return FiniteOracle(rank, names, names[0], succ)
+    return FiniteOracle.from_perms(
+        [[rows[v][j] for v in range(n)] for j in range(rank)])
 
 
 def reference_conjugate_code(code: tuple, g) -> tuple:

@@ -153,6 +153,14 @@ def test_enumerate_requires_exact_p(capsys, index2_file):
     assert code == 1
 
 
+@pytest.mark.parametrize("base", ["trivial", "normalizer:trivial"])
+def test_enumerate_needs_a_finite_point_base(capsys, base):
+    code, _, err = run(capsys, "enumerate-normalizer", "--base", base,
+                       "--p", "1/2")
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_encode_decode_roundtrip(capsys, tmp_path, subshift_file):
     out_path = str(tmp_path / "encoded.sgr")
     code, _, _ = run(capsys, "encode", "--subshift", subshift_file,
@@ -277,6 +285,24 @@ def test_budget_exit_code(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["fingerprint", "--base", "trivial", "--radius", "1"],
+    ["decode", "--graph", "{graph}", "--radius", "2"],
+    ["lambda", "--subshift", "{subshift}"],
+    ["estimate", "--sampler", "trivial", "--radius", "1", "--samples", "1"],
+    ["invariance", "--sampler", "trivial", "--radius", "1", "--samples", "1"],
+    ["sweep", "--base", "trivial", "--p-list", "1/2", "--radius", "1",
+     "--samples", "1"],
+], ids=lambda argv: argv[0])
+def test_commands_without_exploration_take_no_budget(capsys, index2_file,
+                                                     subshift_file, argv):
+    argv = [a.format(graph=index2_file, subshift=subshift_file) for a in argv]
+    assert run(capsys, *argv)[0] == 0
+    code, _, err = run(capsys, *argv, "--budget", "10")
+    assert code == 1
+    assert "unrecognized arguments: --budget" in err
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "aut", "--graph", "/nonexistent/g.sgr")
     assert code == 1
@@ -309,8 +335,12 @@ def test_malformed_action_file_exits_1(capsys, tmp_path, text):
     SUBSHIFT_TEXT.replace("points 2", "points two"),
     SUBSHIFT_TEXT.replace("points 2", "points 2\npoints 2"),
     SUBSHIFT_TEXT.replace("perm s2: id", "perm s2: id\nperm s2: (0 1)"),
+    SUBSHIFT_TEXT.replace("alphabet 2", "alphabet 2\nalphabet 3"),
+    SUBSHIFT_TEXT.replace("label 1 2", "label 1 2\nlabel 01 1"),
+    SUBSHIFT_TEXT.replace("basepoint 0", "basepoint 0\nbasepoint 1"),
 ], ids=["label-x", "bare-alphabet", "points-two", "two-points",
-        "repeated-perm"])
+        "repeated-perm", "repeated-alphabet", "repeated-label",
+        "repeated-basepoint"])
 def test_malformed_subshift_file_exits_1(capsys, tmp_path, text):
     path = tmp_path / "bad.sub"
     path.write_text(text)

@@ -116,6 +116,8 @@ def test_code_rows_that_are_not_permutations_raise(code):
 def test_conjugate_code_rejects_disconnected_codes_and_bad_letters():
     with pytest.raises(DomainError):
         conjugate_code((1, 2, ((0,), (1,))), (1,))
+    with pytest.raises(DomainError):
+        oracle_from_code((1, 2, ((0,), (1,))))
     law = enumerate_normalizer_law(index2_oracle(), Fraction(1, 2))
     code = law.items_sorted()[0][0]
     for g in ((3,), (0,), (-3, 1)):

@@ -3,6 +3,7 @@ import pytest
 from irslab import (
     BudgetError,
     DomainError,
+    FiniteAction,
     FiniteOracle,
     InvalidGraphError,
     ball,
@@ -140,10 +141,39 @@ def test_finite_oracle_validation():
         FiniteOracle.from_perms([(0, 0), (0, 1)])
     with pytest.raises(InvalidGraphError):
         # both vertices send s1 into "0": two incoming s1-edges
-        FiniteOracle(1, ["0", "1"], "0", {("0", 1): "0", ("1", 1): "0"})
+        FiniteOracle.from_perms([(0, 0)])
     with pytest.raises(DomainError):
         # two components: s1, s2 both fix everything pointwise on 2 vertices
         FiniteOracle.from_perms([(0, 1), (0, 1)])
+
+
+@pytest.mark.parametrize("perms", [
+    [(0, 0), (0, 1)],  # s1 sends both points to 0
+    [(1, 5), (0, 1)],  # target out of range
+    [(1, -1), (0, 1)],  # negative target
+    [(1, 0), (0,)],  # ragged perms
+    [(1, 0, 2), (0, 1)],  # perms of two sizes
+])
+def test_non_permutations_raise_through_finite_action(perms):
+    with pytest.raises(InvalidGraphError):
+        FiniteAction(2, perms)
+    with pytest.raises(InvalidGraphError):
+        FiniteOracle.from_perms(perms)
+
+
+def test_finite_oracle_names_and_root():
+    action = FiniteAction(3, [[1, 2, 0], [0, 1, 2]])
+    oracle = FiniteOracle(action, root=2, names=["x", "y", "z"])
+    assert oracle.root == "z" and oracle.vertices == ("x", "y", "z")
+    assert oracle.neighbor("z", 1) == "x" and oracle.neighbor("x", -1) == "z"
+    assert FiniteOracle(action).vertices == ("0", "1", "2")
+    for names in (["x", "y"], ["x", "x", "y"]):
+        with pytest.raises(DomainError):
+            FiniteOracle(action, names=names)
+    with pytest.raises(DomainError):
+        FiniteOracle(action, root=3)
+    with pytest.raises(DomainError):  # disconnected
+        FiniteOracle(FiniteAction(3, [[1, 0, 2], [0, 1, 2]]))
 
 
 def test_ball_backed_oracle(cayley2):

@@ -5,12 +5,16 @@ import pytest
 from irslab import (
     BudgetError,
     DomainError,
+    FiniteOracle,
+    InvalidGraphError,
     NormalizerLaw,
     PointLaw,
+    PoulsenLaw,
     ball,
     contains,
     cylinder_fingerprint,
     emit_sgr,
+    parse_sgr,
     poulsen_oracle,
     trace,
     trivial_law,
@@ -200,3 +204,26 @@ def test_star_ball_matches_oracle_after_surgery():
                     oracle.graph.step(oracle.root, w[0]):
                 crossings += 1
     assert crossings > 10
+
+
+def test_tokens_escape_separators_in_base_names():
+    base = FiniteOracle.from_perms([(1, 2, 0), (0, 1, 2)],
+                                   names=["a", "b", "a/b"])
+    law = PoulsenLaw(PointLaw(base), Fraction(9, 10))
+    view = ball(law.sample(161), 4)  # two vertices shared a token before
+    assert view_equal_exact(parse_sgr(emit_sgr(view)), view)
+    for seed in range(200):
+        star_ball(PercolationGraph(PointLaw(base), Fraction(9, 10), seed), 4)
+    graph = PercolationGraph(PointLaw(base), Fraction(9, 10), 0)
+    assert graph.token(((), "a/b")) == r"p(|a\/b)"
+    assert graph.token((("a/b",), "b")) == r"p(a\/b|b)"
+    assert graph.token(((), "b")) == "p(|b)"
+
+
+def test_star_ball_rejects_tokens_that_collide():
+    class Collide(PercolationGraph):
+        def token(self, u):
+            return "x"
+
+    with pytest.raises(InvalidGraphError, match="not injective"):
+        star_ball(Collide(trivial_law(2), Fraction(1, 2), 0), 1)

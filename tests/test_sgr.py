@@ -5,6 +5,7 @@ import pytest
 from irslab import (
     CayleyOracle,
     DomainError,
+    FiniteOracle,
     ball,
     emit_edgelist,
     emit_sgr,
@@ -109,3 +110,19 @@ def test_edgelist_export(index2):
     assert "A B label=s1" in lines
     assert "A A label=s2" in lines
     assert all(len(l.split()) == 3 for l in lines)
+
+
+@pytest.mark.parametrize("name", ["root", "schreier", "boundary"])
+def test_vertex_named_like_a_header_round_trips(name):
+    oracle = FiniteOracle.from_perms([(1, 0), (0, 1)], names=[name, "B"])
+    for radius in (0, 1, 2):
+        text = emit_sgr(ball(oracle, radius))
+        assert emit_sgr(parse_sgr(text)) == text
+
+
+def test_to_oracle_keeps_the_file_names():
+    text = "schreier r=2\nY s1 X\nX s1 Y\nX s2 X\nY s2 Y\nroot X\n"
+    oracle = parse_complete_oracle(text)
+    assert oracle.vertices == ("Y", "X") and oracle.root == "X"
+    assert oracle.neighbor("X", 1) == "Y" and oracle.neighbor("Y", -2) == "Y"
+    assert rooted_equal_finite(oracle, index2_oracle())
