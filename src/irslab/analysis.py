@@ -2,8 +2,9 @@
 the local metric, cylinder fingerprints, automorphism counting and the
 normalizer-element predicate.
 
-Deterministic labeled graphs admit at most one root-isomorphism, so every
-comparison here is a parallel traversal from the two roots, not a search.
+Deterministic labeled graphs admit at most one root-isomorphism, so a
+rooted graph has a canonical code, its successor table under BFS numbering
+from the root, and every comparison here is code equality, not a search.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from .oracles import (
     BallView,
     FiniteAction,
     FiniteOracle,
+    STAR,
     SchreierOracle,
     ball,
-    bfs,
     contains,
 )
 from .words import (
@@ -37,40 +38,11 @@ Z_CONSISTENT = "consistent-up-to-radius"
 
 def root_isomorphic(a: BallView, b: BallView) -> bool:
     """Label- and direction-preserving isomorphism matching roots; star
-    edges are matched as undirected. Requires equal radii."""
+    edges are matched as undirected: equal ball codes. Requires equal
+    radii and views connected from their roots."""
     if a.radius != b.radius:
         raise DomainError("root_isomorphic needs balls of equal radius")
-    if a.rank != b.rank or len(a.vertices) != len(b.vertices):
-        return False
-    if len(a.edges) != len(b.edges):
-        return False
-    fwd = {a.root: b.root}
-    bwd = {b.root: a.root}
-    stack = [(a.root, b.root)]
-    while stack:
-        u, v = stack.pop()
-        pairs = []
-        for i in range(1, a.rank + 1):
-            for table_a, table_b in ((a.out, b.out), (a.inc, b.inc)):
-                ua = table_a.get((u, i))
-                vb = table_b.get((v, i))
-                if (ua is None) != (vb is None):
-                    return False
-                if ua is not None:
-                    pairs.append((ua, vb))
-        sa, sb = a.star.get(u), b.star.get(v)
-        if (sa is None) != (sb is None):
-            return False
-        if sa is not None:
-            pairs.append((sa, sb))
-        for ua, vb in pairs:
-            if fwd.get(ua, vb) != vb or bwd.get(vb, ua) != ua:
-                return False
-            if ua not in fwd:
-                fwd[ua] = vb
-                bwd[vb] = ua
-                stack.append((ua, vb))
-    return len(fwd) == len(a.vertices)
+    return ball_code(a) == ball_code(b)
 
 
 def rooted_equal_finite(a: SchreierOracle, b: SchreierOracle) -> bool:
@@ -182,26 +154,59 @@ def z_set_member(oracle: SchreierOracle, g: Word, check_radius: int) -> str:
     return Z_CONSISTENT
 
 
+def bfs_numbering(root, step, letters, labels) -> tuple[list, tuple]:
+    """Number the vertices reachable from `root` in BFS order, expanding
+    each along `letters` in turn; `step(v, letter)` gives the neighbor, or
+    None where there is none. Returns (order, rows): the vertices in that
+    order, and for each one a tuple with the number of its neighbor along
+    each of `labels` (a subset of `letters`), None where there is none.
+    The numbering and the rows are built in one pass."""
+    at = [letters.index(l) for l in labels]
+    number = {root: 0}
+    order = [root]
+    rows = []
+    for v in order:
+        near = [step(v, l) for l in letters]
+        for w in near:
+            if w is not None and w not in number:
+                number[w] = len(order)
+                order.append(w)
+        rows.append(tuple([number.get(near[k]) for k in at]))
+    return order, tuple(rows)
+
+
 def canonical_code(oracle: SchreierOracle) -> tuple:
     """Canonical form of a complete finite rooted Schreier graph: successor
     tables under BFS numbering from the root. Equal codes <=> root-isomorphic.
     The oracle must be finite (the BFS must terminate)."""
-    return array_code(_succ_lists(oracle), 0)
+    rank = oracle.rank
+    order, rows = bfs_numbering(oracle.root, oracle.neighbor,
+                                letters_ordered(rank), range(1, rank + 1))
+    return (rank, len(order), rows)
 
 
-def _succ_lists(oracle: SchreierOracle) -> list:
-    """One successor list per letter of a finite oracle, over its vertices
-    numbered in BFS order from the root (so the root is 0)."""
-    dist = bfs(oracle.root, oracle.neighbor, letters_ordered(oracle.rank))
-    number = {v: k for k, v in enumerate(dist)}
-    return [[number[oracle.neighbor(v, i)] for v in dist]
-            for i in range(1, oracle.rank + 1)]
+def ball_code(view: BallView) -> tuple:
+    """Canonical form of a rooted view: (rank, n, rows) under BFS numbering
+    along `view.letters`; each row holds the s1..sr successors (None where
+    absent), then the star partner when the view has star edges. Equals
+    `canonical_code(view.to_oracle())` on a complete view without stars.
+    Raises DomainError unless every vertex is reachable from the root."""
+    labels = list(range(1, view.rank + 1))
+    if view.has_stars():
+        labels.append(STAR)
+    order, rows = bfs_numbering(view.root, view.step, view.letters, labels)
+    if len(order) != len(view.vertices):
+        raise DomainError("view is not connected from its root")
+    return (view.rank, len(order), rows)
 
 
 def array_code(succ, root: int) -> tuple:
     """Canonical code of the component of `root` in a finite graph on
     vertices 0..n-1 given as one permutation per letter: successor tables
-    under BFS numbering from the root, expanding along letters_ordered."""
+    under BFS numbering from the root, expanding along letters_ordered.
+    The same code as `canonical_code`, kept as a path over int permutations
+    because it is the hot loop of exact enumeration: the enumerators,
+    `conjugate_code` and the stabilizer functions call it per outcome."""
     steps = []
     for s in succ:
         steps += [s, sorted(range(len(s)), key=s.__getitem__)]  # s, s^-1

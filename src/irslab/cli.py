@@ -219,6 +219,10 @@ def cmd_decode(args) -> int:
 def cmd_check_equivariance(args) -> int:
     with open(args.subshift, "r", encoding="utf-8") as fh:
         space, _ = parse_subshift(fh.read())
+    if args.trials < 1:
+        raise DomainError("--trials must be >= 1")
+    if args.max_word_len < 1:
+        raise DomainError("--max-word-len must be >= 1")
     rng = KeyedRng(args.seed, "equivariance")
     candidates = [w for w in words_upto(space.rank, args.max_word_len) if w]
     failures = 0
@@ -294,7 +298,10 @@ def cmd_first_return(args) -> int:
         action = parse_action(fh.read())
     if not 1 <= args.gen <= action.rank:
         raise DomainError(f"generator index {args.gen} out of range")
-    subset = frozenset(int(s) for s in args.subset.split(","))
+    points = args.subset.split(",")
+    if not all(s.strip().isdecimal() for s in points):
+        raise DomainError(f"cannot parse --subset {args.subset!r}")
+    subset = frozenset(map(int, points))
     fr = first_return(action.perms[args.gen - 1], subset)
     out = _header(args, gen=args.gen, subset=args.subset)
     for y in sorted(fr):

@@ -22,8 +22,8 @@ from fractions import Fraction
 from .actions import FiniteAction, parse_action
 from .errors import AmbiguityError, DomainError, HorizonError, NotInYError, NotInZError
 from .measures import AtomicMeasure
-from .oracles import SchreierOracle, ball, bfs, conjugate, trace
-from .analysis import array_code, root_isomorphic
+from .oracles import SchreierOracle, ball, conjugate, trace
+from .analysis import ball_code, bfs_numbering
 from .randomness import KeyedRng
 from .words import (
     Word,
@@ -61,7 +61,7 @@ class SubshiftSpace:
         self.alphabet = alphabet
         self.rank = action.rank
         self._psi: dict = {}
-        self._balls: dict = {}
+        self._codes: dict = {}
         self._pc: dict = {}
 
     def points(self) -> list["SubshiftPoint"]:
@@ -77,11 +77,13 @@ class SubshiftSpace:
             self._psi[q] = o
         return o
 
-    def candidate_balls(self, radius: int):
-        got = self._balls.get(radius)
+    def candidate_codes(self, radius: int) -> frozenset:
+        """Ball codes of every configuration's encoding at this radius."""
+        got = self._codes.get(radius)
         if got is None:
-            got = [ball(self.psi(q), radius) for q in range(self.action.n)]
-            self._balls[radius] = got
+            got = frozenset(ball_code(ball(self.psi(q), radius))
+                            for q in range(self.action.n))
+            self._codes[radius] = got
         return got
 
 
@@ -168,8 +170,7 @@ def in_Z(oracle: SchreierOracle, space: SubshiftSpace, radius: int) -> bool:
     definitive; True is consistent-up-to-radius."""
     if radius < 2:
         raise DomainError("radius must be >= 2 to see the cycle structure")
-    b = ball(oracle, radius)
-    return any(root_isomorphic(b, cb) for cb in space.candidate_balls(radius))
+    return ball_code(ball(oracle, radius)) in space.candidate_codes(radius)
 
 
 def upsilon(oracle: SchreierOracle, space: SubshiftSpace, radius: int):
@@ -231,11 +232,11 @@ def point_class_code(space: SubshiftSpace, q: int) -> tuple:
     got = space._pc.get(q)
     if got is not None:
         return got
-    action = space.action
-    dist = bfs(q, action.step, letters_ordered(action.rank))
-    labels = tuple(space.labels[v] for v in dist)  # in array_code's order
-    rank, n, rows = array_code(action.perms, q)
-    code = ("pc", rank, space.alphabet, n, labels, rows)
+    rank = space.rank
+    order, rows = bfs_numbering(q, space.action.step, letters_ordered(rank),
+                                range(1, rank + 1))
+    labels = tuple(space.labels[v] for v in order)
+    code = ("pc", rank, space.alphabet, len(order), labels, rows)
     space._pc[q] = code
     return code
 

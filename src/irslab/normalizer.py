@@ -153,11 +153,9 @@ class NormalizerOracle(SchreierOracle):
 class _HashMarks:
     """Memoized keyed-hash marks; write-once cache, safe for shared readers."""
 
-    def __init__(self, base: SchreierOracle, law: MarkLaw, seed: int,
-                 key_of=None):
+    def __init__(self, base: SchreierOracle, law: MarkLaw, seed: int):
         self.base = base
         self.seed = seed
-        self.key_of = key_of or base.token
         self.root_cuts = law.thresholds(at_root=True)
         self.other_cuts = law.thresholds(at_root=False)
         self.cache: dict = {}
@@ -166,7 +164,7 @@ class _HashMarks:
         m = self.cache.get(v)
         if m is None:
             cuts = self.root_cuts if v == self.base.root else self.other_cuts
-            d = digest128(self.seed, "mark", self.key_of(v))
+            d = digest128(self.seed, "mark", self.base.token(v))
             m = self.cache[v] = bisect_right(cuts, d)
         return m
 

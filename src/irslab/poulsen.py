@@ -210,21 +210,12 @@ def inverse_surgery(view: BallView, records) -> BallView:
 def view_equal_exact(a: BallView, b: BallView) -> bool:
     """Identity of views as labeled graphs: same vertices, root, radius,
     boundary and edge set (star edges compared undirected)."""
-
-    def norm(view):
-        es = set()
-        for src, label, dst in view.edges:
-            if label == STAR:
-                es.add((min(src, dst), STAR, max(src, dst)))
-            else:
-                es.add((src, label, dst))
-        return es
-
     return (
         a.rank == b.rank
         and a.radius == b.radius
         and a.root == b.root
         and set(a.vertices) == set(b.vertices)
         and a.boundary == b.boundary
-        and norm(a) == norm(b)
+        and a.out == b.out
+        and a.star == b.star
     )

@@ -10,6 +10,7 @@ s_1 < s_1^-1 < s_2 < s_2^-1 < ...
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .errors import DomainError
@@ -36,14 +37,7 @@ def reduce_word(letters: Iterable[int]) -> Word:
 
 
 def concat(*words: Word) -> Word:
-    out: list[int] = []
-    for w in words:
-        for l in w:
-            if out and out[-1] == -l:
-                out.pop()
-            else:
-                out.append(l)
-    return tuple(out)
+    return reduce_word(chain.from_iterable(words))
 
 
 def inverse_word(w: Word) -> Word:

@@ -18,8 +18,11 @@ from irslab import (
     z_set_member,
 )
 from irslab.actions import FiniteAction, orbit_schreier, random_transitive_action
-from irslab.analysis import Z_CONSISTENT, Z_NO, conjugate_code
+from irslab.analysis import Z_CONSISTENT, Z_NO, ball_code, conjugate_code
 from irslab.errors import DomainError
+from irslab.laws import trivial_law
+from irslab.oracles import BallView
+from irslab.poulsen import PercolationGraph, star_ball
 from irslab.randomness import KeyedRng
 from irslab.words import (
     conjugated_word,
@@ -33,8 +36,8 @@ from test_words import random_word
 
 
 def _ball_pool():
-    """Small assorted balls for cross-checking the traversal isomorphism
-    test against the exhaustive one."""
+    """Small assorted balls for cross-checking the code-based isomorphism
+    test against the exhaustive one, including views with star edges."""
     pool = []
     cay = CayleyOracle(2)
     from helpers import index2_oracle, one_vertex_oracle
@@ -44,7 +47,18 @@ def _ball_pool():
             pool.append(ball(oracle, radius))
     for seed in (1, 2):
         pool.append(ball(normalizer_oracle(index2_oracle(), Fraction(1, 2), seed), 1))
+    for seed in range(40):
+        graph = PercolationGraph(trivial_law(2), Fraction(1, 2), seed)
+        for radius in (0, 1):
+            view = star_ball(graph, radius)
+            if view.has_stars():
+                pool.append(view)
     return pool
+
+
+def test_ball_pool_has_star_views():
+    stars = [v for v in _ball_pool() if v.has_stars() and len(v.vertices) <= 6]
+    assert len(stars) == 19
 
 
 def test_root_isomorphic_agrees_with_bruteforce():
@@ -56,6 +70,25 @@ def test_root_isomorphic_agrees_with_bruteforce():
             if len(a.vertices) > 6 or len(b.vertices) > 6:
                 continue
             assert root_isomorphic(a, b) == brute_root_isomorphic(a, b)
+
+
+def test_ball_code_is_canonical_code_on_complete_views():
+    for seed in range(6):
+        for n in (1, 4, 7):
+            oracle = orbit_schreier(random_transitive_action(n, 2, seed), 0)
+            for v in oracle.vertices:
+                view = ball(oracle.rebased(v), n)
+                assert view.is_complete() and not view.has_stars()
+                assert ball_code(view) == canonical_code(view.to_oracle())
+
+
+def test_disconnected_view_raises():
+    view = BallView(2, 1, "a", ["a", "b"], [("a", 1, "a"), ("b", 2, "b")],
+                    ["b"])
+    with pytest.raises(DomainError):
+        ball_code(view)
+    with pytest.raises(DomainError):
+        root_isomorphic(view, view)
 
 
 def test_root_isomorphic_reflexive(cayley2, index2):

@@ -244,6 +244,30 @@ def test_first_return_cli(capsys, tmp_path):
     assert "0 -> 2" in out and "2 -> 0" in out
 
 
+@pytest.mark.parametrize("subset", ["0,x", ",", "0,", "0,-1", "0,7"],
+                         ids=["point-x", "bare-comma", "trailing-comma",
+                              "negative", "out-of-range"])
+def test_first_return_bad_subset_exits_1(capsys, tmp_path, subset):
+    path = tmp_path / "act.txt"
+    path.write_text("points 5\nperm s1: (0 1 2 3 4)\nperm s2: id\n")
+    code, out, err = run(capsys, "first-return", "--action", str(path),
+                         "--gen", "1", "--subset", subset)
+    assert code == 1
+    assert out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("extra", [
+    ("--trials", "0"),
+    ("--trials", "-2"),
+    ("--trials", "3", "--max-word-len", "0"),
+], ids=["no-trials", "negative-trials", "no-words"])
+def test_check_equivariance_bad_counts_exit_1(capsys, subshift_file, extra):
+    code, out, err = run(capsys, "check-equivariance", "--subshift",
+                         subshift_file, *extra)
+    assert code == 1
+    assert out == "" and err.startswith("error:")
+
+
 def test_estimate_cli_deterministic(capsys):
     args = ("estimate", "--sampler", "poulsen:trivial", "--p", "1/10",
             "--fingerprint", "e", "--radius", "2", "--samples", "50",

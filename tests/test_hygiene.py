@@ -1,0 +1,67 @@
+"""Source hygiene of the package, checked with the standard-library ast
+module: no module imports a name it never uses, and no private top-level
+helper goes unreferenced."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "irslab"
+MODULES = sorted(PACKAGE.glob("*.py"))
+IMPORTERS = [path for path in MODULES if path.name != "__init__.py"]
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _used_names(tree: ast.AST) -> set:
+    """Every name that a module reads, bare or as an attribute."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used
+
+
+def _imported(tree: ast.Module):
+    """(bound name, line) of each import but __future__ ones."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                yield name, node.lineno
+
+
+@pytest.mark.parametrize("path", IMPORTERS, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    """The package module is left out: it imports to re-export."""
+    tree = _tree(path)
+    used = _used_names(tree)
+    unused = [f"{name} (line {line})" for name, line in _imported(tree)
+              if name not in used]
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_private_helpers_are_referenced():
+    trees = {path.name: _tree(path) for path in MODULES}
+    referenced = set()
+    for tree in trees.values():
+        referenced |= _used_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                referenced |= {alias.name for alias in node.names}
+    unused = [
+        f"{name}.{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and node.name not in referenced
+    ]
+    assert not unused, f"private helpers nothing references: {unused}"
