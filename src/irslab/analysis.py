@@ -10,10 +10,12 @@ from the root, and every comparison here is code equality, not a search.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import takewhile
 
 from .errors import DomainError, InvalidGraphError
 from .oracles import (
     BallView,
+    DEFAULT_BUDGET,
     FiniteAction,
     FiniteOracle,
     STAR,
@@ -26,10 +28,9 @@ from .words import (
     check_letter,
     conjugated_word,
     inverse_word,
-    iter_reduced_extensions,
     letters_ordered,
     reduce_word,
-    shortlex_key,
+    words_upto,
 )
 
 Z_NO = "no"
@@ -51,40 +52,57 @@ def rooted_equal_finite(a: SchreierOracle, b: SchreierOracle) -> bool:
 
 
 def metric(a: SchreierOracle, b: SchreierOracle, max_radius: int,
-           budget: int | None = None) -> Fraction:
+           budget: int = DEFAULT_BUDGET) -> Fraction:
     """Local distance 1/(n+1), n = smallest radius at which the two balls
     are not root-isomorphic; 0 if they agree up to max_radius (callers may
     report that case as "<= 1/(max_radius+2)")."""
     if max_radius < 0:
         raise DomainError("max_radius must be >= 0")
-    kwargs = {} if budget is None else {"budget": budget}
     for n in range(max_radius + 1):
-        if not root_isomorphic(ball(a, n, **kwargs), ball(b, n, **kwargs)):
+        if not root_isomorphic(ball(a, n, budget), ball(b, n, budget)):
             return Fraction(1, n + 1)
     return Fraction(0)
 
 
+def walk_table(root, step, rank: int, length: int) -> dict:
+    """The end vertex of the walk from `root` of each reduced word of length
+    <= `length`, keyed by word in shortlex order. `step(v, letter)` gives
+    the neighbor. `words_upto` lists each word's prefix before the word, so
+    one step per word fills the table."""
+    ends = {}
+    for w in words_upto(rank, length):
+        ends[w] = step(ends[w[:-1]], w[-1]) if w else root
+    return ends
+
+
 def cylinder_fingerprint(oracle: SchreierOracle, radius: int) -> tuple[Word, ...]:
-    """Sorted tuple of reduced words of length <= radius that the subgroup
-    contains. The subgroup lies in the cylinder C(F, radius) iff this equals
-    F."""
+    """Shortlex-sorted tuple of reduced words of length <= radius that the
+    subgroup contains. The subgroup lies in the cylinder C(F, radius) iff
+    this equals F."""
     if radius < 0:
         raise DomainError("radius must be >= 0")
     root = oracle.root
-    hits: list[Word] = [()]
+    ends = walk_table(root, oracle.neighbor, oracle.rank, radius)
+    return tuple(w for w, v in ends.items() if v == root)
 
-    def walk(v, word: Word) -> None:
-        for l in iter_reduced_extensions(word, oracle.rank):
-            w = oracle.neighbor(v, l)
-            nxt = word + (l,)
-            if w == root:
-                hits.append(nxt)
-            if len(nxt) < radius:
-                walk(w, nxt)
 
-    if radius > 0:
-        walk(root, ())
-    return tuple(sorted(hits, key=shortlex_key))
+def conjugate_fingerprints(root, step, rank: int, radius: int) -> tuple:
+    """(fp, conj): the cylinder fingerprint of the stabilizer K of `root`
+    and, keyed by each letter l, that of l K l^-1, from one walk table of
+    length radius + 1. l K l^-1 contains w iff the walk of l^-1 w ends at
+    the walk of l^-1; walks do not depend on reduction, so for w = l u
+    that is the walk of u."""
+    if radius < 0:
+        raise DomainError("radius must be >= 0")
+    ends = walk_table(root, step, rank, radius + 1)
+    words = list(takewhile(lambda w: len(w) <= radius, ends))
+    fp = tuple(w for w in words if ends[w] == root)
+    conj = {}
+    for l in letters_ordered(rank):
+        at = ends[(-l,)]
+        conj[l] = tuple(w for w in words
+                        if ends[w[1:] if w and w[0] == l else (-l,) + w] == at)
+    return fp, conj
 
 
 def aut_count(oracle: FiniteOracle) -> int:

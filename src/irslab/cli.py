@@ -319,6 +319,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_invariance(args) -> int:
+    if not 0 <= args.z_threshold < float("inf"):
+        raise DomainError("--z-threshold must be finite and >= 0")
     law = parse_base_spec(args.sampler, args.rank, args.p)
     rows = invariance_report(law, args.radius, args.samples, args.seed,
                              min_mass=args.min_mass)

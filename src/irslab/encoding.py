@@ -200,9 +200,11 @@ def decode(oracle: SchreierOracle, radius: int, symbol_cap: int = 4096) -> dict:
 
     The caller is responsible for membership in the encoded set; malformed
     cycle structure raises NotInZError."""
+    if radius < 2:
+        raise DomainError("radius must be >= 2 to see the cycle structure")
     pattern: dict = {}
     try:
-        for g in words_upto(oracle.rank, max(radius - 2, 0)):
+        for g in words_upto(oracle.rank, radius - 2):
             u = trace(oracle, phi_word(g) + (1,))
             v = oracle.neighbor(u, 2)
             count = 1

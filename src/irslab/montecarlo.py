@@ -13,14 +13,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analysis import (
-    conjugate_code,
-    cylinder_fingerprint,
-    oracle_from_code,
-)
+from .analysis import code_action, conjugate_fingerprints, cylinder_fingerprint
 from .errors import DomainError
 from .measures import AtomicMeasure
-from .oracles import SchreierOracle, ball, conjugate
+from .oracles import SchreierOracle, ball
 from .randomness import subseed
 from .words import (
     inverse_word,
@@ -113,20 +109,21 @@ def invariance_report(law, radius: int, n: int, seed: int,
     """Empirical conjugation-invariance table: for every fingerprint class
     with empirical mass >= min_mass and every generator letter g, compare
     the mass of the class with the mass of its image under K -> g K g^-1,
-    with a pooled z-score."""
+    with a pooled z-score. Each sample's fingerprints come from one walk."""
     if n < 1:
         raise DomainError("need at least one sample")
+    if not 0 <= min_mass <= 1:
+        raise DomainError("min_mass must lie in [0, 1]")
     letters = letters_ordered(law.rank)
     base: dict = {}
     conj: dict = {l: {} for l in letters}
     for k in range(n):
         oracle = law.sample(sample_seed(seed, k))
-        fp = cylinder_fingerprint(oracle, radius)
+        fp, moved = conjugate_fingerprints(oracle.root, oracle.neighbor,
+                                           oracle.rank, radius)
         base[fp] = base.get(fp, 0) + 1
-        for l in letters:
-            moved = conjugate(oracle, (l,))
-            fp2 = cylinder_fingerprint(moved, radius)
-            conj[l][fp2] = conj[l].get(fp2, 0) + 1
+        for l, fp_l in moved.items():
+            conj[l][fp_l] = conj[l].get(fp_l, 0) + 1
     rows = []
     for fp in sorted(base, key=lambda f: (len(f), tuple(map(shortlex_key, f)))):
         mass = Fraction(base[fp], n)
@@ -154,29 +151,19 @@ def exact_invariance_rows(measure: AtomicMeasure, radius: int) -> list[Invarianc
     graph codes: deviations are rational and must all be zero for an
     invariant law."""
     rank = next(iter(measure.data))[0] if measure.data else 0
-    fps: dict = {}
-
-    def fingerprint(code):
-        fp = fps.get(code)
-        if fp is None:
-            fp = fps[code] = cylinder_fingerprint(oracle_from_code(code), radius)
-        return fp
-
+    letters = letters_ordered(rank)
     base = AtomicMeasure()
+    conj_measures = {l: AtomicMeasure() for l in letters}
     for code, mass in measure.data.items():
-        base.add(fingerprint(code), mass)
+        fp, moved = conjugate_fingerprints(0, code_action(code).step, rank,
+                                           radius)
+        base.add(fp, mass)
+        for l, fp_l in moved.items():
+            conj_measures[l].add(fp_l, mass)
+    all_fps = set(base.keys()).union(*(m.keys() for m in conj_measures.values()))
     rows = []
-    conj_measures = {}
-    for l in letters_ordered(rank):
-        pushed = AtomicMeasure()
-        for code, mass in measure.data.items():
-            pushed.add(fingerprint(conjugate_code(code, (l,))), mass)
-        conj_measures[l] = pushed
-    all_fps = set(base.keys())
-    for m in conj_measures.values():
-        all_fps |= set(m.keys())
     for fp in sorted(all_fps, key=lambda f: (len(f), tuple(map(shortlex_key, f)))):
-        for l in letters_ordered(rank):
+        for l in letters:
             mass = base.mass(fp)
             cmass = conj_measures[l].mass(fp)
             rows.append(InvarianceRow(fp, l, mass, cmass, abs(mass - cmass), None))

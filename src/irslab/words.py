@@ -11,7 +11,7 @@ s_1 < s_1^-1 < s_2 < s_2^-1 < ...
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import DomainError
 
@@ -72,23 +72,9 @@ def words_upto(rank: int, n: int) -> list[Word]:
     out: list[Word] = [()]
     layer: list[Word] = [()]
     for _ in range(n):
-        nxt = []
-        for w in layer:
-            for l in ls:
-                if w and w[-1] == -l:
-                    continue
-                nxt.append(w + (l,))
-        out.extend(nxt)
-        layer = nxt
+        layer = [w + (l,) for w in layer for l in ls if not w or w[-1] != -l]
+        out.extend(layer)
     return out
-
-
-def iter_reduced_extensions(w: Word, rank: int) -> Iterator[int]:
-    """Letters l such that w + (l,) stays reduced."""
-    for l in letters_ordered(rank):
-        if w and w[-1] == -l:
-            continue
-        yield l
 
 
 def word_to_str(w: Word) -> str:

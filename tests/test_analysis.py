@@ -17,21 +17,39 @@ from irslab import (
     rooted_equal_finite,
     z_set_member,
 )
-from irslab.actions import FiniteAction, orbit_schreier, random_transitive_action
-from irslab.analysis import Z_CONSISTENT, Z_NO, ball_code, conjugate_code
+from irslab.actions import (
+    FiniteAction,
+    orbit_schreier,
+    random_transitive_action,
+    stab_pushforward_law,
+)
+from irslab.analysis import (
+    Z_CONSISTENT,
+    Z_NO,
+    ball_code,
+    code_action,
+    conjugate_code,
+    conjugate_fingerprints,
+    walk_table,
+)
+from irslab.encoding import psi_oracle
 from irslab.errors import DomainError
-from irslab.laws import trivial_law
-from irslab.oracles import BallView
+from irslab.laws import NormalizerLaw, PoulsenLaw, trivial_law
+from irslab.normalizer import enumerate_normalizer_law
+from irslab.oracles import BallView, trace
 from irslab.poulsen import PercolationGraph, star_ball
 from irslab.randomness import KeyedRng
 from irslab.words import (
     conjugated_word,
+    letters_ordered,
     reduce_word,
     shortlex_key,
     word_from_str,
+    words_upto,
 )
 
 from helpers import brute_aut_count, brute_root_isomorphic, cyclic_oracle
+from test_encoding import three_cycle_space
 from test_words import random_word
 
 
@@ -205,6 +223,68 @@ def test_fingerprint_conjugation_identity(index2):
             key=shortlex_key,
         )
         assert list(fp_conj) == expected
+
+
+def test_walk_table_ends_each_word_where_its_trace_does(index2, cayley2):
+    sampled = normalizer_oracle(cayley2, Fraction(1, 2), 4)
+    for oracle in (index2, cayley2, sampled):
+        ends = walk_table(oracle.root, oracle.neighbor, 2, 3)
+        assert list(ends) == words_upto(2, 3)
+        assert all(v == trace(oracle, w) for w, v in ends.items())
+
+
+def _one_walk_samples(rank: int):
+    """Samples of normalizer:trivial and poulsen:normalizer:trivial, random
+    transitive finite actions and, at rank 2, Psi oracles."""
+    trivial = trivial_law(rank)
+    normalizer = NormalizerLaw(trivial, Fraction(1, 2))
+    poulsen = PoulsenLaw(NormalizerLaw(trivial, Fraction(1, 4)), Fraction(1, 4))
+    for seed in range(3):
+        yield normalizer.sample(seed)
+        yield poulsen.sample(seed)
+        yield orbit_schreier(random_transitive_action(4 + seed, rank, seed), 0)
+    if rank == 2:
+        space = three_cycle_space()
+        for q in range(space.action.n):
+            yield psi_oracle(space.point(q))
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("radius", [0, 1, 2, 3])
+def test_one_walk_fingerprints_match_rebased_walks(rank, radius):
+    moved = 0
+    for oracle in _one_walk_samples(rank):
+        fp, conj = conjugate_fingerprints(oracle.root, oracle.neighbor,
+                                          rank, radius)
+        assert fp == cylinder_fingerprint(oracle, radius)
+        assert list(conj) == letters_ordered(rank)
+        for l, fp_l in conj.items():
+            assert fp_l == cylinder_fingerprint(conjugate(oracle, (l,)), radius)
+            moved += fp_l != fp
+    assert moved or radius == 0  # the check sees conjugation move a fingerprint
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2, 3])
+def test_one_walk_fingerprints_of_codes_match_conjugate_codes(radius):
+    laws = [stab_pushforward_law(random_transitive_action(n, rank, n))
+            for n, rank in ((4, 2), (5, 2), (4, 3))]
+    laws.append(enumerate_normalizer_law(cyclic_oracle(3), Fraction(1, 2)))
+    for law in laws:
+        for code in law.data:
+            rank = code[0]
+            fp, conj = conjugate_fingerprints(0, code_action(code).step,
+                                              rank, radius)
+            assert fp == cylinder_fingerprint(oracle_from_code(code), radius)
+            for l in letters_ordered(rank):
+                moved = oracle_from_code(conjugate_code(code, (l,)))
+                assert conj[l] == cylinder_fingerprint(moved, radius)
+
+
+def test_fingerprints_reject_a_negative_radius(index2):
+    with pytest.raises(DomainError):
+        cylinder_fingerprint(index2, -1)
+    with pytest.raises(DomainError):
+        conjugate_fingerprints(index2.root, index2.neighbor, 2, -1)
 
 
 def test_aut_count_examples(index2):

@@ -268,6 +268,32 @@ def test_check_equivariance_bad_counts_exit_1(capsys, subshift_file, extra):
     assert out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("extra", [
+    ("--z-threshold", "nan"),
+    ("--z-threshold", "inf"),
+    ("--z-threshold", "-1"),
+    ("--min-mass", "2"),
+    ("--min-mass=-1/2",),
+], ids=["z-nan", "z-inf", "z-negative", "mass-above-1", "mass-negative"])
+def test_invariance_bad_thresholds_exit_1(capsys, extra):
+    """Each of these would otherwise turn the biased control's FAIL into
+    PASS (or make every cell breach)."""
+    argv = ("invariance", "--sampler", "biased-normalizer:trivial",
+            "--p", "1/2", "--radius", "1", "--samples", "200")
+    assert run(capsys, *argv)[0] == 3
+    code, out, err = run(capsys, *argv, *extra)
+    assert code == 1
+    assert out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("radius", ["-1", "0", "1"])
+def test_decode_radius_below_2_exits_1(capsys, index2_file, radius):
+    code, out, err = run(capsys, "decode", "--graph", index2_file,
+                         "--radius", radius)
+    assert code == 1
+    assert out == "" and err.startswith("error:")
+
+
 def test_estimate_cli_deterministic(capsys):
     args = ("estimate", "--sampler", "poulsen:trivial", "--p", "1/10",
             "--fingerprint", "e", "--radius", "2", "--samples", "50",

@@ -149,6 +149,12 @@ def test_decode_roundtrip_constant():
     assert set(pattern) == set(words_upto(2, 3))
 
 
+@pytest.mark.parametrize("radius", [-1, 0, 1])
+def test_decode_rejects_radius_below_2(radius):
+    with pytest.raises(DomainError):
+        decode(psi_oracle(constant_one_space().point(0)), radius)
+
+
 def test_decode_roundtrip_random():
     for case in range(25):
         space = random_subshift_space(2 + case % 6, 2, 4, seed=4000 + case)

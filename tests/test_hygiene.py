@@ -1,13 +1,14 @@
 """Source hygiene of the package, checked with the standard-library ast
-module: no module imports a name it never uses, and no private top-level
-helper goes unreferenced."""
+module: no module imports a name it never uses, and no top-level helper,
+private or public, goes unreferenced."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "irslab"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "irslab"
 MODULES = sorted(PACKAGE.glob("*.py"))
 IMPORTERS = [path for path in MODULES if path.name != "__init__.py"]
 
@@ -65,3 +66,28 @@ def test_private_helpers_are_referenced():
         and node.name not in referenced
     ]
     assert not unused, f"private helpers nothing references: {unused}"
+
+
+def test_public_names_are_referenced():
+    """A public top-level function or class must be read somewhere in
+    src/, tests/, scripts/ or bench/: by name, as an attribute or as a
+    string naming it (bench/tracing.py patches functions by name). Its own
+    definition and the re-export in the package module do not count."""
+    referenced = set()
+    for top in ("src", "tests", "scripts", "bench"):
+        for path in (ROOT / top).rglob("*.py"):
+            if path == PACKAGE / "__init__.py":
+                continue
+            tree = _tree(path)
+            referenced |= _used_names(tree)
+            referenced |= {node.value for node in ast.walk(tree)
+                           if isinstance(node, ast.Constant)
+                           and isinstance(node.value, str)}
+    unused = [
+        f"{path.name}.{node.name}"
+        for path in MODULES
+        for node in _tree(path).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and node.name not in referenced
+    ]
+    assert not unused, f"public names nothing references: {unused}"
