@@ -177,6 +177,8 @@ def normalizer_oracle(base: SchreierOracle, p, seed: int,
     choice; this deliberately breaks invariance and exists as a negative
     control for the invariance test harness.
     """
+    if biased_root_slot not in (None, 0, 1, 2):
+        raise DomainError("root slot must be 0, 1 or 2")
     law = MarkLaw(Fraction(p), base.rank)
     marks = _HashMarks(base, law, seed)
     if biased_root_slot is None:

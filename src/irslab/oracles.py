@@ -314,26 +314,55 @@ class BallBackedOracle(SchreierOracle):
     def token(self, vertex) -> str:
         return vertex
 
-    def extract_ball(self, radius: int, budget: int = DEFAULT_BUDGET) -> BallView:
-        if radius > self.view.radius and self.view.boundary:
-            raise HorizonError(
-                f"stored ball has radius {self.view.radius}, need {radius}"
-            )
-        return sub_ball(self.view, radius)
+
+def grow_view(root, step, succ, rank: int, radius: int, token, star=None,
+              budget=None) -> BallView:
+    """The radius-`radius` view around `root`; every BallView grown by BFS
+    is built here.
+
+    `bfs` runs along `step` over the 2r letters, plus STAR when `star` (the
+    star partner of a vertex, or None) is given. Vertices are named by
+    `token`; raises InvalidGraphError unless the names are distinct. Each
+    s_i-edge `succ(v, i)` inside the ball is recorded in BFS order, then
+    each star edge once with the smaller token first. The boundary is the
+    layer at distance `radius`.
+    """
+    if radius < 0:
+        raise DomainError("radius must be >= 0")
+    letters = letters_ordered(rank)
+    if star is None:
+        walk = step
+    else:
+        letters.append(STAR)
+
+        def walk(v, l):
+            return star(v) if l == STAR else step(v, l)
+
+    dist = bfs(root, walk, letters, radius, budget)
+    tok = {v: token(v) for v in dist}
+    if len(set(tok.values())) != len(tok):
+        raise InvalidGraphError("oracle tokens are not injective")
+    edges = []
+    for v in dist:
+        for i in range(1, rank + 1):
+            w = succ(v, i)
+            if w in dist:
+                edges.append((tok[v], i, tok[w]))
+    if star is not None:
+        for v in dist:
+            w = star(v)
+            if w in dist and tok[v] < tok[w]:
+                edges.append((tok[v], STAR, tok[w]))
+    boundary = [tok[v] for v, d in dist.items() if d == radius]
+    return BallView(rank, radius, tok[root], tok.values(), edges, boundary)
 
 
 def ball(oracle: SchreierOracle, radius: int, budget: int = DEFAULT_BUDGET) -> BallView:
     """Breadth-first ball of the given radius around the root.
 
     Includes every edge between included vertices. Asserts the permutation
-    property neighbor(neighbor(v, l), -l) == v on each explored edge.
+    property neighbor(neighbor(v, l), -l) == v on each edge the BFS walks.
     """
-    if radius < 0:
-        raise DomainError("radius must be >= 0")
-    custom = getattr(oracle, "extract_ball", None)
-    if custom is not None:
-        return custom(radius, budget)
-
     def step(v, l):
         w = oracle.neighbor(v, l)
         if oracle.neighbor(w, -l) != v:
@@ -343,34 +372,16 @@ def ball(oracle: SchreierOracle, radius: int, budget: int = DEFAULT_BUDGET) -> B
             )
         return w
 
-    dist = bfs(oracle.root, step, letters_ordered(oracle.rank), radius, budget)
-    tok = vertex_tokens(dist, oracle.token)
-    edges = []
-    for v in dist:
-        for i in range(1, oracle.rank + 1):
-            w = oracle.neighbor(v, i)
-            if w in dist:
-                edges.append((tok[v], i, tok[w]))
-    boundary = [tok[v] for v, d in dist.items() if d == radius]
-    return BallView(oracle.rank, radius, tok[oracle.root], tok.values(),
-                    edges, boundary)
-
-
-def vertex_tokens(vertices, token) -> dict:
-    """The token of each vertex. Raises InvalidGraphError unless they are
-    distinct, since a view names its vertices by their tokens."""
-    tok = {v: token(v) for v in vertices}
-    if len(set(tok.values())) != len(tok):
-        raise InvalidGraphError("oracle tokens are not injective")
-    return tok
+    return grow_view(oracle.root, step, oracle.neighbor, oracle.rank, radius,
+                     oracle.token, budget=budget)
 
 
 def sub_ball(view: BallView, radius: int) -> BallView:
     """Radius-`radius` ball of a stored view around its root (graph BFS,
-    star edges count as length-1 steps)."""
-    if radius < 0:
-        raise DomainError("radius must be >= 0")
-    dist = bfs(view.root, view.step, view.letters, radius)
-    edges = [e for e in view.edges if e[0] in dist and e[2] in dist]
-    boundary = [v for v, d in dist.items() if d == radius]
-    return BallView(view.rank, radius, view.root, dist, edges, boundary)
+    star edges count as length-1 steps). Raises HorizonError past the
+    stored radius of a view with a boundary."""
+    if radius > view.radius and view.boundary:
+        raise HorizonError(
+            f"stored ball has radius {view.radius}, need {radius}")
+    return grow_view(view.root, view.step, view.step, view.rank, radius, str,
+                     view.star.get if view.has_stars() else None)

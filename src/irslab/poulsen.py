@@ -17,10 +17,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError
-from .oracles import (STAR, BallView, DEFAULT_BUDGET, SchreierOracle, bfs,
-                      vertex_tokens)
+from .oracles import (STAR, BallView, DEFAULT_BUDGET, SchreierOracle,
+                      grow_view)
 from .randomness import digest128
-from .words import letters_ordered
 
 
 class PercolationGraph:
@@ -131,28 +130,8 @@ def star_ball(graph: PercolationGraph, radius: int,
               budget: int = DEFAULT_BUDGET) -> BallView:
     """Ball of the unsurgered graph; star edges count as length-1 steps and
     appear with label '*'."""
-    if radius < 0:
-        raise DomainError("radius must be >= 0")
-
-    def step(u, l):
-        return graph.star(u) if l == STAR else graph.step(u, l)
-
-    dist = bfs(graph.root, step, letters_ordered(graph.rank) + [STAR],
-               radius, budget)
-    tok = vertex_tokens(dist, graph.token)
-    edges = []
-    for u in dist:
-        for i in range(1, graph.rank + 1):
-            w = graph.step(u, i)
-            if w in dist:
-                edges.append((tok[u], i, tok[w]))
-    for u in dist:
-        partner = graph.star(u)
-        if partner is not None and partner in dist and tok[u] < tok[partner]:
-            edges.append((tok[u], STAR, tok[partner]))
-    boundary = [tok[u] for u, d in dist.items() if d == radius]
-    return BallView(graph.rank, radius, tok[graph.root], tok.values(),
-                    edges, boundary)
+    return grow_view(graph.root, graph.step, graph.step, graph.rank, radius,
+                     graph.token, graph.star, budget)
 
 
 def star_records(view: BallView) -> tuple:

@@ -101,8 +101,8 @@ def parse_sgr(text: str) -> BallView:
     if len(dist) != len(vertices):
         raise DomainError("graph is not connected from the root")
     view.radius = max(dist.values())
-    if boundary and max(dist[v] for v in boundary) != view.radius:
-        raise DomainError("boundary vertices are not the farthest layer")
+    if any(dist[v] != view.radius for v in boundary):
+        raise DomainError("a boundary vertex is not in the farthest layer")
     return view
 
 

@@ -182,6 +182,19 @@ def test_decode_not_encoding_exits_1(capsys, tmp_path):
     assert "error" in err
 
 
+def test_decode_boundary_at_the_root_exits_1(capsys, tmp_path, subshift_file):
+    path = tmp_path / "encoded.sgr"
+    code, _, _ = run(capsys, "encode", "--subshift", subshift_file,
+                     "--radius", "8", "--out", str(path))
+    assert code == 0
+    text = path.read_text()
+    root = next(l.split()[1] for l in text.splitlines() if l.startswith("root "))
+    path.write_text(text + f"boundary {root}\n")
+    code, out, err = run(capsys, "decode", "--graph", str(path), "--radius", "4")
+    assert code == 1
+    assert out == "" and err.startswith("error:")
+
+
 def test_check_equivariance(capsys, subshift_file):
     code, out, _ = run(capsys, "check-equivariance", "--subshift",
                        subshift_file, "--trials", "20")

@@ -7,6 +7,7 @@ from irslab import (
     CayleyOracle,
     DomainError,
     MarkLaw,
+    NormalizerLaw,
     aut_count,
     ball,
     emit_sgr,
@@ -14,6 +15,7 @@ from irslab import (
     normalizer_oracle,
     oracle_from_code,
     root_isomorphic,
+    trivial_law,
     validate_schreier_ball,
 )
 from irslab.actions import orbit_schreier, random_transitive_action
@@ -159,6 +161,16 @@ def test_biased_root_slot_breaks_invariance():
                                    biased_root_slot=0)
     rows = exact_invariance_rows(law, 2)
     assert any(r.deviation != 0 for r in rows)
+
+
+@pytest.mark.parametrize("slot", [-1, 3, 7])
+def test_bad_biased_root_slot_raises_whatever_the_root_mark(slot):
+    law = NormalizerLaw(trivial_law(2), Fraction(1, 10), biased_root_slot=slot)
+    for seed in range(50):
+        with pytest.raises(DomainError):
+            law.sample(seed)
+        with pytest.raises(DomainError):
+            normalizer_oracle(CayleyOracle(2), Fraction(1, 10), seed, slot)
 
 
 def test_determinism_same_seed():

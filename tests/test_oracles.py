@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from irslab import (
@@ -6,13 +8,18 @@ from irslab import (
     FiniteAction,
     FiniteOracle,
     InvalidGraphError,
+    NormalizerLaw,
+    PoulsenLaw,
     ball,
     conjugate,
     contains,
+    emit_sgr,
     trace,
+    trivial_law,
 )
 from irslab.errors import HorizonError
 from irslab.oracles import BallBackedOracle, SchreierOracle, sub_ball
+from irslab.poulsen import PercolationGraph, star_ball
 from irslab.randomness import KeyedRng
 from irslab.words import concat, conjugated_word, inverse_word, reduce_word
 
@@ -193,3 +200,63 @@ def test_sub_ball_matches_direct(cayley2):
     assert small.vertices == direct.vertices
     assert sorted(small.edges) == sorted(direct.edges)
     assert small.boundary == direct.boundary
+
+
+P = Fraction(1, 10)
+STORED_RADIUS = 4
+_TRIVIAL = trivial_law(2)
+_NORMALIZER = NormalizerLaw(_TRIVIAL, P)
+BALL_LAWS = {"trivial": _TRIVIAL, "normalizer:trivial": _NORMALIZER,
+             "poulsen:normalizer:trivial": PoulsenLaw(_NORMALIZER, P)}
+# p = 1/2 over the trivial law gives many star edges
+STAR_LAWS = {"trivial": (_TRIVIAL, Fraction(1, 2)),
+             "normalizer:trivial": (_NORMALIZER, P)}
+FAMILIES = ([f"ball {spec}" for spec in BALL_LAWS]
+            + [f"star_ball {spec}" for spec in STAR_LAWS])
+
+
+def _direct(family, seed):
+    """radius -> the view of `family` at `seed`, built directly."""
+    kind, spec = family.split(" ")
+    if kind == "ball":
+        oracle = BALL_LAWS[spec].sample(seed)
+        return lambda k: ball(oracle, k)
+    graph = PercolationGraph(*STAR_LAWS[spec], seed)
+    return lambda k: star_ball(graph, k)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_sub_ball_emits_the_direct_build(family):
+    for seed in range(4):
+        build = _direct(family, seed)
+        view = build(STORED_RADIUS)
+        for k in range(STORED_RADIUS + 1):
+            assert emit_sgr(sub_ball(view, k)) == emit_sgr(build(k))
+
+
+def test_sub_ball_past_the_stored_radius_raises(cayley2, index2):
+    view = ball(cayley2, 2)
+    for radius in (3, 5):
+        with pytest.raises(HorizonError):
+            sub_ball(view, radius)
+    whole = ball(index2, 3)  # no boundary: the whole graph is stored
+    assert not whole.boundary
+    assert emit_sgr(sub_ball(whole, 6)) == emit_sgr(ball(index2, 6))
+    with pytest.raises(DomainError):
+        sub_ball(view, -1)
+
+
+@pytest.mark.parametrize("spec", BALL_LAWS)
+def test_ball_of_a_ball_backed_oracle_is_the_sub_ball(spec):
+    for seed in range(4):
+        view = ball(BALL_LAWS[spec].sample(seed), STORED_RADIUS)
+        oracle = BallBackedOracle(view)
+        for k in range(STORED_RADIUS):
+            assert emit_sgr(ball(oracle, k)) == emit_sgr(sub_ball(view, k))
+
+
+def test_ball_of_a_ball_backed_oracle_at_its_radius_leaves_the_ball(cayley2):
+    oracle = BallBackedOracle(ball(cayley2, 2))
+    for radius in (2, 3):
+        with pytest.raises(HorizonError):
+            ball(oracle, radius)

@@ -81,6 +81,14 @@ def test_parse_errors():
         )
 
 
+@pytest.mark.parametrize("inner", ["e", "s1", "s2^-1*s1"])
+def test_parse_rejects_a_boundary_vertex_inside_the_ball(cayley2, inner):
+    text = emit_sgr(ball(cayley2, 3))
+    assert parse_sgr(text + "boundary s1*s2*s1\n").radius == 3
+    with pytest.raises(DomainError):
+        parse_sgr(text + f"boundary {inner}\n")
+
+
 def test_parse_rejects_disconnected():
     text = INDEX2_TEXT + "C s1 C\nC s2 C\n"
     with pytest.raises(DomainError):
