@@ -111,47 +111,49 @@ def aut_count(oracle: FiniteOracle) -> int:
     index of the subgroup in its normalizer."""
     if not isinstance(oracle, FiniteOracle):
         raise DomainError("aut_count needs a complete finite Schreier graph")
-    return 1 + sum(1 for _ in _moved_anchor(oracle.action.perms))
+    return 1 + sum(1 for _ in automorphisms(oracle.action.perms))
 
 
 def aut_trivial(succ) -> bool:
     """Whether a finite connected Schreier graph, given as one successor
     list per letter, has no automorphism but the identity."""
-    return next(_moved_anchor(succ), None) is None
+    return next(automorphisms(succ), None) is None
 
 
-def _moved_anchor(succ):
-    """Yield the image of an anchor vertex under each automorphism but the
-    identity. Automorphisms act freely and map the s_i-loops onto
-    themselves, so the anchor is taken from the smallest nonempty set of
-    s_i-loops and only the other vertices of that set are tried."""
+def automorphisms(succ):
+    """Yield each automorphism but the identity of a finite connected
+    Schreier graph, given as one successor list per letter, as its list of
+    vertex images.
+
+    Automorphisms act freely and map the s_i-loops onto themselves, so an
+    anchor is taken from the smallest nonempty set of s_i-loops and only
+    the other vertices of that set are tried as its image. Positive letters
+    reach every vertex of a finite connected Schreier graph, and a
+    label-preserving map between two rootings of one finite transitive
+    graph is onto, so following successors from the anchor either builds
+    the whole map or meets a contradiction."""
+    n = len(succ[0])
     loops = [[u for u, w in enumerate(s) if u == w] for s in succ]
-    images = min(filter(None, loops), key=len, default=range(len(succ[0])))
+    images = min(filter(None, loops), key=len, default=range(n))
+    anchor = images[0]
     for v in images[1:]:
-        if _automorphic(succ, images[0], v):
-            yield v
-
-
-def _automorphic(succ, anchor: int, v: int) -> bool:
-    """Whether an automorphism sends anchor to v. Positive letters reach
-    every vertex of a finite connected Schreier graph, and a label-preserving
-    map between two rootings of one finite transitive graph is onto, so
-    following successors suffices."""
-    image = [-1] * len(succ[0])
-    image[anchor] = v
-    stack = [anchor]
-    while stack:
-        u = stack.pop()
-        x = image[u]
-        for s in succ:
-            a = s[u]
-            seen = image[a]
-            if seen < 0:
-                image[a] = s[x]
-                stack.append(a)
-            elif seen != s[x]:
-                return False
-    return True
+        image = [-1] * n
+        image[anchor] = v
+        stack = [anchor]
+        while stack:
+            u = stack.pop()
+            x = image[u]
+            for s in succ:
+                a = s[u]
+                seen = image[a]
+                if seen < 0:
+                    image[a] = s[x]
+                    stack.append(a)
+                elif seen != s[x]:
+                    stack = image = None  # no automorphism sends anchor to v
+                    break
+        if image:
+            yield image
 
 
 def z_set_member(oracle: SchreierOracle, g: Word, check_radius: int) -> str:

@@ -149,23 +149,26 @@ def invariance_report(law, radius: int, n: int, seed: int,
 def exact_invariance_rows(measure: AtomicMeasure, radius: int) -> list[InvarianceRow]:
     """Exact conjugation-invariance table for an atomic law over canonical
     graph codes: deviations are rational and must all be zero for an
-    invariant law."""
+    invariant law. Masses are summed as integer numerators over the least
+    common multiple of the atom denominators."""
     rank = next(iter(measure.data))[0] if measure.data else 0
     letters = letters_ordered(rank)
-    base = AtomicMeasure()
-    conj_measures = {l: AtomicMeasure() for l in letters}
+    scale = math.lcm(*(m.denominator for m in measure.data.values()))
+    base: dict = {}
+    conj: dict = {l: {} for l in letters}
     for code, mass in measure.data.items():
         fp, moved = conjugate_fingerprints(0, code_action(code).step, rank,
                                            radius)
-        base.add(fp, mass)
+        count = mass.numerator * (scale // mass.denominator)
+        base[fp] = base.get(fp, 0) + count
         for l, fp_l in moved.items():
-            conj_measures[l].add(fp_l, mass)
-    all_fps = set(base.keys()).union(*(m.keys() for m in conj_measures.values()))
+            conj[l][fp_l] = conj[l].get(fp_l, 0) + count
+    all_fps = set(base).union(*conj.values())
     rows = []
     for fp in sorted(all_fps, key=lambda f: (len(f), tuple(map(shortlex_key, f)))):
+        mass = Fraction(base.get(fp, 0), scale)
         for l in letters:
-            mass = base.mass(fp)
-            cmass = conj_measures[l].mass(fp)
+            cmass = Fraction(conj[l].get(fp, 0), scale)
             rows.append(InvarianceRow(fp, l, mass, cmass, abs(mass - cmass), None))
     return rows
 

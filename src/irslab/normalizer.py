@@ -22,8 +22,9 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from .analysis import array_code, aut_trivial
+from .analysis import array_code, aut_trivial, automorphisms
 from .errors import BudgetError, DomainError
 from .measures import AtomicMeasure
 from .oracles import FiniteOracle, SchreierOracle
@@ -66,18 +67,23 @@ class MarkLaw:
         cuts[-1] = TWO128
         return tuple(cuts)
 
-    def assignments(self, base: FiniteOracle):
-        """Every mark assignment of a finite base, as marks in vertex order,
-        with its probability (set by the root's mark and the marked count)."""
-        n = len(base.vertices)
-        root = base.vertices.index(base.root)
+    def weights(self, n: int) -> list[list[Fraction]]:
+        """weights[a][k]: the probability of one mark assignment of a base
+        with n vertices whose root has mark a and k other vertices marked."""
         others = [(1 - self.p) ** (n - 1 - k) * (self.p / self.rank) ** k
                   for k in range(n)]
-        probs = [[m * o for o in others] for m in self.masses(at_root=True)]
+        return [[m * o for o in others] for m in self.masses(at_root=True)]
+
+    def assignments(self, base: FiniteOracle):
+        """Every mark assignment of a finite base, as marks in vertex order,
+        with its probability. The assignment at position i of the sequence
+        has marks[v] as digit n-1-v of i in base r+1."""
+        n = len(base.vertices)
+        root = base.vertices.index(base.root)
+        weights = self.weights(n)
         for marks in itertools.product(range(self.rank + 1), repeat=n):
-            marked = sum(1 for v, m in zip(base.vertices, marks)
-                         if m and v != base.root)
-            yield marks, probs[marks[root]][marked]
+            a = marks[root]
+            yield marks, weights[a][n - marks.count(0) - (a != 0)]
 
 
 def mark(seed: int, vertex_key, law: MarkLaw, at_root: bool) -> int:
@@ -251,10 +257,43 @@ def enumerate_normalizer_law(base: FiniteOracle, p,
 def aut_trivial_mass(base: FiniteOracle, p) -> Fraction:
     """Exact probability that the perturbed graph has trivial automorphism
     group (the subgroup is self-normalizing). Root-independent, so root
-    slots are not enumerated."""
+    slots are not enumerated.
+
+    One graph is built and tested per orbit of Aut(base) on mark
+    assignments. Let sigma be an automorphism of the base, so that
+    sigma s_i = s_i sigma for every letter. Then v -> sigma(v), extended
+    slot by slot, is an (unrooted) isomorphism from the tripled graph of
+    marks m o sigma onto that of m, so the two have the same automorphism
+    group. If m o sigma = m with sigma not the identity, that isomorphism
+    is a nontrivial automorphism, so the images of an assignment whose graph
+    is rigid are all distinct. The root takes the size-biased law, so those
+    images can differ in mass: each is tallied on its own, in integers by
+    the root's mark and the number of other marked vertices, and the
+    tallies are weighed with the MarkLaw masses once."""
+    law = MarkLaw(p, base.rank)
+    perms = base.action.perms
+    n, size = len(perms[0]), base.rank + 1
+    root = base.vertices.index(base.root)
+    # the assignment m o sigma sits at position sum_u m[u] * place[u]
+    # (digit n-1-v of the position is the mark of v, see MarkLaw.assignments)
+    images = []
+    for sigma in (range(n), *automorphisms(perms)):
+        place = [0] * n
+        for v, u in enumerate(sigma):
+            place[u] = size ** (n - 1 - v)
+        images.append((place, sigma[root]))
     build = _tripled(base)
-    total = Fraction(0)
-    for marks, prob in MarkLaw(p, base.rank).assignments(base):
-        if aut_trivial(build(marks)[0]):
-            total += prob
-    return total
+    seen = bytearray(size ** n)
+    tally = [[0] * n for _ in range(size)]  # [root mark][other marked]
+    for i, (marks, _) in enumerate(law.assignments(base)):
+        if seen[i]:
+            continue
+        trivial = aut_trivial(build(marks)[0])
+        marked = n - marks.count(0)
+        for place, at in images:
+            seen[sum(map(mul, marks, place))] = 1
+            if trivial:
+                a = marks[at]
+                tally[a][marked - (a != 0)] += 1
+    return sum((c * w for counts, weights in zip(tally, law.weights(n))
+                for c, w in zip(counts, weights)), Fraction(0))

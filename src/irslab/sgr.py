@@ -5,13 +5,17 @@
     <src> <label> <dst>     one line per edge, label in {s1..s<r>, *}
     boundary <token>        one line per boundary vertex
 
-Tokens are arbitrary whitespace-free strings. Lines starting with '#' and
-blank lines are ignored on parse; emit writes edges in stored order,
-boundary tokens sorted and no comments, so parse . emit is the identity on
-emitted text.
+A token is a non-empty string with no whitespace that does not start with
+'#'; emit and parse both raise DomainError on any other token. Lines
+starting with '#' and blank lines are ignored on parse; emit writes edges
+in stored order, boundary tokens sorted and no comments, so parse . emit
+is the identity on emitted text.
 """
 
 from __future__ import annotations
+
+import re
+from itertools import filterfalse
 
 from .errors import DomainError
 from .oracles import STAR, BallView, FiniteOracle, bfs
@@ -21,7 +25,22 @@ def _label_str(label) -> str:
     return STAR if label == STAR else f"s{label}"
 
 
+_TOKEN = re.compile(r"[^\s#]\S*")
+
+
+def _check_tokens(tokens) -> None:
+    """Raise DomainError unless every token is a string that is non-empty,
+    has no whitespace and does not start with '#'."""
+    try:
+        for v in filterfalse(_TOKEN.fullmatch, tokens):
+            raise DomainError(f"bad vertex token {v!r}: a token is non-empty, "
+                              "has no whitespace and does not start with '#'")
+    except TypeError:
+        raise DomainError("vertex tokens must be strings") from None
+
+
 def emit_sgr(view: BallView) -> str:
+    _check_tokens(view.vertices)
     lines = [f"schreier r={view.rank}", f"root {view.root}"]
     for src, label, dst in view.edges:
         lines.append(f"{src} {_label_str(label)} {dst}")
@@ -93,6 +112,7 @@ def parse_sgr(text: str) -> BallView:
         raise DomainError("missing 'schreier r=<r>' header")
     if root is None:
         raise DomainError("missing 'root <token>' line")
+    _check_tokens(vertices)
     for v in boundary:
         if v not in seen:
             raise DomainError(f"boundary vertex {v!r} has no edges")

@@ -430,6 +430,16 @@ def test_malformed_graph_file_exits_1(capsys, tmp_path, text):
     assert err.startswith("error:")
 
 
+def test_ball_over_a_file_with_a_hash_token_exits_1(capsys, tmp_path):
+    path = tmp_path / "x.sgr"
+    path.write_text("schreier r=2\nroot a\na s1 #b\n#b s1 a\n"
+                    "a s2 a\n#b s2 #b\n")
+    code, out, err = run(capsys, "ball", "--base", f"file:{path}",
+                         "--radius", "1")
+    assert code == 1
+    assert out == "" and err.startswith("error:") and "'#b'" in err
+
+
 @pytest.mark.parametrize("fingerprint", ["e,s3,s3^-1", "e,s²"],
                          ids=["s3-at-rank-2", "superscript"])
 def test_fingerprint_letters_checked_against_rank(capsys, fingerprint):

@@ -21,7 +21,12 @@ from irslab import (
     orbit_schreier,
 )
 from irslab.actions import random_action, random_transitive_action
-from irslab.analysis import array_code, canonical_code, conjugate_code
+from irslab.analysis import (
+    array_code,
+    automorphisms,
+    canonical_code,
+    conjugate_code,
+)
 from irslab.words import letters_ordered
 
 from helpers import (
@@ -36,6 +41,10 @@ from helpers import (
     reference_oracle_from_code,
 )
 
+KLEIN_FOUR = ((1, 0, 3, 2), (2, 3, 0, 1))  # the Cayley graph of Z/2 x Z/2
+# index2, cyclic4, klein-four and cyclic3 r3 have nontrivial automorphisms,
+# so aut_trivial_mass meets orbits with several members whose root marks
+# differ
 BASES = {
     "one-vertex r2": one_vertex_oracle,
     "index2 r2": index2_oracle,
@@ -45,8 +54,10 @@ BASES = {
     "one-vertex r3": lambda: FiniteOracle.from_perms([(0,)] * 3),
     "random3 r3": lambda: orbit_schreier(random_transitive_action(3, 3, 2), 0),
     "random4 r3": lambda: orbit_schreier(random_transitive_action(4, 3, 0), 0),
+    "klein-four r2": lambda: FiniteOracle.from_perms(KLEIN_FOUR),
+    "cyclic3 r3": lambda: FiniteOracle.from_perms([(1, 2, 0)] * 3),
 }
-PS = (Fraction(1, 2), Fraction(1, 10))
+PS = (Fraction(1, 2), Fraction(1, 10), Fraction(2, 3))
 
 
 @pytest.mark.parametrize("p", PS, ids=str)
@@ -64,6 +75,27 @@ def test_law_matches_reference(name, slot, p):
 def test_aut_trivial_mass_matches_reference(name, p):
     base = BASES[name]()
     assert aut_trivial_mass(base, p) == reference_aut_trivial_mass(base, p)
+
+
+@pytest.mark.parametrize("n, mass", [(7, Fraction(16317, 16384)),
+                                     (8, Fraction(8057, 8192))])
+def test_aut_trivial_mass_of_larger_cyclic_bases(n, mass):
+    assert aut_trivial_mass(cyclic_oracle(n), Fraction(1, 2)) == mass
+
+
+def test_automorphisms_are_the_maps_commuting_with_every_letter():
+    graphs = [BASES[name]() for name in BASES]
+    graphs += [cyclic_oracle(n) for n in range(1, 9)]
+    for g in graphs:
+        perms = g.action.perms
+        maps = list(automorphisms(perms))
+        assert len(maps) == reference_aut_count(g) - 1
+        assert len({tuple(m) for m in maps}) == len(maps)
+        for m in maps:
+            assert sorted(m) == list(range(len(m))) != m
+            for s in perms:
+                assert [m[s[v]] for v in range(len(m))] == [s[x] for x in m]
+    assert len(list(automorphisms(KLEIN_FOUR))) == 3
 
 
 @pytest.mark.parametrize("name", BASES)

@@ -128,6 +128,26 @@ def test_vertex_named_like_a_header_round_trips(name):
         assert emit_sgr(parse_sgr(text)) == text
 
 
+@pytest.mark.parametrize("name", ["#b", "a b", "", "b\n", 7])
+def test_emit_rejects_a_token_the_format_cannot_hold(name):
+    # "#b" would turn its edge lines into comments, "a b" and "b\n" would
+    # split into two fields, "" would leave a field empty
+    oracle = FiniteOracle.from_perms([(1, 0), (0, 1)], names=["a", name])
+    with pytest.raises(DomainError):
+        emit_sgr(ball(oracle, 2))
+
+
+@pytest.mark.parametrize("text", [
+    "schreier r=1\nroot a\na s1 #b\n",
+    "schreier r=1\nroot #a\n",
+    "schreier r=1\nroot a\na s1 a\nboundary #b\n",
+    "schreier r=2\nroot A\nA s1 #B\n#B s1 A\nA s2 A\n#B s2 #B\n",
+], ids=["edge-target", "root", "boundary", "complete-graph"])
+def test_parse_rejects_a_token_starting_with_a_hash(text):
+    with pytest.raises(DomainError):
+        parse_sgr(text)
+
+
 def test_to_oracle_keeps_the_file_names():
     text = "schreier r=2\nY s1 X\nX s1 Y\nX s2 X\nY s2 Y\nroot X\n"
     oracle = parse_complete_oracle(text)
