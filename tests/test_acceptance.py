@@ -119,7 +119,7 @@ def _c2_report() -> str:
 
 def test_c02_schreier_validity():
     report = _remember("c2", _c2_report())
-    assert "balls 2000 failures 0" in report
+    assert report == "balls 2000 failures 0 digest f0d444119da4d6b4848fef7e"
     _passed(2, "2000 sampled balls pass the one-in/one-out validator")
 
 

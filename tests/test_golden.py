@@ -206,6 +206,29 @@ def _complete_sgr(graph) -> str:
     return emit_sgr(ball(graph, len(graph.vertices)))
 
 
+# Deep balls: every vertex of a Poulsen sample costs a mark and a
+# percolation draw; nested Poulsen laws give paths of depth >= 2 and tokens
+# with escaped trails.
+DEEP_SEEDS = range(12)
+
+
+def _deep_balls(law, radius: int) -> str:
+    return "".join(emit_sgr(ball(law.sample(seed), radius))
+                   for seed in DEEP_SEEDS)
+
+
+def _poulsen_normalizer(p: Fraction, depth: int = 1):
+    law = NormalizerLaw(trivial_law(2), p)
+    for _ in range(depth):
+        law = PoulsenLaw(law, p)
+    return law
+
+
+# A base whose vertex names are non-ASCII (multi-byte UTF-8 length prefixes
+# in the mark keys) or hold the characters Poulsen tokens escape.
+NAMED_BASE = ["é", "ß|1", "日本", "a/b", "x\\y", "€"]
+
+
 CASES = {
     **{f"ball {spec}": (lambda spec=spec: _balls(spec)) for spec in _laws()},
     "star_ball trivial p=1/2": lambda: _star_balls("trivial", Fraction(1, 2)),
@@ -231,6 +254,12 @@ CASES = {
         lambda: _sweep("normalizer", trivial_law(2), MC_SPEC),
     "convergence_sweep poulsen cyclic3": _cyclic3_sweep,
     "estimate_cylinder poulsen:normalizer:trivial": _estimate,
+    "deep ball poulsen:normalizer:trivial r=5 p=1/10":
+        lambda: _deep_balls(_poulsen_normalizer(P), 5),
+    "deep ball poulsen:normalizer:trivial r=5 p=1/2":
+        lambda: _deep_balls(_poulsen_normalizer(Fraction(1, 2)), 5),
+    "deep ball poulsen:poulsen:normalizer:trivial r=3 p=1/2":
+        lambda: _deep_balls(_poulsen_normalizer(Fraction(1, 2), 2), 3),
 }
 
 GOLDEN = {
@@ -243,10 +272,17 @@ GOLDEN = {
     "cli aut": "d0e6474100e8cd7f5cefb4790e41da0d",
     "cli ball": "c9a4344a9e6fb6186faa2da8af08ae36",
     "cli enumerate-normalizer": "8ac0feefd0102d2d8b90474c404ca073",
+    "cli named file base": "6ff33972f57a350e4283f79f7d9e2ce5",
     "conjugate_code cyclic5 atoms": "a756bd5eb75ccb3910886671db3ec230",
     "convergence_sweep normalizer": "8c90da4ff46c861275d3c3dede789e61",
     "convergence_sweep poulsen": "a77566d1948a8dbf9e4e4072f6616a9e",
     "convergence_sweep poulsen cyclic3": "e29c42d14dd4eb372724665b652071fd",
+    "deep ball poulsen:normalizer:trivial r=5 p=1/10":
+        "534bb2b5c793aef1b45b185afb0f8b90",
+    "deep ball poulsen:normalizer:trivial r=5 p=1/2":
+        "024317e2b47832bbe62efbeabbae6d98",
+    "deep ball poulsen:poulsen:normalizer:trivial r=3 p=1/2":
+        "6f06605e89f6490ef282805e0fbcdb5f",
     "enumerate_normalizer_law": "00acbe9bbe9e9b045594ef23d8d846dc",
     "estimate_cylinder poulsen:normalizer:trivial":
         "cf7aedfab6f3c9d0731fa8e29d656ca7",
@@ -299,3 +335,16 @@ def test_golden_cli_aut(capsys, tmp_path):
         path.write_text(_complete_sgr(graph))
         assert main(["aut", "--graph", str(path)]) == 0
     assert _digest(capsys.readouterr().out) == GOLDEN["cli aut"]
+
+
+def test_golden_cli_named_file_base(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    graph = orbit_schreier(random_transitive_action(6, 2, 4), 0)
+    named = FiniteOracle(graph.action, 0, NAMED_BASE)
+    (tmp_path / "named.sgr").write_text(_complete_sgr(named), encoding="utf-8")
+    for spec, radius in (("normalizer:file:named.sgr", 4),
+                         ("poulsen:normalizer:file:named.sgr", 3)):
+        for seed in range(6):
+            assert main(["ball", "--base", spec, "--p", "1/2", "--seed",
+                         str(seed), "--radius", str(radius)]) == 0
+    assert _digest(capsys.readouterr().out) == GOLDEN["cli named file base"]
