@@ -225,8 +225,9 @@ def array_code(succ, root: int) -> tuple:
     vertices 0..n-1 given as one permutation per letter: successor tables
     under BFS numbering from the root, expanding along letters_ordered.
     The same code as `canonical_code`, kept as a path over int permutations
-    because it is the hot loop of exact enumeration: the enumerators,
-    `conjugate_code` and the stabilizer functions call it per outcome."""
+    because `enumerate_normalizer_law` calls it once per mark assignment and
+    root slot; `conjugate_code` and the stabilizer functions of `actions`
+    call it once per code or point."""
     steps = []
     for s in succ:
         steps += [s, sorted(range(len(s)), key=s.__getitem__)]  # s, s^-1

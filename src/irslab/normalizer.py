@@ -28,7 +28,7 @@ from .analysis import array_code, aut_trivial, automorphisms
 from .errors import BudgetError, DomainError
 from .measures import AtomicMeasure
 from .oracles import FiniteOracle, SchreierOracle
-from .randomness import TWO128, below, digest128
+from .randomness import TWO128, Keyed, below, digest128
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,7 @@ class _HashMarks:
 
     def __init__(self, base: SchreierOracle, law: MarkLaw, seed: int):
         self.base = base
-        self.seed = seed
+        self.keyed = Keyed(seed, "mark")
         self.root_cuts = law.thresholds(at_root=True)
         self.other_cuts = law.thresholds(at_root=False)
         self.cache: dict = {}
@@ -170,7 +170,7 @@ class _HashMarks:
         m = self.cache.get(v)
         if m is None:
             cuts = self.root_cuts if v == self.base.root else self.other_cuts
-            d = digest128(self.seed, "mark", self.base.token(v))
+            d = self.keyed.digest(self.base.token(v))
             m = self.cache[v] = bisect_right(cuts, d)
         return m
 

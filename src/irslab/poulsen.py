@@ -19,7 +19,7 @@ from fractions import Fraction
 from .errors import DomainError
 from .oracles import (STAR, BallView, DEFAULT_BUDGET, SchreierOracle,
                       grow_view)
-from .randomness import digest128
+from .randomness import Keyed
 
 
 class PercolationGraph:
@@ -40,13 +40,16 @@ class PercolationGraph:
         self._threshold = (self.p.numerator << 128) // self.p.denominator
         self._copies: dict = {}
         self._perc: dict = {}
+        self._keyed = Keyed(seed, "perc")
+        self._draws: dict = {}  # path -> its copy's draws of (path, coset)
+        self._trails: dict = {(): ""}  # path -> the trail of its tokens
         self.root = ((), self.copy(()).root)
 
     def copy(self, path) -> SchreierOracle:
         o = self._copies.get(path)
         if o is None:
-            o = self.law.draw(self.seed, "attach", path)
-            self._copies[path] = o
+            o = self._copies[path] = self.law.draw(self.seed, "attach", path)
+            self._draws[path] = self._keyed.under(path)
         return o
 
     def percolated(self, u) -> bool:
@@ -57,7 +60,7 @@ class PercolationGraph:
             if path and v == self.copy(path).root:
                 hit = False
             else:
-                hit = digest128(self.seed, "perc", u) < self._threshold
+                hit = self._draws[path].digest(v) < self._threshold
             self._perc[u] = hit
         return hit
 
@@ -82,14 +85,15 @@ class PercolationGraph:
         copy, each with backslash, "/" and "|" escaped so that distinct
         vertices get distinct tokens."""
         path, v = u
-        inner = _escaped(self.copy(path).token(v))
-        if not path:
-            return f"p(|{inner})"
-        trail = "/".join(
-            _escaped(self.copy(path[:k]).token(path[k]))
-            for k in range(len(path))
-        )
-        return f"p({trail}|{inner})"
+        return f"p({self._trail(path)}|{_escaped(self.copy(path).token(v))})"
+
+    def _trail(self, path) -> str:
+        trail = self._trails.get(path)
+        if trail is None:
+            up = path[:-1]
+            step = _escaped(self.copy(up).token(path[-1]))
+            trail = self._trails[path] = f"{self._trail(up)}/{step}" if up else step
+        return trail
 
 
 def _escaped(token: str) -> str:
@@ -105,7 +109,6 @@ class PoulsenOracle(SchreierOracle):
         self.graph = PercolationGraph(base_law, p, seed)
         self.rank = self.graph.rank
         self.root = self.graph.root
-        self.seed = seed
 
     def neighbor(self, u, letter: int):
         g = self.graph

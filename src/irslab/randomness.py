@@ -7,21 +7,17 @@ Draws come from 128-bit blake2b digests over a canonical byte encoding of
 the key, so nested vertex identities (tuples of ints/strings) hash stably.
 
 Because a draw depends on nothing else, the samplers skip draws whose value
-they would never read, and `digest128` keeps a bounded cache of key
-encodings, keyed exactly by the key's marshal form (which keeps True apart
-from 1 and 1.0). Neither changes any draw: a seed gives the same stream.
+they would never read, and each sample layer hashes the prefix of its draws
+once: a `Keyed` hasher is fed (seed, namespace), or also a Poulsen copy
+path, and each draw copies it. Neither changes any draw or the stream.
 """
 
 from __future__ import annotations
 
-import marshal
 from hashlib import blake2b
 
 TWO128 = 1 << 128
 MASK64 = (1 << 64) - 1
-ENCODING_CACHE_SIZE = 4096
-
-_encodings: dict[bytes, bytes] = {}
 
 
 def _text(obj) -> str:
@@ -43,8 +39,6 @@ def _text(obj) -> str:
         return "(" + "".join(parts) + ")"
     if t is str:
         return f"s{len(obj) if obj.isascii() else len(obj.encode())}:{obj}"
-    if t is int:
-        return f"i{obj};"
     if isinstance(obj, bool):  # bool is an int subclass; keep it distinct
         return "b1" if obj else "b0"
     if isinstance(obj, int):
@@ -63,20 +57,36 @@ def token_bytes(obj) -> bytes:
     return _text(obj).encode()
 
 
+def _prefix(seed: int, namespace: str) -> bytes:
+    return seed.to_bytes(8, "big") + namespace.encode() + b"\x00"
+
+
 def digest128(seed: int, namespace: str, key) -> int:
-    try:
-        exact = marshal.dumps(key, 2)
-    except ValueError:  # subclasses and other objects marshal cannot write
-        data = token_bytes(key)
-    else:
-        data = _encodings.get(exact)
-        if data is None:
-            data = token_bytes(key)
-            if len(_encodings) >= ENCODING_CACHE_SIZE:
-                _encodings.clear()
-            _encodings[exact] = data
-    block = seed.to_bytes(8, "big") + namespace.encode() + b"\x00" + data
+    block = _prefix(seed, namespace) + token_bytes(key)
     return int.from_bytes(blake2b(block, digest_size=16).digest(), "big")
+
+
+class Keyed:
+    """The draws of one (seed, namespace) with the prefix hashed once, so
+    that `Keyed(seed, ns).digest(key) == digest128(seed, ns, key)`."""
+
+    def __init__(self, seed: int, namespace: str):
+        self._hasher = blake2b(_prefix(seed, namespace), digest_size=16)
+        self._close = ""
+
+    def digest(self, key) -> int:
+        h = self._hasher.copy()
+        h.update((_text(key) + self._close).encode())
+        return int.from_bytes(h.digest(), "big")
+
+    def under(self, head) -> "Keyed":
+        """The draws keyed by pairs (head, key), with the head hashed once:
+        `.under(head).digest(key) == digest128(seed, ns, (head, key))`."""
+        sub = object.__new__(Keyed)
+        sub._hasher = self._hasher.copy()
+        sub._hasher.update(b"(" + token_bytes(head))
+        sub._close = ")" + self._close
+        return sub
 
 
 def below(seed: int, namespace: str, key, n: int) -> int:
@@ -93,14 +103,12 @@ class KeyedRng:
     """Counter-mode stream of keyed draws, for deterministic test data."""
 
     def __init__(self, seed: int, namespace: str = "rng"):
-        self.seed = seed
-        self.namespace = namespace
+        self._draws = Keyed(seed, namespace)
         self._n = 0
 
     def _next(self) -> int:
-        d = digest128(self.seed, self.namespace, self._n)
         self._n += 1
-        return d
+        return self._draws.digest(self._n - 1)
 
     def randrange(self, n: int) -> int:
         return self._next() * n // TWO128

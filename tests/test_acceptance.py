@@ -125,24 +125,22 @@ def test_c02_schreier_validity():
 
 # -- criterion 3: convergence as p drops --------------------------------------
 
+C3_P = (Fraction(1, 5), Fraction(1, 10), Fraction(1, 20), Fraction(1, 100))
+
+
+def _c3_rows():
+    return convergence_sweep("poulsen", trivial_law(2), C3_P,
+                             CylinderSpec(((),), 2), 10_000,
+                             seed=subseed(SEED, "c3", 0))
+
+
 def _c3_report() -> str:
-    spec = CylinderSpec(((),), 2)
-    rows = convergence_sweep(
-        "poulsen", trivial_law(2),
-        [Fraction(1, 5), Fraction(1, 10), Fraction(1, 20), Fraction(1, 100)],
-        spec, 10_000, seed=subseed(SEED, "c3", 0),
-    )
-    return render_sweep(rows)
+    return render_sweep(_c3_rows())
 
 
 def test_c03_convergence():
-    report = _remember("c3", _c3_report())
-    spec = CylinderSpec(((),), 2)
-    rows = convergence_sweep(
-        "poulsen", trivial_law(2),
-        [Fraction(1, 5), Fraction(1, 10), Fraction(1, 20), Fraction(1, 100)],
-        spec, 10_000, seed=subseed(SEED, "c3", 0),
-    )
+    rows = _c3_rows()
+    report = _remember("c3", render_sweep(rows))
     for row in rows:
         assert float(row.deviation) <= row.bound
     last = rows[-1]
@@ -159,21 +157,27 @@ def _c4_law():
                       Fraction(1, 10))
 
 
-def _c4_report() -> str:
+def _c4_rows():
     rows = invariance_report(_c4_law(), 1, 20_000, seed=subseed(SEED, "c4", 0))
     neg = NormalizerLaw(trivial_law(2), Fraction(1, 2), biased_root_slot=0)
     neg_rows = invariance_report(neg, 1, 20_000, seed=subseed(SEED, "c4", 1))
+    return rows, neg_rows
+
+
+def _c4_render(rows, neg_rows) -> str:
     return (render_invariance(rows) + "negative control:\n"
             + render_invariance(neg_rows))
 
 
+def _c4_report() -> str:
+    return _c4_render(*_c4_rows())
+
+
 def test_c04_statistical_invariance():
-    report = _remember("c4", _c4_report())
-    rows = invariance_report(_c4_law(), 1, 20_000, seed=subseed(SEED, "c4", 0))
+    rows, neg_rows = _c4_rows()
+    report = _remember("c4", _c4_render(rows, neg_rows))
     assert rows
     assert max(r.z for r in rows) <= 4
-    neg = NormalizerLaw(trivial_law(2), Fraction(1, 2), biased_root_slot=0)
-    neg_rows = invariance_report(neg, 1, 20_000, seed=subseed(SEED, "c4", 1))
     assert max(r.z for r in neg_rows) > 6
     assert report
     _passed(4, "all z <= 4 for the invariant sampler; biased control breaches z > 6")

@@ -1,6 +1,7 @@
 """Source hygiene of the package, checked with the standard-library ast
-module: no module imports a name it never uses, and no top-level helper,
-private or public, goes unreferenced."""
+module: no module imports a name it never uses, no top-level helper,
+private or public, goes unreferenced, and only the randomness module
+hashes."""
 
 import ast
 from pathlib import Path
@@ -91,3 +92,21 @@ def test_public_names_are_referenced():
         and not node.name.startswith("_") and node.name not in referenced
     ]
     assert not unused, f"public names nothing references: {unused}"
+
+
+def test_only_randomness_imports_hashing():
+    """Keyed draws own the byte encoding of keys, so blake2b is imported in
+    the randomness module alone."""
+    hashers = []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            else:
+                continue
+            if any(name.split(".")[0] in ("hashlib", "blake2b")
+                   for name in names):
+                hashers.append(f"{path.name} (line {node.lineno})")
+    assert [h.split()[0] for h in hashers] == ["randomness.py"], hashers

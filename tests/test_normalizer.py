@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from irslab import (
     CayleyOracle,
@@ -20,8 +21,15 @@ from irslab import (
 )
 from irslab.actions import orbit_schreier, random_transitive_action
 from irslab.montecarlo import exact_invariance_rows
-from irslab.normalizer import NormalizerOracle, aut_trivial_mass, mark
+from irslab.normalizer import (
+    NormalizerOracle,
+    _HashMarks,
+    aut_trivial_mass,
+    mark,
+)
+from irslab.oracles import FiniteOracle
 from irslab.randomness import subseed
+from irslab.words import reduce_word
 
 from helpers import index2_oracle, one_vertex_oracle
 
@@ -218,3 +226,43 @@ def test_aut_trivial_mass_agrees_with_law():
         Fraction(0),
     )
     assert aut_trivial_mass(base, p) == via_law
+
+
+class _Name(str):
+    """A vertex name of a str subclass."""
+
+
+_names = st.text(st.characters(exclude_categories=()), min_size=1, max_size=4) \
+    | st.sampled_from(["é", "日本", "\ud800", "a\udfffb"]) \
+    | st.builds(_Name, st.text(min_size=1, max_size=3))
+_laws = st.builds(MarkLaw, st.sampled_from(
+    [Fraction(1, 10), Fraction(1, 2), Fraction(2, 3)]), st.just(2))
+
+
+def _outcome(fn):
+    try:
+        return fn(), None
+    except Exception as exc:  # the type is compared, not the message
+        return None, type(exc)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**64 - 1), _laws,
+       st.lists(st.sampled_from([1, -1, 2, -2]), max_size=8))
+def test_hash_marks_equal_mark_over_cayley(seed, law, letters):
+    base = CayleyOracle(2)
+    marks = _HashMarks(base, law, seed)
+    for v in (reduce_word(letters), base.root, reduce_word(letters)):
+        assert marks(v) == mark(seed, base.token(v), law, v == base.root)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**64 - 1), _laws,
+       st.lists(_names, min_size=3, max_size=3, unique=True))
+def test_hash_marks_equal_mark_over_named_base(seed, law, names):
+    base = FiniteOracle.from_perms([(1, 2, 0), (0, 2, 1)], names=names)
+    marks = _HashMarks(base, law, seed)
+    for v in base.vertices:
+        expected = _outcome(
+            lambda: mark(seed, base.token(v), law, v == base.root))
+        assert _outcome(lambda: marks(v)) == expected

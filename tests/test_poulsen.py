@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from irslab import (
     BudgetError,
@@ -20,16 +21,18 @@ from irslab import (
     trivial_law,
     validate_schreier_ball,
 )
-from irslab.oracles import STAR, BallView
+from irslab.oracles import STAR, BallView, bfs
 from irslab.poulsen import (
     PercolationGraph,
+    PoulsenOracle,
     inverse_surgery,
     star_ball,
     star_records,
     surgery,
     view_equal_exact,
 )
-from irslab.randomness import subseed
+from irslab.randomness import digest128, subseed
+from irslab.words import letters_ordered
 
 from helpers import index2_oracle
 
@@ -227,3 +230,52 @@ def test_star_ball_rejects_tokens_that_collide():
 
     with pytest.raises(InvalidGraphError, match="not injective"):
         star_ball(Collide(trivial_law(2), Fraction(1, 2), 0), 1)
+
+
+def _poulsen_vertices(oracle: PoulsenOracle, radius: int):
+    return list(bfs(oracle.root, oracle.neighbor, letters_ordered(2), radius))
+
+
+_ps = st.sampled_from([Fraction(1, 10), Fraction(1, 3), Fraction(1, 2)])
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**64 - 1), _ps)
+def test_percolated_equals_the_plain_digest(seed, p):
+    law = NormalizerLaw(trivial_law(2), p)
+    vertices = _poulsen_vertices(poulsen_oracle(law, p, seed), 4)
+    fresh = PercolationGraph(law, p, seed)
+    threshold = (p.numerator << 128) // p.denominator
+    for u in vertices:
+        path, v = u
+        if path and v == fresh.copy(path).root:
+            expected = False
+        else:
+            expected = digest128(seed, "perc", u) < threshold
+        assert fresh.percolated(u) == expected
+
+
+def _uncached_token(graph: PercolationGraph, u) -> str:
+    """The Poulsen token rebuilt from the whole path, nested Poulsen copies
+    included, with no memo."""
+    def name(copy, v):
+        t = _uncached_token(copy.graph, v) if isinstance(copy, PoulsenOracle) \
+            else copy.token(v)
+        return t.replace("\\", "\\\\").replace("/", "\\/").replace("|", "\\|")
+
+    path, v = u
+    trail = "/".join(name(graph.copy(path[:k]), path[k])
+                     for k in range(len(path)))
+    return f"p({trail}|{name(graph.copy(path), v)})"
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_deep_poulsen_tokens_equal_the_uncached_formula(seed):
+    p = Fraction(1, 2)
+    law = PoulsenLaw(NormalizerLaw(trivial_law(2), p), p)
+    oracle = poulsen_oracle(law, p, subseed(seed, "deep-tokens", 0))
+    vertices = _poulsen_vertices(oracle, 4)
+    assert max(len(path) for path, _ in vertices) >= 2
+    tokens = [oracle.token(u) for u in vertices]
+    assert tokens == [_uncached_token(oracle.graph, u) for u in vertices]
+    assert any("\\|" in t for t in tokens)

@@ -1,6 +1,6 @@
 """Keyed draws: pinned values for each key shape the samplers use, the key
-encoder against the recursive reference in helpers, and the exactness and
-bound of the key-encoding cache."""
+encoder against the recursive reference in helpers, and the prefixed
+hashers of `Keyed` against the plain digest."""
 
 import enum
 import hashlib
@@ -9,14 +9,7 @@ from collections import namedtuple
 import pytest
 from hypothesis import given, strategies as st
 
-from irslab import randomness
-from irslab.randomness import (
-    ENCODING_CACHE_SIZE,
-    below,
-    digest128,
-    subseed,
-    token_bytes,
-)
+from irslab.randomness import Keyed, below, digest128, subseed, token_bytes
 
 from helpers import token_bytes as reference_token_bytes
 
@@ -53,11 +46,11 @@ def reference_digest128(seed: int, namespace: str, key) -> int:
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_pinned_draws(name):
     namespace, key, digest, sub, slot = PINNED[name]
-    for _ in range(2):  # the second round may be served from memory
-        assert digest128(SEED, namespace, key) == digest
-        assert subseed(SEED, namespace, key) == sub
-        assert below(SEED, namespace, key, 3) == slot
-        assert reference_digest128(SEED, namespace, key) == digest
+    assert digest128(SEED, namespace, key) == digest
+    assert Keyed(SEED, namespace).digest(key) == digest
+    assert subseed(SEED, namespace, key) == sub
+    assert below(SEED, namespace, key, 3) == slot
+    assert reference_digest128(SEED, namespace, key) == digest
 
 
 _text = st.text(st.characters(exclude_categories=()), max_size=8) | \
@@ -90,13 +83,6 @@ def test_token_bytes_matches_reference(key):
         assert digest == (None, expected[1])
 
 
-@pytest.fixture
-def fresh_cache():
-    randomness._encodings.clear()
-    yield randomness._encodings
-    randomness._encodings.clear()
-
-
 @pytest.mark.parametrize("first, second", [
     ((True,), (1,)),
     ((1,), (True,)),
@@ -104,7 +90,7 @@ def fresh_cache():
     (("b", (0,)), ("b", (False,))),
 ], ids=["bool-then-int", "int-then-bool", "nested-bool-then-int",
         "nested-int-then-bool"])
-def test_equal_keys_of_other_types_draw_apart(fresh_cache, first, second):
+def test_equal_keys_of_other_types_draw_apart(first, second):
     assert first == second
     for key in (first, second, first, second):
         assert digest128(SEED, "perc", key) == \
@@ -114,14 +100,13 @@ def test_equal_keys_of_other_types_draw_apart(fresh_cache, first, second):
 
 @pytest.mark.parametrize("bad, good", [(1.0, 1), ([1], (1,)), ((1.0,), (1,))],
                          ids=["float", "list", "tuple-of-float"])
-def test_unsupported_key_raises_after_like_key_drawn(fresh_cache, bad, good):
-    digest128(SEED, "mark", good)
-    cached = dict(fresh_cache)
-    with pytest.raises(TypeError):
-        digest128(SEED, "mark", bad)
-    with pytest.raises(TypeError):
-        token_bytes(bad)
-    assert fresh_cache == cached
+def test_unsupported_key_raises_after_like_key_drawn(bad, good):
+    keyed = Keyed(SEED, "mark")
+    assert keyed.digest(good) == digest128(SEED, "mark", good)
+    for draw in (lambda k: digest128(SEED, "mark", k), keyed.digest,
+                 token_bytes, keyed.under, Keyed(SEED, "perc").under(1).digest):
+        with pytest.raises(TypeError):
+            draw(bad)
 
 
 class _Slot(enum.IntEnum):
@@ -140,19 +125,46 @@ _Vertex = namedtuple("_Vertex", "kind coset")
     _Vertex(_Kind.BASE, (1, -2)), (_Vertex("b", ()), True),
 ], ids=["int-enum", "str-enum", "int-enum-in-tuple", "namedtuple",
         "namedtuple-in-tuple"])
-def test_subclass_keys_match_reference(fresh_cache, key):
+def test_subclass_keys_match_reference(key):
     assert token_bytes(key) == reference_token_bytes(key)
-    for _ in range(2):
-        assert digest128(SEED, "perc", key) == \
-            reference_digest128(SEED, "perc", key)
+    assert digest128(SEED, "perc", key) == \
+        reference_digest128(SEED, "perc", key)
+    assert Keyed(SEED, "perc").digest(key) == \
+        reference_digest128(SEED, "perc", key)
 
 
-def test_encoding_cache_is_bounded(fresh_cache):
-    largest = 0
-    for k in range(3 * ENCODING_CACHE_SIZE):
-        key = ("b", (1, k))
-        assert digest128(SEED, "perc", key) == \
-            reference_digest128(SEED, "perc", key)
-        largest = max(largest, len(fresh_cache))
-        assert largest <= ENCODING_CACHE_SIZE
-    assert largest == ENCODING_CACHE_SIZE
+_subclassed = st.sampled_from([_Slot.MIDDLE, _Kind.BASE]) | \
+    st.builds(_Vertex, _leaves, _leaves)
+_draw_keys = st.recursive(
+    _leaves | _subclassed | _unsupported,
+    lambda kids: st.lists(kids, max_size=4).map(tuple)
+    | st.lists(kids, max_size=2),
+    max_leaves=12,
+)
+_seeds = st.integers(0, 2**64 - 1)
+_namespaces = st.sampled_from(["mark", "perc", "law", "", "ñamespace"])
+
+
+@given(_seeds, _namespaces, _draw_keys)
+def test_keyed_digest_equals_digest128(seed, namespace, key):
+    keyed = Keyed(seed, namespace)
+    expected = _outcome(lambda k: reference_digest128(seed, namespace, k), key)
+    assert _outcome(keyed.digest, key) == expected
+    assert _outcome(lambda k: digest128(seed, namespace, k), key) == expected
+    assert _outcome(keyed.digest, key) == expected  # the hasher is reusable
+
+
+@given(_seeds, _namespaces, _draw_keys, _draw_keys, _draw_keys)
+def test_keyed_under_head_draws_the_pair(seed, namespace, head, inner, key):
+    keyed = Keyed(seed, namespace)
+
+    def under(k):
+        return keyed.under(head).digest(k)
+
+    def twice_under(k):
+        return keyed.under(head).under(inner).digest(k)
+
+    assert _outcome(under, key) == \
+        _outcome(lambda k: reference_digest128(seed, namespace, (head, k)), key)
+    assert _outcome(twice_under, key) == _outcome(
+        lambda k: reference_digest128(seed, namespace, (head, (inner, k))), key)
