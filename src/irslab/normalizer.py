@@ -170,8 +170,7 @@ class _HashMarks:
         m = self.cache.get(v)
         if m is None:
             cuts = self.root_cuts if v == self.base.root else self.other_cuts
-            d = self.keyed.digest(self.base.token(v))
-            m = self.cache[v] = bisect_right(cuts, d)
+            m = self.cache[v] = bisect_right(cuts, self.keyed.digest(self.base.token(v)))
         return m
 
 

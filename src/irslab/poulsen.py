@@ -49,7 +49,6 @@ class PercolationGraph:
         o = self._copies.get(path)
         if o is None:
             o = self._copies[path] = self.law.draw(self.seed, "attach", path)
-            self._draws[path] = self._keyed.under(path)
         return o
 
     def percolated(self, u) -> bool:
@@ -60,7 +59,10 @@ class PercolationGraph:
             if path and v == self.copy(path).root:
                 hit = False
             else:
-                hit = self._draws[path].digest(v) < self._threshold
+                draws = self._draws.get(path)
+                if draws is None:
+                    draws = self._draws[path] = self._keyed.under(path)
+                hit = draws.digest(v) < self._threshold
             self._perc[u] = hit
         return hit
 

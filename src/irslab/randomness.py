@@ -18,11 +18,12 @@ from hashlib import blake2b
 
 TWO128 = 1 << 128
 MASK64 = (1 << 64) - 1
+_EMPTY = blake2b(digest_size=16)  # copied, not built, for each new hasher
 
 
 def _text(obj) -> str:
     """The encoding as text: one UTF-8 encode of it gives the bytes. Exact
-    tuples, ints and strings, the shapes of vertex keys, take the short way;
+    tuples and strings, and the ints inside tuples, take the short way;
     subclasses and the rare leaf types go by isinstance. A string's length
     prefix counts its UTF-8 bytes."""
     t = type(obj)
@@ -57,13 +58,10 @@ def token_bytes(obj) -> bytes:
     return _text(obj).encode()
 
 
-def _prefix(seed: int, namespace: str) -> bytes:
-    return seed.to_bytes(8, "big") + namespace.encode() + b"\x00"
-
-
 def digest128(seed: int, namespace: str, key) -> int:
-    block = _prefix(seed, namespace) + token_bytes(key)
-    return int.from_bytes(blake2b(block, digest_size=16).digest(), "big")
+    h = _EMPTY.copy()
+    h.update(seed.to_bytes(8, "big") + namespace.encode() + b"\x00" + _text(key).encode())
+    return int.from_bytes(h.digest(), "big")
 
 
 class Keyed:
@@ -71,7 +69,8 @@ class Keyed:
     that `Keyed(seed, ns).digest(key) == digest128(seed, ns, key)`."""
 
     def __init__(self, seed: int, namespace: str):
-        self._hasher = blake2b(_prefix(seed, namespace), digest_size=16)
+        self._hasher = _EMPTY.copy()
+        self._hasher.update(seed.to_bytes(8, "big") + namespace.encode() + b"\x00")
         self._close = ""
 
     def digest(self, key) -> int:
@@ -80,12 +79,11 @@ class Keyed:
         return int.from_bytes(h.digest(), "big")
 
     def under(self, head) -> "Keyed":
-        """The draws keyed by pairs (head, key), with the head hashed once:
+        """The draws of pairs with the head hashed once, so that
         `.under(head).digest(key) == digest128(seed, ns, (head, key))`."""
         sub = object.__new__(Keyed)
-        sub._hasher = self._hasher.copy()
+        sub._hasher, sub._close = self._hasher.copy(), ")" + self._close
         sub._hasher.update(b"(" + token_bytes(head))
-        sub._close = ")" + self._close
         return sub
 
 

@@ -80,7 +80,7 @@ def words_upto(rank: int, n: int) -> list[Word]:
 def word_to_str(w: Word) -> str:
     if not w:
         return "e"
-    return "*".join(f"s{l}" if l > 0 else f"s{-l}^-1" for l in w)
+    return "*".join([f"s{l}" if l > 0 else f"s{-l}^-1" for l in w])
 
 
 def word_from_str(text: str, rank: int | None = None) -> Word:
