@@ -191,3 +191,12 @@ def token_bytes(obj) -> bytes:
     if obj is None:
         return b"n;"
     raise TypeError(f"cannot encode {type(obj).__name__} as a hash key")
+
+
+def outcome(fn, *args):
+    """(value, None) if fn(*args) returns, (None, exception type) if it
+    raises: two code paths agree when their outcomes are equal."""
+    try:
+        return fn(*args), None
+    except Exception as exc:  # the type is compared, not the message
+        return None, type(exc)

@@ -31,7 +31,7 @@ from irslab.oracles import FiniteOracle
 from irslab.randomness import subseed
 from irslab.words import reduce_word
 
-from helpers import index2_oracle, one_vertex_oracle
+from helpers import index2_oracle, one_vertex_oracle, outcome
 
 
 def test_mark_law_boundaries():
@@ -239,13 +239,6 @@ _laws = st.builds(MarkLaw, st.sampled_from(
     [Fraction(1, 10), Fraction(1, 2), Fraction(2, 3)]), st.just(2))
 
 
-def _outcome(fn):
-    try:
-        return fn(), None
-    except Exception as exc:  # the type is compared, not the message
-        return None, type(exc)
-
-
 @settings(deadline=None)
 @given(st.integers(0, 2**64 - 1), _laws,
        st.lists(st.sampled_from([1, -1, 2, -2]), max_size=8))
@@ -263,6 +256,5 @@ def test_hash_marks_equal_mark_over_named_base(seed, law, names):
     base = FiniteOracle.from_perms([(1, 2, 0), (0, 2, 1)], names=names)
     marks = _HashMarks(base, law, seed)
     for v in base.vertices:
-        expected = _outcome(
-            lambda: mark(seed, base.token(v), law, v == base.root))
-        assert _outcome(lambda: marks(v)) == expected
+        expected = outcome(mark, seed, base.token(v), law, v == base.root)
+        assert outcome(marks, v) == expected

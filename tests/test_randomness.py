@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from irslab.randomness import Keyed, below, digest128, subseed, token_bytes
 
-from helpers import token_bytes as reference_token_bytes
+from helpers import outcome, token_bytes as reference_token_bytes
 
 SEED = 2024
 
@@ -65,18 +65,11 @@ _keys = st.recursive(
 )
 
 
-def _outcome(fn, key):
-    try:
-        return fn(key), None
-    except Exception as exc:  # the type is compared, not the message
-        return None, type(exc)
-
-
 @given(_keys)
 def test_token_bytes_matches_reference(key):
-    expected = _outcome(reference_token_bytes, key)
-    assert _outcome(token_bytes, key) == expected
-    digest = _outcome(lambda k: digest128(SEED, "perc", k), key)
+    expected = outcome(reference_token_bytes, key)
+    assert outcome(token_bytes, key) == expected
+    digest = outcome(lambda k: digest128(SEED, "perc", k), key)
     if expected[1] is None:
         assert digest == (reference_digest128(SEED, "perc", key), None)
     else:
@@ -148,10 +141,10 @@ _namespaces = st.sampled_from(["mark", "perc", "law", "", "ñamespace"])
 @given(_seeds, _namespaces, _draw_keys)
 def test_keyed_digest_equals_digest128(seed, namespace, key):
     keyed = Keyed(seed, namespace)
-    expected = _outcome(lambda k: reference_digest128(seed, namespace, k), key)
-    assert _outcome(keyed.digest, key) == expected
-    assert _outcome(lambda k: digest128(seed, namespace, k), key) == expected
-    assert _outcome(keyed.digest, key) == expected  # the hasher is reusable
+    expected = outcome(lambda k: reference_digest128(seed, namespace, k), key)
+    assert outcome(keyed.digest, key) == expected
+    assert outcome(lambda k: digest128(seed, namespace, k), key) == expected
+    assert outcome(keyed.digest, key) == expected  # the hasher is reusable
 
 
 @given(_seeds, _namespaces, _draw_keys, _draw_keys, _draw_keys)
@@ -164,7 +157,7 @@ def test_keyed_under_head_draws_the_pair(seed, namespace, head, inner, key):
     def twice_under(k):
         return keyed.under(head).under(inner).digest(k)
 
-    assert _outcome(under, key) == \
-        _outcome(lambda k: reference_digest128(seed, namespace, (head, k)), key)
-    assert _outcome(twice_under, key) == _outcome(
+    assert outcome(under, key) == \
+        outcome(lambda k: reference_digest128(seed, namespace, (head, k)), key)
+    assert outcome(twice_under, key) == outcome(
         lambda k: reference_digest128(seed, namespace, (head, (inner, k))), key)
