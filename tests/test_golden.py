@@ -29,7 +29,7 @@ from irslab import (
     parse_sgr,
     trivial_law,
 )
-from irslab.actions import random_action, random_transitive_action
+from irslab.actions import emit_action, random_action, random_transitive_action
 from irslab.analysis import conjugate_code
 from irslab.cli import main
 from irslab.encoding import point_class_code, random_subshift_space
@@ -146,6 +146,19 @@ def _aut_masses() -> str:
     return "".join(out)
 
 
+def _random_aut_masses() -> str:
+    # random bases of index 7-8 at rank 2 and 4-5 at rank 3: most have no
+    # automorphism, so every mark assignment is its own orbit
+    bases = [orbit_schreier(random_transitive_action(n, rank, seed), 0)
+             for n, rank in ((7, 2), (8, 2), (4, 3), (5, 3))
+             for seed in (0, 1, 2)]
+    out = []
+    for base in bases:
+        for p in (Fraction(1, 2), Fraction(1, 10)):
+            out.append(f"{aut_trivial_mass(base, p)}\n")
+    return "".join(out)
+
+
 def _normalizer_laws() -> str:
     out = []
     for base in (index2_oracle(), cyclic_oracle(3)):
@@ -238,6 +251,7 @@ CASES = {
     "canonical_code tripled": _tripled_codes,
     "point_class_code": _point_classes,
     "aut_trivial_mass": _aut_masses,
+    "aut_trivial_mass random": _random_aut_masses,
     "enumerate_normalizer_law": _normalizer_laws,
     "exact_invariance_rows cyclic5": _exact_rows,
     "conjugate_code cyclic5 atoms": _conjugate_codes,
@@ -264,6 +278,7 @@ CASES = {
 
 GOLDEN = {
     "aut_trivial_mass": "2a7a3f63d1b6e95085814eeece786e64",
+    "aut_trivial_mass random": "db5c0d110e8707f2f7b9cd265aa4560d",
     "ball normalizer:trivial": "428fbb1f1ca9145fe16045da723aacb0",
     "ball poulsen:normalizer:trivial": "357e9c1ccdc34246d05d2e44963a057b",
     "ball trivial": "d4d080b7f6c08c2ffd0ab95d51357bf7",
@@ -273,6 +288,7 @@ GOLDEN = {
     "cli ball": "c9a4344a9e6fb6186faa2da8af08ae36",
     "cli enumerate-normalizer": "8ac0feefd0102d2d8b90474c404ca073",
     "cli named file base": "6ff33972f57a350e4283f79f7d9e2ce5",
+    "cli stab-law": "a3c5293e4a0c248d60f979221b6c8d6a",
     "conjugate_code cyclic5 atoms": "a756bd5eb75ccb3910886671db3ec230",
     "convergence_sweep normalizer": "8c90da4ff46c861275d3c3dede789e61",
     "convergence_sweep poulsen": "a77566d1948a8dbf9e4e4072f6616a9e",
@@ -348,3 +364,15 @@ def test_golden_cli_named_file_base(capsys, tmp_path, monkeypatch):
             assert main(["ball", "--base", spec, "--p", "1/2", "--seed",
                          str(seed), "--radius", str(radius)]) == 0
     assert _digest(capsys.readouterr().out) == GOLDEN["cli named file base"]
+
+
+def test_golden_cli_stab_law(capsys, tmp_path, monkeypatch):
+    # transitive and intransitive actions, with and without fixed points
+    monkeypatch.chdir(tmp_path)
+    actions = [random_transitive_action(n, rank, seed)
+               for n, rank in ((4, 2), (6, 2), (5, 3)) for seed in (0, 1)]
+    actions += [random_action(n, rank, 7) for n, rank in ((6, 2), (5, 3))]
+    for k, action in enumerate(actions):
+        (tmp_path / f"a{k}.txt").write_text(emit_action(action))
+        assert main(["stab-law", "--action", f"a{k}.txt"]) == 0
+    assert _digest(capsys.readouterr().out) == GOLDEN["cli stab-law"]
