@@ -22,6 +22,7 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 from .analysis import array_code, aut_trivial, automorphisms
@@ -268,10 +269,18 @@ def aut_trivial_mass(base: FiniteOracle, p) -> Fraction:
     is rigid are all distinct. The root takes the size-biased law, so those
     images can differ in mass: each is tallied on its own, in integers by
     the root's mark and the number of other marked vertices, and the
-    tallies are weighed with the MarkLaw masses once."""
+    tallies are weighed with the MarkLaw masses once.
+
+    A count settles most assignments unbuilt. With k vertices marked, the
+    tripled graph has N = n + 2k vertices and L_i s_i-loops: the slot-1
+    loops of the vertices marked i and the unmarked fixed points of s_i.
+    Automorphisms act freely and map each set of loops onto itself, so
+    their number divides gcd(N, L_1, ..., L_r); when that is 1 the graph
+    is rigid, and it is neither built nor walked."""
     law = MarkLaw(p, base.rank)
     perms = base.action.perms
     n, size = len(perms[0]), base.rank + 1
+    fixed = [[v for v, w in enumerate(s) if v == w] for s in perms]
     root = base.vertices.index(base.root)
     # the assignment m o sigma sits at position sum_u m[u] * place[u]
     # (digit n-1-v of the position is the mark of v, see MarkLaw.assignments)
@@ -287,8 +296,10 @@ def aut_trivial_mass(base: FiniteOracle, p) -> Fraction:
     for i, (marks, _) in enumerate(law.assignments(base)):
         if seen[i]:
             continue
-        trivial = aut_trivial(build(marks)[0])
         marked = n - marks.count(0)
+        loops = [marks.count(m) + [marks[v] for v in f].count(0)
+                 for m, f in enumerate(fixed, start=1)]
+        trivial = gcd(n + 2 * marked, *loops) == 1 or aut_trivial(build(marks)[0])
         for place, at in images:
             seen[sum(map(mul, marks, place))] = 1
             if trivial:

@@ -5,6 +5,7 @@ the stabilizer codes of an action work on int arrays; the helpers rebuild
 the same quantities one NormalizerOracle and one FiniteOracle at a time.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -20,13 +21,16 @@ from irslab import (
     oracle_from_code,
     orbit_schreier,
 )
+from irslab import normalizer
 from irslab.actions import random_action, random_transitive_action
 from irslab.analysis import (
     array_code,
+    aut_trivial,
     automorphisms,
     canonical_code,
     conjugate_code,
 )
+from irslab.normalizer import _tripled
 from irslab.words import letters_ordered
 
 from helpers import (
@@ -75,6 +79,51 @@ def test_law_matches_reference(name, slot, p):
 def test_aut_trivial_mass_matches_reference(name, p):
     base = BASES[name]()
     assert aut_trivial_mass(base, p) == reference_aut_trivial_mass(base, p)
+
+
+def _counting_tests(base, monkeypatch):
+    """(marks, gcd arguments) of each counting test that aut_trivial_mass
+    runs, read by watching its assignments and its calls of gcd."""
+    calls, current = [], [None]
+    assignments = MarkLaw.assignments
+
+    def watched(law, b):
+        for marks, prob in assignments(law, b):
+            current[0] = marks
+            yield marks, prob
+
+    def recorded(*args):
+        calls.append((current[0], args))
+        return math.gcd(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MarkLaw, "assignments", watched)
+        patch.setattr(normalizer, "gcd", recorded)
+        aut_trivial_mass(base, Fraction(1, 2))
+    return calls
+
+
+def test_counting_test_calls_only_rigid_graphs_rigid(monkeypatch):
+    """The counts N and L_i are the vertices and the s_i-loops of the
+    tripled graph, and every graph whose gcd is 1 has no automorphism."""
+    bases = [BASES[name]() for name in BASES]
+    bases += [orbit_schreier(random_transitive_action(n, rank, seed), 0)
+              for n in range(3, 7) for rank in (2, 3) for seed in (0, 1)]
+    assert any(v == w for b in bases for s in b.action.perms
+               for v, w in enumerate(s))  # some bases have fixed points
+    fired = tested = 0
+    for base in bases:
+        build = _tripled(base)
+        for marks, (size, *loops) in _counting_tests(base, monkeypatch):
+            succ = build(marks)[0]
+            assert size == len(succ[0])
+            assert loops == [sum(1 for u, w in enumerate(s) if u == w)
+                             for s in succ]
+            tested += 1
+            if math.gcd(size, *loops) == 1:
+                fired += 1
+                assert aut_trivial(succ), (base.action.perms, marks)
+    assert 0 < fired < tested
 
 
 @pytest.mark.parametrize("n, mass", [(7, Fraction(16317, 16384)),
