@@ -10,7 +10,7 @@ from the root, and every comparison here is code equality, not a search.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import takewhile
+from functools import lru_cache
 
 from .errors import DomainError, InvalidGraphError
 from .oracles import (
@@ -64,14 +64,28 @@ def metric(a: SchreierOracle, b: SchreierOracle, max_radius: int,
     return Fraction(0)
 
 
-def walk_table(root, step, rank: int, length: int) -> dict:
-    """The end vertex of the walk from `root` of each reduced word of length
-    <= `length`, keyed by word in shortlex order. `step(v, letter)` gives
-    the neighbor. `words_upto` lists each word's prefix before the word, so
-    one step per word fills the table."""
-    ends = {}
-    for w in words_upto(rank, length):
-        ends[w] = step(ends[w[:-1]], w[-1]) if w else root
+@lru_cache(maxsize=32)
+def walk_plan(rank: int, length: int) -> tuple:
+    """(words, steps, moves) for `words`, `words_upto(rank, length)` as a
+    tuple: steps[k - 1] is (position of words[k][:-1], words[k][-1]); moves
+    pairs each letter l with the position, for each word w shorter than
+    `length`, of the word walked as l^-1 w: w[1:] or else (-l,) + w."""
+    words = tuple(words_upto(rank, length))
+    at = {w: k for k, w in enumerate(words)}
+    steps = tuple((at[w[:-1]], w[-1]) for w in words[1:])
+    moves = tuple((l, tuple(at[w[1:] if w and w[0] == l else (-l,) + w]
+                            for w in words if len(w) < length))
+                  for l in letters_ordered(rank))
+    return words, steps, moves
+
+
+def walk_table(root, step, rank: int, length: int) -> list:
+    """The end vertex of the walk from `root` of each word of
+    `walk_plan(rank, length)`, in the same order. `step(v, letter)` gives
+    the neighbor; one step per word fills the table."""
+    ends = [root]
+    for k, l in walk_plan(rank, length)[1]:
+        ends.append(step(ends[k], l))
     return ends
 
 
@@ -83,7 +97,8 @@ def cylinder_fingerprint(oracle: SchreierOracle, radius: int) -> tuple[Word, ...
         raise DomainError("radius must be >= 0")
     root = oracle.root
     ends = walk_table(root, oracle.neighbor, oracle.rank, radius)
-    return tuple(w for w, v in ends.items() if v == root)
+    return tuple(w for w, v in zip(walk_plan(oracle.rank, radius)[0], ends)
+                 if v == root)
 
 
 def conjugate_fingerprints(root, step, rank: int, radius: int) -> tuple:
@@ -94,14 +109,12 @@ def conjugate_fingerprints(root, step, rank: int, radius: int) -> tuple:
     that is the walk of u."""
     if radius < 0:
         raise DomainError("radius must be >= 0")
+    words = walk_plan(rank, radius)[0]
+    moves = walk_plan(rank, radius + 1)[2]
     ends = walk_table(root, step, rank, radius + 1)
-    words = list(takewhile(lambda w: len(w) <= radius, ends))
-    fp = tuple(w for w in words if ends[w] == root)
-    conj = {}
-    for l in letters_ordered(rank):
-        at = ends[(-l,)]
-        conj[l] = tuple(w for w in words
-                        if ends[w[1:] if w and w[0] == l else (-l,) + w] == at)
+    fp = tuple(w for w, v in zip(words, ends) if v == root)
+    conj = {l: tuple([w for w, k in zip(words, at) if ends[k] == ends[at[0]]])
+            for l, at in moves}  # at[0] is the position of (-l,)
     return fp, conj
 
 

@@ -6,12 +6,12 @@ that tests cross-check two separate code paths.
 
 import itertools
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, takewhile
 
-from irslab import AtomicMeasure, FiniteOracle, MarkLaw, canonical_code
+from irslab import AtomicMeasure, DomainError, FiniteOracle, MarkLaw, canonical_code
 from irslab.normalizer import NormalizerOracle
 from irslab.oracles import STAR, BallView, conjugate
-from irslab.words import letters_ordered
+from irslab.words import letters_ordered, words_upto
 
 
 def brute_reduce(letters):
@@ -172,6 +172,39 @@ def reference_aut_trivial_mass(base: FiniteOracle, p) -> Fraction:
         if reference_aut_count(reference_oracle_from_code(code)) == 1:
             total += prob
     return total
+
+
+# -- the dict-keyed fingerprint walk, kept as a reference --------------------
+
+
+def reference_walk_table(root, step, rank: int, length: int) -> dict:
+    """The end vertex of the walk from `root` of each reduced word of length
+    <= `length`, keyed by word in shortlex order. `step(v, letter)` gives
+    the neighbor. `words_upto` lists each word's prefix before the word, so
+    one step per word fills the table."""
+    ends = {}
+    for w in words_upto(rank, length):
+        ends[w] = step(ends[w[:-1]], w[-1]) if w else root
+    return ends
+
+
+def reference_conjugate_fingerprints(root, step, rank: int, radius: int) -> tuple:
+    """(fp, conj): the cylinder fingerprint of the stabilizer K of `root`
+    and, keyed by each letter l, that of l K l^-1, from one walk table of
+    length radius + 1. l K l^-1 contains w iff the walk of l^-1 w ends at
+    the walk of l^-1; walks do not depend on reduction, so for w = l u
+    that is the walk of u."""
+    if radius < 0:
+        raise DomainError("radius must be >= 0")
+    ends = reference_walk_table(root, step, rank, radius + 1)
+    words = list(takewhile(lambda w: len(w) <= radius, ends))
+    fp = tuple(w for w in words if ends[w] == root)
+    conj = {}
+    for l in letters_ordered(rank):
+        at = ends[(-l,)]
+        conj[l] = tuple(w for w in words
+                        if ends[w[1:] if w and w[0] == l else (-l,) + w] == at)
+    return fp, conj
 
 
 # -- the recursive key encoder of the keyed draws, kept as a reference -------

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from irslab import (
     CayleyOracle,
@@ -20,6 +21,7 @@ from irslab import (
 from irslab.actions import (
     FiniteAction,
     orbit_schreier,
+    random_action,
     random_transitive_action,
     stab_pushforward_law,
 )
@@ -30,6 +32,7 @@ from irslab.analysis import (
     code_action,
     conjugate_code,
     conjugate_fingerprints,
+    walk_plan,
     walk_table,
 )
 from irslab.encoding import psi_oracle
@@ -48,7 +51,12 @@ from irslab.words import (
     words_upto,
 )
 
-from helpers import brute_aut_count, brute_root_isomorphic, cyclic_oracle
+from helpers import (
+    brute_aut_count,
+    brute_root_isomorphic,
+    cyclic_oracle,
+    reference_conjugate_fingerprints,
+)
 from test_encoding import three_cycle_space
 from test_words import random_word
 
@@ -227,10 +235,58 @@ def test_fingerprint_conjugation_identity(index2):
 
 def test_walk_table_ends_each_word_where_its_trace_does(index2, cayley2):
     sampled = normalizer_oracle(cayley2, Fraction(1, 2), 4)
+    words = walk_plan(2, 3)[0]
+    assert list(words) == words_upto(2, 3)
     for oracle in (index2, cayley2, sampled):
         ends = walk_table(oracle.root, oracle.neighbor, 2, 3)
-        assert list(ends) == words_upto(2, 3)
-        assert all(v == trace(oracle, w) for w, v in ends.items())
+        assert len(ends) == len(words)
+        assert all(ends[k] == trace(oracle, words[k]) for k in range(len(words)))
+
+
+def test_walk_plan_is_cached_and_indexes_prefixes_and_moves():
+    for rank in (1, 2, 3):
+        for length in range(4):
+            words, steps, moves = plan = walk_plan(rank, length)
+            assert walk_plan(rank, length) is plan
+            assert words == tuple(words_upto(rank, length))
+            assert [(words[k], l) for k, l in steps] == [(w[:-1], w[-1])
+                                                         for w in words[1:]]
+            assert [l for l, _ in moves] == letters_ordered(rank)
+            inner = words_upto(rank, length - 1) if length else []
+            for l, at in moves:
+                assert [words[k] for k in at] == [reduce_word((-l,) + w)
+                                                  for w in inner]
+
+
+_radii = st.integers(0, 3)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(1, 7), st.integers(2, 3), st.integers(0, 2**32 - 1),
+       st.integers(0, 6), _radii)
+def test_fingerprints_match_the_dict_walk_on_finite_actions(n, rank, seed,
+                                                            root, radius):
+    action = random_action(n, rank, seed)
+    root %= n
+    fp, conj = conjugate_fingerprints(root, action.step, rank, radius)
+    ref_fp, ref_conj = reference_conjugate_fingerprints(root, action.step,
+                                                        rank, radius)
+    assert fp == ref_fp
+    assert list(conj.items()) == list(ref_conj.items())
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**64 - 1),
+       st.sampled_from([Fraction(1, 2), Fraction(1, 10), Fraction(2, 3)]),
+       st.integers(2, 3), _radii)
+def test_fingerprints_match_the_dict_walk_on_normalizer_samples(seed, p, rank,
+                                                               radius):
+    oracle = normalizer_oracle(CayleyOracle(rank), p, seed)
+    fp, conj = conjugate_fingerprints(oracle.root, oracle.neighbor, rank, radius)
+    ref_fp, ref_conj = reference_conjugate_fingerprints(
+        oracle.root, oracle.neighbor, rank, radius)
+    assert fp == ref_fp == cylinder_fingerprint(oracle, radius)
+    assert list(conj.items()) == list(ref_conj.items())
 
 
 def _one_walk_samples(rank: int):
