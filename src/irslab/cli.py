@@ -22,10 +22,13 @@ from .actions import (
 )
 from .analysis import (
     aut_count,
+    automorphisms,
+    code_action,
     cylinder_fingerprint,
     metric,
-    oracle_from_code,
     root_isomorphic,
+    walk_plan,
+    walk_table,
 )
 from .encoding import (
     decode,
@@ -167,6 +170,13 @@ def cmd_aut(args) -> int:
     return EXIT_OK
 
 
+def _fp2(action) -> str:
+    """The radius-2 fingerprint of the stabilizer of point 0, in braces."""
+    ends = walk_table(0, action.step, action.rank, 2)
+    words = walk_plan(action.rank, 2)[0]
+    return "{" + " ".join(word_to_str(w) for w, v in zip(words, ends) if v == 0) + "}"
+
+
 def cmd_enumerate_normalizer(args) -> int:
     law = parse_base_spec(args.base, args.rank, args.p)
     if not (law.is_point and isinstance(law.oracle, FiniteOracle)):
@@ -176,13 +186,10 @@ def cmd_enumerate_normalizer(args) -> int:
     out = _header(args)
     out += f"atoms {len(measure)} total {measure.total()}\n"
     for i, (code, mass) in enumerate(measure.items_sorted()):
-        oracle = oracle_from_code(code)
-        fp = cylinder_fingerprint(oracle, 2)
-        fp_s = "{" + " ".join(word_to_str(w) for w in fp) + "}"
-        out += (
-            f"atom {i}: mass {mass} vertices {code[1]} "
-            f"aut {aut_count(oracle)} fp2 {fp_s}\n"
-        )
+        action = code_action(code)
+        aut = 1 + sum(1 for _ in automorphisms(action.perms))
+        out += (f"atom {i}: mass {mass} vertices {code[1]} "
+                f"aut {aut} fp2 {_fp2(action)}\n")
     if args.check_invariance:
         rows = exact_invariance_rows(measure, args.radius)
         bad = [r for r in rows if r.deviation != 0]
@@ -278,9 +285,8 @@ def cmd_stab_law(args) -> int:
     law = stab_pushforward_law(action)
     out = _header(args) + f"atoms {len(law)} total {law.total()}\n"
     for i, (code, mass) in enumerate(law.items_sorted()):
-        fp = cylinder_fingerprint(oracle_from_code(code), 2)
-        fp_s = "{" + " ".join(word_to_str(w) for w in fp) + "}"
-        out += f"atom {i}: mass {mass} vertices {code[1]} fp2 {fp_s}\n"
+        fp2 = _fp2(code_action(code))
+        out += f"atom {i}: mass {mass} vertices {code[1]} fp2 {fp2}\n"
     _write(args, out)
     return EXIT_OK
 
