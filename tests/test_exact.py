@@ -127,7 +127,11 @@ def test_counting_test_calls_only_rigid_graphs_rigid(monkeypatch):
 
 
 @pytest.mark.parametrize("n, mass", [(7, Fraction(16317, 16384)),
-                                     (8, Fraction(8057, 8192))])
+                                     (8, Fraction(8057, 8192)),
+                                     (9, Fraction(65361, 65536)),
+                                     (10, Fraction(1041965, 1048576)),
+                                     (11, Fraction(4193277, 4194304)),
+                                     (12, Fraction(8366823, 8388608))])
 def test_aut_trivial_mass_of_larger_cyclic_bases(n, mass):
     assert aut_trivial_mass(cyclic_oracle(n), Fraction(1, 2)) == mass
 
