@@ -23,7 +23,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import mul
+from operator import add, getitem, mul
 
 from .analysis import array_code, aut_trivial, automorphisms
 from .errors import BudgetError, DomainError
@@ -229,9 +229,13 @@ def enumerate_normalizer_law(base: FiniteOracle, p,
                              budget: int = 10**6) -> AtomicMeasure:
     """Exact output law over root-isomorphism classes for a finite base:
     every mark assignment and root slot enumerated with its rational
-    probability. Atom keys are canonical graph codes."""
+    probability. Atom keys are canonical graph codes. The outcomes are the
+    (r+1)^n mark assignments, with three root slots each when the root is
+    marked and the slot is uniform: (r+1)^(n-1) * (1 + 3r) of them."""
     law = MarkLaw(p, base.rank)
-    outcomes = (base.rank + 1) ** len(base.vertices) * 3
+    r = base.rank
+    at_root = 1 + 3 * r if biased_root_slot is None else r + 1  # marks, slots
+    outcomes = (r + 1) ** (len(base.vertices) - 1) * at_root
     if outcomes > budget:
         raise BudgetError(
             f"{outcomes} outcomes exceed enumeration budget {budget}"
@@ -254,56 +258,97 @@ def enumerate_normalizer_law(base: FiniteOracle, p,
     return measure
 
 
+def _vertex_terms(perms, root: int) -> list[list[tuple[int, ...]]]:
+    """terms[v][m]: what vertex v with mark m adds to the statistic (root
+    mark, marked vertices, L_1, ..., L_r) of a mark assignment, where L_i
+    counts the vertices marked i and the unmarked fixed points of s_i."""
+    return [[(m if v == root else 0, int(m != 0),
+              *(int(m == i or not m and s[v] == v)
+                for i, s in enumerate(perms, start=1)))
+             for m in range(len(perms) + 1)]
+            for v in range(len(perms[0]))]
+
+
+def _classes(terms, rank: int, scale: int) -> dict:
+    """The mark assignments of the vertices that `terms` covers, grouped by
+    statistic: {sum of terms: [(scale * position, marks), ...]}, where
+    position is the index of marks in itertools.product order."""
+    zero = (0,) * (rank + 2)
+    classes = {}
+    for j, marks in enumerate(itertools.product(range(rank + 1),
+                                                repeat=len(terms))):
+        stat = tuple(map(sum, zip(zero, *map(getitem, terms, marks))))
+        classes.setdefault(stat, []).append((scale * j, marks))
+    return classes
+
+
 def aut_trivial_mass(base: FiniteOracle, p) -> Fraction:
     """Exact probability that the perturbed graph has trivial automorphism
     group (the subgroup is self-normalizing). Root-independent, so root
     slots are not enumerated.
 
-    One graph is built and tested per orbit of Aut(base) on mark
-    assignments. Let sigma be an automorphism of the base, so that
-    sigma s_i = s_i sigma for every letter. Then v -> sigma(v), extended
-    slot by slot, is an (unrooted) isomorphism from the tripled graph of
-    marks m o sigma onto that of m, so the two have the same automorphism
-    group. If m o sigma = m with sigma not the identity, that isomorphism
-    is a nontrivial automorphism, so the images of an assignment whose graph
-    is rigid are all distinct. The root takes the size-biased law, so those
-    images can differ in mass: each is tallied on its own, in integers by
-    the root's mark and the number of other marked vertices, and the
-    tallies are weighed with the MarkLaw masses once.
-
-    A count settles most assignments unbuilt. With k vertices marked, the
+    A count settles most mark assignments. With k vertices marked, the
     tripled graph has N = n + 2k vertices and L_i s_i-loops: the slot-1
     loops of the vertices marked i and the unmarked fixed points of s_i.
     Automorphisms act freely and map each set of loops onto itself, so
     their number divides gcd(N, L_1, ..., L_r); when that is 1 the graph
-    is rigid, and it is neither built nor walked."""
+    is rigid. The root's mark, k and the L_i are sums of per-vertex terms,
+    so pass 1 groups the assignments of each half of the vertices by their
+    partial sums and pairs the groups: every pair whose gcd is 1 is tallied
+    by its size, in integers by the root's mark and the number of other
+    marked vertices, and the tallies are weighed with the MarkLaw masses
+    once. No assignment of such a pair is visited.
+
+    Pass 2 builds and tests one graph per orbit of Aut(base) on the rest.
+    Let sigma be an automorphism of the base, so that sigma s_i = s_i sigma
+    for every letter. Then v -> sigma(v), extended slot by slot, is an
+    (unrooted) isomorphism from the tripled graph of marks m o sigma onto
+    that of m, so the two have the same automorphism group. Sigma permutes
+    the fixed points of each s_i and keeps k and every L_i, so the
+    assignments with gcd > 1 are closed under it, and pass 1 counts each
+    image of its assignments once, under that image's own root mark. If
+    m o sigma = m with sigma not the identity, that isomorphism is a
+    nontrivial automorphism, so the images of an assignment whose graph is
+    rigid are all distinct. The root takes the size-biased law, so those
+    images can differ in mass: each is tallied on its own."""
     law = MarkLaw(p, base.rank)
     perms = base.action.perms
     n, size = len(perms[0]), base.rank + 1
-    fixed = [[v for v, w in enumerate(s) if v == w] for s in perms]
     root = base.vertices.index(base.root)
-    # the assignment m o sigma sits at position sum_u m[u] * place[u]
-    # (digit n-1-v of the position is the mark of v, see MarkLaw.assignments)
+    # the marks of each half, in product order, are the digits of an
+    # assignment's position, so m o sigma sits at sum_u m[u] * place[u]
     images = []
     for sigma in (range(n), *automorphisms(perms)):
         place = [0] * n
         for v, u in enumerate(sigma):
             place[u] = size ** (n - 1 - v)
         images.append((place, sigma[root]))
+    terms = _vertex_terms(perms, root)
+    h = (n + 1) // 2
+    high = _classes(terms[:h], base.rank, size ** (n - h))
+    low = _classes(terms[h:], base.rank, 1)
+    tally = [[0] * n for _ in range(size)]  # [root mark][other marked]
+    rest = []
+    for upper, left in high.items():
+        for lower, right in low.items():
+            a, marked, *loops = map(add, upper, lower)
+            if gcd(n + 2 * marked, *loops) == 1:
+                tally[a][marked - (a != 0)] += len(left) * len(right)
+            else:
+                rest.append((marked, left, right))
     build = _tripled(base)
     seen = bytearray(size ** n)
-    tally = [[0] * n for _ in range(size)]  # [root mark][other marked]
-    for i, (marks, _) in enumerate(law.assignments(base)):
-        if seen[i]:
-            continue
-        marked = n - marks.count(0)
-        loops = [marks.count(m) + [marks[v] for v in f].count(0)
-                 for m, f in enumerate(fixed, start=1)]
-        trivial = gcd(n + 2 * marked, *loops) == 1 or aut_trivial(build(marks)[0])
-        for place, at in images:
-            seen[sum(map(mul, marks, place))] = 1
-            if trivial:
-                a = marks[at]
-                tally[a][marked - (a != 0)] += 1
+    for marked, left, right in rest:
+        for i, x in left:
+            for j, y in right:
+                if seen[i + j]:
+                    continue
+                marks = x + y
+                trivial = aut_trivial(build(marks)[0])
+                for place, at in images:
+                    seen[sum(map(mul, marks, place))] = 1
+                    if trivial:
+                        a = marks[at]
+                        tally[a][marked - (a != 0)] += 1
     return sum((c * w for counts, weights in zip(tally, law.weights(n))
                 for c, w in zip(counts, weights)), Fraction(0))

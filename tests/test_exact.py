@@ -5,10 +5,14 @@ the stabilizer codes of an action work on int arrays; the helpers rebuild
 the same quantities one NormalizerOracle and one FiniteOracle at a time.
 """
 
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
+from operator import getitem
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from irslab import (
     DomainError,
@@ -21,7 +25,6 @@ from irslab import (
     oracle_from_code,
     orbit_schreier,
 )
-from irslab import normalizer
 from irslab.actions import random_action, random_transitive_action
 from irslab.analysis import (
     array_code,
@@ -30,7 +33,7 @@ from irslab.analysis import (
     canonical_code,
     conjugate_code,
 )
-from irslab.normalizer import _tripled
+from irslab.normalizer import _tripled, _vertex_terms
 from irslab.words import letters_ordered
 
 from helpers import (
@@ -81,31 +84,11 @@ def test_aut_trivial_mass_matches_reference(name, p):
     assert aut_trivial_mass(base, p) == reference_aut_trivial_mass(base, p)
 
 
-def _counting_tests(base, monkeypatch):
-    """(marks, gcd arguments) of each counting test that aut_trivial_mass
-    runs, read by watching its assignments and its calls of gcd."""
-    calls, current = [], [None]
-    assignments = MarkLaw.assignments
-
-    def watched(law, b):
-        for marks, prob in assignments(law, b):
-            current[0] = marks
-            yield marks, prob
-
-    def recorded(*args):
-        calls.append((current[0], args))
-        return math.gcd(*args)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(MarkLaw, "assignments", watched)
-        patch.setattr(normalizer, "gcd", recorded)
-        aut_trivial_mass(base, Fraction(1, 2))
-    return calls
-
-
-def test_counting_test_calls_only_rigid_graphs_rigid(monkeypatch):
-    """The counts N and L_i are the vertices and the s_i-loops of the
-    tripled graph, and every graph whose gcd is 1 has no automorphism."""
+def test_counting_test_calls_only_rigid_graphs_rigid():
+    """Summed over any mark assignment, the per-vertex terms of
+    aut_trivial_mass give the root's mark, the vertices N and the s_i-loops
+    L_i of the tripled graph, and every graph whose gcd is 1 has no
+    automorphism."""
     bases = [BASES[name]() for name in BASES]
     bases += [orbit_schreier(random_transitive_action(n, rank, seed), 0)
               for n in range(3, 7) for rank in (2, 3) for seed in (0, 1)]
@@ -113,17 +96,57 @@ def test_counting_test_calls_only_rigid_graphs_rigid(monkeypatch):
                for v, w in enumerate(s))  # some bases have fixed points
     fired = tested = 0
     for base in bases:
+        perms = base.action.perms
+        n = len(perms[0])
+        root = base.vertices.index(base.root)
+        terms = _vertex_terms(perms, root)
         build = _tripled(base)
-        for marks, (size, *loops) in _counting_tests(base, monkeypatch):
+        for marks in itertools.product(range(base.rank + 1), repeat=n):
+            a, marked, *loops = map(sum, zip(*map(getitem, terms, marks)))
             succ = build(marks)[0]
-            assert size == len(succ[0])
+            assert a == marks[root]
+            assert n + 2 * marked == len(succ[0])
             assert loops == [sum(1 for u, w in enumerate(s) if u == w)
                              for s in succ]
             tested += 1
-            if math.gcd(size, *loops) == 1:
+            if math.gcd(n + 2 * marked, *loops) == 1:
                 fired += 1
-                assert aut_trivial(succ), (base.action.perms, marks)
+                assert aut_trivial(succ), (perms, marks)
     assert 0 < fired < tested
+
+
+@st.composite
+def _small_bases(draw):
+    """Transitive bases of index 1-5 at rank 2 or 3: random actions at any
+    root, or rotations of Z/n (n automorphisms; a zero shift fixes every
+    point)."""
+    n, rank = draw(st.sampled_from(range(1, 6))), draw(st.sampled_from((2, 3)))
+    if draw(st.booleans()):
+        action = random_transitive_action(n, rank, draw(st.integers(0, 2**32 - 1)))
+        return orbit_schreier(action, draw(st.integers(0, n - 1)))
+    shifts = draw(st.permutations(
+        [1] + [draw(st.integers(0, n - 1)) for _ in range(rank - 1)]))
+    return FiniteOracle.from_perms([tuple((v + k) % n for v in range(n))
+                                    for k in shifts])
+
+
+@settings(deadline=None, max_examples=100)
+@given(_small_bases(), st.sampled_from(PS))
+def test_aut_trivial_mass_matches_reference_on_small_bases(base, p):
+    assert aut_trivial_mass(base, p) == reference_aut_trivial_mass(base, p)
+
+
+def test_aut_trivial_mass_allocates_no_object_per_assignment():
+    """3^10 assignments: one Python int each would take about 2 MB."""
+    base = cyclic_oracle(10)
+    tracemalloc.start()
+    try:
+        mass = aut_trivial_mass(base, Fraction(1, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mass == Fraction(1041965, 1048576)
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("n, mass", [(7, Fraction(16317, 16384)),

@@ -19,7 +19,9 @@ from irslab import (
     trivial_law,
     validate_schreier_ball,
 )
+from irslab import normalizer
 from irslab.actions import orbit_schreier, random_transitive_action
+from irslab.analysis import array_code
 from irslab.montecarlo import exact_invariance_rows
 from irslab.normalizer import (
     NormalizerOracle,
@@ -203,6 +205,33 @@ def test_enumeration_budget():
     base = orbit_schreier(random_transitive_action(8, 2, 0), 0)
     with pytest.raises(BudgetError):
         enumerate_normalizer_law(base, Fraction(1, 2), budget=100)
+
+
+@pytest.mark.parametrize("slot", (None, 0, 2))
+@pytest.mark.parametrize("n, rank", [(1, 2), (4, 2), (3, 3)])
+def test_enumeration_budget_is_the_number_of_outcomes(n, rank, slot):
+    """A budget equal to the number of (assignment, root slot) outcomes that
+    enumerate_normalizer_law enumerates passes, and one less raises."""
+    from irslab import BudgetError
+
+    base = orbit_schreier(random_transitive_action(n, rank, 3), 0)
+    at_root = 1 + 3 * rank if slot is None else rank + 1
+    outcomes = (rank + 1) ** (n - 1) * at_root
+    codes = []
+
+    def recorded(succ, root):
+        codes.append(root)
+        return array_code(succ, root)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(normalizer, "array_code", recorded)
+        enumerate_normalizer_law(base, Fraction(1, 2), biased_root_slot=slot,
+                                 budget=outcomes)
+    assert len(codes) == outcomes
+    with pytest.raises(BudgetError, match=f"^{outcomes} outcomes exceed "
+                                          f"enumeration budget {outcomes - 1}$"):
+        enumerate_normalizer_law(base, Fraction(1, 2), biased_root_slot=slot,
+                                 budget=outcomes - 1)
 
 
 def test_aut_trivial_mass_monotone_in_index():
