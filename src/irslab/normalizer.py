@@ -229,12 +229,12 @@ def enumerate_normalizer_law(base: FiniteOracle, p,
                              budget: int = 10**6) -> AtomicMeasure:
     """Exact output law over root-isomorphism classes for a finite base:
     every mark assignment and root slot enumerated with its rational
-    probability. Atom keys are canonical graph codes. The outcomes are the
-    (r+1)^n mark assignments, with three root slots each when the root is
-    marked and the slot is uniform: (r+1)^(n-1) * (1 + 3r) of them."""
+    probability. Atom keys are canonical graph codes. `budget` bounds the
+    outcomes enumerated: (r+1)^(n-1) * (1 + 3r) pairs of an assignment and
+    a root slot with the uniform slot, (r+1)^n with a biased one."""
     law = MarkLaw(p, base.rank)
     r = base.rank
-    at_root = 1 + 3 * r if biased_root_slot is None else r + 1  # marks, slots
+    at_root = 1 + 3 * r if biased_root_slot is None else r + 1
     outcomes = (r + 1) ** (len(base.vertices) - 1) * at_root
     if outcomes > budget:
         raise BudgetError(
@@ -304,10 +304,10 @@ def aut_trivial_mass(base: FiniteOracle, p) -> Fraction:
     for every letter. Then v -> sigma(v), extended slot by slot, is an
     (unrooted) isomorphism from the tripled graph of marks m o sigma onto
     that of m, so the two have the same automorphism group. Sigma permutes
-    the fixed points of each s_i and keeps k and every L_i, so the
-    assignments with gcd > 1 are closed under it, and pass 1 counts each
-    image of its assignments once, under that image's own root mark. If
-    m o sigma = m with sigma not the identity, that isomorphism is a
+    the fixed points of each s_i and keeps k and every L_i, so it maps the
+    assignments of each pass onto themselves: pass 1 counts every image of
+    its assignments once, under the image's own root mark, and no orbit of
+    pass 2 meets pass 1. If m o sigma = m with sigma not the identity, that isomorphism is a
     nontrivial automorphism, so the images of an assignment whose graph is
     rigid are all distinct. The root takes the size-biased law, so those
     images can differ in mass: each is tallied on its own."""

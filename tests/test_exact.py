@@ -122,7 +122,8 @@ def _small_bases(draw):
     point)."""
     n, rank = draw(st.sampled_from(range(1, 6))), draw(st.sampled_from((2, 3)))
     if draw(st.booleans()):
-        action = random_transitive_action(n, rank, draw(st.integers(0, 2**32 - 1)))
+        seed = draw(st.integers(0, 2**32 - 1))
+        action = random_transitive_action(n, rank, seed)
         return orbit_schreier(action, draw(st.integers(0, n - 1)))
     shifts = draw(st.permutations(
         [1] + [draw(st.integers(0, n - 1)) for _ in range(rank - 1)]))
