@@ -32,7 +32,11 @@ from irslab import (
 from irslab.actions import emit_action, random_action, random_transitive_action
 from irslab.analysis import conjugate_code
 from irslab.cli import main
-from irslab.encoding import point_class_code, random_subshift_space
+from irslab.encoding import (
+    emit_subshift,
+    point_class_code,
+    random_subshift_space,
+)
 from irslab.montecarlo import (
     CylinderSpec,
     convergence_sweep,
@@ -132,6 +136,15 @@ def _point_classes() -> str:
             for q in range(n):
                 out.append(f"{point_class_code(space, q)}\n")
     return "".join(out)
+
+
+def _subshift_files() -> str:
+    # two spaces of different rank and alphabet, one with fixed points and
+    # a basepoint other than 0
+    return "".join(
+        emit_subshift(random_subshift_space(n, rank, alphabet, seed), basepoint)
+        for n, rank, alphabet, seed, basepoint in ((5, 2, 3, 0, 0),
+                                                   (9, 3, 4, 1, 6)))
 
 
 def _aut_masses() -> str:
@@ -250,6 +263,7 @@ CASES = {
     "canonical_code orbit": _orbit_codes,
     "canonical_code tripled": _tripled_codes,
     "point_class_code": _point_classes,
+    "emit_subshift": _subshift_files,
     "aut_trivial_mass": _aut_masses,
     "aut_trivial_mass random": _random_aut_masses,
     "enumerate_normalizer_law": _normalizer_laws,
@@ -299,6 +313,7 @@ GOLDEN = {
         "024317e2b47832bbe62efbeabbae6d98",
     "deep ball poulsen:poulsen:normalizer:trivial r=3 p=1/2":
         "6f06605e89f6490ef282805e0fbcdb5f",
+    "emit_subshift": "9088f9c2e7b03cc6f39dec01e4cd11aa",
     "enumerate_normalizer_law": "00acbe9bbe9e9b045594ef23d8d846dc",
     "estimate_cylinder poulsen:normalizer:trivial":
         "cf7aedfab6f3c9d0731fa8e29d656ca7",

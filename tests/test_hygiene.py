@@ -1,7 +1,7 @@
 """Source hygiene of the package, checked with the standard-library ast
 module: no module imports a name it never uses, no top-level helper,
-private or public, goes unreferenced, and only the randomness module
-hashes."""
+private or public, and no private method of a top-level class goes
+unreferenced, and only the randomness module hashes."""
 
 import ast
 from pathlib import Path
@@ -50,7 +50,21 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
+def _definitions(tree: ast.Module):
+    """(qualified name, name) of each top-level function and class, and of
+    each method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item.name
+
+
 def test_private_helpers_are_referenced():
+    """A private top-level helper, or a private method of a top-level
+    class, must be read somewhere in the package."""
     trees = {path.name: _tree(path) for path in MODULES}
     referenced = set()
     for tree in trees.values():
@@ -59,12 +73,11 @@ def test_private_helpers_are_referenced():
             if isinstance(node, ast.ImportFrom):
                 referenced |= {alias.name for alias in node.names}
     unused = [
-        f"{name}.{node.name}"
-        for name, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name.startswith("_") and not node.name.startswith("__")
-        and node.name not in referenced
+        f"{path}.{qualified}"
+        for path, tree in trees.items()
+        for qualified, name in _definitions(tree)
+        if name.startswith("_") and not name.startswith("__")
+        and name not in referenced
     ]
     assert not unused, f"private helpers nothing references: {unused}"
 
