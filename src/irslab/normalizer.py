@@ -75,22 +75,18 @@ class MarkLaw:
                   for k in range(n)]
         return [[m * o for o in others] for m in self.masses(at_root=True)]
 
-    def assignments(self, base: FiniteOracle):
-        """Every mark assignment of a finite base, as marks in vertex order,
-        with its probability. The assignment at position i of the sequence
-        has marks[v] as digit n-1-v of i in base r+1."""
-        n = len(base.vertices)
-        root = base.vertices.index(base.root)
-        weights = self.weights(n)
-        for marks in itertools.product(range(self.rank + 1), repeat=n):
-            a = marks[root]
-            yield marks, weights[a][n - marks.count(0) - (a != 0)]
-
 
 def mark(seed: int, vertex_key, law: MarkLaw, at_root: bool) -> int:
     """Deterministic mark of a vertex: a pure function of (seed, vertex)."""
     d = digest128(seed, "mark", vertex_key)
     return bisect_right(law.thresholds(at_root), d)
+
+
+# Where a letter leads inside a tripled coset marked m: s_i goes from slots
+# 0 and 1 to SLOTS[i == m], and s_i^-1 from slots 1 and 2 to INVERSE[i == m].
+# s_i leaves the coset from slot 2 and s_i^-1 from slot 0.
+SLOTS = ((1, 2), (2, 1))
+INVERSE = tuple((row.index(1), row.index(2)) for row in SLOTS)
 
 
 class NormalizerOracle(SchreierOracle):
@@ -99,7 +95,10 @@ class NormalizerOracle(SchreierOracle):
     `markfn` maps a base vertex to its mark; `root_slot` fixes the slot when
     the root coset is marked, or is a function of no arguments that gives
     it and is called only then. The sampling constructors derive both from
-    a seed. The exact enumerators build the same graphs as int arrays.
+    a seed. Moves inside a marked coset read the slot tables SLOTS and
+    INVERSE, which `_tripled` reads too; every other step crosses to a base
+    neighbour, at slot 0 for a positive letter and slot 2 for an inverse one
+    if that neighbour is marked.
     """
 
     def __init__(self, base: SchreierOracle, markfn, root_slot):
@@ -115,41 +114,20 @@ class NormalizerOracle(SchreierOracle):
                 raise DomainError("root slot must be 0, 1 or 2")
             self.root = ("t", base.root, root_slot)
 
-    def _enter(self, base_vertex):
-        """Vertex at which an edge arrives in the new graph."""
-        if self._mark(base_vertex) == 0:
-            return ("b", base_vertex)
-        return ("t", base_vertex, 0)
-
-    def _exit(self, base_vertex):
-        """Vertex from which an edge departs in the new graph."""
-        if self._mark(base_vertex) == 0:
-            return ("b", base_vertex)
-        return ("t", base_vertex, 2)
-
     def neighbor(self, vertex, letter: int):
-        kind = vertex[0]
-        i = abs(letter)
-        if letter > 0:
-            if kind == "b":
-                return self._enter(self.base.neighbor(vertex[1], letter))
+        if vertex[0] == "t":
             _, v, slot = vertex
-            m = self._mark(v)
-            if slot == 0:
-                return ("t", v, 2) if i == m else ("t", v, 1)
-            if slot == 1:
-                return ("t", v, 1) if i == m else ("t", v, 2)
-            return self._enter(self.base.neighbor(v, letter))
-        # inverse letters: unique incoming edge of the positive letter
-        if kind == "b":
-            return self._exit(self.base.neighbor(vertex[1], letter))
-        _, v, slot = vertex
-        m = self._mark(v)
-        if slot == 0:
-            return self._exit(self.base.neighbor(v, letter))
-        if slot == 1:
-            return ("t", v, 1) if i == m else ("t", v, 0)
-        return ("t", v, 0) if i == m else ("t", v, 1)
+            if letter > 0:
+                if slot < 2:
+                    return ("t", v, SLOTS[letter == self._mark(v)][slot])
+            elif slot:
+                return ("t", v, INVERSE[-letter == self._mark(v)][slot - 1])
+        else:
+            v = vertex[1]
+        w = self.base.neighbor(v, letter)
+        if self._mark(w) == 0:
+            return ("b", w)
+        return ("t", w, 0 if letter > 0 else 2)
 
     def token(self, vertex) -> str:
         if vertex[0] == "b":
@@ -214,48 +192,13 @@ def _tripled(base: FiniteOracle):
             for v, m in enumerate(marks):
                 a = enter[v]
                 s[a + 2 if m else a] = enter[targets[v]]
-                if m == i:
-                    s[a], s[a + 1] = a + 2, a + 1
-                elif m:
-                    s[a], s[a + 1] = a + 1, a + 2
+                if m:
+                    t0, t1 = SLOTS[m == i]
+                    s[a], s[a + 1] = a + t0, a + t1
             succ.append(s)
         return succ, enter
 
     return build
-
-
-def enumerate_normalizer_law(base: FiniteOracle, p,
-                             biased_root_slot: int | None = None,
-                             budget: int = 10**6) -> AtomicMeasure:
-    """Exact output law over root-isomorphism classes for a finite base:
-    every mark assignment and root slot enumerated with its rational
-    probability. Atom keys are canonical graph codes. `budget` bounds the
-    outcomes enumerated: (r+1)^(n-1) * (1 + 3r) pairs of an assignment and
-    a root slot with the uniform slot, (r+1)^n with a biased one."""
-    law = MarkLaw(p, base.rank)
-    r = base.rank
-    at_root = 1 + 3 * r if biased_root_slot is None else r + 1
-    outcomes = (r + 1) ** (len(base.vertices) - 1) * at_root
-    if outcomes > budget:
-        raise BudgetError(
-            f"{outcomes} outcomes exceed enumeration budget {budget}"
-        )
-    if biased_root_slot not in (None, 0, 1, 2):
-        raise DomainError("root slot must be 0, 1 or 2")
-    build = _tripled(base)
-    root = base.vertices.index(base.root)
-    measure = AtomicMeasure()
-    for marks, prob in law.assignments(base):
-        succ, enter = build(marks)
-        if not marks[root]:
-            slots = (0,)
-        elif biased_root_slot is not None:
-            slots = (biased_root_slot,)
-        else:
-            slots, prob = (0, 1, 2), prob / 3
-        for slot in slots:
-            measure.add(array_code(succ, enter[root] + slot), prob)
-    return measure
 
 
 def _vertex_terms(perms, root: int) -> list[list[tuple[int, ...]]]:
@@ -280,6 +223,62 @@ def _classes(terms, rank: int, scale: int) -> dict:
         stat = tuple(map(sum, zip(zero, *map(getitem, terms, marks))))
         classes.setdefault(stat, []).append((scale * j, marks))
     return classes
+
+
+def _class_pairs(perms, root: int):
+    """Every mark assignment of a base, once, in classes: yields (statistic,
+    left, right) for each class of the first half of the vertices and each
+    class of the second half, so that the assignments x + y for x in left
+    and y in right share the summed statistic (root mark, marked vertices,
+    L_1, ..., L_r). Each x and y comes with its place: x + y sits at i + j
+    of itertools.product order for (i, x) in left and (j, y) in right."""
+    rank, n = len(perms), len(perms[0])
+    terms = _vertex_terms(perms, root)
+    h = (n + 1) // 2
+    high = _classes(terms[:h], rank, (rank + 1) ** (n - h))
+    low = _classes(terms[h:], rank, 1)
+    for upper, left in high.items():
+        for lower, right in low.items():
+            yield tuple(map(add, upper, lower)), left, right
+
+
+def enumerate_normalizer_law(base: FiniteOracle, p,
+                             biased_root_slot: int | None = None,
+                             budget: int = 10**6) -> AtomicMeasure:
+    """Exact output law over root-isomorphism classes for a finite base:
+    every mark assignment and root slot enumerated with its rational
+    probability. Atom keys are canonical graph codes. `budget` bounds the
+    outcomes enumerated: (r+1)^(n-1) * (1 + 3r) pairs of an assignment and
+    a root slot with the uniform slot, (r+1)^n with a biased one."""
+    if biased_root_slot not in (None, 0, 1, 2):
+        raise DomainError("root slot must be 0, 1 or 2")
+    law = MarkLaw(p, base.rank)
+    r, n = base.rank, len(base.vertices)
+    at_root = 1 + 3 * r if biased_root_slot is None else r + 1
+    outcomes = (r + 1) ** (n - 1) * at_root
+    if outcomes > budget:
+        raise BudgetError(
+            f"{outcomes} outcomes exceed enumeration budget {budget}"
+        )
+    build = _tripled(base)
+    root = base.vertices.index(base.root)
+    weights = law.weights(n)
+    measure = AtomicMeasure()
+    # an assignment's weight and root slots depend on its class alone
+    for (a, marked, *_), left, right in _class_pairs(base.action.perms, root):
+        prob = weights[a][marked - (a != 0)]
+        if not a:
+            slots = (0,)
+        elif biased_root_slot is not None:
+            slots = (biased_root_slot,)
+        else:
+            slots, prob = (0, 1, 2), prob / 3
+        for _, x in left:
+            for _, y in right:
+                succ, enter = build(x + y)
+                for slot in slots:
+                    measure.add(array_code(succ, enter[root] + slot), prob)
+    return measure
 
 
 def aut_trivial_mass(base: FiniteOracle, p) -> Fraction:
@@ -323,19 +322,13 @@ def aut_trivial_mass(base: FiniteOracle, p) -> Fraction:
         for v, u in enumerate(sigma):
             place[u] = size ** (n - 1 - v)
         images.append((place, sigma[root]))
-    terms = _vertex_terms(perms, root)
-    h = (n + 1) // 2
-    high = _classes(terms[:h], base.rank, size ** (n - h))
-    low = _classes(terms[h:], base.rank, 1)
     tally = [[0] * n for _ in range(size)]  # [root mark][other marked]
     rest = []
-    for upper, left in high.items():
-        for lower, right in low.items():
-            a, marked, *loops = map(add, upper, lower)
-            if gcd(n + 2 * marked, *loops) == 1:
-                tally[a][marked - (a != 0)] += len(left) * len(right)
-            else:
-                rest.append((marked, left, right))
+    for (a, marked, *loops), left, right in _class_pairs(perms, root):
+        if gcd(n + 2 * marked, *loops) == 1:
+            tally[a][marked - (a != 0)] += len(left) * len(right)
+        else:
+            rest.append((marked, left, right))
     build = _tripled(base)
     seen = bytearray(size ** n)
     for marked, left, right in rest:
