@@ -26,6 +26,7 @@ from irslab.montecarlo import exact_invariance_rows
 from irslab.normalizer import (
     NormalizerOracle,
     _HashMarks,
+    _tripled,
     aut_trivial_mass,
     mark,
 )
@@ -33,7 +34,7 @@ from irslab.oracles import FiniteOracle
 from irslab.randomness import subseed
 from irslab.words import reduce_word
 
-from helpers import index2_oracle, one_vertex_oracle, outcome
+from helpers import cyclic_oracle, index2_oracle, one_vertex_oracle, outcome
 
 
 def test_mark_law_boundaries():
@@ -74,26 +75,56 @@ def test_root_slot_uniform():
         assert abs(c / 30_000 - 1 / 3) < 0.02
 
 
+# Every letter at every slot of the one coset of the one-vertex base, by
+# mark: s_m runs 0 -> 2 -> 0 with a loop at 1, the other generator runs the
+# 3-cycle 0 -> 1 -> 2 -> 0, and each inverse letter runs the other way.
+# Stepping off slot 2 (slot 0 for an inverse letter) crosses to the base
+# neighbour, which is the same coset.
+ONE_COSET_STEPS = {
+    1: {1: (2, 1, 0), 2: (1, 2, 0), -1: (2, 1, 0), -2: (2, 0, 1)},
+    2: {1: (1, 2, 0), 2: (2, 1, 0), -1: (2, 0, 1), -2: (2, 1, 0)},
+}
+
+
 def test_tripled_one_vertex_structure():
-    # single marked coset, mark m=1: s1 runs 0->2->0 with a loop at 1,
-    # s2 runs the 3-cycle 0->1->2->0
     base = one_vertex_oracle()
-    oracle = NormalizerOracle(base, lambda v: 1, root_slot=0)
     t = lambda s: ("t", "v", s)
-    assert oracle.root == t(0)
-    assert oracle.neighbor(t(0), 1) == t(2)
-    assert oracle.neighbor(t(2), 1) == t(0)
-    assert oracle.neighbor(t(1), 1) == t(1)
-    assert oracle.neighbor(t(0), 2) == t(1)
-    assert oracle.neighbor(t(1), 2) == t(2)
-    assert oracle.neighbor(t(2), 2) == t(0)
-    # inverse letters agree with the unique incoming edges
-    assert oracle.neighbor(t(2), -1) == t(0)
-    assert oracle.neighbor(t(0), -1) == t(2)
-    assert oracle.neighbor(t(1), -2) == t(0)
-    view = ball(oracle, 10)
-    validate_schreier_ball(view)
-    assert len(view.vertices) == 3
+    for m, steps in ONE_COSET_STEPS.items():
+        oracle = NormalizerOracle(base, {"v": m}.__getitem__, root_slot=0)
+        assert oracle.root == t(0)
+        for letter, targets in steps.items():
+            assert [oracle.neighbor(t(s), letter) for s in range(3)] == \
+                [t(x) for x in targets], (m, letter)
+        succ, enter = _tripled(base)([m])
+        assert enter == [0]
+        for i in (1, 2):
+            assert succ[i - 1] == list(steps[i])
+            assert [succ[i - 1].index(s) for s in range(3)] == list(steps[-i])
+        view = ball(oracle, 10)
+        validate_schreier_ball(view)
+        assert len(view.vertices) == 3
+
+
+def test_tripled_crossings_on_the_index2_base():
+    # A unmarked, B marked 2: s1 swaps A and B, s2 fixes both
+    base = index2_oracle()
+    marks = {"A": 0, "B": 2}
+    oracle = NormalizerOracle(base, marks.__getitem__, root_slot=0)
+    assert oracle.root == ("b", "A")
+    # into B at slot 0 by s1 and at slot 2 by s1^-1
+    assert oracle.neighbor(("b", "A"), 1) == ("t", "B", 0)
+    assert oracle.neighbor(("b", "A"), -1) == ("t", "B", 2)
+    # out of B from slot 2 by s1 and from slot 0 by s1^-1
+    assert oracle.neighbor(("t", "B", 2), 1) == ("b", "A")
+    assert oracle.neighbor(("t", "B", 0), -1) == ("b", "A")
+    # s2 fixes B in the base, so stepping off B by s2 comes back into B
+    assert oracle.neighbor(("t", "B", 2), 2) == ("t", "B", 0)
+    assert oracle.neighbor(("t", "B", 0), -2) == ("t", "B", 2)
+    assert oracle.neighbor(("b", "A"), 2) == ("b", "A")
+    # the int-array form: A owns id 0, B owns ids 1, 2 and 3
+    succ, enter = _tripled(base)([0, 2])
+    assert enter == [0, 1]
+    assert succ == [[1, 2, 3, 0], [0, 3, 2, 1]]
 
 
 def test_all_enumerated_outcomes_valid():
@@ -181,6 +212,11 @@ def test_bad_biased_root_slot_raises_whatever_the_root_mark(slot):
             law.sample(seed)
         with pytest.raises(DomainError):
             normalizer_oracle(CayleyOracle(2), Fraction(1, 10), seed, slot)
+    # the slot is checked before the budget: 3^8 outcomes exceed 10
+    for budget in ({"budget": 10}, {}):
+        with pytest.raises(DomainError, match="root slot"):
+            enumerate_normalizer_law(cyclic_oracle(8), Fraction(1, 10),
+                                     biased_root_slot=slot, **budget)
 
 
 def test_determinism_same_seed():
