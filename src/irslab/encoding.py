@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .actions import FiniteAction, parse_action
+from .actions import FiniteAction, emit_action, parse_action
 from .errors import AmbiguityError, DomainError, HorizonError, NotInYError, NotInZError
 from .measures import AtomicMeasure
 from .oracles import SchreierOracle, ball, conjugate, trace
@@ -390,12 +390,6 @@ def parse_subshift(text: str):
 
 
 def emit_subshift(space: SubshiftSpace, basepoint: int = 0) -> str:
-    from .actions import format_cycles
-
-    lines = [f"alphabet {space.alphabet}", f"points {space.action.n}"]
-    for i, p in enumerate(space.action.perms, start=1):
-        lines.append(f"perm s{i}: {format_cycles(p)}")
-    for q, s in enumerate(space.labels):
-        lines.append(f"label {q} {s}")
-    lines.append(f"basepoint {basepoint}")
-    return "\n".join(lines) + "\n"
+    labels = "".join(f"label {q} {s}\n" for q, s in enumerate(space.labels))
+    return (f"alphabet {space.alphabet}\n" + emit_action(space.action)
+            + labels + f"basepoint {basepoint}\n")
