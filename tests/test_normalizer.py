@@ -103,10 +103,8 @@ def test_tripled_one_vertex_structure():
         view = ball(oracle, 10)
         validate_schreier_ball(view)
         assert len(view.vertices) == 3
-
-
-def test_tripled_crossings_on_the_index2_base():
-    # A unmarked, B marked 2: s1 swaps A and B, s2 fixes both
+    # crossings on the index-2 base, A unmarked and B marked 2: s1 swaps A
+    # and B, s2 fixes both
     base = index2_oracle()
     marks = {"A": 0, "B": 2}
     oracle = NormalizerOracle(base, marks.__getitem__, root_slot=0)
