@@ -191,10 +191,11 @@ def _tripled(base: FiniteOracle):
             s = [0] * size
             for v, m in enumerate(marks):
                 a = enter[v]
-                s[a + 2 if m else a] = enter[targets[v]]
                 if m:
                     t0, t1 = SLOTS[m == i]
                     s[a], s[a + 1] = a + t0, a + t1
+                    a += 2  # s_i leaves from slot 2
+                s[a] = enter[targets[v]]
             succ.append(s)
         return succ, enter
 
