@@ -228,11 +228,11 @@ def _classes(terms, rank: int, scale: int) -> dict:
 
 def _class_pairs(perms, root: int):
     """Every mark assignment of a base, once, in classes: yields (statistic,
-    left, right) for each class of the first half of the vertices and each
-    class of the second half, so that the assignments x + y for x in left
-    and y in right share the summed statistic (root mark, marked vertices,
-    L_1, ..., L_r). Each x and y comes with its place: x + y sits at i + j
-    of itertools.product order for (i, x) in left and (j, y) in right."""
+    left, right) for each pair of a class of the first half of the vertices
+    and a class of the second half. The assignments x + y, for (i, x) in
+    left and (j, y) in right, share the statistic (root mark, marked
+    vertices, L_1, ..., L_r), an iterator over its entries, and x + y sits
+    at i + j of itertools.product order."""
     rank, n = len(perms), len(perms[0])
     terms = _vertex_terms(perms, root)
     h = (n + 1) // 2
@@ -240,7 +240,7 @@ def _class_pairs(perms, root: int):
     low = _classes(terms[h:], rank, 1)
     for upper, left in high.items():
         for lower, right in low.items():
-            yield tuple(map(add, upper, lower)), left, right
+            yield map(add, upper, lower), left, right
 
 
 def enumerate_normalizer_law(base: FiniteOracle, p,
