@@ -7,9 +7,13 @@ from irslab import (
     AtomicMeasure,
     CylinderSpec,
     DomainError,
+    FiniteOracle,
     NormalizerLaw,
     PointLaw,
     PoulsenLaw,
+    canonical_code,
+    conjugate,
+    cylinder_fingerprint,
     enumerate_normalizer_law,
     estimate_cylinder,
     exact_invariance_rows,
@@ -89,6 +93,32 @@ def test_exact_invariance_rows_iff_invariant():
     assert all(r.deviation == 0 for r in exact_invariance_rows(good, 2))
     bad = enumerate_normalizer_law(base, Fraction(1, 2), biased_root_slot=1)
     assert any(r.deviation != 0 for r in exact_invariance_rows(bad, 2))
+
+
+def test_exact_invariance_rows_keep_classes_only_a_conjugate_reaches():
+    # s1 = (0 1 2) and s2 = (1 2): s2 fixes point 0 only, so both
+    # s1-conjugates of K = stab(0) fall in a class of base mass 0
+    oracle = FiniteOracle.from_perms([(1, 2, 0), (0, 2, 1)])
+    law = AtomicMeasure({canonical_code(oracle): Fraction(1)})
+    rows = {(r.fingerprint, r.letter): r
+            for r in exact_invariance_rows(law, 1)}
+    fp = cylinder_fingerprint(oracle, 1)
+    for l in (1, -1):
+        moved = cylinder_fingerprint(conjugate(oracle, (l,)), 1)
+        assert moved != fp
+        row = rows[moved, l]
+        assert (row.mass, row.conj_mass, row.deviation) == (0, 1, 1)
+
+
+def test_invariance_report_keeps_a_class_at_min_mass():
+    rows = invariance_report(trivial_law(2), 1, 3, seed=0, min_mass=Fraction(1))
+    assert len(rows) == 4 and all(r.mass == 1 for r in rows)
+    law = NormalizerLaw(trivial_law(2), Fraction(1, 2))
+    every = invariance_report(law, 1, 200, seed=11, min_mass=Fraction(0))
+    least = min(r.mass for r in every)
+    rows = invariance_report(law, 1, 200, seed=11, min_mass=least)
+    assert any(r.mass == least for r in rows)
+    assert rows == [r for r in every if r.mass >= least]
 
 
 def test_statistical_invariance_normalizer():
