@@ -21,6 +21,7 @@ from .oracles import (
     STAR,
     SchreierOracle,
     ball,
+    bfs,
     contains,
 )
 from .words import (
@@ -188,24 +189,15 @@ def z_set_member(oracle: SchreierOracle, g: Word, check_radius: int) -> str:
 
 
 def bfs_numbering(root, step, letters, labels) -> tuple[list, tuple]:
-    """Number the vertices reachable from `root` in BFS order, expanding
-    each along `letters` in turn; `step(v, letter)` gives the neighbor, or
-    None where there is none. Returns (order, rows): the vertices in that
-    order, and for each one a tuple with the number of its neighbor along
-    each of `labels` (a subset of `letters`), None where there is none.
-    The numbering and the rows are built in one pass."""
-    at = [letters.index(l) for l in labels]
-    number = {root: 0}
-    order = [root]
-    rows = []
-    for v in order:
-        near = [step(v, l) for l in letters]
-        for w in near:
-            if w is not None and w not in number:
-                number[w] = len(order)
-                order.append(w)
-        rows.append(tuple([number.get(near[k]) for k in at]))
-    return order, tuple(rows)
+    """Number the vertices reachable from `root` in the discovery order of
+    `bfs` along `letters`; `step(v, letter)` gives the neighbor, or None
+    where there is none. Returns (order, rows): the vertices in that order,
+    and for each one a tuple with the number of its neighbor along each of
+    `labels` (a subset of `letters`), None where there is none."""
+    order = list(bfs(root, step, letters))
+    number = {v: k for k, v in enumerate(order)}
+    rows = tuple(tuple([number.get(step(v, l)) for l in labels]) for v in order)
+    return order, rows
 
 
 def canonical_code(oracle: SchreierOracle) -> tuple:
