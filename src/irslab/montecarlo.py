@@ -114,36 +114,9 @@ def invariance_report(law, radius: int, n: int, seed: int,
         raise DomainError("need at least one sample")
     if not 0 <= min_mass <= 1:
         raise DomainError("min_mass must lie in [0, 1]")
-    letters = letters_ordered(law.rank)
-    base: dict = {}
-    conj: dict = {l: {} for l in letters}
-    for k in range(n):
-        oracle = law.sample(sample_seed(seed, k))
-        fp, moved = conjugate_fingerprints(oracle.root, oracle.neighbor,
-                                           oracle.rank, radius)
-        base[fp] = base.get(fp, 0) + 1
-        for l, fp_l in moved.items():
-            conj[l][fp_l] = conj[l].get(fp_l, 0) + 1
-    rows = []
-    for fp in sorted(base, key=lambda f: (len(f), tuple(map(shortlex_key, f)))):
-        mass = Fraction(base[fp], n)
-        if mass < min_mass:
-            continue
-        for l in letters:
-            cmass = Fraction(conj[l].get(fp, 0), n)
-            dev = abs(mass - cmass)
-            pooled = math.sqrt(
-                (float(mass) * (1 - float(mass))
-                 + float(cmass) * (1 - float(cmass))) / n
-            )
-            if dev == 0:
-                z = 0.0
-            elif pooled == 0:
-                z = math.inf
-            else:
-                z = float(dev) / pooled
-            rows.append(InvarianceRow(fp, l, mass, cmass, dev, z))
-    return rows
+    samples = (law.sample(sample_seed(seed, k)) for k in range(n))
+    walks = ((oracle.root, oracle.neighbor, 1) for oracle in samples)
+    return _invariance_rows(walks, law.rank, radius, n, min_mass)
 
 
 def exact_invariance_rows(measure: AtomicMeasure, radius: int) -> list[InvarianceRow]:
@@ -152,24 +125,48 @@ def exact_invariance_rows(measure: AtomicMeasure, radius: int) -> list[Invarianc
     invariant law. Masses are summed as integer numerators over the least
     common multiple of the atom denominators."""
     rank = next(iter(measure.data))[0] if measure.data else 0
-    letters = letters_ordered(rank)
     scale = math.lcm(*(m.denominator for m in measure.data.values()))
+    walks = ((0, code_action(code).step, m.numerator * (scale // m.denominator))
+             for code, m in measure.data.items())
+    return _invariance_rows(walks, rank, radius, scale)
+
+
+def _invariance_rows(walks, rank: int, radius: int, total: int,
+                     min_mass: Fraction | None = None) -> list[InvarianceRow]:
+    """The table of `walks`, (root, step, count) triples whose counts sum
+    to `total`. With `min_mass`: base classes of mass >= min_mass and the
+    pooled z of `total` samples; without: every class of either side, z
+    None."""
+    letters = letters_ordered(rank)
     base: dict = {}
     conj: dict = {l: {} for l in letters}
-    for code, mass in measure.data.items():
-        fp, moved = conjugate_fingerprints(0, code_action(code).step, rank,
-                                           radius)
-        count = mass.numerator * (scale // mass.denominator)
+    for root, step, count in walks:
+        fp, moved = conjugate_fingerprints(root, step, rank, radius)
         base[fp] = base.get(fp, 0) + count
         for l, fp_l in moved.items():
             conj[l][fp_l] = conj[l].get(fp_l, 0) + count
-    all_fps = set(base).union(*conj.values())
+    classes = base if min_mass is not None else set(base).union(*conj.values())
     rows = []
-    for fp in sorted(all_fps, key=lambda f: (len(f), tuple(map(shortlex_key, f)))):
-        mass = Fraction(base.get(fp, 0), scale)
+    for fp in sorted(classes, key=lambda f: (len(f), tuple(map(shortlex_key, f)))):
+        mass = Fraction(base.get(fp, 0), total)
+        if min_mass is not None and mass < min_mass:
+            continue
         for l in letters:
-            cmass = Fraction(conj[l].get(fp, 0), scale)
-            rows.append(InvarianceRow(fp, l, mass, cmass, abs(mass - cmass), None))
+            cmass = Fraction(conj[l].get(fp, 0), total)
+            dev = abs(mass - cmass)
+            z = None
+            if min_mass is not None:
+                pooled = math.sqrt(
+                    (float(mass) * (1 - float(mass))
+                     + float(cmass) * (1 - float(cmass))) / total
+                )
+                if dev == 0:
+                    z = 0.0
+                elif pooled == 0:
+                    z = math.inf
+                else:
+                    z = float(dev) / pooled
+            rows.append(InvarianceRow(fp, l, mass, cmass, dev, z))
     return rows
 
 
