@@ -140,12 +140,8 @@ def star_ball(graph: PercolationGraph, radius: int,
 
 
 def star_records(view: BallView) -> tuple:
-    """Star edges of a view as sorted (v, w) pairs with v < w."""
-    pairs = set()
-    for src, label, dst in view.edges:
-        if label == STAR:
-            pairs.add((min(src, dst), max(src, dst)))
-    return tuple(sorted(pairs))
+    """Star edges of a view as sorted (v, w) pairs with v <= w."""
+    return tuple(sorted((v, w) for v, w in view.star.items() if v <= w))
 
 
 def _swap_s1(view: BallView, pairs, keep_stars: bool) -> BallView:
