@@ -64,9 +64,6 @@ class SubshiftSpace:
         self._codes: dict = {}
         self._pc: dict = {}
 
-    def points(self) -> list["SubshiftPoint"]:
-        return [SubshiftPoint(self, q) for q in range(self.action.n)]
-
     def point(self, q: int) -> "SubshiftPoint":
         return SubshiftPoint(self, q)
 
