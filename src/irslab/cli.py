@@ -70,6 +70,14 @@ def parse_rational(text: str) -> Fraction:
         raise DomainError(f"cannot parse rational {text!r}") from None
 
 
+def parse_seed(text: str) -> int:
+    """A seed: an integer in [0, 2^64), the range the keyed streams take."""
+    seed = int(text)
+    if not 0 <= seed < 2**64:
+        raise argparse.ArgumentTypeError(f"seed {seed} is outside [0, 2^64)")
+    return seed
+
+
 def parse_base_spec(spec: str, rank: int, p: Fraction | None):
     """Base/sampler specifications compose right to left:
     trivial | file:<path.sgr> | normalizer:<spec> | biased-normalizer:<spec>
@@ -78,9 +86,7 @@ def parse_base_spec(spec: str, rank: int, p: Fraction | None):
         return trivial_law(rank)
     if spec.startswith("file:"):
         path = spec[5:]
-        with open(path, "r", encoding="utf-8") as fh:
-            oracle = parse_complete_oracle(fh.read())
-        return PointLaw(oracle, f"file:{path}")
+        return PointLaw(parse_complete_oracle(_read(path)), f"file:{path}")
     for head, maker in (
         ("normalizer:", lambda inner: NormalizerLaw(inner, _need_p(p))),
         ("biased-normalizer:",
@@ -98,6 +104,11 @@ def _need_p(p: Fraction | None) -> Fraction:
     return p
 
 
+def _read(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _write(args, text: str) -> None:
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -108,8 +119,10 @@ def _write(args, text: str) -> None:
 
 def _header(args, **extra) -> str:
     bits = [f"# irslab {args.command}"]
-    for key in ("base", "other", "sampler", "p", "seed", "radius",
-                "max_radius", "samples", "subshift", "graph", "action"):
+    for key in ("base", "other", "sampler", "construction", "p", "p_list",
+                "seed", "other_seed", "radius", "max_radius", "max_word_len",
+                "samples", "fingerprint", "min_mass", "subshift", "graph",
+                "action"):
         val = getattr(args, key, None)
         if val is not None:
             bits.append(f"{key.replace('_', '-')}={val}")
@@ -119,8 +132,7 @@ def _header(args, **extra) -> str:
 
 
 def _load_graph_oracle(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        view = parse_sgr(fh.read())
+    view = parse_sgr(_read(path))
     if not view.boundary and view.is_complete() and not view.has_stars():
         return view.to_oracle()
     return BallBackedOracle(view)
@@ -164,8 +176,7 @@ def cmd_fingerprint(args) -> int:
 
 
 def cmd_aut(args) -> int:
-    with open(args.graph, "r", encoding="utf-8") as fh:
-        oracle = parse_complete_oracle(fh.read())
+    oracle = parse_complete_oracle(_read(args.graph))
     _write(args, f"{aut_count(oracle)}\n")
     return EXIT_OK
 
@@ -203,8 +214,7 @@ def cmd_enumerate_normalizer(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    with open(args.subshift, "r", encoding="utf-8") as fh:
-        space, basepoint = parse_subshift(fh.read())
+    space, basepoint = parse_subshift(_read(args.subshift))
     if args.basepoint is not None:
         basepoint = args.basepoint
     oracle = psi_oracle(space.point(basepoint))
@@ -224,8 +234,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_check_equivariance(args) -> int:
-    with open(args.subshift, "r", encoding="utf-8") as fh:
-        space, _ = parse_subshift(fh.read())
+    space, _ = parse_subshift(_read(args.subshift))
     if args.trials < 1:
         raise DomainError("--trials must be >= 1")
     if args.max_word_len < 1:
@@ -251,8 +260,7 @@ def cmd_check_equivariance(args) -> int:
 
 def cmd_upsilon(args) -> int:
     oracle = _load_graph_oracle(args.graph)
-    with open(args.subshift, "r", encoding="utf-8") as fh:
-        space, _ = parse_subshift(fh.read())
+    space, _ = parse_subshift(_read(args.subshift))
     retracted, f = upsilon(oracle, space, args.radius)
     out = _header(args) + f"translate {word_to_str(f)}\n"
     out += emit_sgr(ball(retracted, args.radius, args.budget))
@@ -261,8 +269,7 @@ def cmd_upsilon(args) -> int:
 
 
 def cmd_lambda(args) -> int:
-    with open(args.subshift, "r", encoding="utf-8") as fh:
-        space, _ = parse_subshift(fh.read())
+    space, _ = parse_subshift(_read(args.subshift))
     lam, reps = lambda_pushforward(space)
     out = _header(args)
     out += f"translates {len(translate_set(space.alphabet, space.rank))}\n"
@@ -280,8 +287,7 @@ def cmd_lambda(args) -> int:
 
 
 def cmd_stab_law(args) -> int:
-    with open(args.action, "r", encoding="utf-8") as fh:
-        action = parse_action(fh.read())
+    action = parse_action(_read(args.action))
     law = stab_pushforward_law(action)
     out = _header(args) + f"atoms {len(law)} total {law.total()}\n"
     for i, (code, mass) in enumerate(law.items_sorted()):
@@ -292,16 +298,14 @@ def cmd_stab_law(args) -> int:
 
 
 def cmd_tnf_check(args) -> int:
-    with open(args.action, "r", encoding="utf-8") as fh:
-        action = parse_action(fh.read())
+    action = parse_action(_read(args.action))
     flag = is_totally_nonfree(action)
     _write(args, _header(args) + f"totally-nonfree: {str(flag).lower()}\n")
     return EXIT_OK
 
 
 def cmd_first_return(args) -> int:
-    with open(args.action, "r", encoding="utf-8") as fh:
-        action = parse_action(fh.read())
+    action = parse_action(_read(args.action))
     if not 1 <= args.gen <= action.rank:
         raise DomainError(f"generator index {args.gen} out of range")
     points = args.subset.split(",")
@@ -353,8 +357,8 @@ def cmd_sweep(args) -> int:
 def _add_common(sp, *, seed=True, rank=True, p=False, budget=False, out=True,
                 fmt=False):
     if seed:
-        sp.add_argument("--seed", type=int, default=0,
-                        help="64-bit seed (default 0, never entropy)")
+        sp.add_argument("--seed", type=parse_seed, default=0,
+                        help="seed in [0, 2^64) (default 0, never entropy)")
     if rank:
         sp.add_argument("--rank", type=int, default=2,
                         help="free group rank for synthetic bases (default 2)")
@@ -389,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--base", required=True)
     sp.add_argument("--other", required=True)
     sp.add_argument("--max-radius", type=int, required=True)
-    sp.add_argument("--other-seed", type=int, default=0)
+    sp.add_argument("--other-seed", type=parse_seed, default=0,
+                    help="seed of --other, in [0, 2^64) (default 0)")
     _add_common(sp, p=True, budget=True)
     sp.set_defaults(fn=cmd_metric)
 

@@ -448,3 +448,59 @@ def test_fingerprint_letters_checked_against_rank(capsys, fingerprint):
                          "--samples", "1")
     assert code == 1
     assert out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv, seed, expected", [
+    (("ball", "--base", "normalizer:trivial", "--p", "1/2", "--radius", "1"),
+     "--seed=-1", 1),
+    (("ball", "--base", "normalizer:trivial", "--p", "1/2", "--radius", "1"),
+     f"--seed={2**64}", 1),
+    (("ball", "--base", "normalizer:trivial", "--p", "1/2", "--radius", "1"),
+     f"--seed={2**64 - 1}", 0),
+    (("ball", "--base", "trivial", "--radius", "1"), "--seed=-1", 1),
+    (("estimate", "--sampler", "poulsen:trivial", "--p", "1/2", "--radius",
+      "1", "--samples", "3"), "--seed=-5", 1),
+    (("metric", "--base", "trivial", "--other", "normalizer:trivial", "--p",
+      "1/2", "--max-radius", "1"), "--other-seed=-1", 1),
+    (("metric", "--base", "trivial", "--other", "normalizer:trivial", "--p",
+      "1/2", "--max-radius", "1"), f"--other-seed={2**64}", 1),
+    (("metric", "--base", "trivial", "--other", "normalizer:trivial", "--p",
+      "1/2", "--max-radius", "1"), f"--other-seed={2**64 - 1}", 0),
+], ids=["ball-negative", "ball-2^64", "ball-2^64-1", "point-law-negative",
+        "estimate-negative", "other-negative", "other-2^64", "other-2^64-1"])
+def test_seeds_outside_64_bits_exit_1(capsys, argv, seed, expected):
+    code, out, err = run(capsys, *argv, seed)
+    assert code == expected
+    assert "Traceback" not in err
+    if expected:
+        assert out == "" and "[0, 2^64)" in err
+
+
+@pytest.mark.parametrize("argv, option, a, b", [
+    (("metric", "--base", "trivial", "--other", "normalizer:trivial", "--p",
+      "1/2", "--max-radius", "1"), "--other-seed", "1", "2"),
+    (("estimate", "--sampler", "trivial", "--radius", "1", "--samples", "1"),
+     "--fingerprint", "e", "e,s2,s2^-1"),
+    (("sweep", "--base", "trivial", "--p-list", "1/2", "--radius", "1",
+      "--samples", "1"), "--fingerprint", "e", "e,s2,s2^-1"),
+    (("sweep", "--base", "trivial", "--p-list", "1/2", "--radius", "1",
+      "--samples", "1"), "--construction", "poulsen", "normalizer"),
+    (("sweep", "--base", "trivial", "--radius", "1", "--samples", "1"),
+     "--p-list", "1/2", "1/3"),
+    (("check-equivariance", "--subshift", "{subshift}", "--trials", "1"),
+     "--max-word-len", "1", "2"),
+    (("invariance", "--sampler", "trivial", "--radius", "1", "--samples", "1"),
+     "--min-mass", "1/100", "1/2"),
+], ids=["metric-other-seed", "estimate-fingerprint", "sweep-fingerprint",
+        "sweep-construction", "sweep-p-list", "equivariance-max-word-len",
+        "invariance-min-mass"])
+def test_header_echoes_each_option_that_changes_the_output(
+        capsys, subshift_file, argv, option, a, b):
+    argv = [x.format(subshift=subshift_file) for x in argv]
+    heads = []
+    for value in (a, b):
+        code, out, _ = run(capsys, *argv, option, value)
+        assert code == 0
+        heads.append([l for l in out.splitlines() if l.startswith("#")])
+    assert heads[0] and heads[0] != heads[1]
+    assert f"{option[2:]}={a}" in heads[0][0]
