@@ -317,9 +317,7 @@ def _retraction_key(space, psi: PsiOracle, q: int, u) -> tuple:
     first translate whose root is a Cayley vertex (decidable here because
     the graph is an encoded configuration)."""
     for f in translate_set(space.alphabet, space.rank):
-        v = u
-        for l in inverse_word(f):
-            v = psi.neighbor(v, l)
+        v = trace(psi.rebased(u), inverse_word(f))
         if v[0] == "c":
             return encoded_root_key(space, q, v)
     raise AssertionError("every encoded-graph vertex retracts within L")
