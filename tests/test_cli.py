@@ -1,6 +1,6 @@
 import pytest
 
-from irslab import ball, emit_sgr, psi_oracle
+from irslab import ball, emit_sgr, parse_sgr, psi_oracle
 from irslab.cli import main
 from irslab.encoding import SubshiftSpace
 from irslab.actions import FiniteAction
@@ -53,6 +53,16 @@ def test_ball_trivial(capsys):
     assert body[1] == "root e"
     tokens = {l.split()[1] for l in body if l.startswith("boundary")}
     assert tokens == {"s1", "s1^-1", "s2", "s2^-1"}
+
+
+def test_ball_over_a_rank_1_normalizer(capsys):
+    code, out, _ = run(capsys, "ball", "--base", "normalizer:trivial",
+                       "--rank", "1", "--p", "1/2", "--seed", "3",
+                       "--radius", "2")
+    assert code == 0
+    view = parse_sgr(out)
+    assert view.rank == 1 and view.radius == 2
+    assert {label for _, label, _ in view.edges} == {1}
 
 
 def test_ball_header_echoes_config(capsys):

@@ -46,6 +46,12 @@ def test_mark_law_boundaries():
         MarkLaw(Fraction(3, 2), 2)
 
 
+def test_mark_law_accepts_rank_1():
+    law = MarkLaw(Fraction(1, 2), 1)
+    assert law.masses(at_root=False) == [Fraction(1, 2), Fraction(1, 2)]
+    assert law.masses(at_root=True) == [Fraction(1, 4), Fraction(3, 4)]
+
+
 def test_mark_law_q_formula():
     assert MarkLaw(Fraction(1, 2), 2).q == Fraction(3, 4)
     assert MarkLaw(Fraction(3, 10), 2).q == Fraction(9, 16)
