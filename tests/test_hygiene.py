@@ -1,9 +1,11 @@
 """Source hygiene of the package, checked with the standard-library ast
 module: no module imports a name it never uses, no top-level helper,
 private or public, and no private method of a top-level class goes
-unreferenced, and only the randomness module hashes."""
+unreferenced, only the randomness module hashes, and every name that
+bench/tracing.py patches exists where the tracer looks for it."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -123,3 +125,28 @@ def test_only_randomness_imports_hashing():
                    for name in names):
                 hashers.append(f"{path.name} (line {node.lineno})")
     assert [h.split()[0] for h in hashers] == ["randomness.py"], hashers
+
+
+def _bench_table(name: str) -> tuple:
+    """A literal table of bench/tracing.py, read without importing it."""
+    tree = _tree(ROOT / "bench" / "tracing.py")
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"bench/tracing.py has no {name} table")
+
+
+@pytest.mark.parametrize("module, function, counter", _bench_table("FUNCTIONS"))
+def test_traced_functions_exist(module, function, counter):
+    """The tracer patches each of these by name; a missing one breaks a
+    traced run."""
+    assert callable(getattr(importlib.import_module(f"irslab.{module}"),
+                            function, None)), f"irslab.{module}.{function}"
+
+
+@pytest.mark.parametrize("module, cls, method, counter", _bench_table("METHODS"))
+def test_traced_methods_sit_in_their_class_body(module, cls, method, counter):
+    """The tracer reads `vars(cls)[method]`, so an inherited method is not
+    enough."""
+    owner = getattr(importlib.import_module(f"irslab.{module}"), cls)
+    assert method in vars(owner), f"irslab.{module}.{cls}.{method}"
