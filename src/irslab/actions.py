@@ -14,7 +14,7 @@ from .errors import DomainError
 from .measures import AtomicMeasure
 from .oracles import FiniteAction, FiniteOracle, bfs
 from .randomness import KeyedRng
-from .words import letters_ordered, words_upto
+from .words import letters_ordered
 
 
 def orbit_schreier(action: FiniteAction, point: int) -> FiniteOracle:
@@ -79,26 +79,6 @@ def stab_pushforward_law(action: FiniteAction) -> AtomicMeasure:
     for x in range(action.n):
         law.add(array_code(action.perms, x), Fraction(1, action.n))
     return law
-
-
-def fixed_word_search(action: FiniteAction, max_len: int = 8):
-    """Brute-force search for a nonidentity word with a nonempty first-visit
-    fixed set: points x with x.w = x such that no proper suffix of w already
-    fixes x. Returns (word, frozenset of points) or None. Not complete: only
-    words up to max_len are tried."""
-    for w in words_upto(action.rank, max_len):
-        if not w:
-            continue
-        pts = []
-        for x in range(action.n):
-            if action.act(x, w) != x:
-                continue
-            if any(action.act(x, w[j:]) == x for j in range(1, len(w))):
-                continue
-            pts.append(x)
-        if pts:
-            return w, frozenset(pts)
-    return None
 
 
 def random_action(n: int, rank: int, seed: int) -> FiniteAction:

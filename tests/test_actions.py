@@ -19,7 +19,6 @@ from irslab import (
 )
 from irslab.actions import (
     emit_action,
-    fixed_word_search,
     format_cycles,
     parse_action,
     parse_cycles,
@@ -209,24 +208,6 @@ def test_orbit_stabilizer_bookkeeping():
         g = orbit_schreier(a, 0)
         distinct = len({canonical_code(orbit_schreier(a, x)) for x in range(6)})
         assert aut_count(g) * distinct == 6
-
-
-def test_fixed_word_search():
-    a = index2_action()
-    hit = fixed_word_search(a, max_len=4)
-    assert hit is not None
-    w, pts = hit
-    assert w
-    for x in pts:
-        assert a.act(x, w) == x
-        for j in range(1, len(w)):
-            assert a.act(x, w[j:]) != x
-    # a fixed-point-free single permutation action has no short fixed word
-    free = FiniteAction(5, ((1, 2, 3, 4, 0), (2, 3, 4, 0, 1)))
-    found = fixed_word_search(free, max_len=2)
-    if found is not None:
-        w, pts = found
-        assert all(free.act(x, w) == x for x in pts)
 
 
 def test_cycles_parse_format():
