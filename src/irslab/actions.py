@@ -20,7 +20,7 @@ from .words import letters_ordered
 def orbit_schreier(action: FiniteAction, point: int) -> FiniteOracle:
     """Schreier graph of the stabilizer of `point`: the action on the orbit
     of `point`, rooted there, with each orbit point v named `str(v)`."""
-    orbit = sorted(bfs(point, action.step, letters_ordered(action.rank)))
+    orbit = sorted(bfs(point, action.step, letters_ordered(action.rank))[0])
     pos = {v: k for k, v in enumerate(orbit)}
     perms = [[pos[p[v]] for v in orbit] for p in action.perms]
     return FiniteOracle.from_perms(perms, pos[point], map(str, orbit))
@@ -90,7 +90,7 @@ def random_transitive_action(n: int, rank: int, seed: int) -> FiniteAction:
     """First transitive action in a seeded stream of random actions."""
     for k in range(10_000):
         a = random_action(n, rank, seed + k * 0x9E3779B9)
-        if len(bfs(0, a.step, letters_ordered(rank))) == n:
+        if len(bfs(0, a.step, letters_ordered(rank))[0]) == n:
             return a
     raise DomainError("could not find a transitive action")
 

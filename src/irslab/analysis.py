@@ -18,7 +18,6 @@ from .oracles import (
     DEFAULT_BUDGET,
     FiniteAction,
     FiniteOracle,
-    STAR,
     SchreierOracle,
     ball,
     bfs,
@@ -188,16 +187,15 @@ def z_set_member(oracle: SchreierOracle, g: Word, check_radius: int) -> str:
     return Z_CONSISTENT
 
 
-def bfs_numbering(root, step, letters, labels) -> tuple[list, tuple]:
+def bfs_numbering(root, step, letters) -> tuple[list, tuple]:
     """Number the vertices reachable from `root` in the discovery order of
     `bfs` along `letters`; `step(v, letter)` gives the neighbor, or None
     where there is none. Returns (order, rows): the vertices in that order,
     and for each one a tuple with the number of its neighbor along each of
-    `labels` (a subset of `letters`), None where there is none."""
-    order = list(bfs(root, step, letters))
-    number = {v: k for k, v in enumerate(order)}
-    rows = tuple(tuple([number.get(step(v, l)) for l in labels]) for v in order)
-    return order, rows
+    `letters[::2]`, None where there is none: s1..sr of `letters_ordered`,
+    then STAR when it ends `letters`."""
+    number, _, rows = bfs(root, step, letters)
+    return list(number), tuple([tuple(row[::2]) for row in rows])
 
 
 def canonical_code(oracle: SchreierOracle) -> tuple:
@@ -206,7 +204,7 @@ def canonical_code(oracle: SchreierOracle) -> tuple:
     The oracle must be finite (the BFS must terminate)."""
     rank = oracle.rank
     order, rows = bfs_numbering(oracle.root, oracle.neighbor,
-                                letters_ordered(rank), range(1, rank + 1))
+                                letters_ordered(rank))
     return (rank, len(order), rows)
 
 
@@ -216,10 +214,7 @@ def ball_code(view: BallView) -> tuple:
     absent), then the star partner when the view has star edges. Equals
     `canonical_code(view.to_oracle())` on a complete view without stars.
     Raises DomainError unless every vertex is reachable from the root."""
-    labels = list(range(1, view.rank + 1))
-    if view.has_stars():
-        labels.append(STAR)
-    order, rows = bfs_numbering(view.root, view.step, view.letters, labels)
+    order, rows = bfs_numbering(view.root, view.step, view.letters)
     if len(order) != len(view.vertices):
         raise DomainError("view is not connected from its root")
     return (view.rank, len(order), rows)

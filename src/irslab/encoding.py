@@ -232,8 +232,7 @@ def point_class_code(space: SubshiftSpace, q: int) -> tuple:
     if got is not None:
         return got
     rank = space.rank
-    order, rows = bfs_numbering(q, space.action.step, letters_ordered(rank),
-                                range(1, rank + 1))
+    order, rows = bfs_numbering(q, space.action.step, letters_ordered(rank))
     labels = tuple(space.labels[v] for v in order)
     code = ("pc", rank, space.alphabet, len(order), labels, rows)
     space._pc[q] = code

@@ -136,7 +136,7 @@ class FiniteOracle(SchreierOracle):
         if not 0 <= root < action.n:
             raise DomainError(f"root {root} is not a point")
         self.root = self.vertices[root]
-        if len(bfs(root, action.step, letters_ordered(self.rank))) != action.n:
+        if len(bfs(root, action.step, letters_ordered(self.rank))[0]) != action.n:
             raise DomainError("graph is not connected from the root")
 
     def neighbor(self, vertex, letter: int):
@@ -151,31 +151,53 @@ class FiniteOracle(SchreierOracle):
         return cls(FiniteAction(len(perms[0]), perms), root, names)
 
 
-def bfs(root, step, letters, radius=None, budget=None) -> dict:
-    """Breadth-first distances from `root`, in discovery order.
+def bfs(root, step, letters, radius=None, budget=None) -> tuple:
+    """Breadth-first search from `root` that numbers vertices as it finds
+    them. Returns (number, depth, rows): `number` maps each vertex to its
+    number, in discovery order; `depth[k]` is the distance of vertex k;
+    `rows[k][j]` is the number of its neighbor along `letters[j]`, or None.
 
     Each vertex is expanded along `letters` in turn; `step(v, letter)` gives
-    the neighbor, or None where there is none. Vertices at distance
-    `radius` are not expanded. Raises BudgetError as soon as more than
-    `budget` vertices are discovered.
+    the neighbor, or None where there is none. `step` must be a pairing:
+    step(v, l) == w implies step(w, -l) == v, and STAR pairs with itself.
+    So a step from v to w along l fills both v's l entry and w's -l entry,
+    and no entry already held is stepped again. Vertices at distance
+    `radius` are not expanded: their entries hold only the steps that
+    reached them. Raises BudgetError as soon as more than `budget` vertices
+    are discovered.
     """
-    dist = {root: 0}
-    queue = [root]
-    for v in queue:
-        d = dist[v]
+    moves = [(j, l, letters.index(l if l == STAR else -l))
+             for j, l in enumerate(letters)]
+    width = len(letters)
+    number = {root: 0}
+    order = [root]
+    depth = [0]
+    rows = [[None] * width]
+    for k, v in enumerate(order):
+        d = depth[k]
         if d == radius:
             break
         d += 1
-        for l in letters:
+        row = rows[k]
+        for j, l, back in moves:
+            if row[j] is not None:
+                continue
             w = step(v, l)
-            if w is not None and w not in dist:
-                dist[w] = d
-                queue.append(w)
-                if budget is not None and len(queue) > budget:
+            if w is None:
+                continue
+            m = number.get(w)
+            if m is None:
+                m = number[w] = len(order)
+                order.append(w)
+                depth.append(d)
+                rows.append([None] * width)
+                if budget is not None and m >= budget:
                     raise BudgetError(
                         f"ball exploration exceeded budget {budget}"
                     )
-    return dist
+            row[j] = m
+            rows[m][back] = k
+    return number, depth, rows
 
 
 def trace(oracle: SchreierOracle, w: Word):
@@ -210,7 +232,6 @@ class BallView:
         self.root = root
         self.vertices = tuple(vertices)
         self.boundary = frozenset(boundary)
-        self.letters = letters_ordered(rank) + [STAR]
         self.out = {}
         self.inc = {}
         self.star = {}
@@ -239,6 +260,8 @@ class BallView:
                 self.inc[key] = src
             kept.append(edge)
         self.edges = tuple(kept)
+        # the letters a step can follow: STAR only where there are stars
+        self.letters = letters_ordered(rank) + [STAR] * bool(self.star)
 
     def step(self, vertex, letter):
         """Neighbor along a letter or along the star edge (letter STAR);
@@ -323,9 +346,11 @@ def grow_view(root, step, succ, rank: int, radius: int, token, star=None,
     `bfs` runs along `step` over the 2r letters, plus STAR when `star` (the
     star partner of a vertex, or None) is given. Vertices are named by
     `token`; raises InvalidGraphError unless the names are distinct. Each
-    s_i-edge `succ(v, i)` inside the ball is recorded in BFS order, then
-    each star edge once with the smaller token first. The boundary is the
-    layer at distance `radius`.
+    s_i-edge inside the ball is recorded in BFS order, then each star edge
+    once with the smaller token first. The edges come from the rows of
+    `bfs`; `succ(v, i)` (`step` without its checks) and `star` are asked
+    only for the entries a boundary vertex lacks. The boundary is the layer
+    at distance `radius`.
     """
     if radius < 0:
         raise DomainError("radius must be >= 0")
@@ -338,23 +363,29 @@ def grow_view(root, step, succ, rank: int, radius: int, token, star=None,
         def walk(v, l):
             return star(v) if l == STAR else step(v, l)
 
-    dist = bfs(root, walk, letters, radius, budget)
-    tok = {v: token(v) for v in dist}
-    if len(set(tok.values())) != len(tok):
+    number, depth, rows = bfs(root, walk, letters, radius, budget)
+    tok = [token(v) for v in number]
+    if len(set(tok)) != len(tok):
         raise InvalidGraphError("oracle tokens are not injective")
     edges = []
-    for v in dist:
+    stars = []
+    for k, v in enumerate(number):
+        row = rows[k]
+        outer = depth[k] == radius  # not expanded: its row may lack entries
         for i in range(1, rank + 1):
-            w = succ(v, i)
-            if w in dist:
-                edges.append((tok[v], i, tok[w]))
-    if star is not None:
-        for v in dist:
-            w = star(v)
-            if w in dist and tok[v] < tok[w]:
-                edges.append((tok[v], STAR, tok[w]))
-    boundary = [tok[v] for v, d in dist.items() if d == radius]
-    return BallView(rank, radius, tok[root], tok.values(), edges, boundary)
+            m = row[2 * i - 2]
+            if m is None and outer:
+                m = number.get(succ(v, i))
+            if m is not None:
+                edges.append((tok[k], i, tok[m]))
+        if star is not None:
+            m = row[-1]
+            if m is None and outer:
+                m = number.get(star(v))
+            if m is not None and tok[k] < tok[m]:
+                stars.append((tok[k], STAR, tok[m]))
+    boundary = [t for t, d in zip(tok, depth) if d == radius]
+    return BallView(rank, radius, tok[0], tok, edges + stars, boundary)
 
 
 def ball(oracle: SchreierOracle, radius: int, budget: int = DEFAULT_BUDGET) -> BallView:

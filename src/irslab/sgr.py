@@ -54,13 +54,7 @@ def parse_sgr(text: str) -> BallView:
     root = None
     edges = []
     boundary = []
-    vertices: list[str] = []
-    seen = set()
-
-    def note(v: str) -> None:
-        if v not in seen:
-            seen.add(v)
-            vertices.append(v)
+    seen: dict[str, None] = {}  # the tokens, in order of first appearance
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -85,7 +79,7 @@ def parse_sgr(text: str) -> BallView:
             if root is not None:
                 raise DomainError(f"line {lineno}: second 'root' line")
             root = parts[1]
-            note(root)
+            seen[root] = None
             continue
         if kind == "boundary":
             if len(parts) != 2:
@@ -105,23 +99,22 @@ def parse_sgr(text: str) -> BallView:
                 raise DomainError(f"line {lineno}: label {label} out of range")
         else:
             raise DomainError(f"line {lineno}: bad label {label!r}")
-        note(src)
-        note(dst)
+        seen[src] = seen[dst] = None
         edges.append((src, lab, dst))
     if rank is None:
         raise DomainError("missing 'schreier r=<r>' header")
     if root is None:
         raise DomainError("missing 'root <token>' line")
-    _check_tokens(vertices)
+    _check_tokens(seen)
     for v in boundary:
         if v not in seen:
             raise DomainError(f"boundary vertex {v!r} has no edges")
-    view = BallView(rank, None, root, vertices, edges, boundary)
-    dist = bfs(root, view.step, view.letters)
-    if len(dist) != len(vertices):
+    view = BallView(rank, None, root, seen, edges, boundary)
+    number, depth, _ = bfs(root, view.step, view.letters)
+    if len(number) != len(seen):
         raise DomainError("graph is not connected from the root")
-    view.radius = max(dist.values())
-    if any(dist[v] != view.radius for v in boundary):
+    view.radius = depth[-1]
+    if any(depth[number[v]] != view.radius for v in boundary):
         raise DomainError("a boundary vertex is not in the farthest layer")
     return view
 

@@ -9,8 +9,9 @@ from fractions import Fraction
 from itertools import permutations, takewhile
 
 from irslab import AtomicMeasure, DomainError, FiniteOracle, MarkLaw, canonical_code
+from irslab.errors import BudgetError, HorizonError, InvalidGraphError
 from irslab.normalizer import NormalizerOracle
-from irslab.oracles import STAR, BallView, conjugate
+from irslab.oracles import DEFAULT_BUDGET, STAR, BallView, conjugate
 from irslab.words import letters_ordered, words_upto
 
 
@@ -205,6 +206,100 @@ def reference_conjugate_fingerprints(root, step, rank: int, radius: int) -> tupl
         conj[l] = tuple(w for w in words
                         if ends[w[1:] if w and w[0] == l else (-l,) + w] == at)
     return fp, conj
+
+
+# -- the two-pass ball builder, kept as a reference --------------------------
+
+
+def reference_bfs(root, step, letters, radius=None, budget=None) -> dict:
+    """Breadth-first distances from `root`, in discovery order: every
+    expanded vertex is stepped along every letter, with no rows."""
+    dist = {root: 0}
+    queue = [root]
+    for v in queue:
+        d = dist[v]
+        if d == radius:
+            break
+        for l in letters:
+            w = step(v, l)
+            if w is not None and w not in dist:
+                dist[w] = d + 1
+                queue.append(w)
+                if budget is not None and len(queue) > budget:
+                    raise BudgetError(f"ball exploration exceeded budget {budget}")
+    return dist
+
+
+def reference_grow_view(root, step, succ, rank, radius, token, star=None,
+                        budget=None) -> BallView:
+    """`grow_view` as a BFS followed by a second pass that steps every
+    vertex again for its s_i-edges and its star edge."""
+    if radius < 0:
+        raise DomainError("radius must be >= 0")
+    letters = letters_ordered(rank)
+    walk = step
+    if star is not None:
+        letters.append(STAR)
+
+        def walk(v, l):
+            return star(v) if l == STAR else step(v, l)
+
+    dist = reference_bfs(root, walk, letters, radius, budget)
+    tok = {v: token(v) for v in dist}
+    if len(set(tok.values())) != len(tok):
+        raise InvalidGraphError("oracle tokens are not injective")
+    edges = []
+    for v in dist:
+        for i in range(1, rank + 1):
+            w = succ(v, i)
+            if w in dist:
+                edges.append((tok[v], i, tok[w]))
+    if star is not None:
+        for v in dist:
+            w = star(v)
+            if w in dist and tok[v] < tok[w]:
+                edges.append((tok[v], STAR, tok[w]))
+    boundary = [tok[v] for v, d in dist.items() if d == radius]
+    return BallView(rank, radius, tok[root], tok.values(), edges, boundary)
+
+
+def reference_ball(oracle, radius: int, budget: int = DEFAULT_BUDGET) -> BallView:
+    def step(v, l):
+        w = oracle.neighbor(v, l)
+        if oracle.neighbor(w, -l) != v:
+            raise InvalidGraphError(
+                f"permutation property fails at {oracle.token(v)} (letter {l})")
+        return w
+
+    return reference_grow_view(oracle.root, step, oracle.neighbor, oracle.rank,
+                               radius, oracle.token, budget=budget)
+
+
+def reference_star_ball(graph, radius: int, budget: int = DEFAULT_BUDGET) -> BallView:
+    return reference_grow_view(graph.root, graph.step, graph.step, graph.rank,
+                               radius, graph.token, graph.star, budget)
+
+
+def reference_sub_ball(view: BallView, radius: int) -> BallView:
+    if radius > view.radius and view.boundary:
+        raise HorizonError(f"stored ball has radius {view.radius}, need {radius}")
+    return reference_grow_view(view.root, view.step, view.step, view.rank,
+                               radius, str,
+                               view.star.get if view.has_stars() else None)
+
+
+def reference_ball_code(view: BallView) -> tuple:
+    """`ball_code` from a BFS along the 2r letters and STAR, and a second
+    pass that steps every vertex again along each label."""
+    labels = list(range(1, view.rank + 1)) + [STAR] * view.has_stars()
+    letters = letters_ordered(view.rank) + [STAR]
+    order = list(reference_bfs(view.root, view.step, letters))
+    if len(order) != len(view.vertices):
+        raise DomainError("view is not connected from its root")
+    number = {v: k for k, v in enumerate(order)}
+    rows = tuple(tuple(number.get(view.step(v, l)) for l in labels)
+                 for v in order)
+    return (view.rank, len(order), rows)
 
 
 # -- the recursive key encoder of the keyed draws, kept as a reference -------

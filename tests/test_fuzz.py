@@ -102,10 +102,10 @@ def test_parse_sgr_raises_only_domain_errors(text):
         view = parse_sgr(text)
     except DomainError:
         return
-    dist = bfs(view.root, view.step, view.letters)
-    assert set(dist) == set(view.vertices)
-    assert view.radius == max(dist.values())
-    assert all(dist[v] == view.radius for v in view.boundary)
+    number, depth, _ = bfs(view.root, view.step, view.letters)
+    assert set(number) == set(view.vertices)
+    assert view.radius == max(depth)
+    assert all(depth[number[v]] == view.radius for v in view.boundary)
     again = emit_sgr(view)
     assert emit_sgr(parse_sgr(again)) == again
 

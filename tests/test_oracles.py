@@ -1,6 +1,9 @@
+import hashlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from irslab import (
     BudgetError,
@@ -17,12 +20,20 @@ from irslab import (
     trace,
     trivial_law,
 )
+from irslab.analysis import ball_code
 from irslab.errors import HorizonError
 from irslab.oracles import BallBackedOracle, SchreierOracle, sub_ball
-from irslab.poulsen import PercolationGraph, star_ball
+from irslab.poulsen import PercolationGraph, star_ball, view_equal_exact
 from irslab.randomness import KeyedRng
 from irslab.words import concat, conjugated_word, inverse_word, reduce_word
 
+from helpers import (
+    outcome,
+    reference_ball,
+    reference_ball_code,
+    reference_star_ball,
+    reference_sub_ball,
+)
 from test_words import random_word
 
 
@@ -139,7 +150,8 @@ class _BrokenOracle(SchreierOracle):
 
 
 def test_permutation_property_enforced():
-    with pytest.raises(InvalidGraphError):
+    with pytest.raises(InvalidGraphError,
+                       match=r"^permutation property fails at 1 \(letter 1\)$"):
         ball(_BrokenOracle(), 2)
 
 
@@ -260,3 +272,74 @@ def test_ball_of_a_ball_backed_oracle_at_its_radius_leaves_the_ball(cayley2):
     for radius in (2, 3):
         with pytest.raises(HorizonError):
             ball(oracle, radius)
+
+
+class _Counting(SchreierOracle):
+    """Forwards to an oracle and counts each (vertex, letter) asked."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.rank = inner.rank
+        self.root = inner.root
+        self.asked = Counter()
+
+    def neighbor(self, vertex, letter):
+        self.asked[vertex, letter] += 1
+        return self.inner.neighbor(vertex, letter)
+
+    def token(self, vertex):
+        return self.inner.token(vertex)
+
+
+def _deep_ball_seed(i: int) -> int:
+    """Seed of ball i of the benchmark's deep-ball workload at seed 1."""
+    data = repr((1, "ball", i)).encode()
+    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
+
+
+def test_ball_asks_each_neighbor_once():
+    """On the 20 radius-7 balls of the deep-ball workload, `ball` asks no
+    (vertex, letter) twice: a step fills both ends of its edge, and only
+    boundary vertices are asked for the s_i-edges the walk did not see."""
+    law = PoulsenLaw(_NORMALIZER, P)
+    calls = vertices = 0
+    for i in range(20):
+        oracle = _Counting(law.sample(_deep_ball_seed(i)))
+        vertices += len(ball(oracle, 7).vertices)
+        assert max(oracle.asked.values()) == 1
+        calls += sum(oracle.asked.values())
+    assert (calls, vertices) == (193_004, 63_875)  # 305 422 calls in two passes
+
+
+def _same_view(got, want) -> None:
+    assert view_equal_exact(got, want)
+    assert emit_sgr(got) == emit_sgr(want)
+    assert ball_code(got) == reference_ball_code(want)
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.sampled_from(FAMILIES), st.integers(0, 2**64 - 1), st.integers(0, 6),
+       st.integers(-2, 2))
+def test_views_equal_the_two_pass_reference(family, seed, radius, slack):
+    """`ball`, `star_ball`, `sub_ball` and `ball_code` agree with a BFS
+    followed by a second stepping pass, at budgets around the vertex count."""
+    kind, spec = family.split(" ")
+    if kind == "ball":
+        source = BALL_LAWS[spec].sample(seed)
+        build, reference = ball, reference_ball
+    else:
+        source = PercolationGraph(*STAR_LAWS[spec], seed)
+        build, reference = star_ball, reference_star_ball
+    budget = max(1, len(reference(source, radius).vertices) + slack)
+    got, error = outcome(build, source, radius, budget)
+    want, expected = outcome(reference, source, radius, budget)
+    assert error is expected
+    if error is not None:
+        return
+    _same_view(got, want)
+    for k in range(radius + 2):
+        small, error = outcome(sub_ball, got, k)
+        expected_small, expected = outcome(reference_sub_ball, want, k)
+        assert error is expected
+        if error is None:
+            _same_view(small, expected_small)

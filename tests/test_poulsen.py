@@ -233,7 +233,7 @@ def test_star_ball_rejects_tokens_that_collide():
 
 
 def _poulsen_vertices(oracle: PoulsenOracle, radius: int):
-    return list(bfs(oracle.root, oracle.neighbor, letters_ordered(2), radius))
+    return list(bfs(oracle.root, oracle.neighbor, letters_ordered(2), radius)[0])
 
 
 _ps = st.sampled_from([Fraction(1, 10), Fraction(1, 3), Fraction(1, 2)])
