@@ -194,8 +194,10 @@ def bfs_numbering(root, step, letters) -> tuple[list, tuple]:
     and for each one a tuple with the number of its neighbor along each of
     `letters[::2]`, None where there is none: s1..sr of `letters_ordered`,
     then STAR when it ends `letters`."""
-    number, _, rows = bfs(root, step, letters)
-    return list(number), tuple([tuple(row[::2]) for row in rows])
+    number, _, cells = bfs(root, step, letters)
+    width = len(letters)
+    return list(number), tuple([tuple(cells[at:at + width:2])
+                                for at in range(0, len(cells), width)])
 
 
 def canonical_code(oracle: SchreierOracle) -> tuple:

@@ -152,35 +152,34 @@ class FiniteOracle(SchreierOracle):
 
 
 def bfs(root, step, letters, radius=None, budget=None) -> tuple:
-    """Breadth-first search from `root` that numbers vertices as it finds
-    them. Returns (number, depth, rows): `number` maps each vertex to its
-    number, in discovery order; `depth[k]` is the distance of vertex k;
-    `rows[k][j]` is the number of its neighbor along `letters[j]`, or None.
+    """Breadth-first search from `root` along `letters`, numbering vertices
+    as it finds them. `step(v, letter)` gives the neighbor, or None where
+    there is none, and must be a pairing: step(v, l) == w implies
+    step(w, -l) == v, and STAR pairs with itself. So a step from v to w
+    along l fills v's l cell and w's -l cell, and no cell already held is
+    stepped again. Vertices at distance `radius` are not expanded: their
+    cells hold only the steps that reached them. Raises BudgetError as soon
+    as more than `budget` vertices are discovered.
 
-    Each vertex is expanded along `letters` in turn; `step(v, letter)` gives
-    the neighbor, or None where there is none. `step` must be a pairing:
-    step(v, l) == w implies step(w, -l) == v, and STAR pairs with itself.
-    So a step from v to w along l fills both v's l entry and w's -l entry,
-    and no entry already held is stepped again. Vertices at distance
-    `radius` are not expanded: their entries hold only the steps that
-    reached them. Raises BudgetError as soon as more than `budget` vertices
-    are discovered.
+    Returns (number, depth, cells): `number` maps each vertex to its number,
+    in discovery order; `depth[k]` is the distance of vertex k; and
+    `cells[k * len(letters) + j]` is the number of its neighbor along
+    `letters[j]`, or None.
     """
+    width = len(letters)
     moves = [(j, l, letters.index(l if l == STAR else -l))
              for j, l in enumerate(letters)]
-    width = len(letters)
+    blank = [None] * width
     number = {root: 0}
     order = [root]
     depth = [0]
-    rows = [[None] * width]
+    cells = blank[:]
     for k, v in enumerate(order):
-        d = depth[k]
-        if d == radius:
+        if depth[k] == radius:
             break
-        d += 1
-        row = rows[k]
+        at = k * width
         for j, l, back in moves:
-            if row[j] is not None:
+            if cells[at + j] is not None:
                 continue
             w = step(v, l)
             if w is None:
@@ -189,15 +188,15 @@ def bfs(root, step, letters, radius=None, budget=None) -> tuple:
             if m is None:
                 m = number[w] = len(order)
                 order.append(w)
-                depth.append(d)
-                rows.append([None] * width)
+                depth.append(depth[k] + 1)
+                cells += blank
                 if budget is not None and m >= budget:
                     raise BudgetError(
                         f"ball exploration exceeded budget {budget}"
                     )
-            row[j] = m
-            rows[m][back] = k
-    return number, depth, rows
+            cells[at + j] = m
+            cells[m * width + back] = k
+    return number, depth, cells
 
 
 def trace(oracle: SchreierOracle, w: Word):
@@ -347,9 +346,9 @@ def grow_view(root, step, succ, rank: int, radius: int, token, star=None,
     star partner of a vertex, or None) is given. Vertices are named by
     `token`; raises InvalidGraphError unless the names are distinct. Each
     s_i-edge inside the ball is recorded in BFS order, then each star edge
-    once with the smaller token first. The edges come from the rows of
+    once with the smaller token first. The edges come from the cells of
     `bfs`; `succ(v, i)` (`step` without its checks) and `star` are asked
-    only for the entries a boundary vertex lacks. The boundary is the layer
+    only for the cells a boundary vertex lacks. The boundary is the layer
     at distance `radius`.
     """
     if radius < 0:
@@ -363,23 +362,23 @@ def grow_view(root, step, succ, rank: int, radius: int, token, star=None,
         def walk(v, l):
             return star(v) if l == STAR else step(v, l)
 
-    number, depth, rows = bfs(root, walk, letters, radius, budget)
+    number, depth, cells = bfs(root, walk, letters, radius, budget)
     tok = [token(v) for v in number]
     if len(set(tok)) != len(tok):
         raise InvalidGraphError("oracle tokens are not injective")
     edges = []
     stars = []
     for k, v in enumerate(number):
-        row = rows[k]
-        outer = depth[k] == radius  # not expanded: its row may lack entries
+        at = k * len(letters)
+        outer = depth[k] == radius  # not expanded: it may lack cells
         for i in range(1, rank + 1):
-            m = row[2 * i - 2]
+            m = cells[at + 2 * i - 2]
             if m is None and outer:
                 m = number.get(succ(v, i))
             if m is not None:
                 edges.append((tok[k], i, tok[m]))
         if star is not None:
-            m = row[-1]
+            m = cells[at + 2 * rank]
             if m is None and outer:
                 m = number.get(star(v))
             if m is not None and tok[k] < tok[m]:
