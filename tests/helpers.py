@@ -61,6 +61,13 @@ def brute_root_isomorphic(a: BallView, b: BallView) -> bool:
     return False
 
 
+def reference_word_to_str(w) -> str:
+    """Printable word, one f-string per letter."""
+    if not w:
+        return "e"
+    return "*".join([f"s{l}" if l > 0 else f"s{-l}^-1" for l in w])
+
+
 def brute_aut_count(oracle: FiniteOracle) -> int:
     """Count label-preserving automorphisms by exhaustive bijection search."""
     verts = list(oracle.vertices)

@@ -163,6 +163,13 @@ def test_enumerate_requires_exact_p(capsys, index2_file):
     assert code == 1
 
 
+def test_ball_rejects_p_outside_the_open_interval(capsys):
+    code, out, err = run(capsys, "ball", "--base", "normalizer:trivial",
+                         "--p", "2", "--seed", "1", "--radius", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: p must lie strictly between 0 and 1\n"
+
+
 @pytest.mark.parametrize("base", ["trivial", "normalizer:trivial"])
 def test_enumerate_needs_a_finite_point_base(capsys, base):
     code, _, err = run(capsys, "enumerate-normalizer", "--base", base,

@@ -1,14 +1,20 @@
 """Source hygiene of the package, checked with the standard-library ast
 module: no module imports a name it never uses, no top-level helper,
 private or public, and no private method of a top-level class goes
-unreferenced, only the randomness module hashes, and every name that
-bench/tracing.py patches exists where the tracer looks for it."""
+unreferenced, only the randomness module hashes, every name that
+bench/tracing.py patches exists where the tracer looks for it, and the
+memo tables its hooks read hold what a sample drew."""
 
 import ast
 import importlib
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from irslab import NormalizerLaw, PoulsenLaw, ball, trivial_law
+from irslab.normalizer import NormalizerOracle, _HashMarks
+from irslab.poulsen import PoulsenOracle
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "irslab"
@@ -150,3 +156,29 @@ def test_traced_methods_sit_in_their_class_body(module, cls, method, counter):
     enough."""
     owner = getattr(importlib.import_module(f"irslab.{module}"), cls)
     assert method in vars(owner), f"irslab.{module}.{cls}.{method}"
+
+
+def test_traced_memo_tables_fill_as_a_sample_is_walked(monkeypatch):
+    """The tracer collects Poulsen samples through a hook on
+    `PoulsenOracle.__init__`, then reads `graph._copies` (paths to base
+    copies) and `graph._perc`; it counts mark lookups through
+    `_HashMarks.__call__` and hits in `_HashMarks.cache`."""
+    built = []
+    init = PoulsenOracle.__init__
+
+    def hook(oracle, *args, **kwargs):
+        init(oracle, *args, **kwargs)
+        built.append(oracle)
+
+    monkeypatch.setattr(PoulsenOracle, "__init__", hook)
+    p = Fraction(1, 2)
+    oracle = PoulsenLaw(NormalizerLaw(trivial_law(2), p), p).sample(3)
+    ball(oracle, 2)
+    assert built == [oracle]
+    copies, perc = oracle.graph._copies, oracle.graph._perc
+    assert type(copies) is dict and type(perc) is dict and perc
+    assert copies and all(type(path) is tuple for path in copies)
+    for copy in copies.values():
+        assert type(copy) is NormalizerOracle
+        assert type(copy._mark) is _HashMarks
+        assert type(copy._mark.cache) is dict and copy._mark.cache

@@ -9,6 +9,7 @@ from irslab import (
     DomainError,
     MarkLaw,
     NormalizerLaw,
+    PointLaw,
     aut_count,
     ball,
     emit_sgr,
@@ -327,3 +328,17 @@ def test_hash_marks_equal_mark_over_named_base(seed, law, names):
     for v in base.vertices:
         expected = outcome(mark, seed, base.token(v), law, v == base.root)
         assert outcome(marks, v) == expected
+
+
+@pytest.mark.parametrize("inner", [trivial_law(2), PointLaw(index2_oracle())],
+                         ids=["trivial", "index2"])
+@pytest.mark.parametrize("p", [Fraction(1, 10), Fraction(1, 2)])
+@pytest.mark.parametrize("slot", [None, 0])
+def test_law_sample_is_the_public_sampler(inner, p, slot):
+    """A law draws its base and marks from the sub-seeds of its seed and
+    otherwise samples exactly as normalizer_oracle does."""
+    law = NormalizerLaw(inner, p, biased_root_slot=slot)
+    base = inner.sample(0)
+    for s in range(50):
+        direct = normalizer_oracle(base, p, subseed(s, "law", "marks"), slot)
+        assert emit_sgr(ball(law.sample(s), 3)) == emit_sgr(ball(direct, 3))

@@ -14,10 +14,11 @@ from irslab import (
 from irslab.randomness import KeyedRng
 from irslab.words import letters_ordered, shortlex_key
 
-from helpers import brute_reduce
+from helpers import brute_reduce, reference_word_to_str
 
 letters = st.integers(min_value=-2, max_value=2).filter(lambda x: x != 0)
 raw_words = st.lists(letters, max_size=20)
+wide_letters = st.integers(min_value=-12, max_value=12).filter(lambda x: x != 0)
 
 
 def random_word(rng: KeyedRng, max_len: int = 12):
@@ -104,3 +105,10 @@ def test_phi_roundtrip_seeded():
 def test_phi_is_homomorphism(raw_a, raw_b):
     a, b = reduce_word(raw_a), reduce_word(raw_b)
     assert phi_word(concat(a, b)) == concat(phi_word(a), phi_word(b))
+
+
+@given(st.lists(wide_letters, max_size=10))
+def test_word_to_str_matches_the_letter_formula(raw):
+    assert word_to_str(tuple(raw)) == reference_word_to_str(raw)
+    w = reduce_word(raw)
+    assert word_from_str(word_to_str(w)) == w
