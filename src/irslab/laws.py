@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .normalizer import normalizer_oracle
+from .normalizer import MarkLaw, tripled_oracle
 from .oracles import CayleyOracle, SchreierOracle
 from .poulsen import poulsen_oracle
 from .randomness import subseed
@@ -51,20 +51,20 @@ class _SeededLaw:
 
 
 class NormalizerLaw(_SeededLaw):
-    """Law of the tripling perturbation over a base law."""
+    """Law of the tripling perturbation over a base law. Its mark law is
+    built, and p and the rank checked, once, when the law is."""
 
     def __init__(self, inner, p, biased_root_slot: int | None = None):
         self.inner = inner
         self.p = Fraction(p)
         self.rank = inner.rank
+        self.mark_law = MarkLaw(self.p, self.rank)
         self.biased_root_slot = biased_root_slot
 
     def sample(self, seed: int) -> SchreierOracle:
         base = self.inner.draw(seed, "law", "base-draw")
-        return normalizer_oracle(
-            base, self.p, subseed(seed, "law", "marks"),
-            biased_root_slot=self.biased_root_slot,
-        )
+        return tripled_oracle(base, self.mark_law, subseed(seed, "law", "marks"),
+                              self.biased_root_slot)
 
     def describe(self) -> str:
         tag = "biased-normalizer" if self.biased_root_slot is not None \

@@ -35,7 +35,8 @@ from .randomness import TWO128, Keyed, below, digest128
 @dataclass(frozen=True)
 class MarkLaw:
     """Mark distribution on {0..r}: u_p(0) = 1-p, u_p(i) = p/r; at the root
-    the same shape with q = 3p/(1+2p) in place of p."""
+    the same shape with q = 3p/(1+2p) in place of p. `root_cuts` and
+    `other_cuts` hold its two `thresholds` tables."""
 
     p: Fraction
     rank: int
@@ -47,6 +48,8 @@ class MarkLaw:
             raise DomainError("p must lie strictly between 0 and 1")
         if self.rank < 1:
             raise DomainError("rank must be >= 1")
+        object.__setattr__(self, "root_cuts", self.thresholds(True))
+        object.__setattr__(self, "other_cuts", self.thresholds(False))
 
     @property
     def q(self) -> Fraction:
@@ -59,7 +62,8 @@ class MarkLaw:
     @functools.lru_cache(maxsize=64)
     def thresholds(self, at_root: bool) -> tuple[int, ...]:
         """Integer cutoffs c_0 < ... < c_r = 2^128 so that a uniform 128-bit
-        draw d yields mark = first i with d < c_i. Cached per law value."""
+        draw d yields mark = first i with d < c_i. Computed once per
+        `MarkLaw`; a `NormalizerLaw` builds one."""
         cuts = []
         acc = Fraction(0)
         for m in self.masses(at_root):
@@ -79,7 +83,7 @@ class MarkLaw:
 def mark(seed: int, vertex_key, law: MarkLaw, at_root: bool) -> int:
     """Deterministic mark of a vertex: a pure function of (seed, vertex)."""
     d = digest128(seed, "mark", vertex_key)
-    return bisect_right(law.thresholds(at_root), d)
+    return bisect_right(law.root_cuts if at_root else law.other_cuts, d)
 
 
 # Where a letter leads inside a tripled coset marked m: s_i goes from slots
@@ -141,8 +145,8 @@ class _HashMarks:
     def __init__(self, base: SchreierOracle, law: MarkLaw, seed: int):
         self.base = base
         self.keyed = Keyed(seed, "mark")
-        self.root_cuts = law.thresholds(at_root=True)
-        self.other_cuts = law.thresholds(at_root=False)
+        self.root_cuts = law.root_cuts
+        self.other_cuts = law.other_cuts
         self.cache: dict = {}
 
     def __call__(self, v) -> int:
@@ -155,7 +159,15 @@ class _HashMarks:
 
 def normalizer_oracle(base: SchreierOracle, p, seed: int,
                       biased_root_slot: int | None = None) -> NormalizerOracle:
-    """Sample the perturbed graph with keyed randomness.
+    """Sample the perturbed graph with keyed randomness: `tripled_oracle`
+    under the mark law of p."""
+    return tripled_oracle(base, MarkLaw(p, base.rank), seed, biased_root_slot)
+
+
+def tripled_oracle(base: SchreierOracle, law: MarkLaw, seed: int,
+                   biased_root_slot: int | None = None) -> NormalizerOracle:
+    """Sample the perturbed graph with keyed randomness, marks drawn from
+    `law`, whose rank is that of `base`.
 
     `biased_root_slot` forces a fixed root slot instead of the uniform
     choice; this deliberately breaks invariance and exists as a negative
@@ -163,7 +175,6 @@ def normalizer_oracle(base: SchreierOracle, p, seed: int,
     """
     if biased_root_slot not in (None, 0, 1, 2):
         raise DomainError("root slot must be 0, 1 or 2")
-    law = MarkLaw(Fraction(p), base.rank)
     marks = _HashMarks(base, law, seed)
     if biased_root_slot is None:
         slot = functools.partial(below, seed, "rootslot", "root", 3)

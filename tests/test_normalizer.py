@@ -47,6 +47,12 @@ def test_mark_law_boundaries():
         MarkLaw(Fraction(3, 2), 2)
 
 
+@pytest.mark.parametrize("p", [Fraction(0), Fraction(1), Fraction(3, 2)])
+def test_normalizer_law_checks_p_when_built(p):
+    with pytest.raises(DomainError):
+        NormalizerLaw(trivial_law(2), p)
+
+
 def test_mark_law_accepts_rank_1():
     law = MarkLaw(Fraction(1, 2), 1)
     assert law.masses(at_root=False) == [Fraction(1, 2), Fraction(1, 2)]
@@ -342,3 +348,18 @@ def test_law_sample_is_the_public_sampler(inner, p, slot):
     for s in range(50):
         direct = normalizer_oracle(base, p, subseed(s, "law", "marks"), slot)
         assert emit_sgr(ball(law.sample(s), 3)) == emit_sgr(ball(direct, 3))
+
+
+def test_a_built_law_reads_no_cut_table_per_sample(monkeypatch):
+    law = NormalizerLaw(trivial_law(2), Fraction(1, 10))
+    calls = []
+    thresholds = MarkLaw.thresholds
+
+    def counting(self, at_root):
+        calls.append(at_root)
+        return thresholds(self, at_root)
+
+    monkeypatch.setattr(MarkLaw, "thresholds", counting)
+    for s in range(1000):
+        law.sample(s)
+    assert calls == []
