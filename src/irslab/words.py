@@ -77,10 +77,21 @@ def words_upto(rank: int, n: int) -> list[Word]:
     return out
 
 
+class _LetterNames(dict):
+    """Letter -> its name, s<i> or s<i>^-1, filled on first use."""
+
+    def __missing__(self, l: int) -> str:
+        name = self[l] = f"s{l}" if l > 0 else f"s{-l}^-1"
+        return name
+
+
+_letter_name = _LetterNames().__getitem__
+
+
 def word_to_str(w: Word) -> str:
     if not w:
         return "e"
-    return "*".join([f"s{l}" if l > 0 else f"s{-l}^-1" for l in w])
+    return "*".join(map(_letter_name, w))
 
 
 def word_from_str(text: str, rank: int | None = None) -> Word:
