@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .normalizer import MarkLaw, tripled_oracle
+from .normalizer import MarkLaw, checked_root_slot, tripled_oracle
 from .oracles import CayleyOracle, SchreierOracle
-from .poulsen import poulsen_oracle
+from .poulsen import poulsen_oracle, retention_cutoff
 from .randomness import subseed
 
 
@@ -52,14 +52,14 @@ class _SeededLaw:
 
 class NormalizerLaw(_SeededLaw):
     """Law of the tripling perturbation over a base law. Its mark law is
-    built, and p and the rank checked, once, when the law is."""
+    built, and p, the rank and the root slot checked, when the law is."""
 
     def __init__(self, inner, p, biased_root_slot: int | None = None):
         self.inner = inner
         self.p = Fraction(p)
         self.rank = inner.rank
         self.mark_law = MarkLaw(self.p, self.rank)
-        self.biased_root_slot = biased_root_slot
+        self.biased_root_slot = checked_root_slot(biased_root_slot)
 
     def sample(self, seed: int) -> SchreierOracle:
         base = self.inner.draw(seed, "law", "base-draw")
@@ -78,6 +78,7 @@ class PoulsenLaw(_SeededLaw):
     def __init__(self, inner, p):
         self.inner = inner
         self.p = Fraction(p)
+        retention_cutoff(self.p)  # checks p when the law is built
         self.rank = inner.rank
 
     def sample(self, seed: int) -> SchreierOracle:

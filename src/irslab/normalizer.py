@@ -109,6 +109,7 @@ class NormalizerOracle(SchreierOracle):
         self.base = base
         self.rank = base.rank
         self._mark = markfn
+        self._drawn = getattr(markfn, "cache", None)  # memoized marks
         if self._mark(base.root) == 0:
             self.root = ("b", base.root)
         else:
@@ -132,6 +133,14 @@ class NormalizerOracle(SchreierOracle):
         if self._mark(w) == 0:
             return ("b", w)
         return ("t", w, 0 if letter > 0 else 2)
+
+    def known_neighbor(self, vertex, letter: int):
+        """`neighbor`, or None for a step out of the coset to a new base vertex."""
+        if vertex[0] == "b" or vertex[2] == (2 if letter > 0 else 0):
+            w = self.base.known_neighbor(vertex[1], letter)
+            if w is None or self._drawn is not None and w not in self._drawn:
+                return None
+        return self.neighbor(vertex, letter)
 
     def token(self, vertex) -> str:
         if vertex[0] == "b":
@@ -157,6 +166,13 @@ class _HashMarks:
         return m
 
 
+def checked_root_slot(slot: int | None) -> int | None:
+    """A biased root slot, None or 0, 1 or 2; raises DomainError otherwise."""
+    if slot not in (None, 0, 1, 2):
+        raise DomainError("root slot must be 0, 1 or 2")
+    return slot
+
+
 def normalizer_oracle(base: SchreierOracle, p, seed: int,
                       biased_root_slot: int | None = None) -> NormalizerOracle:
     """Sample the perturbed graph with keyed randomness: `tripled_oracle`
@@ -173,14 +189,10 @@ def tripled_oracle(base: SchreierOracle, law: MarkLaw, seed: int,
     choice; this deliberately breaks invariance and exists as a negative
     control for the invariance test harness.
     """
-    if biased_root_slot not in (None, 0, 1, 2):
-        raise DomainError("root slot must be 0, 1 or 2")
-    marks = _HashMarks(base, law, seed)
-    if biased_root_slot is None:
+    slot = checked_root_slot(biased_root_slot)
+    if slot is None:
         slot = functools.partial(below, seed, "rootslot", "root", 3)
-    else:
-        slot = biased_root_slot
-    return NormalizerOracle(base, marks, slot)
+    return NormalizerOracle(base, _HashMarks(base, law, seed), slot)
 
 
 def _tripled(base: FiniteOracle):
@@ -262,8 +274,7 @@ def enumerate_normalizer_law(base: FiniteOracle, p,
     probability. Atom keys are canonical graph codes. `budget` bounds the
     outcomes enumerated: (r+1)^(n-1) * (1 + 3r) pairs of an assignment and
     a root slot with the uniform slot, (r+1)^n with a biased one."""
-    if biased_root_slot not in (None, 0, 1, 2):
-        raise DomainError("root slot must be 0, 1 or 2")
+    checked_root_slot(biased_root_slot)
     law = MarkLaw(p, base.rank)
     r, n = base.rank, len(base.vertices)
     at_root = 1 + 3 * r if biased_root_slot is None else r + 1

@@ -26,13 +26,17 @@ STAR = "*"
 
 
 class SchreierOracle:
-    """Base interface: a root vertex, a rank and a total neighbor function."""
+    """Base interface: a root vertex, a rank and a total neighbor function;
+    `known_neighbor` is `neighbor`, or None for a vertex never returned."""
 
     rank: int
     root: object
 
     def neighbor(self, vertex, letter: int):
         raise NotImplementedError
+
+    def known_neighbor(self, vertex, letter: int):
+        return self.neighbor(vertex, letter)
 
     def token(self, vertex) -> str:
         """Stable printable name of a vertex (unique within this oracle)."""
@@ -52,6 +56,9 @@ class RebasedOracle(SchreierOracle):
 
     def neighbor(self, vertex, letter: int):
         return self.inner.neighbor(vertex, letter)
+
+    def known_neighbor(self, vertex, letter: int):
+        return self.inner.known_neighbor(vertex, letter)
 
     def token(self, vertex) -> str:
         return self.inner.token(vertex)
@@ -347,9 +354,9 @@ def grow_view(root, step, succ, rank: int, radius: int, token, star=None,
     `token`; raises InvalidGraphError unless the names are distinct. Each
     s_i-edge inside the ball is recorded in BFS order, then each star edge
     once with the smaller token first. The edges come from the cells of
-    `bfs`; `succ(v, i)` (`step` without its checks) and `star` are asked
-    only for the cells a boundary vertex lacks. The boundary is the layer
-    at distance `radius`.
+    `bfs`; `succ(v, i)` (`step` unchecked, or None for a vertex outside the
+    ball) and `star` are asked only for the cells a boundary vertex lacks.
+    The boundary is the layer at distance `radius`.
     """
     if radius < 0:
         raise DomainError("radius must be >= 0")
@@ -402,8 +409,8 @@ def ball(oracle: SchreierOracle, radius: int, budget: int = DEFAULT_BUDGET) -> B
             )
         return w
 
-    return grow_view(oracle.root, step, oracle.neighbor, oracle.rank, radius,
-                     oracle.token, budget=budget)
+    return grow_view(oracle.root, step, oracle.known_neighbor, oracle.rank,
+                     radius, oracle.token, budget=budget)
 
 
 def sub_ball(view: BallView, radius: int) -> BallView:

@@ -22,6 +22,13 @@ from .oracles import (STAR, BallView, DEFAULT_BUDGET, SchreierOracle,
 from .randomness import Keyed
 
 
+def retention_cutoff(p: Fraction) -> int:
+    """The 128-bit draw cutoff of retention with probability 0 < p < 1."""
+    if not (0 < p < 1):
+        raise DomainError("p must lie strictly between 0 and 1")
+    return (p.numerator << 128) // p.denominator
+
+
 class PercolationGraph:
     """The unsurgered graph: disjoint lazily-drawn copies plus star edges.
 
@@ -31,13 +38,10 @@ class PercolationGraph:
     """
 
     def __init__(self, base_law, p, seed: int):
-        self.p = Fraction(p)
-        if not (0 < self.p < 1):
-            raise DomainError("p must lie strictly between 0 and 1")
+        self._threshold = retention_cutoff(Fraction(p))
         self.law = base_law
         self.seed = seed
         self.rank = base_law.rank
-        self._threshold = (self.p.numerator << 128) // self.p.denominator
         self._copies: dict = {}
         self._perc: dict = {}
         self._keyed = Keyed(seed, "perc")
@@ -66,15 +70,17 @@ class PercolationGraph:
             self._perc[u] = hit
         return hit
 
+    def child(self, u):
+        """Path of the copy attached at u, or None; that copy is not drawn."""
+        return u[0] + (u[1],) if self.percolated(u) else None
+
     def star(self, u):
         """Star partner of u, or None."""
         path, v = u
         if path and v == self.copy(path).root:
             return (path[:-1], path[-1])
-        if self.percolated(u):
-            child = path + (v,)
-            return (child, self.copy(child).root)
-        return None
+        child = self.child(u)
+        return None if child is None else (child, self.copy(child).root)
 
     def step(self, u, letter: int):
         """In-copy edge, ignoring stars."""
@@ -122,6 +128,21 @@ class PoulsenOracle(SchreierOracle):
         w = g.step(u, -1)
         partner = g.star(w)
         return partner if partner is not None else w
+
+    def known_neighbor(self, u, letter: int):
+        """`neighbor`, or None for a step new to its copy or into a new copy."""
+        if letter == 1 and self._undrawn(u):
+            return None
+        path, v = (self.graph.star(u) or u) if letter == 1 else u
+        w = self.graph.copy(path).known_neighbor(v, letter)
+        if w is None or letter == -1 and self._undrawn((path, w)):
+            return None
+        return self.neighbor(u, letter)
+
+    def _undrawn(self, u) -> bool:
+        """u has a star edge into a copy not yet drawn."""
+        child = self.graph.child(u)
+        return child is not None and child not in self.graph._copies
 
     def token(self, u) -> str:
         return self.graph.token(u)

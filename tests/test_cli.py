@@ -170,6 +170,13 @@ def test_ball_rejects_p_outside_the_open_interval(capsys):
     assert err == "error: p must lie strictly between 0 and 1\n"
 
 
+def test_poulsen_ball_rejects_p_outside_the_open_interval(capsys):
+    code, out, err = run(capsys, "ball", "--base", "poulsen:trivial",
+                         "--p", "1", "--radius", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: p must lie strictly between 0 and 1\n"
+
+
 @pytest.mark.parametrize("base", ["trivial", "normalizer:trivial"])
 def test_enumerate_needs_a_finite_point_base(capsys, base):
     code, _, err = run(capsys, "enumerate-normalizer", "--base", base,

@@ -42,6 +42,9 @@ def test_poulsen_rejects_bad_p():
         poulsen_oracle(trivial_law(2), Fraction(0), 1)
     with pytest.raises(DomainError):
         poulsen_oracle(trivial_law(2), Fraction(1), 1)
+    for p in (Fraction(0), Fraction(1), Fraction(2), Fraction(-1, 2)):
+        with pytest.raises(DomainError, match="strictly between"):
+            PoulsenLaw(trivial_law(2), p)  # checked before any sample
 
 
 def test_surgery_identity_without_stars(cayley2):
