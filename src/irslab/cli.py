@@ -4,7 +4,8 @@ Every run is fully determined by its flags: seeds default to 0 (never to
 entropy), randomized subcommands echo their effective configuration as
 '#'-comment header lines, and output ordering never depends on hash or map
 iteration order. Exit codes: 0 success, 1 domain error, 2 budget exceeded,
-3 verification failure.
+3 verification failure. Each cmd_* function returns its text and exit code
+and does no I/O; main writes the text once, to stdout or to --out.
 """
 
 from __future__ import annotations
@@ -109,9 +110,9 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _write(args, text: str) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
+def _write(path: str | None, text: str) -> None:
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -143,16 +144,15 @@ def _fingerprint_spec(args) -> CylinderSpec:
     return CylinderSpec(words, args.radius)
 
 
-def cmd_ball(args) -> int:
+def cmd_ball(args) -> tuple[str, int]:
     law = parse_base_spec(args.base, args.rank, args.p)
     oracle = law.sample(args.seed)
     view = ball(oracle, args.radius, args.budget)
     body = emit_edgelist(view) if args.format == "edgelist" else emit_sgr(view)
-    _write(args, _header(args) + body)
-    return EXIT_OK
+    return _header(args) + body, EXIT_OK
 
 
-def cmd_metric(args) -> int:
+def cmd_metric(args) -> tuple[str, int]:
     law_a = parse_base_spec(args.base, args.rank, args.p)
     law_b = parse_base_spec(args.other, args.rank, args.p)
     a = law_a.sample(args.seed)
@@ -163,22 +163,19 @@ def cmd_metric(args) -> int:
         out += f"d = 0 (<= 1/{args.max_radius + 2})\n"
     else:
         out += f"d = {d.numerator}/{d.denominator}\n"
-    _write(args, out)
-    return EXIT_OK
+    return out, EXIT_OK
 
 
-def cmd_fingerprint(args) -> int:
+def cmd_fingerprint(args) -> tuple[str, int]:
     law = parse_base_spec(args.base, args.rank, args.p)
     oracle = law.sample(args.seed)
     fp = cylinder_fingerprint(oracle, args.radius)
-    _write(args, _header(args) + "".join(word_to_str(w) + "\n" for w in fp))
-    return EXIT_OK
+    return _header(args) + "".join(word_to_str(w) + "\n" for w in fp), EXIT_OK
 
 
-def cmd_aut(args) -> int:
+def cmd_aut(args) -> tuple[str, int]:
     oracle = parse_complete_oracle(_read(args.graph))
-    _write(args, f"{aut_count(oracle)}\n")
-    return EXIT_OK
+    return f"{aut_count(oracle)}\n", EXIT_OK
 
 
 def _fp2(action) -> str:
@@ -188,7 +185,7 @@ def _fp2(action) -> str:
     return "{" + " ".join(word_to_str(w) for w, v in zip(words, ends) if v == 0) + "}"
 
 
-def cmd_enumerate_normalizer(args) -> int:
+def cmd_enumerate_normalizer(args) -> tuple[str, int]:
     law = parse_base_spec(args.base, args.rank, args.p)
     if not (law.is_point and isinstance(law.oracle, FiniteOracle)):
         raise DomainError("enumeration needs a finite point-mass base")
@@ -203,37 +200,31 @@ def cmd_enumerate_normalizer(args) -> int:
                 f"aut {aut} fp2 {_fp2(action)}\n")
     if args.check_invariance:
         rows = exact_invariance_rows(measure, args.radius)
-        bad = [r for r in rows if r.deviation != 0]
-        if bad:
-            out += "exact invariance: FAIL\n"
-            _write(args, out)
-            return EXIT_VERIFY
+        if any(r.deviation != 0 for r in rows):
+            return out + "exact invariance: FAIL\n", EXIT_VERIFY
         out += "exact invariance: PASS\n"
-    _write(args, out)
-    return EXIT_OK
+    return out, EXIT_OK
 
 
-def cmd_encode(args) -> int:
+def cmd_encode(args) -> tuple[str, int]:
     space, basepoint = parse_subshift(_read(args.subshift))
     if args.basepoint is not None:
         basepoint = args.basepoint
     oracle = psi_oracle(space.point(basepoint))
     view = ball(oracle, args.radius, args.budget)
-    _write(args, _header(args, basepoint=basepoint) + emit_sgr(view))
-    return EXIT_OK
+    return _header(args, basepoint=basepoint) + emit_sgr(view), EXIT_OK
 
 
-def cmd_decode(args) -> int:
+def cmd_decode(args) -> tuple[str, int]:
     oracle = _load_graph_oracle(args.graph)
     pattern = decode(oracle, args.radius)
     out = _header(args)
     for g in sorted(pattern, key=lambda w: (len(w), w)):
         out += f"x({word_to_str(g)}) = {pattern[g]}\n"
-    _write(args, out)
-    return EXIT_OK
+    return out, EXIT_OK
 
 
-def cmd_check_equivariance(args) -> int:
+def cmd_check_equivariance(args) -> tuple[str, int]:
     space, _ = parse_subshift(_read(args.subshift))
     if args.trials < 1:
         raise DomainError("--trials must be >= 1")
@@ -254,21 +245,19 @@ def cmd_check_equivariance(args) -> int:
         f"equivariance trials {args.trials} failures {failures}: "
         + ("PASS" if failures == 0 else "FAIL") + "\n"
     )
-    _write(args, out)
-    return EXIT_OK if failures == 0 else EXIT_VERIFY
+    return out, EXIT_OK if failures == 0 else EXIT_VERIFY
 
 
-def cmd_upsilon(args) -> int:
+def cmd_upsilon(args) -> tuple[str, int]:
     oracle = _load_graph_oracle(args.graph)
     space, _ = parse_subshift(_read(args.subshift))
     retracted, f = upsilon(oracle, space, args.radius)
     out = _header(args) + f"translate {word_to_str(f)}\n"
     out += emit_sgr(ball(retracted, args.radius, args.budget))
-    _write(args, out)
-    return EXIT_OK
+    return out, EXIT_OK
 
 
-def cmd_lambda(args) -> int:
+def cmd_lambda(args) -> tuple[str, int]:
     space, _ = parse_subshift(_read(args.subshift))
     lam, reps = lambda_pushforward(space)
     out = _header(args)
@@ -282,29 +271,26 @@ def cmd_lambda(args) -> int:
         if lambda_conjugate(space, lam, reps, l) != lam:
             ok = False
     out += "conjugation invariance: " + ("PASS" if ok else "FAIL") + "\n"
-    _write(args, out)
-    return EXIT_OK if ok else EXIT_VERIFY
+    return out, EXIT_OK if ok else EXIT_VERIFY
 
 
-def cmd_stab_law(args) -> int:
+def cmd_stab_law(args) -> tuple[str, int]:
     action = parse_action(_read(args.action))
     law = stab_pushforward_law(action)
     out = _header(args) + f"atoms {len(law)} total {law.total()}\n"
     for i, (code, mass) in enumerate(law.items_sorted()):
         fp2 = _fp2(code_action(code))
         out += f"atom {i}: mass {mass} vertices {code[1]} fp2 {fp2}\n"
-    _write(args, out)
-    return EXIT_OK
+    return out, EXIT_OK
 
 
-def cmd_tnf_check(args) -> int:
+def cmd_tnf_check(args) -> tuple[str, int]:
     action = parse_action(_read(args.action))
     flag = is_totally_nonfree(action)
-    _write(args, _header(args) + f"totally-nonfree: {str(flag).lower()}\n")
-    return EXIT_OK
+    return _header(args) + f"totally-nonfree: {str(flag).lower()}\n", EXIT_OK
 
 
-def cmd_first_return(args) -> int:
+def cmd_first_return(args) -> tuple[str, int]:
     action = parse_action(_read(args.action))
     if not 1 <= args.gen <= action.rank:
         raise DomainError(f"generator index {args.gen} out of range")
@@ -316,19 +302,17 @@ def cmd_first_return(args) -> int:
     out = _header(args, gen=args.gen, subset=args.subset)
     for y in sorted(fr):
         out += f"{y} -> {fr[y]}\n"
-    _write(args, out)
-    return EXIT_OK
+    return out, EXIT_OK
 
 
-def cmd_estimate(args) -> int:
+def cmd_estimate(args) -> tuple[str, int]:
     law = parse_base_spec(args.sampler, args.rank, args.p)
     spec = _fingerprint_spec(args)
     rep = estimate_cylinder(law, spec, args.samples, args.seed)
-    _write(args, _header(args) + rep.render() + "\n")
-    return EXIT_OK
+    return _header(args) + rep.render() + "\n", EXIT_OK
 
 
-def cmd_invariance(args) -> int:
+def cmd_invariance(args) -> tuple[str, int]:
     if not 0 <= args.z_threshold < float("inf"):
         raise DomainError("--z-threshold must be finite and >= 0")
     law = parse_base_spec(args.sampler, args.rank, args.p)
@@ -340,22 +324,19 @@ def cmd_invariance(args) -> int:
         f"max z-score threshold {args.z_threshold}: "
         + ("PASS" if not breached else f"FAIL ({len(breached)} cells)") + "\n"
     )
-    _write(args, out)
-    return EXIT_OK if not breached else EXIT_VERIFY
+    return out, EXIT_OK if not breached else EXIT_VERIFY
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[str, int]:
     base = parse_base_spec(args.base, args.rank, args.p)
     spec = _fingerprint_spec(args)
     p_list = [parse_rational(s) for s in args.p_list.split(",")]
     rows = convergence_sweep(args.construction, base, p_list, spec,
                              args.samples, args.seed)
-    _write(args, _header(args) + render_sweep(rows, args.format))
-    return EXIT_OK
+    return _header(args) + render_sweep(rows, args.format), EXIT_OK
 
 
-def _add_common(sp, *, seed=True, rank=True, p=False, budget=False, out=True,
-                fmt=False):
+def _add_common(sp, *, seed=True, rank=True, p=False, budget=False, fmt=False):
     if seed:
         sp.add_argument("--seed", type=parse_seed, default=0,
                         help="seed in [0, 2^64) (default 0, never entropy)")
@@ -368,8 +349,7 @@ def _add_common(sp, *, seed=True, rank=True, p=False, budget=False, out=True,
     if budget:
         sp.add_argument("--budget", type=int, default=10**6,
                         help="vertex budget for lazy exploration")
-    if out:
-        sp.add_argument("--out", default=None, help="write output to a file")
+    sp.add_argument("--out", default=None, help="write output to a file")
     if fmt:
         sp.add_argument("--format", choices=("text", "csv"), default="text")
 
@@ -521,7 +501,9 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_DOMAIN if e.code not in (0, None) else EXIT_OK
     try:
-        return args.fn(args)
+        text, code = args.fn(args)
+        _write(args.out, text)
+        return code
     except BudgetError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET

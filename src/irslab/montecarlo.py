@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .analysis import code_action, conjugate_fingerprints, cylinder_fingerprint
 from .errors import DomainError
+from .laws import NormalizerLaw, PoulsenLaw
 from .measures import AtomicMeasure
 from .oracles import SchreierOracle, ball
 from .randomness import subseed
@@ -184,8 +185,6 @@ def convergence_sweep(construction, base_law, p_list, spec: CylinderSpec,
     """Estimate the cylinder mass of the construction over the base law for
     each p (descending); deviation is against the exact base value when the
     base law is a point mass."""
-    from .laws import NormalizerLaw, PoulsenLaw
-
     makers = {"poulsen": PoulsenLaw, "normalizer": NormalizerLaw}
     try:
         maker = makers[construction]

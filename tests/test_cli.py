@@ -395,6 +395,21 @@ def test_missing_file_exit_code(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv, verdict", [
+    (["ball", "--base", "trivial", "--radius", "1"], 0),
+    (["invariance", "--sampler", "biased-normalizer:trivial", "--p", "1/2",
+      "--radius", "1", "--samples", "2000", "--seed", "2"], 3),
+], ids=["ball", "biased-invariance"])
+def test_unwritable_out_exits_1(capsys, tmp_path, argv, verdict):
+    # a failed write exits 1 whatever the command's own exit code would be
+    assert run(capsys, *argv)[0] == verdict
+    out_path = tmp_path / "missing" / "out.txt"
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out_path.parent.exists()
+
+
 @pytest.mark.parametrize("text", [
     "points x\nperm s1: (0 1)\n",
     "points\nperm s1: (0 1)\n",

@@ -29,3 +29,24 @@ def test_self_normalizing_experiment_prints_the_exact_table():
     # the timing column varies from run to run and is not checked
     assert [row.split()[:3] for row in rows] == [
         [str(n), str(mass), f"{float(mass):.6f}"] for n, mass in masses.items()]
+
+
+def test_invariance_experiment_flags_only_the_negative_control():
+    out = run_script("invariance_experiment.py", "--samples", "300")
+    heads = [l for l in out.splitlines() if l.startswith("== ")]
+    assert [h.split(" (")[0] for h in heads] == [
+        "== normalizer over trivial", "== poulsen over normalizer",
+        "== NEGATIVE CONTROL: biased root slot"]
+    max_z = [float(h.rsplit("max z = ", 1)[1]) for h in heads]
+    assert max_z[2] > max(max_z[:2])
+
+
+def test_convergence_experiment_prints_one_table_per_base():
+    out = run_script("convergence_experiment.py", "--samples", "200")
+    heads = [l.split(":")[0] for l in out.splitlines() if l.startswith("base ")]
+    assert heads == ["base trivial", "base index-2", "base index-4",
+                     "base index-6"]
+    rows = [r for r in map(str.split, out.splitlines()) if r and "/" in r[0]]
+    assert len(rows) == 16
+    # each estimate lies within the deviation limit printed next to it
+    assert all(float(dev) <= float(bound) for *_, dev, bound in rows)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,9 +19,11 @@ from irslab import (
     estimate_cylinder,
     exact_invariance_rows,
     invariance_report,
+    orbit_schreier,
     trivial_law,
     tv_distance,
 )
+from irslab.actions import random_transitive_action
 from irslab.montecarlo import (
     convergence_sweep,
     render_invariance,
@@ -29,7 +32,7 @@ from irslab.montecarlo import (
 )
 from irslab.randomness import KeyedRng
 
-from helpers import index2_oracle
+from helpers import cyclic_oracle, index2_oracle
 
 
 def test_cylinder_spec_validation():
@@ -144,6 +147,54 @@ def test_statistical_invariance_radius2_infinite_bases():
                       Fraction(1, 5))
     rows = invariance_report(pois, 2, 20_000, seed=5)
     assert rows and max(r.z for r in rows) <= 4
+
+
+CALIBRATION_SAMPLES = 10_000
+CALIBRATION_Z = 4.0  # upper bound on the Wilson-Hilferty z of the chi-square
+CALIBRATION_BASES = {
+    "index2": lambda: orbit_schreier(random_transitive_action(2, 2, 0), 0),
+    "cyclic3": lambda: cyclic_oracle(3),
+    "random4-not-normal": lambda: orbit_schreier(
+        random_transitive_action(4, 2, 1), 0),
+    "random3-r3": lambda: orbit_schreier(random_transitive_action(3, 3, 2), 0),
+}
+
+
+def sampler_vs_exact_z(base, p, biased_root_slot=None) -> float:
+    """Pearson's chi-square of the canonical codes of the lazy sampler's
+    draws against the exact law of the honest construction, as a normal z
+    (Wilson and Hilferty 1931). Atoms expected fewer than 5 times are pooled
+    into one cell; a draw outside the exact support fails outright."""
+    exact = enumerate_normalizer_law(base, p)
+    law = NormalizerLaw(PointLaw(base), p, biased_root_slot)
+    n = CALIBRATION_SAMPLES
+    counts = Counter(canonical_code(law.sample(sample_seed(1, k)))
+                     for k in range(n))
+    assert set(counts) <= set(exact.keys())
+    cells, small = [], []
+    for code, mass in exact.items_sorted():
+        cell = (counts[code], n * float(mass))
+        (small if cell[1] < 5 else cells).append(cell)
+    if small:
+        cells.append(tuple(map(sum, zip(*small))))
+    chi2 = sum((o - e) ** 2 / e for o, e in cells)
+    df = len(cells) - 1
+    assert df >= 1
+    c = 2 / (9 * df)
+    return ((chi2 / df) ** (1 / 3) - (1 - c)) / math.sqrt(c)
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 3), Fraction(1, 10)],
+                         ids=str)
+@pytest.mark.parametrize("base", CALIBRATION_BASES)
+def test_sampler_matches_the_exact_law_over_finite_bases(base, p):
+    z = sampler_vs_exact_z(CALIBRATION_BASES[base](), p)
+    assert z <= CALIBRATION_Z
+
+
+def test_biased_sampler_fails_the_exact_law_calibration():
+    z = sampler_vs_exact_z(cyclic_oracle(3), Fraction(1, 2), biased_root_slot=0)
+    assert z > CALIBRATION_Z
 
 
 def test_tv_distance_basics():
