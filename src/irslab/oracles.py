@@ -26,8 +26,7 @@ STAR = "*"
 
 
 class SchreierOracle:
-    """Base interface: a root vertex, a rank and a total neighbor function;
-    `known_neighbor` is `neighbor`, or None for a vertex never returned."""
+    """Base interface: a root vertex, a rank and a total neighbor function."""
 
     rank: int
     root: object
@@ -36,6 +35,9 @@ class SchreierOracle:
         raise NotImplementedError
 
     def known_neighbor(self, vertex, letter: int):
+        """`neighbor`, or None where that is a vertex never returned. `ball`
+        asks it for the cells a boundary vertex lacks, so it should draw
+        only what its answer depends on."""
         return self.neighbor(vertex, letter)
 
     def token(self, vertex) -> str:
@@ -354,9 +356,10 @@ def grow_view(root, step, succ, rank: int, radius: int, token, star=None,
     `token`; raises InvalidGraphError unless the names are distinct. Each
     s_i-edge inside the ball is recorded in BFS order, then each star edge
     once with the smaller token first. The edges come from the cells of
-    `bfs`; `succ(v, i)` (`step` unchecked, or None for a vertex outside the
-    ball) and `star` are asked only for the cells a boundary vertex lacks.
-    The boundary is the layer at distance `radius`.
+    `bfs`; `succ(v, l)` (`step` unchecked along s_i and `star` along STAR,
+    or None for a vertex outside the ball) is asked only for the s_i and
+    STAR cells a boundary vertex lacks. The boundary is the layer at
+    distance `radius`.
     """
     if radius < 0:
         raise DomainError("radius must be >= 0")
@@ -375,20 +378,20 @@ def grow_view(root, step, succ, rank: int, radius: int, token, star=None,
         raise InvalidGraphError("oracle tokens are not injective")
     edges = []
     stars = []
+    width = len(letters)
+    ahead = letters[::2]  # s_1..s_r, then STAR if it is walked
     for k, v in enumerate(number):
-        at = k * len(letters)
+        at = k * width
         outer = depth[k] == radius  # not expanded: it may lack cells
-        for i in range(1, rank + 1):
-            m = cells[at + 2 * i - 2]
+        for j, l in enumerate(ahead):
+            m = cells[at + 2 * j]
             if m is None and outer:
-                m = number.get(succ(v, i))
-            if m is not None:
-                edges.append((tok[k], i, tok[m]))
-        if star is not None:
-            m = cells[at + 2 * rank]
-            if m is None and outer:
-                m = number.get(star(v))
-            if m is not None and tok[k] < tok[m]:
+                m = number.get(succ(v, l))
+            if m is None:
+                continue
+            if l != STAR:
+                edges.append((tok[k], l, tok[m]))
+            elif tok[k] < tok[m]:
                 stars.append((tok[k], STAR, tok[m]))
     boundary = [t for t, d in zip(tok, depth) if d == radius]
     return BallView(rank, radius, tok[0], tok, edges + stars, boundary)

@@ -70,22 +70,34 @@ class PercolationGraph:
             self._perc[u] = hit
         return hit
 
-    def child(self, u):
-        """Path of the copy attached at u, or None; that copy is not drawn."""
-        return u[0] + (u[1],) if self.percolated(u) else None
-
     def star(self, u):
         """Star partner of u, or None."""
         path, v = u
         if path and v == self.copy(path).root:
             return (path[:-1], path[-1])
-        child = self.child(u)
-        return None if child is None else (child, self.copy(child).root)
+        if not self.percolated(u):
+            return None
+        child = path + (v,)
+        return (child, self.copy(child).root)
 
     def step(self, u, letter: int):
         """In-copy edge, ignoring stars."""
         path, v = u
         return (path, self.copy(path).neighbor(v, letter))
+
+    def known_step(self, u, letter):
+        """`step`, or `star` for the letter STAR, read from what is already
+        drawn: None where there is no star partner, or where the neighbour
+        is a vertex its copy never returned or lies in a copy not yet
+        drawn. Draws nothing."""
+        path, v = u
+        if letter != STAR:
+            w = self.copy(path).known_neighbor(v, letter)
+            return None if w is None else (path, w)
+        if path and v == self.copy(path).root:
+            return (path[:-1], path[-1])
+        child = path + (v,)
+        return (child, self._copies[child].root) if child in self._copies else None
 
     def token(self, u) -> str:
         """Printable name p(<trail>|<inner>): the tokens of the percolated
@@ -130,19 +142,24 @@ class PoulsenOracle(SchreierOracle):
         return partner if partner is not None else w
 
     def known_neighbor(self, u, letter: int):
-        """`neighbor`, or None for a step new to its copy or into a new copy."""
-        if letter == 1 and self._undrawn(u):
-            return None
-        path, v = (self.graph.star(u) or u) if letter == 1 else u
-        w = self.graph.copy(path).known_neighbor(v, letter)
-        if w is None or letter == -1 and self._undrawn((path, w)):
-            return None
-        return self.neighbor(u, letter)
-
-    def _undrawn(self, u) -> bool:
-        """u has a star edge into a copy not yet drawn."""
-        child = self.graph.child(u)
-        return child is not None and child not in self.graph._copies
+        """`neighbor`, or None for a step new to its copy or into a new copy,
+        read through `known_step`. A retained x with no known star partner
+        leads into a new copy, so x's percolation bit is drawn only once
+        the in-copy step is known: the one case where the bit decides."""
+        g = self.graph
+        if letter == 1:
+            partner = g.known_step(u, STAR)
+            if partner is not None:
+                return g.known_step(partner, 1)
+            w = g.known_step(u, 1)
+            return None if w is None or g.percolated(u) else w
+        w = g.known_step(u, letter)
+        if letter != -1 or w is None:
+            return w
+        partner = g.known_step(w, STAR)
+        if partner is not None:
+            return partner
+        return None if g.percolated(w) else w
 
     def token(self, u) -> str:
         return self.graph.token(u)
@@ -156,8 +173,8 @@ def star_ball(graph: PercolationGraph, radius: int,
               budget: int = DEFAULT_BUDGET) -> BallView:
     """Ball of the unsurgered graph; star edges count as length-1 steps and
     appear with label '*'."""
-    return grow_view(graph.root, graph.step, graph.step, graph.rank, radius,
-                     graph.token, graph.star, budget)
+    return grow_view(graph.root, graph.step, graph.known_step, graph.rank,
+                     radius, graph.token, graph.star, budget)
 
 
 def star_records(view: BallView) -> tuple:

@@ -23,9 +23,9 @@ from irslab import (
 )
 from irslab.analysis import ball_code
 from irslab.errors import HorizonError
-from irslab.oracles import BallBackedOracle, SchreierOracle, sub_ball
+from irslab.oracles import STAR, BallBackedOracle, SchreierOracle, sub_ball
 from irslab.poulsen import PercolationGraph, star_ball, view_equal_exact
-from irslab.randomness import KeyedRng
+from irslab.randomness import Keyed, KeyedRng
 from irslab.words import (concat, conjugated_word, inverse_word,
                           letters_ordered, reduce_word)
 
@@ -313,6 +313,40 @@ def test_ball_asks_each_neighbor_once():
     assert (calls, vertices) == (193_004, 63_875)  # 305 422 calls in two passes
 
 
+def _counting_draws(monkeypatch) -> list:
+    """Count every keyed draw from here on in the one cell of the list."""
+    drawn = [0]
+    digest = Keyed.digest
+
+    def counted(self, key):
+        drawn[0] += 1
+        return digest(self, key)
+
+    monkeypatch.setattr(Keyed, "digest", counted)
+    return drawn
+
+
+def test_ball_draw_counts_on_the_deep_balls(monkeypatch):
+    """On the 20 radius-7 balls of the deep-ball workload, a boundary
+    vertex's percolation bit is drawn only where `known_neighbor` needs it
+    (126 112 keyed draws when every boundary s1-cell drew the bit)."""
+    law = PoulsenLaw(_NORMALIZER, P)
+    drawn = _counting_draws(monkeypatch)
+    copies = 0
+    for i in range(20):
+        oracle = law.sample(_deep_ball_seed(i))
+        ball(oracle, 7)
+        copies += len(oracle.graph._copies)
+    assert (drawn[0], copies) == (98_335, 3_258)
+
+
+def _holds_every_copy(graph: PercolationGraph, tokens) -> bool:
+    """Each copy drawn in `graph` holds a vertex named in `tokens`."""
+    # p(<trail>|<inner>); these tokens hold no escaped "|"
+    trails = {t[2:t.index("|")] for t in tokens}
+    return all(graph._trail(path) in trails for path in graph._copies)
+
+
 def test_ball_draws_no_copy_beyond_the_ball():
     """`ball` leaves a boundary cell empty when `known_neighbor` shows its
     neighbour is new, so it draws no Poulsen copy that holds no ball
@@ -321,11 +355,49 @@ def test_ball_draws_no_copy_beyond_the_ball():
     law = BALL_LAWS["poulsen:normalizer:trivial"]
     for seed in range(300, 340):
         oracle = law.sample(seed)
-        tokens = ball(oracle, 6).vertices
-        # p(<trail>|<inner>); these tokens hold no escaped "|"
-        trails = {t[2:t.index("|")] for t in tokens}
-        graph = oracle.graph
-        assert all(graph._trail(path) in trails for path in graph._copies)
+        assert _holds_every_copy(oracle.graph, ball(oracle, 6).vertices)
+
+
+def test_star_ball_draws_no_copy_beyond_the_ball(monkeypatch):
+    """`star_ball` reads a boundary vertex's missing cells through
+    `known_step`, so it draws no copy that holds no view vertex (1 847 of
+    2 764 copies, over 83 152 keyed draws, when the star cells of boundary
+    vertices drew their child copies)."""
+    drawn = _counting_draws(monkeypatch)
+    copies = 0
+    for seed in range(300, 320):
+        graph = PercolationGraph(*STAR_LAWS["normalizer:trivial"], seed)
+        assert _holds_every_copy(graph, star_ball(graph, 6).vertices)
+        copies += len(graph._copies)
+    assert (drawn[0], copies) == (36_461, 917)
+
+
+def test_known_neighbor_reads_a_drawn_child_copy():
+    """Once `neighbor(u, 1)` has drawn the copy attached at a retained u,
+    `known_neighbor(u, 1)` gives that neighbour, though u's own copy has
+    not marked u's in-copy s1-target."""
+    oracle = BALL_LAWS["poulsen:normalizer:trivial"].sample(4)
+    graph, u = oracle.graph, oracle.root
+    assert graph.percolated(u)
+    w = oracle.neighbor(u, 1)
+    assert w[0] == (u[1],)  # in the copy attached at u
+    assert graph.copy(()).known_neighbor(u[1], 1) is None
+    assert oracle.known_neighbor(u, 1) == w
+
+
+def test_known_neighbor_reads_the_bit_of_an_in_copy_target():
+    """A vertex entered along s1^-1 at slot 2 of a tripled coset has its
+    in-copy s1^-1-target inside the coset, known to the copy. That target
+    is retained here, so the s1^-1-neighbour is the root of a copy not yet
+    drawn, and `known_neighbor` must say None."""
+    oracle = BALL_LAWS["poulsen:normalizer:trivial"].sample(0)
+    graph = oracle.graph
+    u = trace(oracle, (-1, 2, -1))
+    w = graph.known_step(u, -1)
+    assert (u[1], w[1]) == (("t", (-1, 2, -1), 2), ("t", (-1, 2, -1), 0))
+    assert graph.known_step(w, STAR) is None and graph.percolated(w)
+    assert oracle.known_neighbor(u, -1) is None
+    assert oracle.neighbor(u, -1) == ((w[1],), graph.copy((w[1],)).root)
 
 
 def _conjugated(law, g):
@@ -375,6 +447,28 @@ def test_known_neighbor_is_the_neighbor_or_a_new_vertex(source, seed, steps):
         w = oracle.neighbor(v, l)
         assert known == w or known is None and w not in seen
         if w not in seen:
+            seen.add(w)
+            returned.append(w)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(sorted(STAR_LAWS)), st.integers(0, 2**64 - 1),
+       st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 4)),
+                max_size=300))
+def test_known_step_is_the_step_or_a_new_vertex(spec, seed, steps):
+    """For a vertex returned so far and a letter or STAR, `known_step`
+    gives `step` or `star`, or None, and None only where there is no star
+    partner or where the neighbour was not returned before."""
+    graph = PercolationGraph(*STAR_LAWS[spec], seed)
+    returned = [graph.root]
+    seen = set(returned)
+    letters = letters_ordered(graph.rank) + [STAR]
+    for pick, j in steps:
+        v, l = returned[pick % len(returned)], letters[j]
+        known = graph.known_step(v, l)
+        w = graph.star(v) if l == STAR else graph.step(v, l)
+        assert known == w or known is None and w not in seen
+        if w is not None and w not in seen:
             seen.add(w)
             returned.append(w)
 
