@@ -107,7 +107,10 @@ def _need_p(p: Fraction | None) -> Fraction:
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise DomainError(f"{path}: not UTF-8 text at byte {e.start}") from None
 
 
 def _write(path: str | None, text: str) -> None:

@@ -29,7 +29,7 @@ from .analysis import array_code, aut_trivial, automorphisms
 from .errors import BudgetError, DomainError
 from .measures import AtomicMeasure
 from .oracles import FiniteOracle, SchreierOracle
-from .randomness import TWO128, Keyed, below, digest128
+from .randomness import TWO128, Keyed, digest128
 
 
 @dataclass(frozen=True)
@@ -85,6 +85,9 @@ def mark(seed: int, vertex_key, law: MarkLaw, at_root: bool) -> int:
     d = digest128(seed, "mark", vertex_key)
     return bisect_right(law.root_cuts if at_root else law.other_cuts, d)
 
+
+# Cuts of the uniform root slot: a draw d falls in slot 3 * d >> 128
+SLOT_CUTS = (-(-TWO128 // 3), -(-2 * TWO128 // 3), TWO128)
 
 # Where a letter leads inside a tripled coset marked m: s_i goes from slots
 # 0 and 1 to SLOTS[i == m], and s_i^-1 from slots 1 and 2 to INVERSE[i == m].
@@ -162,7 +165,7 @@ class _HashMarks:
         m = self.cache.get(v)
         if m is None:
             cuts = self.root_cuts if v == self.base.root else self.other_cuts
-            m = self.cache[v] = bisect_right(cuts, self.keyed.digest(self.base.token(v)))
+            m = self.cache[v] = self.keyed.choose(self.base.token(v), cuts)
         return m
 
 
@@ -191,7 +194,8 @@ def tripled_oracle(base: SchreierOracle, law: MarkLaw, seed: int,
     """
     slot = checked_root_slot(biased_root_slot)
     if slot is None:
-        slot = functools.partial(below, seed, "rootslot", "root", 3)
+        def slot():  # drawn only for a marked root
+            return Keyed(seed, "rootslot").choose("root", SLOT_CUTS)
     return NormalizerOracle(base, _HashMarks(base, law, seed), slot)
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from .errors import DomainError
 from .oracles import (STAR, BallView, DEFAULT_BUDGET, SchreierOracle,
                       grow_view)
-from .randomness import Keyed
+from .randomness import TWO128, Keyed
 
 
 def retention_cutoff(p: Fraction) -> int:
@@ -38,7 +38,7 @@ class PercolationGraph:
     """
 
     def __init__(self, base_law, p, seed: int):
-        self._threshold = retention_cutoff(Fraction(p))
+        self._cuts = (retention_cutoff(Fraction(p)), TWO128)  # 0: retained
         self.law = base_law
         self.seed = seed
         self.rank = base_law.rank
@@ -66,7 +66,7 @@ class PercolationGraph:
                 draws = self._draws.get(path)
                 if draws is None:
                     draws = self._draws[path] = self._keyed.under(path)
-                hit = draws.digest(v) < self._threshold
+                hit = not draws.choose(v, self._cuts)
             self._perc[u] = hit
         return hit
 
@@ -195,11 +195,7 @@ def _swap_s1(view: BallView, pairs, keep_stars: bool) -> BallView:
                 f"starred vertex {v!r} lacks its outgoing s1-edge; "
                 "surgery needs all four implicated edges"
             )
-    edges = []
-    for src, label, dst in view.edges:
-        if label == STAR or label == 1:
-            continue
-        edges.append((src, label, dst))
+    edges = [e for e in view.edges if e[1] != STAR and e[1] != 1]
     for v in view.vertices:
         if v in partner:
             edges.append((v, 1, view.out[(partner[v], 1)]))

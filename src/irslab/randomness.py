@@ -14,6 +14,7 @@ path, and each draw copies it. Neither changes any draw or the stream.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from hashlib import blake2b
 
 TWO128 = 1 << 128
@@ -65,31 +66,26 @@ def digest128(seed: int, namespace: str, key) -> int:
 
 
 class Keyed:
-    """The draws of one (seed, namespace) with the prefix hashed once, so
-    that `Keyed(seed, ns).digest(key) == digest128(seed, ns, key)`."""
+    """The draws of one (seed, namespace), the prefix hashed once: `choose(key,
+    cuts)` is `bisect_right(cuts, digest128(seed, ns, key))`."""
 
     def __init__(self, seed: int, namespace: str):
         self._hasher = _EMPTY.copy()
         self._hasher.update(seed.to_bytes(8, "big") + namespace.encode() + b"\x00")
         self._close = ""
 
-    def digest(self, key) -> int:
+    def choose(self, key, cuts) -> int:
+        """The outcome at key: the number of cuts at or below its digest."""
         h = self._hasher.copy()
         h.update((_text(key) + self._close).encode())
-        return int.from_bytes(h.digest(), "big")
+        return bisect_right(cuts, int.from_bytes(h.digest(), "big"))
 
     def under(self, head) -> "Keyed":
-        """The draws of pairs with the head hashed once, so that
-        `.under(head).digest(key) == digest128(seed, ns, (head, key))`."""
+        """The draws of the pairs (head, key) at key, the head hashed once."""
         sub = object.__new__(Keyed)
         sub._hasher, sub._close = self._hasher.copy(), ")" + self._close
         sub._hasher.update(b"(" + token_bytes(head))
         return sub
-
-
-def below(seed: int, namespace: str, key, n: int) -> int:
-    """Uniform-up-to-2^-128-bias integer in [0, n)."""
-    return digest128(seed, namespace, key) * n // TWO128
 
 
 def subseed(seed: int, namespace: str, key) -> int:
@@ -101,12 +97,12 @@ class KeyedRng:
     """Counter-mode stream of keyed draws, for deterministic test data."""
 
     def __init__(self, seed: int, namespace: str = "rng"):
-        self._draws = Keyed(seed, namespace)
+        self._seed, self._namespace = seed, namespace
         self._n = 0
 
     def _next(self) -> int:
         self._n += 1
-        return self._draws.digest(self._n - 1)
+        return digest128(self._seed, self._namespace, self._n - 1)
 
     def randrange(self, n: int) -> int:
         return self._next() * n // TWO128

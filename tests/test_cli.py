@@ -395,6 +395,21 @@ def test_missing_file_exit_code(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["aut", "--graph", "{}"],
+    ["ball", "--base", "file:{}", "--radius", "1"],
+    ["decode", "--graph", "{}", "--radius", "2"],
+    ["tnf-check", "--action", "{}"],
+    ["lambda", "--subshift", "{}"],
+], ids=["graph", "file-base", "view", "action", "subshift"])
+def test_non_utf8_file_exits_1(capsys, tmp_path, argv):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"schreier r=2\nroot \xff\n")
+    code, out, err = run(capsys, *(a.format(path) for a in argv))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}: not UTF-8") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv, verdict", [
     (["ball", "--base", "trivial", "--radius", "1"], 0),
     (["invariance", "--sampler", "biased-normalizer:trivial", "--p", "1/2",

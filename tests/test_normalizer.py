@@ -25,6 +25,7 @@ from irslab.actions import orbit_schreier, random_transitive_action
 from irslab.analysis import array_code
 from irslab.montecarlo import exact_invariance_rows
 from irslab.normalizer import (
+    SLOT_CUTS,
     NormalizerOracle,
     _HashMarks,
     _tripled,
@@ -32,7 +33,7 @@ from irslab.normalizer import (
     mark,
 )
 from irslab.oracles import FiniteOracle
-from irslab.randomness import subseed
+from irslab.randomness import Keyed, subseed
 from irslab.words import reduce_word
 
 from helpers import cyclic_oracle, index2_oracle, one_vertex_oracle, outcome
@@ -79,11 +80,9 @@ def test_mark_monte_carlo_frequencies():
 
 
 def test_root_slot_uniform():
-    from irslab.randomness import below
-
     counts = [0, 0, 0]
     for seed in range(30_000):
-        counts[below(seed, "rootslot", "root", 3)] += 1
+        counts[Keyed(seed, "rootslot").choose("root", SLOT_CUTS)] += 1
     for c in counts:
         assert abs(c / 30_000 - 1 / 3) < 0.02
 

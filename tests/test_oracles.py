@@ -18,11 +18,13 @@ from irslab import (
     conjugate,
     contains,
     emit_sgr,
+    parse_sgr,
     trace,
     trivial_law,
 )
 from irslab.analysis import ball_code
 from irslab.errors import HorizonError
+from irslab.normalizer import SLOT_CUTS
 from irslab.oracles import STAR, BallBackedOracle, SchreierOracle, sub_ball
 from irslab.poulsen import PercolationGraph, star_ball, view_equal_exact
 from irslab.randomness import Keyed, KeyedRng
@@ -260,6 +262,15 @@ def test_sub_ball_past_the_stored_radius_raises(cayley2, index2):
         sub_ball(view, -1)
 
 
+def test_sub_ball_keeps_a_star_edge_between_boundary_vertices():
+    """A star edge joining two vertices at the outer depth is a cell that
+    the boundary pass fills, for boundary vertices too."""
+    text = ("schreier r=1\nroot a\na s1 b\nc s1 a\nb * c\n"
+            "boundary b\nboundary c\n")
+    view = parse_sgr(text)
+    assert emit_sgr(sub_ball(view, 1)) == text
+
+
 @pytest.mark.parametrize("spec", BALL_LAWS)
 def test_ball_of_a_ball_backed_oracle_is_the_sub_ball(spec):
     for seed in range(4):
@@ -313,23 +324,26 @@ def test_ball_asks_each_neighbor_once():
     assert (calls, vertices) == (193_004, 63_875)  # 305 422 calls in two passes
 
 
-def _counting_draws(monkeypatch) -> list:
-    """Count every keyed draw from here on in the one cell of the list."""
-    drawn = [0]
-    digest = Keyed.digest
+def _counting_draws(monkeypatch) -> dict:
+    """Count every keyed draw from here on by its cut table: root slots
+    (SLOT_CUTS), percolation bits (two cuts) and marks (any other)."""
+    drawn = {"marks": 0, "bits": 0, "slots": 0}
+    choose = Keyed.choose
 
-    def counted(self, key):
-        drawn[0] += 1
-        return digest(self, key)
+    def counted(self, key, cuts):
+        kind = "slots" if cuts is SLOT_CUTS else "bits" if len(cuts) == 2 \
+            else "marks"
+        drawn[kind] += 1
+        return choose(self, key, cuts)
 
-    monkeypatch.setattr(Keyed, "digest", counted)
+    monkeypatch.setattr(Keyed, "choose", counted)
     return drawn
 
 
 def test_ball_draw_counts_on_the_deep_balls(monkeypatch):
     """On the 20 radius-7 balls of the deep-ball workload, a boundary
     vertex's percolation bit is drawn only where `known_neighbor` needs it
-    (126 112 keyed draws when every boundary s1-cell drew the bit)."""
+    (126 112 marks and bits when every boundary s1-cell drew the bit)."""
     law = PoulsenLaw(_NORMALIZER, P)
     drawn = _counting_draws(monkeypatch)
     copies = 0
@@ -337,7 +351,9 @@ def test_ball_draw_counts_on_the_deep_balls(monkeypatch):
         oracle = law.sample(_deep_ball_seed(i))
         ball(oracle, 7)
         copies += len(oracle.graph._copies)
-    assert (drawn[0], copies) == (98_335, 3_258)
+    # 98 335 marks and bits
+    assert (drawn, copies) == ({"marks": 62_449, "bits": 35_886,
+                                "slots": 765}, 3_258)
 
 
 def _holds_every_copy(graph: PercolationGraph, tokens) -> bool:
@@ -361,15 +377,17 @@ def test_ball_draws_no_copy_beyond_the_ball():
 def test_star_ball_draws_no_copy_beyond_the_ball(monkeypatch):
     """`star_ball` reads a boundary vertex's missing cells through
     `known_step`, so it draws no copy that holds no view vertex (1 847 of
-    2 764 copies, over 83 152 keyed draws, when the star cells of boundary
-    vertices drew their child copies)."""
+    2 764 copies, over 83 152 marks and bits, when the star cells of
+    boundary vertices drew their child copies)."""
     drawn = _counting_draws(monkeypatch)
     copies = 0
     for seed in range(300, 320):
         graph = PercolationGraph(*STAR_LAWS["normalizer:trivial"], seed)
         assert _holds_every_copy(graph, star_ball(graph, 6).vertices)
         copies += len(graph._copies)
-    assert (drawn[0], copies) == (36_461, 917)
+    # 36 461 marks and bits
+    assert (drawn, copies) == ({"marks": 27_073, "bits": 9_388,
+                                "slots": 236}, 917)
 
 
 def test_known_neighbor_reads_a_drawn_child_copy():

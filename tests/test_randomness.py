@@ -1,21 +1,26 @@
 """Keyed draws: pinned values for each key shape the samplers use, the key
-encoder against the recursive reference in helpers, and the prefixed
-hashers of `Keyed` against the plain digest."""
+encoder against the recursive reference in helpers, the prefixed hashers
+of `Keyed` against the plain digest, and the cut tables at their edges."""
 
 import enum
 import hashlib
+from bisect import bisect_right
 from collections import namedtuple
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from irslab.randomness import Keyed, below, digest128, subseed, token_bytes
+from irslab.laws import trivial_law
+from irslab.normalizer import SLOT_CUTS
+from irslab.poulsen import PercolationGraph, retention_cutoff
+from irslab.randomness import TWO128, Keyed, digest128, subseed, token_bytes
 
 from helpers import outcome, token_bytes as reference_token_bytes
 
 SEED = 2024
 
-# name -> (namespace, key, digest128, subseed, below n=3)
+# name -> (namespace, key, digest128, subseed, root slot)
 PINNED = {
     "int": ("sample", 7,
             0xe4e42778f4a1317c528ded9e5523d121, 5948671947115319585, 2),
@@ -43,13 +48,23 @@ def reference_digest128(seed: int, namespace: str, key) -> int:
     return int.from_bytes(h.digest(), "big")
 
 
+def drawn(keyed: Keyed, expected: tuple):
+    """The draw of `keyed` at a key read through `choose`: its outcome
+    equals `expected`, the outcome of a plain digest, exactly when the two
+    digests agree, since `choose` over the cuts (d, d + 1) gives 1 only at
+    the digest d."""
+    d = expected[0] or 0
+    return lambda k: d if keyed.choose(k, (d, d + 1)) == 1 else -1
+
+
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_pinned_draws(name):
     namespace, key, digest, sub, slot = PINNED[name]
     assert digest128(SEED, namespace, key) == digest
-    assert Keyed(SEED, namespace).digest(key) == digest
+    assert Keyed(SEED, namespace).choose(key, (digest, digest + 1)) == 1
     assert subseed(SEED, namespace, key) == sub
-    assert below(SEED, namespace, key, 3) == slot
+    assert Keyed(SEED, namespace).choose(key, SLOT_CUTS) == slot == \
+        3 * digest >> 128
     assert reference_digest128(SEED, namespace, key) == digest
 
 
@@ -95,9 +110,11 @@ def test_equal_keys_of_other_types_draw_apart(first, second):
                          ids=["float", "list", "tuple-of-float"])
 def test_unsupported_key_raises_after_like_key_drawn(bad, good):
     keyed = Keyed(SEED, "mark")
-    assert keyed.digest(good) == digest128(SEED, "mark", good)
-    for draw in (lambda k: digest128(SEED, "mark", k), keyed.digest,
-                 token_bytes, keyed.under, Keyed(SEED, "perc").under(1).digest):
+    d = digest128(SEED, "mark", good)
+    assert keyed.choose(good, (d, d + 1)) == 1
+    for draw in (lambda k: digest128(SEED, "mark", k),
+                 lambda k: keyed.choose(k, SLOT_CUTS), token_bytes, keyed.under,
+                 lambda k: Keyed(SEED, "perc").under(1).choose(k, SLOT_CUTS)):
         with pytest.raises(TypeError):
             draw(bad)
 
@@ -122,8 +139,8 @@ def test_subclass_keys_match_reference(key):
     assert token_bytes(key) == reference_token_bytes(key)
     assert digest128(SEED, "perc", key) == \
         reference_digest128(SEED, "perc", key)
-    assert Keyed(SEED, "perc").digest(key) == \
-        reference_digest128(SEED, "perc", key)
+    d = reference_digest128(SEED, "perc", key)
+    assert Keyed(SEED, "perc").choose(key, (d, d + 1)) == 1
 
 
 _subclassed = st.sampled_from([_Slot.MIDDLE, _Kind.BASE]) | \
@@ -142,22 +159,32 @@ _namespaces = st.sampled_from(["mark", "perc", "law", "", "ñamespace"])
 def test_keyed_digest_equals_digest128(seed, namespace, key):
     keyed = Keyed(seed, namespace)
     expected = outcome(lambda k: reference_digest128(seed, namespace, k), key)
-    assert outcome(keyed.digest, key) == expected
+    assert outcome(drawn(keyed, expected), key) == expected
     assert outcome(lambda k: digest128(seed, namespace, k), key) == expected
-    assert outcome(keyed.digest, key) == expected  # the hasher is reusable
+    assert outcome(drawn(keyed, expected), key) == expected  # reusable
 
 
 @given(_seeds, _namespaces, _draw_keys, _draw_keys, _draw_keys)
 def test_keyed_under_head_draws_the_pair(seed, namespace, head, inner, key):
     keyed = Keyed(seed, namespace)
-
-    def under(k):
-        return keyed.under(head).digest(k)
-
-    def twice_under(k):
-        return keyed.under(head).under(inner).digest(k)
-
-    assert outcome(under, key) == \
-        outcome(lambda k: reference_digest128(seed, namespace, (head, k)), key)
-    assert outcome(twice_under, key) == outcome(
+    pair = outcome(lambda k: reference_digest128(seed, namespace, (head, k)), key)
+    nested = outcome(
         lambda k: reference_digest128(seed, namespace, (head, (inner, k))), key)
+    assert outcome(lambda k: drawn(keyed.under(head), pair)(k), key) == pair
+    assert outcome(lambda k: drawn(keyed.under(head).under(inner), nested)(k),
+                   key) == nested
+
+
+@pytest.mark.parametrize("cut", SLOT_CUTS)
+def test_slot_cuts_give_the_floor_of_three_draws(cut):
+    for d in (0, cut - 1, cut, TWO128 - 1):
+        assert bisect_right(SLOT_CUTS, d) == (3 * d) >> 128
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 10), Fraction(1, 3), Fraction(1, 2)])
+def test_percolation_cuts_retain_exactly_below_the_cutoff(p):
+    cuts = PercolationGraph(trivial_law(2), p, 0)._cuts  # draws nothing
+    cutoff = retention_cutoff(p)
+    assert cuts[-1] == TWO128
+    for d in (0, cutoff - 1, cutoff, TWO128 - 1):
+        assert (bisect_right(cuts, d) == 0) == (d < cutoff)
