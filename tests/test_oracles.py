@@ -418,6 +418,34 @@ def test_known_neighbor_reads_the_bit_of_an_in_copy_target():
     assert oracle.neighbor(u, -1) == ((w[1],), graph.copy((w[1],)).root)
 
 
+def _order_laws() -> dict:
+    """Every layer of the zoo at p = 1/2, and a normalizer over Poulsen."""
+    p = Fraction(1, 2)
+    normalizer = NormalizerLaw(_TRIVIAL, p)
+    poulsen = PoulsenLaw(normalizer, p)
+    return {"trivial": _TRIVIAL, "normalizer:trivial": normalizer,
+            "poulsen:normalizer:trivial": poulsen,
+            "poulsen:poulsen:normalizer:trivial": PoulsenLaw(poulsen, p),
+            "normalizer:poulsen:normalizer:trivial": NormalizerLaw(poulsen, p)}
+
+
+ORDER_LAWS = _order_laws()
+DETOUR = (2, 1, 1, -2, 1, 2, 2, -1, -1, 2)  # leaves the radius-3 ball first
+
+
+@pytest.mark.parametrize("spec", ORDER_LAWS)
+def test_a_sample_does_not_depend_on_its_exploration_order(spec):
+    """Each draw is keyed by what it decides, not by when it is made: the
+    radius-3 ball of a sample is the same when the sample has first walked
+    a word that leaves the ball, drawing vertices and copies in another
+    order."""
+    law = ORDER_LAWS[spec]
+    for seed in range(30):
+        detoured = law.sample(seed)
+        trace(detoured, DETOUR)
+        assert emit_sgr(ball(detoured, 3)) == emit_sgr(ball(law.sample(seed), 3))
+
+
 def _conjugated(law, g):
     """seed -> (sample of `law` rebased at the end of g^-1's walk, every
     vertex that walk returned)."""

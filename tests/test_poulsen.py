@@ -161,6 +161,21 @@ def test_trivial_base_fingerprint_always_trivial():
         assert cylinder_fingerprint(oracle, 3) == ((),)
 
 
+@pytest.mark.parametrize("rank", [2, 3])
+def test_poulsen_over_the_trivial_base_is_the_cayley_tree(rank):
+    """Every ball of a Poulsen sample over the trivial subgroup has as many
+    vertices as the Cayley ball: 1 + 2r((2r-1)^k - 1)/(2r-2) at radius k.
+    So no percolation draw shows in what such a sample is, and a sweep
+    over the trivial base reads the same at every p."""
+    for p in (Fraction(1, 5), Fraction(1, 2), Fraction(9, 10)):
+        law = PoulsenLaw(trivial_law(rank), p)
+        for seed in range(20):
+            oracle = law.sample(seed)
+            for k in range(5):
+                tree = 1 + 2 * rank * ((2 * rank - 1) ** k - 1) // (2 * rank - 2)
+                assert len(ball(oracle, k).vertices) == tree
+
+
 def test_determinism_bitwise():
     law = NormalizerLaw(trivial_law(2), Fraction(1, 10))
     a = emit_sgr(ball(poulsen_oracle(law, Fraction(1, 10), 9), 3))
