@@ -152,7 +152,8 @@ class NormalizerOracle(SchreierOracle):
 
 
 class _HashMarks:
-    """Memoized keyed-hash marks; write-once cache, safe for shared readers."""
+    """Memoized keyed-hash marks, each keyed by its base vertex; write-once
+    cache, safe for shared readers."""
 
     def __init__(self, base: SchreierOracle, law: MarkLaw, seed: int):
         self.base = base
@@ -165,7 +166,7 @@ class _HashMarks:
         m = self.cache.get(v)
         if m is None:
             cuts = self.root_cuts if v == self.base.root else self.other_cuts
-            m = self.cache[v] = self.keyed.choose(self.base.token(v), cuts)
+            m = self.cache[v] = self.keyed.choose(v, cuts)
         return m
 
 

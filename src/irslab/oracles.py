@@ -67,21 +67,42 @@ class RebasedOracle(SchreierOracle):
 
 
 class CayleyOracle(SchreierOracle):
-    """Cayley graph of the free group: the trivial subgroup."""
+    """Cayley graph of the free group: the trivial subgroup.
+
+    A vertex is the bijective base-2r numeral of its reduced word: digit
+    2i-1 stands for s_i and 2i for s_i^-1, so the root is 0, a step along
+    a letter appends its digit or drops the last one, and numerals sort in
+    the shortlex order of their words."""
 
     def __init__(self, rank: int):
         if rank < 1:
             raise DomainError("rank must be >= 1")
         self.rank = rank
-        self.root: Word = ()
+        self.root = 0
+        self._base = 2 * rank
+        letters = letters_ordered(rank)  # letters[d - 1] has digit d
+        self._names = tuple(word_to_str((l,)) for l in letters)
+        # letter -> (its digit, the remainder (n - 1) % 2r of a numeral n
+        # whose last digit is that of its inverse)
+        self._moves = {l: (d, letters.index(-l))
+                       for d, l in enumerate(letters, start=1)}
 
-    def neighbor(self, vertex: Word, letter: int) -> Word:
-        if vertex and vertex[-1] == -letter:
-            return vertex[:-1]
-        return vertex + (letter,)
+    def neighbor(self, vertex: int, letter: int) -> int:
+        digit, back = self._moves[letter]
+        if vertex and (vertex - 1) % self._base == back:
+            return (vertex - 1) // self._base
+        return vertex * self._base + digit
 
-    def token(self, vertex: Word) -> str:
-        return word_to_str(vertex)
+    def token(self, vertex: int) -> str:
+        """`word_to_str` of the numeral's word, read off its digits."""
+        if not vertex:
+            return "e"
+        names = []
+        while vertex:
+            vertex, r = divmod(vertex - 1, self._base)
+            names.append(self._names[r])
+        names.reverse()
+        return "*".join(names)
 
 
 @dataclass(frozen=True)

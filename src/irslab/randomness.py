@@ -17,6 +17,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from hashlib import blake2b
 
+# The version of the map from (seed, key) to draws and of the keys the
+# samplers draw at. A change to either bumps it and the pinned goldens.
+# 2: a Cayley vertex is its numeral, and marks are keyed by the vertex.
+STREAM_VERSION = 2
+
 TWO128 = 1 << 128
 MASK64 = (1 << 64) - 1
 _EMPTY = blake2b(digest_size=16)  # copied, not built, for each new hasher
@@ -24,10 +29,12 @@ _EMPTY = blake2b(digest_size=16)  # copied, not built, for each new hasher
 
 def _text(obj) -> str:
     """The encoding as text: one UTF-8 encode of it gives the bytes. Exact
-    tuples and strings, and the ints inside tuples, take the short way;
-    subclasses and the rare leaf types go by isinstance. A string's length
-    prefix counts its UTF-8 bytes."""
+    ints, tuples and strings, and the ints inside tuples, take the short
+    way; subclasses (bool among them) and the rare leaf types go by
+    isinstance. A string's length prefix counts its UTF-8 bytes."""
     t = type(obj)
+    if t is int:
+        return f"i{obj};"
     if t is tuple:
         parts = []
         for x in obj:

@@ -84,7 +84,7 @@ def _ball_pool():
 
 def test_ball_pool_has_star_views():
     stars = [v for v in _ball_pool() if v.has_stars() and len(v.vertices) <= 6]
-    assert len(stars) == 19
+    assert len(stars) == 20
 
 
 def test_root_isomorphic_agrees_with_bruteforce():

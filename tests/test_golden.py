@@ -4,7 +4,8 @@ Each case renders a deterministic output of the library as text and pins
 its blake2b digest, so any change to discovery order, vertex tokens, edge
 order, canonical numbering or exact masses shows up as a failing case. A
 change to these outputs must be deliberate: it updates the digest and says
-why in CHANGES.md.
+why in CHANGES.md. The digests pin version STREAM_VERSION of the random
+stream; a change to the stream bumps the version and updates them together.
 """
 
 import hashlib
@@ -49,7 +50,7 @@ from irslab.montecarlo import (
 from irslab.normalizer import NormalizerOracle
 from irslab.oracles import sub_ball
 from irslab.poulsen import PercolationGraph, star_ball
-from irslab.randomness import KeyedRng
+from irslab.randomness import STREAM_VERSION, KeyedRng
 
 from irslab.words import letters_ordered
 
@@ -293,41 +294,45 @@ CASES = {
 GOLDEN = {
     "aut_trivial_mass": "2a7a3f63d1b6e95085814eeece786e64",
     "aut_trivial_mass random": "db5c0d110e8707f2f7b9cd265aa4560d",
-    "ball normalizer:trivial": "428fbb1f1ca9145fe16045da723aacb0",
-    "ball poulsen:normalizer:trivial": "357e9c1ccdc34246d05d2e44963a057b",
+    "ball normalizer:trivial": "c2ca9673dfac871cd5de31cb812bed34",
+    "ball poulsen:normalizer:trivial": "c887126b7b9443b66d90c4156f279eab",
     "ball trivial": "d4d080b7f6c08c2ffd0ab95d51357bf7",
     "canonical_code orbit": "cc0e2b30ab01db2804fd1f4d01f9b701",
     "canonical_code tripled": "ad3e31219dc778fd011ad9f2f3774f8d",
     "cli aut": "d0e6474100e8cd7f5cefb4790e41da0d",
-    "cli ball": "c9a4344a9e6fb6186faa2da8af08ae36",
+    "cli ball": "7ea85b1fccb4adbcca5b64220b7ac0d5",
     "cli enumerate-normalizer": "8ac0feefd0102d2d8b90474c404ca073",
     "cli named file base": "6ff33972f57a350e4283f79f7d9e2ce5",
     "cli stab-law": "a3c5293e4a0c248d60f979221b6c8d6a",
     "conjugate_code cyclic5 atoms": "a756bd5eb75ccb3910886671db3ec230",
-    "convergence_sweep normalizer": "8c90da4ff46c861275d3c3dede789e61",
+    "convergence_sweep normalizer": "00078c747b5894e5916daeda5ce8dd50",
     "convergence_sweep poulsen": "a77566d1948a8dbf9e4e4072f6616a9e",
     "convergence_sweep poulsen cyclic3": "e29c42d14dd4eb372724665b652071fd",
     "deep ball poulsen:normalizer:trivial r=5 p=1/10":
-        "534bb2b5c793aef1b45b185afb0f8b90",
+        "c7b7d42b2cf86a0081e8ba33c0313c8a",
     "deep ball poulsen:normalizer:trivial r=5 p=1/2":
-        "024317e2b47832bbe62efbeabbae6d98",
+        "52afa0d0b5e1dec949e695cd722678f1",
     "deep ball poulsen:poulsen:normalizer:trivial r=3 p=1/2":
-        "6f06605e89f6490ef282805e0fbcdb5f",
+        "8eb89ba8ae70cfe932394aae50a73665",
     "emit_subshift": "9088f9c2e7b03cc6f39dec01e4cd11aa",
     "enumerate_normalizer_law": "00acbe9bbe9e9b045594ef23d8d846dc",
     "estimate_cylinder poulsen:normalizer:trivial":
         "cf7aedfab6f3c9d0731fa8e29d656ca7",
     "exact_invariance_rows cyclic5": "e7aa0d730c3ce116b5a684edbefc006c",
     "invariance_report biased-normalizer:trivial p=1/2":
-        "abc44fe43f56dbdc6d9fa216e3fe175d",
+        "370edd814a99fb843ce94ad754050c8d",
     "invariance_report normalizer:trivial p=1/2":
-        "1fe8ddaf72abc9739d8bae5632142da8",
+        "f78a59a5068feb402cdb55f475f10996",
     "invariance_report poulsen:normalizer:trivial":
-        "d5d5376ea33f75f5c7941c2fc0a7dfc1",
+        "ae68f3e500a81458f0655cfb3db87ce9",
     "point_class_code": "d4b3a7bcfe6d454ff33946ebc805a78c",
-    "star_ball normalizer:trivial p=1/10": "c59461659dd1dfe02175219083a67165",
-    "star_ball trivial p=1/2": "52b4f746c7c1948681c960575a09192f",
+    "star_ball normalizer:trivial p=1/10": "280a72964e524ad2306b12127bd16780",
+    "star_ball trivial p=1/2": "4bebdd540508f52c4f951cc2f74cd4e8",
 }
+
+
+def test_golden_digests_pin_stream_version_2():
+    assert STREAM_VERSION == 2
 
 
 def _digest(text: str) -> str:

@@ -17,6 +17,7 @@ from irslab import (
     normalizer_oracle,
     oracle_from_code,
     root_isomorphic,
+    trace,
     trivial_law,
     validate_schreier_ball,
 )
@@ -320,8 +321,9 @@ _laws = st.builds(MarkLaw, st.sampled_from(
 def test_hash_marks_equal_mark_over_cayley(seed, law, letters):
     base = CayleyOracle(2)
     marks = _HashMarks(base, law, seed)
-    for v in (reduce_word(letters), base.root, reduce_word(letters)):
-        assert marks(v) == mark(seed, base.token(v), law, v == base.root)
+    w = trace(base, reduce_word(letters))
+    for v in (w, base.root, w):
+        assert marks(v) == mark(seed, v, law, v == base.root)
 
 
 @settings(deadline=None)
