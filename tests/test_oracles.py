@@ -428,18 +428,17 @@ ORDER_LAWS = _order_laws()
 DETOUR = (2, 1, 1, -2, 1, 2, 2, -1, -1, 2)  # leaves the radius-3 ball first
 
 
-def _first_seed(case) -> int:
-    """The first seed in range(200) at which `case(seed)` holds; there must
-    be one."""
-    seed = next((s for s in range(200) if case(s)), None)
+def _first_sample(law, case):
+    """A fresh sample of `law` at the first seed in range(200) whose sample
+    `case` holds for; there must be one."""
+    seed = next((s for s in range(200) if case(law.sample(s))), None)
     assert seed is not None
-    return seed
+    return law.sample(seed)
 
 
-def _unknown_child_copy(law, seed) -> bool:
-    """The root of `law`'s sample is retained, and its own copy has not
-    returned its in-copy s1-target."""
-    oracle = law.sample(seed)
+def _unknown_child_copy(oracle) -> bool:
+    """The root is retained, and its own copy has not returned its in-copy
+    s1-target."""
     u = oracle.root
     return oracle.graph.percolated(u) and \
         oracle.graph.copy(()).known_neighbor(u[1], 1) is None
@@ -449,8 +448,8 @@ def test_known_neighbor_reads_a_drawn_child_copy():
     """Once `neighbor(u, 1)` has drawn the copy attached at a retained u,
     `known_neighbor(u, 1)` gives that neighbour, though u's own copy has
     not marked u's in-copy s1-target."""
-    law = BALL_LAWS["poulsen:normalizer:trivial"]
-    oracle = law.sample(_first_seed(functools.partial(_unknown_child_copy, law)))
+    oracle = _first_sample(BALL_LAWS["poulsen:normalizer:trivial"],
+                           _unknown_child_copy)
     graph, u = oracle.graph, oracle.root
     assert graph.percolated(u)
     w = oracle.neighbor(u, 1)
@@ -462,11 +461,9 @@ def test_known_neighbor_reads_a_drawn_child_copy():
 IN_COPY_WORD = (-1, 2, -1)  # its Cayley numeral is 2 * 16 + 3 * 4 + 2 = 46
 
 
-def _retained_in_copy_target(law, seed) -> bool:
-    """Walking IN_COPY_WORD in the root copy of `law`'s sample ends at slot
-    2 of a coset whose known s1^-1-step, to slot 0, is retained and has no
-    star partner yet."""
-    oracle = law.sample(seed)
+def _retained_in_copy_target(oracle) -> bool:
+    """Walking IN_COPY_WORD in the root copy ends at slot 2 of a coset whose
+    known s1^-1-step, to slot 0, is retained and has no star partner yet."""
     graph = oracle.graph
     u = trace(oracle, IN_COPY_WORD)
     w = graph.known_step(u, -1)
@@ -481,9 +478,8 @@ def test_known_neighbor_reads_the_bit_of_an_in_copy_target():
     is retained here, so the s1^-1-neighbour is the root of a copy not yet
     drawn, and `known_neighbor` must say None. (At p = 1/10 no seed in
     range(200) gives this case, so the law is the one at p = 1/2.)"""
-    law = ORDER_LAWS["poulsen:normalizer:trivial"]
-    oracle = law.sample(_first_seed(
-        functools.partial(_retained_in_copy_target, law)))
+    oracle = _first_sample(ORDER_LAWS["poulsen:normalizer:trivial"],
+                           _retained_in_copy_target)
     graph = oracle.graph
     u = trace(oracle, IN_COPY_WORD)
     w = graph.known_step(u, -1)

@@ -32,6 +32,17 @@ PINNED = {
     "poulsen vertex": ("perc", ((("b", (1,)),), ("b", (1, -2))),
                        0xbf6b5a362747fc2031bab2491735f780,
                        3583372480518420352, 2),
+    # the shapes of stream version 2: a Cayley vertex is a numeral (46 is
+    # s1^-1*s2*s1^-1), so marks and bits are keyed by ints and int tuples
+    "cayley numeral": ("mark", 46,
+                       0x85be27af43e6a70cb3858a2ae923e03c,
+                       12935897421596319804, 1),
+    "normalizer vertex over numerals": ("perc", ("t", 46, 2),
+                                        0xade7e6c718d643a73e785e0ce52a7a8a,
+                                        4501451237034195594, 2),
+    "poulsen vertex over numerals": ("perc", ((("b", 1),), ("b", 46)),
+                                     0xa427e756e205f9f3d23d81d7a864bfa9,
+                                     15149407484787343273, 1),
     "none": ("law", None,
              0x600e86f30837b49b5fbc49d983ff96c7, 6898469927796053703, 1),
     "bool": ("law", True,
@@ -96,8 +107,10 @@ def test_token_bytes_matches_reference(key):
     ((1,), (True,)),
     (("b", (False,)), ("b", (0,))),
     (("b", (0,)), ("b", (False,))),
+    (True, 1),
+    (0, False),
 ], ids=["bool-then-int", "int-then-bool", "nested-bool-then-int",
-        "nested-int-then-bool"])
+        "nested-int-then-bool", "bare-bool-then-int", "bare-int-then-bool"])
 def test_equal_keys_of_other_types_draw_apart(first, second):
     assert first == second
     for key in (first, second, first, second):
