@@ -104,8 +104,8 @@ class NormalizerOracle(SchreierOracle):
     it and is called only then. The sampling constructors derive both from
     a seed. Moves inside a marked coset read the slot tables SLOTS and
     INVERSE, which `_tripled` reads too; every other step crosses to a base
-    neighbour, at slot 0 for a positive letter and slot 2 for an inverse one
-    if that neighbour is marked.
+    neighbour through `_onto`, at slot 0 for a positive letter and slot 2
+    for an inverse one if that neighbour is marked.
     """
 
     def __init__(self, base: SchreierOracle, markfn, root_slot):
@@ -132,18 +132,19 @@ class NormalizerOracle(SchreierOracle):
                 return ("t", v, INVERSE[-letter == self._mark(v)][slot - 1])
         else:
             v = vertex[1]
-        w = self.base.neighbor(v, letter)
-        if self._mark(w) == 0:
-            return ("b", w)
-        return ("t", w, 0 if letter > 0 else 2)
+        return self._onto(self.base.neighbor(v, letter), letter)
 
     def known_neighbor(self, vertex, letter: int):
         """`neighbor`, or None for a step out of the coset to a new base vertex."""
-        if vertex[0] == "b" or vertex[2] == (2 if letter > 0 else 0):
-            w = self.base.known_neighbor(vertex[1], letter)
-            if w is None or self._drawn is not None and w not in self._drawn:
-                return None
-        return self.neighbor(vertex, letter)
+        if vertex[0] == "t" and vertex[2] != (2 if letter > 0 else 0):
+            return self.neighbor(vertex, letter)  # a move inside the coset
+        w = self.base.known_neighbor(vertex[1], letter)
+        if w is None or self._drawn is not None and w not in self._drawn:
+            return None
+        return self._onto(w, letter)
+
+    def _onto(self, w, letter: int):
+        return ("t", w, 0 if letter > 0 else 2) if self._mark(w) else ("b", w)
 
     def token(self, vertex) -> str:
         if vertex[0] == "b":

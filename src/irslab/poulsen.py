@@ -14,6 +14,7 @@ coset graph. The root is the root of the level-0 copy.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .errors import DomainError
@@ -22,8 +23,10 @@ from .oracles import (STAR, BallView, DEFAULT_BUDGET, SchreierOracle,
 from .randomness import TWO128, Keyed
 
 
-def retention_cutoff(p: Fraction) -> int:
+@functools.lru_cache(maxsize=64)
+def retention_cutoff(p) -> int:
     """The 128-bit draw cutoff of retention with probability 0 < p < 1."""
+    p = Fraction(p)
     if not (0 < p < 1):
         raise DomainError("p must lie strictly between 0 and 1")
     return (p.numerator << 128) // p.denominator
@@ -34,11 +37,12 @@ class PercolationGraph:
 
     Vertices are pairs (path, coset) where path is the tuple of percolated
     cosets leading to this copy (empty for the level-0 copy) and coset is a
-    vertex of that copy's own graph.
+    vertex of that copy's own graph. Only `copy` draws a copy; `step`,
+    `star`, `percolated` and `known_step` take only vertices it returned.
     """
 
     def __init__(self, base_law, p, seed: int):
-        self._cuts = (retention_cutoff(Fraction(p)), TWO128)  # 0: retained
+        self._cuts = (retention_cutoff(p), TWO128)  # 0: retained
         self.law = base_law
         self.seed = seed
         self.rank = base_law.rank
@@ -60,7 +64,7 @@ class PercolationGraph:
         hit = self._perc.get(u)
         if hit is None:
             path, v = u
-            if path and v == self.copy(path).root:
+            if path and v == self._copies[path].root:
                 hit = False
             else:
                 draws = self._draws.get(path)
@@ -73,7 +77,7 @@ class PercolationGraph:
     def star(self, u):
         """Star partner of u, or None."""
         path, v = u
-        if path and v == self.copy(path).root:
+        if path and v == self._copies[path].root:
             return (path[:-1], path[-1])
         if not self.percolated(u):
             return None
@@ -83,7 +87,7 @@ class PercolationGraph:
     def step(self, u, letter: int):
         """In-copy edge, ignoring stars."""
         path, v = u
-        return (path, self.copy(path).neighbor(v, letter))
+        return (path, self._copies[path].neighbor(v, letter))
 
     def known_step(self, u, letter):
         """`step`, or `star` for the letter STAR, read from what is already
@@ -92,9 +96,9 @@ class PercolationGraph:
         drawn. Draws nothing."""
         path, v = u
         if letter != STAR:
-            w = self.copy(path).known_neighbor(v, letter)
+            w = self._copies[path].known_neighbor(v, letter)
             return None if w is None else (path, w)
-        if path and v == self.copy(path).root:
+        if path and v == self._copies[path].root:
             return (path[:-1], path[-1])
         child = path + (v,)
         return (child, self._copies[child].root) if child in self._copies else None
@@ -132,14 +136,15 @@ class PoulsenOracle(SchreierOracle):
 
     def neighbor(self, u, letter: int):
         g = self.graph
-        if abs(letter) != 1:
-            return g.step(u, letter)
         if letter == 1:
             partner = g.star(u)
             return g.step(partner if partner is not None else u, 1)
-        w = g.step(u, -1)
-        partner = g.star(w)
-        return partner if partner is not None else w
+        if letter == -1:
+            w = g.step(u, -1)
+            partner = g.star(w)
+            return partner if partner is not None else w
+        path, v = u
+        return (path, g._copies[path].neighbor(v, letter))
 
     def known_neighbor(self, u, letter: int):
         """`neighbor`, or None for a step new to its copy or into a new copy,

@@ -67,6 +67,50 @@ def test_cayley_numerals_sort_in_shortlex_order(rank):
             assert cayley.neighbor(n, l) == trace(cayley, reduce_word(w + (l,)))
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_cayley_tokens_do_not_depend_on_the_order_asked(rank):
+    """The token memo builds each token from what is already named: asked
+    in reverse shortlex order, where every ancestor is named after its
+    descendants, and interleaved across two oracles asked in opposite
+    orders, every numeral is named by its word."""
+    words = words_upto(rank, 5)
+    backward = CayleyOracle(rank)
+    for w in reversed(words):
+        assert backward.token(trace(backward, w)) == word_to_str(w)
+    first, second = CayleyOracle(rank), CayleyOracle(rank)
+    for w, v in zip(words, reversed(words)):
+        assert first.token(trace(first, w)) == word_to_str(w)
+        assert second.token(trace(second, v)) == word_to_str(v)
+
+
+def test_cayley_token_of_a_long_word():
+    """The token of a deep numeral is built without recursion."""
+    rng = KeyedRng(5000, "long-word")
+    w = [1]
+    while len(w) < 5000:
+        l = rng.choice([1, -1, 2, -2])
+        if l != -w[-1]:
+            w.append(l)
+    w = tuple(w)
+    cayley = CayleyOracle(2)
+    assert cayley.token(trace(cayley, w)) == word_to_str(w)
+    assert cayley.token(trace(cayley, w[:2500])) == word_to_str(w[:2500])
+
+
+def test_a_filled_token_memo_names_a_ball_as_a_fresh_one():
+    """`trivial_law` shares one Cayley oracle, and so one token memo, across
+    its samples; a memo that other samples filled names a ball as a fresh
+    one does."""
+    def text(base, seed):
+        law = PoulsenLaw(NormalizerLaw(base, Fraction(1, 10)), Fraction(1, 10))
+        return emit_sgr(ball(law.sample(seed), 4))
+
+    used = trivial_law(2)
+    for seed in range(1, 6):
+        text(used, seed)
+    assert text(used, 0) == text(trivial_law(2), 0)
+
+
 def test_trace_index2(index2):
     assert trace(index2, (1,)) == "B"
     assert trace(index2, (1, 2, 1)) == "A"

@@ -252,6 +252,24 @@ def test_convergence_sweep_finite_base():
     assert rows[-1].estimate > rows[0].estimate
 
 
+@pytest.mark.parametrize("construction", ["poulsen", "normalizer"])
+def test_convergence_sweep_over_a_finite_point_base_can_fail(construction):
+    """Over the cyclic index-3 base both constructions move mass off the
+    base's own radius-2 cylinder, so unlike a sweep over `trivial` (always
+    exactly 1) the estimates have deviations to bound, and those shrink as
+    p falls."""
+    base = FiniteOracle.from_perms([(1, 2, 0), (1, 2, 0)])
+    spec = CylinderSpec(cylinder_fingerprint(base, 2), 2)
+    ps = [Fraction(1, 5), Fraction(1, 10), Fraction(1, 20), Fraction(1, 100)]
+    rows = convergence_sweep(construction, PointLaw(base), ps, spec, 2000,
+                             seed=3)
+    assert [r.p for r in rows] == ps
+    assert rows[0].estimate < 1
+    for r in rows:
+        assert float(r.deviation) <= r.bound
+    assert all(a.deviation > b.deviation for a, b in zip(rows, rows[1:]))
+
+
 def test_render_invariance_formats():
     law = NormalizerLaw(trivial_law(2), Fraction(1, 2))
     rows = invariance_report(law, 1, 500, seed=13)
