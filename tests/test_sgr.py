@@ -6,6 +6,7 @@ from irslab import (
     CayleyOracle,
     DomainError,
     FiniteOracle,
+    InvalidGraphError,
     ball,
     emit_edgelist,
     emit_sgr,
@@ -154,3 +155,92 @@ def test_to_oracle_keeps_the_file_names():
     assert oracle.vertices == ("Y", "X") and oracle.root == "X"
     assert oracle.neighbor("X", 1) == "Y" and oracle.neighbor("Y", -2) == "Y"
     assert rooted_equal_finite(oracle, index2_oracle())
+
+
+HEAD2 = "schreier r=2\nroot A\n"
+NOT_A_TOKEN = ("a token is non-empty, has no whitespace and does not start "
+               "with '#'")
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("root A\n", DomainError, "missing 'schreier r=<r>' header"),
+    ("schreier r=x\nroot A\n", DomainError, "line 1: bad header 'schreier r=x'"),
+    ("  schreier\t r=x \nroot A\n", DomainError,
+     "line 1: bad header 'schreier\\t r=x'"),
+    ("schreier\nroot A\n", DomainError, "line 1: bad header 'schreier'"),
+    ("schreier r=0\nroot A\n", DomainError, "line 1: rank must be >= 1"),
+    ("schreier r=2\nschreier r=2\nroot A\n", DomainError,
+     "line 2: second 'schreier' header"),
+    ("root A\nA s1 A\nschreier r=2\n", DomainError,
+     "edge line before 'schreier' header"),
+    ("schreier r=2\nA s1 A\n", DomainError, "missing 'root <token>' line"),
+    ("schreier r=2\nroot\n", DomainError, "line 2: bad root line"),
+    ("schreier r=2\nroot A B C\n", DomainError, "line 2: bad root line"),
+    ("schreier r=2\nroot A\nroot A\n", DomainError, "line 3: second 'root' line"),
+    (HEAD2 + "A s1 A\nboundary\n", DomainError, "line 4: bad boundary line"),
+    (HEAD2 + "A s1 A\nboundary Z\n", DomainError,
+     "boundary vertex 'Z' has no edges"),
+    (HEAD2 + "A s3 A\n", DomainError, "line 3: label s3 out of range"),
+    (HEAD2 + "A s0 A\n", DomainError, "line 3: label s0 out of range"),
+    (HEAD2 + "A x A\n", DomainError, "line 3: bad label 'x'"),
+    (HEAD2 + "A S1 A\n", DomainError, "line 3: bad label 'S1'"),
+    (HEAD2 + "A s1\n", DomainError, "line 3: bad edge line 'A s1'"),
+    (HEAD2 + "A s1 A A\n", DomainError, "line 3: bad edge line 'A s1 A A'"),
+    (HEAD2 + "A s1 #B\n", DomainError, f"bad vertex token '#B': {NOT_A_TOKEN}"),
+    (HEAD2 + "A s1 A\nC s1 C\n", DomainError,
+     "graph is not connected from the root"),
+    ("schreier r=1\nroot A\nA s1 B\nB s1 C\nboundary B\n", DomainError,
+     "a boundary vertex is not in the farthest layer"),
+    (HEAD2 + "A s1 B\nA s1 C\n", InvalidGraphError, "two outgoing s1-edges at 'A'"),
+    (HEAD2 + "A s1 B\nC s1 B\n", InvalidGraphError, "two incoming s1-edges at 'B'"),
+    ("schreier r=1\nroot a\na * b\na * c\n", DomainError,
+     "vertex 'a' is incident to two star edges"),
+], ids=[
+    "no-header", "bad-header", "bad-header-quotes-stripped-line",
+    "header-without-rank", "rank-zero", "second-header", "edge-before-header",
+    "no-root", "root-without-token", "root-with-three-tokens", "second-root",
+    "bad-boundary-line", "boundary-without-edges", "label-out-of-range",
+    "label-s0", "bad-label", "upper-case-label", "two-field-edge",
+    "four-field-edge", "hash-token-as-dst", "disconnected",
+    "boundary-inside-the-ball", "two-outgoing-s1", "two-incoming-s1",
+    "two-star-edges",
+])
+def test_parse_sgr_rejects_with_a_pinned_message(text, error, message):
+    with pytest.raises(DomainError) as caught:
+        parse_sgr(text)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("text, vertices, edges, radius, boundary", [
+    ("schreier r=1\nA s1 B\nB s1 A\nroot B\n",
+     ("A", "B"), (("A", 1, "B"), ("B", 1, "A")), 1, ()),
+    ("schreier r=1\r\nroot A\r\nA s1 B\r\nB s1 A\r\nboundary B\r\n",
+     ("A", "B"), (("A", 1, "B"), ("B", 1, "A")), 1, ("B",)),
+    ("schreier\tr=1\nroot\tA\nA\ts1\tB\n\tboundary B\t\n",
+     ("A", "B"), (("A", 1, "B"),), 1, ("B",)),
+    ("  # a note\nschreier r=1\n\t#x y z\nroot A\n   \nA s1 A\n",
+     ("A",), (("A", 1, "A"),), 0, ()),
+    ("schreier r=2\nroot A\nA s01 B\nB s002 A\n",
+     ("A", "B"), (("A", 1, "B"), ("B", 2, "A")), 1, ()),
+    ("schreier r=1\nroot a\na s1 a\nb s1 b\na * b\nb * a\n",
+     ("a", "b"), (("a", 1, "a"), ("b", 1, "b"), ("a", "*", "b")), 1, ()),
+    ("schreier r=2\nroot A\nA s1 A\nA s2 A\n",
+     ("A",), (("A", 1, "A"), ("A", 2, "A")), 0, ()),
+    ("schreier r=3\nroot A\n", ("A",), (), 0, ()),
+    ("schreier r=3\nroot A\nboundary A\n", ("A",), (), 0, ("A",)),
+    ("schreier r=1\nroot root\nroot s1 boundary\nboundary s1 root\n",
+     ("root", "boundary"), (("root", 1, "boundary"), ("boundary", 1, "root")),
+     1, ()),
+], ids=[
+    "root-after-edges", "crlf", "tabs", "indented-comments", "zero-padded-labels",
+    "star-edge-both-ways", "self-loops", "root-without-edges",
+    "root-without-edges-on-the-boundary", "vertices-named-like-headers",
+])
+def test_parse_sgr_accepts_odd_input_as_pinned(text, vertices, edges, radius,
+                                               boundary):
+    view = parse_sgr(text)
+    assert view.vertices == vertices
+    assert view.edges == edges
+    assert view.radius == radius
+    assert view.boundary == frozenset(boundary)
