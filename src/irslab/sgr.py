@@ -9,20 +9,25 @@ A token is a non-empty string with no whitespace that does not start with
 '#'; emit and parse both raise DomainError on any other token. Lines
 starting with '#' and blank lines are ignored on parse; emit writes edges
 in stored order, boundary tokens sorted and no comments, so parse . emit
-is the identity on emitted text.
+is the identity on emitted text. The parsed radius is the depth of the
+farthest layer, so a complete finite ball asked beyond its eccentricity
+reads back with the smaller radius.
 """
 
 from __future__ import annotations
 
 import re
 from itertools import filterfalse
+from operator import itemgetter
 
 from .errors import DomainError
-from .oracles import STAR, BallView, FiniteOracle, bfs
+from .oracles import STAR, BallView, FiniteOracle
 
 
-def _label_str(label) -> str:
-    return STAR if label == STAR else f"s{label}"
+def _names(edges) -> dict:
+    """Each label on `edges` to its name in a file: "s<i>", or "*"."""
+    return {l: STAR if l == STAR else f"s{l}"
+            for l in set(map(itemgetter(1), edges))}
 
 
 _TOKEN = re.compile(r"[^\s#]\S*")
@@ -41,66 +46,69 @@ def _check_tokens(tokens) -> None:
 
 def emit_sgr(view: BallView) -> str:
     _check_tokens(view.vertices)
-    lines = [f"schreier r={view.rank}", f"root {view.root}"]
-    for src, label, dst in view.edges:
-        lines.append(f"{src} {_label_str(label)} {dst}")
-    for v in sorted(view.boundary):
-        lines.append(f"boundary {v}")
-    return "\n".join(lines) + "\n"
+    names = _names(view.edges)
+    return "\n".join(
+        [f"schreier r={view.rank}", f"root {view.root}"]
+        + [f"{src} {names[label]} {dst}" for src, label, dst in view.edges]
+        + [f"boundary {v}" for v in sorted(view.boundary)] + [""])
 
 
 def parse_sgr(text: str) -> BallView:
-    rank = None
-    root = None
+    """Parse .sgr text into a BallView. Past the checks of each line, the
+    checks run in this order: the tokens, boundary vertices with no edges,
+    the edge checks of BallView, connectivity from the root, and last that
+    every boundary vertex lies in the farthest layer."""
+    rank = root = None
     edges = []
+    ends = []  # the numbers of each edge's src and dst, in turn
     boundary = []
-    seen: dict[str, None] = {}  # the tokens, in order of first appearance
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    labels = {}  # label fields read by lookup: "*" and s1..s<rank> up to s64
+    seen: dict[str, int] = {}  # token to number, in order of first appearance
+    lines = text.splitlines()
+    for lineno, parts in enumerate(map(str.split, lines), start=1):
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
-        # three fields make an edge line, even from a vertex named "root"
-        kind = parts[0] if len(parts) != 3 else "edge"
-        if kind == "schreier":
+        if len(parts) == 3:  # an edge line, even from a vertex named "root"
+            src, label, dst = parts
+            lab = labels.get(label)
+            if lab is None:
+                if rank is None:
+                    raise DomainError("edge line before 'schreier' header")
+                if not (label.startswith("s") and label[1:].isdecimal()):
+                    raise DomainError(f"line {lineno}: bad label {label!r}")
+                lab = int(label[1:])
+                if not 1 <= lab <= rank:
+                    raise DomainError(
+                        f"line {lineno}: label {label} out of range")
+            edges.append((src, lab, dst))
+            ends.append(seen.setdefault(src, len(seen)))
+            ends.append(seen.setdefault(dst, len(seen)))
+        elif parts[0] == "schreier":
             head = parts[1] if len(parts) == 2 else ""
             if not (head.startswith("r=") and head[2:].isdecimal()):
-                raise DomainError(f"line {lineno}: bad header {line!r}")
+                raise DomainError(
+                    f"line {lineno}: bad header {lines[lineno - 1].strip()!r}")
             if rank is not None:
                 raise DomainError(f"line {lineno}: second 'schreier' header")
             rank = int(head[2:])
             if rank < 1:
                 raise DomainError(f"line {lineno}: rank must be >= 1")
-            continue
-        if kind == "root":
+            labels = {f"s{i}": i for i in range(1, min(rank, 64) + 1)}
+            labels[STAR] = STAR
+        elif parts[0] == "root":
             if len(parts) != 2:
                 raise DomainError(f"line {lineno}: bad root line")
             if root is not None:
                 raise DomainError(f"line {lineno}: second 'root' line")
             root = parts[1]
-            seen[root] = None
-            continue
-        if kind == "boundary":
+            seen.setdefault(root, len(seen))
+        elif parts[0] == "boundary":
             if len(parts) != 2:
                 raise DomainError(f"line {lineno}: bad boundary line")
             boundary.append(parts[1])
-            continue
-        if len(parts) != 3:
-            raise DomainError(f"line {lineno}: bad edge line {line!r}")
-        src, label, dst = parts
-        if rank is None:
-            raise DomainError("edge line before 'schreier' header")
-        if label == STAR:
-            lab = STAR
-        elif label.startswith("s") and label[1:].isdecimal():
-            lab = int(label[1:])
-            if not 1 <= lab <= rank:
-                raise DomainError(f"line {lineno}: label {label} out of range")
         else:
-            raise DomainError(f"line {lineno}: bad label {label!r}")
-        seen[src] = seen[dst] = None
-        edges.append((src, lab, dst))
+            raise DomainError(
+                f"line {lineno}: bad edge line {lines[lineno - 1].strip()!r}")
     if rank is None:
         raise DomainError("missing 'schreier r=<r>' header")
     if root is None:
@@ -110,11 +118,24 @@ def parse_sgr(text: str) -> BallView:
         if v not in seen:
             raise DomainError(f"boundary vertex {v!r} has no edges")
     view = BallView(rank, None, root, seen, edges, boundary)
-    number, depth, _ = bfs(root, view.step, view.letters)
-    if len(number) != len(seen):
+    # BFS over int neighbour lists, each edge both ways
+    near = [[] for _ in seen]
+    for a, b in zip(ends[::2], ends[1::2]):
+        near[a].append(b)
+        near[b].append(a)
+    depth = [None] * len(seen)
+    order = [seen[root]]
+    depth[order[0]] = 0
+    for a in order:
+        d = depth[a] + 1
+        for b in near[a]:
+            if depth[b] is None:
+                depth[b] = d
+                order.append(b)
+    if len(order) != len(seen):
         raise DomainError("graph is not connected from the root")
-    view.radius = depth[-1]
-    if any(depth[number[v]] != view.radius for v in boundary):
+    view.radius = depth[order[-1]]
+    if any(depth[seen[v]] != view.radius for v in boundary):
         raise DomainError("a boundary vertex is not in the farthest layer")
     return view
 
@@ -130,7 +151,6 @@ def parse_complete_oracle(text: str) -> FiniteOracle:
 
 def emit_edgelist(view: BallView) -> str:
     """Plain edge-list export with labels as attributes, one edge per line."""
-    lines = []
-    for src, label, dst in view.edges:
-        lines.append(f"{src} {dst} label={_label_str(label)}")
-    return "\n".join(lines) + "\n"
+    names = _names(view.edges)
+    return "\n".join(f"{src} {dst} label={names[label]}"
+                     for src, label, dst in view.edges) + "\n"
