@@ -54,10 +54,9 @@ def emit_sgr(view: BallView) -> str:
 
 
 def parse_sgr(text: str) -> BallView:
-    """Parse .sgr text into a BallView. Past the checks of each line, the
-    checks run in this order: the tokens, boundary vertices with no edges,
-    the edge checks of BallView, connectivity from the root, and last that
-    every boundary vertex lies in the farthest layer."""
+    """Parse .sgr text into a BallView. The line checks come first, then in
+    order: the tokens, boundary vertices with no edges, the edge checks of
+    BallView, connectivity from the root, and the boundary layer."""
     rank = root = None
     edges = []
     ends = []  # the numbers of each edge's src and dst, in turn
@@ -73,7 +72,8 @@ def parse_sgr(text: str) -> BallView:
             lab = labels.get(label)
             if lab is None:
                 if rank is None:
-                    raise DomainError("edge line before 'schreier' header")
+                    raise DomainError(
+                        f"line {lineno}: edge line before 'schreier' header")
                 if not (label.startswith("s") and label[1:].isdecimal()):
                     raise DomainError(f"line {lineno}: bad label {label!r}")
                 lab = int(label[1:])

@@ -172,7 +172,7 @@ NOT_A_TOKEN = ("a token is non-empty, has no whitespace and does not start "
     ("schreier r=2\nschreier r=2\nroot A\n", DomainError,
      "line 2: second 'schreier' header"),
     ("root A\nA s1 A\nschreier r=2\n", DomainError,
-     "edge line before 'schreier' header"),
+     "line 2: edge line before 'schreier' header"),
     ("schreier r=2\nA s1 A\n", DomainError, "missing 'root <token>' line"),
     ("schreier r=2\nroot\n", DomainError, "line 2: bad root line"),
     ("schreier r=2\nroot A B C\n", DomainError, "line 2: bad root line"),
