@@ -63,8 +63,7 @@ def parse_sgr(text: str) -> BallView:
     boundary = []
     labels = {}  # label fields read by lookup: "*" and s1..s<rank> up to s64
     seen: dict[str, int] = {}  # token to number, in order of first appearance
-    lines = text.splitlines()
-    for lineno, parts in enumerate(map(str.split, lines), start=1):
+    for lineno, parts in enumerate(map(str.split, text.splitlines()), 1):
         if not parts or parts[0][0] == "#":
             continue
         if len(parts) == 3:  # an edge line, even from a vertex named "root"
@@ -86,8 +85,8 @@ def parse_sgr(text: str) -> BallView:
         elif parts[0] == "schreier":
             head = parts[1] if len(parts) == 2 else ""
             if not (head.startswith("r=") and head[2:].isdecimal()):
-                raise DomainError(
-                    f"line {lineno}: bad header {lines[lineno - 1].strip()!r}")
+                raise DomainError(f"line {lineno}: bad header "
+                                  f"{text.splitlines()[lineno - 1].strip()!r}")
             if rank is not None:
                 raise DomainError(f"line {lineno}: second 'schreier' header")
             rank = int(head[2:])
@@ -107,8 +106,8 @@ def parse_sgr(text: str) -> BallView:
                 raise DomainError(f"line {lineno}: bad boundary line")
             boundary.append(parts[1])
         else:
-            raise DomainError(
-                f"line {lineno}: bad edge line {lines[lineno - 1].strip()!r}")
+            raise DomainError(f"line {lineno}: bad edge line "
+                              f"{text.splitlines()[lineno - 1].strip()!r}")
     if rank is None:
         raise DomainError("missing 'schreier r=<r>' header")
     if root is None:
