@@ -1,7 +1,7 @@
 """Hypothesis fuzzing of the text parsers: mutated valid inputs and random
 text either parse or raise DomainError, never another exception, and what
 `parse_sgr` accepts is a view connected from its root whose boundary is
-its farthest layer."""
+its farthest layer, and which reads back from its own text unchanged."""
 
 from fractions import Fraction
 
@@ -19,7 +19,7 @@ from irslab.actions import parse_action
 from irslab.encoding import parse_subshift
 from irslab.montecarlo import CylinderSpec
 from irslab.oracles import bfs
-from irslab.poulsen import PercolationGraph, star_ball
+from irslab.poulsen import PercolationGraph, star_ball, view_equal_exact
 from irslab.sgr import parse_sgr
 from irslab.words import word_from_str
 
@@ -107,7 +107,11 @@ def test_parse_sgr_raises_only_domain_errors(text):
     assert view.radius == max(depth)
     assert all(depth[number[v]] == view.radius for v in view.boundary)
     again = emit_sgr(view)
-    assert emit_sgr(parse_sgr(again)) == again
+    back = parse_sgr(again)
+    assert emit_sgr(back) == again
+    assert view_equal_exact(back, view)
+    ends = (t for src, _, dst in view.edges for t in (src, dst))
+    assert back.vertices == tuple(dict.fromkeys([view.root, *ends]))
 
 
 @FUZZ

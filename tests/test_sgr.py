@@ -16,7 +16,7 @@ from irslab import (
     rooted_equal_finite,
     trivial_law,
 )
-from irslab.poulsen import PercolationGraph, star_ball
+from irslab.poulsen import PercolationGraph, star_ball, view_equal_exact
 
 from helpers import index2_oracle
 
@@ -182,6 +182,8 @@ NOT_A_TOKEN = ("a token is non-empty, has no whitespace and does not start "
      "boundary vertex 'Z' has no edges"),
     (HEAD2 + "A s3 A\n", DomainError, "line 3: label s3 out of range"),
     (HEAD2 + "A s0 A\n", DomainError, "line 3: label s0 out of range"),
+    ("schreier r=70\nroot A\nA s71 A\n", DomainError,
+     "line 3: label s71 out of range"),
     (HEAD2 + "A x A\n", DomainError, "line 3: bad label 'x'"),
     (HEAD2 + "A S1 A\n", DomainError, "line 3: bad label 'S1'"),
     (HEAD2 + "A s1\n", DomainError, "line 3: bad edge line 'A s1'"),
@@ -200,8 +202,8 @@ NOT_A_TOKEN = ("a token is non-empty, has no whitespace and does not start "
     "header-without-rank", "rank-zero", "second-header", "edge-before-header",
     "no-root", "root-without-token", "root-with-three-tokens", "second-root",
     "bad-boundary-line", "boundary-without-edges", "label-out-of-range",
-    "label-s0", "bad-label", "upper-case-label", "two-field-edge",
-    "four-field-edge", "hash-token-as-dst", "disconnected",
+    "label-s0", "label-past-rank-70", "bad-label", "upper-case-label",
+    "two-field-edge", "four-field-edge", "hash-token-as-dst", "disconnected",
     "boundary-inside-the-ball", "two-outgoing-s1", "two-incoming-s1",
     "two-star-edges",
 ])
@@ -227,6 +229,8 @@ def test_parse_sgr_rejects_with_a_pinned_message(text, error, message):
      ("a", "b"), (("a", 1, "a"), ("b", 1, "b"), ("a", "*", "b")), 1, ()),
     ("schreier r=2\nroot A\nA s1 A\nA s2 A\n",
      ("A",), (("A", 1, "A"), ("A", 2, "A")), 0, ()),
+    ("schreier r=70\nroot A\nA s70 B\nB s65 A\nA s1 A\n",
+     ("A", "B"), (("A", 70, "B"), ("B", 65, "A"), ("A", 1, "A")), 1, ()),
     ("schreier r=3\nroot A\n", ("A",), (), 0, ()),
     ("schreier r=3\nroot A\nboundary A\n", ("A",), (), 0, ("A",)),
     ("schreier r=1\nroot root\nroot s1 boundary\nboundary s1 root\n",
@@ -234,7 +238,7 @@ def test_parse_sgr_rejects_with_a_pinned_message(text, error, message):
      1, ()),
 ], ids=[
     "root-after-edges", "crlf", "tabs", "indented-comments", "zero-padded-labels",
-    "star-edge-both-ways", "self-loops", "root-without-edges",
+    "star-edge-both-ways", "self-loops", "rank-70", "root-without-edges",
     "root-without-edges-on-the-boundary", "vertices-named-like-headers",
 ])
 def test_parse_sgr_accepts_odd_input_as_pinned(text, vertices, edges, radius,
@@ -244,3 +248,14 @@ def test_parse_sgr_accepts_odd_input_as_pinned(text, vertices, edges, radius,
     assert view.edges == edges
     assert view.radius == radius
     assert view.boundary == frozenset(boundary)
+
+
+def test_a_complete_ball_asked_beyond_its_eccentricity_reads_back_smaller():
+    # the parsed radius is the depth of the farthest layer: the index-2
+    # graph is complete at radius 1, so its radius-3 ball reads back as 1
+    view = ball(index2_oracle(), 3)
+    back = parse_sgr(emit_sgr(view))
+    assert (view.radius, back.radius) == (3, 1)
+    assert not view_equal_exact(view, back)
+    assert back.boundary == view.boundary == frozenset()
+    assert emit_sgr(back) == emit_sgr(view)
