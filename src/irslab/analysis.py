@@ -66,17 +66,11 @@ def metric(a: SchreierOracle, b: SchreierOracle, max_radius: int,
 
 @lru_cache(maxsize=32)
 def walk_plan(rank: int, length: int) -> tuple:
-    """(words, steps, moves) for `words`, `words_upto(rank, length)` as a
-    tuple: steps[k - 1] is (position of words[k][:-1], words[k][-1]); moves
-    pairs each letter l with the position, for each word w shorter than
-    `length`, of the word walked as l^-1 w: w[1:] or else (-l,) + w."""
+    """(words, steps) for `words`, `words_upto(rank, length)` as a tuple:
+    steps[k - 1] is (position of words[k][:-1], words[k][-1])."""
     words = tuple(words_upto(rank, length))
     at = {w: k for k, w in enumerate(words)}
-    steps = tuple((at[w[:-1]], w[-1]) for w in words[1:])
-    moves = tuple((l, tuple(at[w[1:] if w and w[0] == l else (-l,) + w]
-                            for w in words if len(w) < length))
-                  for l in letters_ordered(rank))
-    return words, steps, moves
+    return words, tuple((at[w[:-1]], w[-1]) for w in words[1:])
 
 
 def walk_table(root, step, rank: int, length: int) -> list:
@@ -89,33 +83,64 @@ def walk_table(root, step, rank: int, length: int) -> list:
     return ends
 
 
+@lru_cache(maxsize=32)
+def fingerprint_plan(rank: int, radius: int, conjugates: bool) -> tuple:
+    """(h, tests): for the stabilizer K of a root and, with `conjugates`,
+    for each l K l^-1 in the order of `letters_ordered(rank)`, a tuple of
+    triples (w, a, b), one per w of `words_upto(rank, radius)`. A Schreier
+    graph is a permutation action, so c = u v is in K iff the walks of u
+    and v^-1 end at one vertex, and w is in l K l^-1 iff
+    c = reduce(l^-1 w l) is in K: a and b are the positions of u and v^-1
+    in `walk_plan(rank, h)`, |u| = ceil(|c| / 2), and h is the longest u."""
+    if radius < 0:
+        raise DomainError("radius must be >= 0")
+    words = words_upto(rank, radius)
+    tested = [words]
+    if conjugates:
+        tested += [[reduce_word((-l,) + w + (l,)) for w in words]
+                   for l in letters_ordered(rank)]
+
+    def split(c):
+        half = (len(c) + 1) // 2
+        return c[:half], inverse_word(c[half:])
+
+    splits = [list(map(split, cs)) for cs in tested]
+    h = max(len(u) for split in splits for u, _ in split)
+    at = {w: k for k, w in enumerate(walk_plan(rank, h)[0])}
+    return h, tuple(tuple((w, at[u], at[v]) for w, (u, v) in zip(words, split))
+                    for split in splits)
+
+
+def walk_fingerprints(root, step, rank: int, radius: int,
+                      conjugates: bool = False) -> list:
+    """The fingerprints of `fingerprint_plan(rank, radius, conjugates)`
+    for the stabilizer K of `root`: that of K, then with `conjugates` that
+    of l K l^-1 for each letter l. `step(v, letter)` gives the neighbor;
+    one walk over the words of length <= h decides every word."""
+    h, tests = fingerprint_plan(rank, radius, conjugates)
+    ends = walk_table(root, step, rank, h)
+    return [tuple([w for w, a, b in test if ends[a] == ends[b]])
+            for test in tests]
+
+
 def cylinder_fingerprint(oracle: SchreierOracle, radius: int) -> tuple[Word, ...]:
     """Shortlex-sorted tuple of reduced words of length <= radius that the
     subgroup contains. The subgroup lies in the cylinder C(F, radius) iff
-    this equals F."""
-    if radius < 0:
-        raise DomainError("radius must be >= 0")
-    root = oracle.root
-    ends = walk_table(root, oracle.neighbor, oracle.rank, radius)
-    return tuple(w for w, v in zip(walk_plan(oracle.rank, radius)[0], ends)
-                 if v == root)
+    this equals F. Each word is split in halves, so only the walks of
+    length <= ceil(radius / 2) are taken: at rank 2, 4 steps for radius 2
+    and 16 for radius 3."""
+    return walk_fingerprints(oracle.root, oracle.neighbor, oracle.rank,
+                             radius)[0]
 
 
 def conjugate_fingerprints(root, step, rank: int, radius: int) -> tuple:
     """(fp, conj): the cylinder fingerprint of the stabilizer K of `root`
-    and, keyed by each letter l, that of l K l^-1, from one walk table of
-    length radius + 1. l K l^-1 contains w iff the walk of l^-1 w ends at
-    the walk of l^-1; walks do not depend on reduction, so for w = l u
-    that is the walk of u."""
-    if radius < 0:
-        raise DomainError("radius must be >= 0")
-    words = walk_plan(rank, radius)[0]
-    moves = walk_plan(rank, radius + 1)[2]
-    ends = walk_table(root, step, rank, radius + 1)
-    fp = tuple(w for w, v in zip(words, ends) if v == root)
-    conj = {l: tuple([w for w, k in zip(words, at) if ends[k] == ends[at[0]]])
-            for l, at in moves}  # at[0] is the position of (-l,)
-    return fp, conj
+    and, keyed by each letter l, that of l K l^-1. w is in l K l^-1 iff
+    l^-1 w l is in K, and each such word is split in halves, so one walk
+    table of length at most ceil(radius / 2) + 1 decides all 2r + 1
+    fingerprints: at rank 2, 16 steps for radius 1 or 2."""
+    fp, *conj = walk_fingerprints(root, step, rank, radius, True)
+    return fp, dict(zip(letters_ordered(rank), conj))
 
 
 def aut_count(oracle: FiniteOracle) -> int:

@@ -28,8 +28,7 @@ from .analysis import (
     cylinder_fingerprint,
     metric,
     root_isomorphic,
-    walk_plan,
-    walk_table,
+    walk_fingerprints,
 )
 from .encoding import (
     decode,
@@ -183,9 +182,8 @@ def cmd_aut(args) -> tuple[str, int]:
 
 def _fp2(action) -> str:
     """The radius-2 fingerprint of the stabilizer of point 0, in braces."""
-    ends = walk_table(0, action.step, action.rank, 2)
-    words = walk_plan(action.rank, 2)[0]
-    return "{" + " ".join(word_to_str(w) for w, v in zip(words, ends) if v == 0) + "}"
+    fp = walk_fingerprints(0, action.step, action.rank, 2)[0]
+    return "{" + " ".join(map(word_to_str, fp)) + "}"
 
 
 def cmd_enumerate_normalizer(args) -> tuple[str, int]:

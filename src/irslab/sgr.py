@@ -30,6 +30,19 @@ def _names(edges) -> dict:
             for l in set(map(itemgetter(1), edges))}
 
 
+# the least int() digit limit Python 3.11+ can be set to (4 300 by default)
+_MAX_DIGITS = 640
+
+
+def _number(digits: str, lineno: int, what: str) -> int:
+    """int(digits) for a field of decimal digits; DomainError beyond
+    _MAX_DIGITS digits on every Python."""
+    if len(digits) > _MAX_DIGITS:
+        raise DomainError(
+            f"line {lineno}: {what} has more than {_MAX_DIGITS} digits")
+    return int(digits)
+
+
 _TOKEN = re.compile(r"[^\s#]\S*")
 
 
@@ -75,7 +88,7 @@ def parse_sgr(text: str) -> BallView:
                         f"line {lineno}: edge line before 'schreier' header")
                 if not (label.startswith("s") and label[1:].isdecimal()):
                     raise DomainError(f"line {lineno}: bad label {label!r}")
-                lab = int(label[1:])
+                lab = _number(label[1:], lineno, "label")
                 if not 1 <= lab <= rank:
                     raise DomainError(
                         f"line {lineno}: label {label} out of range")
@@ -89,7 +102,7 @@ def parse_sgr(text: str) -> BallView:
                                   f"{text.splitlines()[lineno - 1].strip()!r}")
             if rank is not None:
                 raise DomainError(f"line {lineno}: second 'schreier' header")
-            rank = int(head[2:])
+            rank = _number(head[2:], lineno, "rank")
             if rank < 1:
                 raise DomainError(f"line {lineno}: rank must be >= 1")
             labels = {f"s{i}": i for i in range(1, min(rank, 64) + 1)}

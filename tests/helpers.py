@@ -5,13 +5,14 @@ that tests cross-check two separate code paths.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, takewhile
 
 from irslab import AtomicMeasure, DomainError, FiniteOracle, MarkLaw, canonical_code
 from irslab.errors import BudgetError, HorizonError, InvalidGraphError
 from irslab.normalizer import NormalizerOracle
-from irslab.oracles import DEFAULT_BUDGET, STAR, BallView, conjugate
+from irslab.oracles import DEFAULT_BUDGET, STAR, BallView, SchreierOracle, conjugate
 from irslab.words import letters_ordered, words_upto
 
 
@@ -102,6 +103,23 @@ def cyclic_oracle(n: int, shift2: int = 1) -> FiniteOracle:
     p1 = tuple((i + 1) % n for i in range(n))
     p2 = tuple((i + shift2) % n for i in range(n))
     return FiniteOracle.from_perms([p1, p2])
+
+
+class Counting(SchreierOracle):
+    """Forwards to an oracle and counts each (vertex, letter) asked."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.rank = inner.rank
+        self.root = inner.root
+        self.asked = Counter()
+
+    def neighbor(self, vertex, letter):
+        self.asked[vertex, letter] += 1
+        return self.inner.neighbor(vertex, letter)
+
+    def token(self, vertex):
+        return self.inner.token(vertex)
 
 
 # -- the lazy-oracle path of exact enumeration, kept as a reference ----------

@@ -32,18 +32,20 @@ from irslab.analysis import (
     code_action,
     conjugate_code,
     conjugate_fingerprints,
+    fingerprint_plan,
     walk_plan,
     walk_table,
 )
 from irslab.encoding import psi_oracle
-from irslab.errors import DomainError
+from irslab.errors import DomainError, HorizonError
 from irslab.laws import NormalizerLaw, PoulsenLaw, trivial_law
 from irslab.normalizer import enumerate_normalizer_law
-from irslab.oracles import BallView, trace
+from irslab.oracles import BallBackedOracle, BallView, trace
 from irslab.poulsen import PercolationGraph, star_ball
 from irslab.randomness import KeyedRng
 from irslab.words import (
     conjugated_word,
+    inverse_word,
     letters_ordered,
     reduce_word,
     shortlex_key,
@@ -52,6 +54,7 @@ from irslab.words import (
 )
 
 from helpers import (
+    Counting,
     brute_aut_count,
     brute_root_isomorphic,
     cyclic_oracle,
@@ -243,19 +246,64 @@ def test_walk_table_ends_each_word_where_its_trace_does(index2, cayley2):
         assert all(ends[k] == trace(oracle, words[k]) for k in range(len(words)))
 
 
-def test_walk_plan_is_cached_and_indexes_prefixes_and_moves():
+def test_walk_plan_is_cached_and_indexes_prefixes():
     for rank in (1, 2, 3):
         for length in range(4):
-            words, steps, moves = plan = walk_plan(rank, length)
+            words, steps = plan = walk_plan(rank, length)
             assert walk_plan(rank, length) is plan
             assert words == tuple(words_upto(rank, length))
             assert [(words[k], l) for k, l in steps] == [(w[:-1], w[-1])
                                                          for w in words[1:]]
-            assert [l for l, _ in moves] == letters_ordered(rank)
-            inner = words_upto(rank, length - 1) if length else []
-            for l, at in moves:
-                assert [words[k] for k in at] == [reduce_word((-l,) + w)
-                                                  for w in inner]
+
+
+def test_fingerprint_plan_splits_each_tested_word_in_halves():
+    for rank in (1, 2, 3):
+        for radius in range(5):
+            for conjugates in (False, True):
+                h, tests = plan = fingerprint_plan(rank, radius, conjugates)
+                assert fingerprint_plan(rank, radius, conjugates) is plan
+                moved = rank > 1 and radius > 0 and conjugates
+                assert h == (radius + 1) // 2 + moved
+                words = walk_plan(rank, h)[0]
+                inverses = [()]  # l^-1 for each conjugate l K l^-1
+                if conjugates:
+                    inverses += [(-l,) for l in letters_ordered(rank)]
+                assert len(tests) == len(inverses)
+                for g, test in zip(inverses, tests):
+                    assert [w for w, _, _ in test] == words_upto(rank, radius)
+                    for w, a, b in test:
+                        c = conjugated_word(g, w)  # l^-1 w l, or w
+                        u = words[a]
+                        assert u + inverse_word(words[b]) == c
+                        assert len(u) == (len(c) + 1) // 2
+
+
+@pytest.mark.parametrize("radius, conjugates, asked",
+                         [(0, False, 0), (1, False, 4), (2, False, 4),
+                          (3, False, 16), (0, True, 0), (1, True, 16),
+                          (2, True, 16)])
+def test_fingerprints_walk_only_the_ball_of_half_their_length(radius,
+                                                              conjugates,
+                                                              asked):
+    """At rank 2 over the Cayley tree, where no two walks meet, each
+    fingerprint asks each edge of the half ball once: a radius-2 cylinder
+    4, a radius-3 one 16 and a radius-1 or radius-2 conjugate table 16."""
+    oracle = Counting(CayleyOracle(2))
+    if conjugates:
+        conjugate_fingerprints(oracle.root, oracle.neighbor, 2, radius)
+    else:
+        cylinder_fingerprint(oracle, radius)
+    assert len(oracle.asked) == sum(oracle.asked.values()) == asked
+
+
+def test_a_cylinder_fingerprint_needs_the_stored_ball_of_half_its_radius(
+        cayley2):
+    stored = BallBackedOracle(ball(cayley2, 1))
+    assert cylinder_fingerprint(stored, 2) == ((),)
+    with pytest.raises(HorizonError):
+        cylinder_fingerprint(stored, 3)
+    with pytest.raises(HorizonError):
+        conjugate_fingerprints(stored.root, stored.neighbor, 2, 1)
 
 
 _radii = st.integers(0, 3)
@@ -271,17 +319,22 @@ def test_fingerprints_match_the_dict_walk_on_finite_actions(n, rank, seed,
     fp, conj = conjugate_fingerprints(root, action.step, rank, radius)
     ref_fp, ref_conj = reference_conjugate_fingerprints(root, action.step,
                                                         rank, radius)
-    assert fp == ref_fp
+    assert fp == ref_fp == cylinder_fingerprint(orbit_schreier(action, root),
+                                                radius)
     assert list(conj.items()) == list(ref_conj.items())
 
 
-@settings(deadline=None, max_examples=40)
+@settings(deadline=None, max_examples=60)
 @given(st.integers(0, 2**64 - 1),
        st.sampled_from([Fraction(1, 2), Fraction(1, 10), Fraction(2, 3)]),
-       st.integers(2, 3), _radii)
-def test_fingerprints_match_the_dict_walk_on_normalizer_samples(seed, p, rank,
-                                                               radius):
-    oracle = normalizer_oracle(CayleyOracle(rank), p, seed)
+       st.booleans(), st.integers(1, 3), _radii)
+def test_fingerprints_match_the_dict_walk_on_lazy_samples(seed, p, poulsen,
+                                                          rank, radius):
+    """Samples of normalizer:trivial and poulsen:normalizer:trivial."""
+    law = NormalizerLaw(trivial_law(rank), p)
+    if poulsen:
+        law = PoulsenLaw(law, p)
+    oracle = law.sample(seed)
     fp, conj = conjugate_fingerprints(oracle.root, oracle.neighbor, rank, radius)
     ref_fp, ref_conj = reference_conjugate_fingerprints(
         oracle.root, oracle.neighbor, rank, radius)

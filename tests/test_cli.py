@@ -474,8 +474,11 @@ def test_malformed_subshift_file_exits_1(capsys, tmp_path, text):
     INDEX2_TEXT.replace("schreier r=2", "schreier r=1\nschreier r=2"),
     INDEX2_TEXT.replace("root A", "root A\nroot B"),
     INDEX2_TEXT.replace("root A", "root A\nroot A"),
+    INDEX2_TEXT.replace("r=2", "r=" + "9" * 5000),
+    INDEX2_TEXT.replace("A s2 A", "A s" + "9" * 5000 + " A"),
 ], ids=["rank-x", "bare-schreier", "label-superscript", "two-headers",
-        "second-header-other-rank", "two-roots", "repeated-root"])
+        "second-header-other-rank", "two-roots", "repeated-root",
+        "rank-of-5000-digits", "label-of-5000-digits"])
 def test_malformed_graph_file_exits_1(capsys, tmp_path, text):
     path = tmp_path / "bad.sgr"
     path.write_text(text)

@@ -1,6 +1,5 @@
 import functools
 import hashlib
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -34,6 +33,7 @@ from irslab.words import (concat, conjugated_word, inverse_word,
                           words_upto)
 
 from helpers import (
+    Counting,
     outcome,
     reference_ball,
     reference_ball_code,
@@ -352,23 +352,6 @@ def test_ball_of_a_ball_backed_oracle_at_its_radius_leaves_the_ball(cayley2):
             ball(oracle, radius)
 
 
-class _Counting(SchreierOracle):
-    """Forwards to an oracle and counts each (vertex, letter) asked."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.rank = inner.rank
-        self.root = inner.root
-        self.asked = Counter()
-
-    def neighbor(self, vertex, letter):
-        self.asked[vertex, letter] += 1
-        return self.inner.neighbor(vertex, letter)
-
-    def token(self, vertex):
-        return self.inner.token(vertex)
-
-
 def _deep_ball_seed(i: int) -> int:
     """Seed of ball i of the benchmark's deep-ball workload at seed 1."""
     data = repr((1, "ball", i)).encode()
@@ -382,7 +365,7 @@ def test_ball_asks_each_neighbor_once():
     law = PoulsenLaw(_NORMALIZER, P)
     calls = vertices = 0
     for i in range(20):
-        oracle = _Counting(law.sample(_deep_ball_seed(i)))
+        oracle = Counting(law.sample(_deep_ball_seed(i)))
         vertices += len(ball(oracle, 7).vertices)
         assert max(oracle.asked.values()) == 1
         calls += sum(oracle.asked.values())

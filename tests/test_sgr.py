@@ -197,6 +197,13 @@ NOT_A_TOKEN = ("a token is non-empty, has no whitespace and does not start "
     (HEAD2 + "A s1 B\nC s1 B\n", InvalidGraphError, "two incoming s1-edges at 'B'"),
     ("schreier r=1\nroot a\na * b\na * c\n", DomainError,
      "vertex 'a' is incident to two star edges"),
+    # int() refuses more than 4 300 digits on Python 3.11+, not on 3.10
+    ("schreier r=" + "9" * 5000 + "\nroot A\n", DomainError,
+     "line 1: rank has more than 640 digits"),
+    (HEAD2 + "A s" + "9" * 5000 + " A\n", DomainError,
+     "line 3: label has more than 640 digits"),
+    (HEAD2 + "A s" + "0" * 640 + "1 A\n", DomainError,
+     "line 3: label has more than 640 digits"),
 ], ids=[
     "no-header", "bad-header", "bad-header-quotes-stripped-line",
     "header-without-rank", "rank-zero", "second-header", "edge-before-header",
@@ -205,7 +212,8 @@ NOT_A_TOKEN = ("a token is non-empty, has no whitespace and does not start "
     "label-s0", "label-past-rank-70", "bad-label", "upper-case-label",
     "two-field-edge", "four-field-edge", "hash-token-as-dst", "disconnected",
     "boundary-inside-the-ball", "two-outgoing-s1", "two-incoming-s1",
-    "two-star-edges",
+    "two-star-edges", "rank-of-5000-digits", "label-of-5000-digits",
+    "zero-padded-label-of-641-digits",
 ])
 def test_parse_sgr_rejects_with_a_pinned_message(text, error, message):
     with pytest.raises(DomainError) as caught:
@@ -236,10 +244,13 @@ def test_parse_sgr_rejects_with_a_pinned_message(text, error, message):
     ("schreier r=1\nroot root\nroot s1 boundary\nboundary s1 root\n",
      ("root", "boundary"), (("root", 1, "boundary"), ("boundary", 1, "root")),
      1, ()),
+    ("schreier r=" + "0" * 639 + "2\nroot A\nA s" + "0" * 639 + "2 A\n",
+     ("A",), (("A", 2, "A"),), 0, ()),
 ], ids=[
     "root-after-edges", "crlf", "tabs", "indented-comments", "zero-padded-labels",
     "star-edge-both-ways", "self-loops", "rank-70", "root-without-edges",
     "root-without-edges-on-the-boundary", "vertices-named-like-headers",
+    "zero-padded-rank-and-label-of-640-digits",
 ])
 def test_parse_sgr_accepts_odd_input_as_pinned(text, vertices, edges, radius,
                                                boundary):
