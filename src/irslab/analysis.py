@@ -65,33 +65,16 @@ def metric(a: SchreierOracle, b: SchreierOracle, max_radius: int,
 
 
 @lru_cache(maxsize=32)
-def walk_plan(rank: int, length: int) -> tuple:
-    """(words, steps) for `words`, `words_upto(rank, length)` as a tuple:
-    steps[k - 1] is (position of words[k][:-1], words[k][-1])."""
-    words = tuple(words_upto(rank, length))
-    at = {w: k for k, w in enumerate(words)}
-    return words, tuple((at[w[:-1]], w[-1]) for w in words[1:])
-
-
-def walk_table(root, step, rank: int, length: int) -> list:
-    """The end vertex of the walk from `root` of each word of
-    `walk_plan(rank, length)`, in the same order. `step(v, letter)` gives
-    the neighbor; one step per word fills the table."""
-    ends = [root]
-    for k, l in walk_plan(rank, length)[1]:
-        ends.append(step(ends[k], l))
-    return ends
-
-
-@lru_cache(maxsize=32)
 def fingerprint_plan(rank: int, radius: int, conjugates: bool) -> tuple:
-    """(h, tests): for the stabilizer K of a root and, with `conjugates`,
+    """(steps, tests): for the stabilizer K of a root and, with `conjugates`,
     for each l K l^-1 in the order of `letters_ordered(rank)`, a tuple of
     triples (w, a, b), one per w of `words_upto(rank, radius)`. A Schreier
     graph is a permutation action, so c = u v is in K iff the walks of u
     and v^-1 end at one vertex, and w is in l K l^-1 iff
     c = reduce(l^-1 w l) is in K: a and b are the positions of u and v^-1
-    in `walk_plan(rank, h)`, |u| = ceil(|c| / 2), and h is the longest u."""
+    in `words_upto(rank, h)`, |u| = ceil(|c| / 2), and h is the longest u.
+    steps[k - 1] is (position of the k-th of those words without its last
+    letter, that letter), so one step per word walks them all."""
     if radius < 0:
         raise DomainError("radius must be >= 0")
     words = words_upto(rank, radius)
@@ -106,9 +89,11 @@ def fingerprint_plan(rank: int, radius: int, conjugates: bool) -> tuple:
 
     splits = [list(map(split, cs)) for cs in tested]
     h = max(len(u) for split in splits for u, _ in split)
-    at = {w: k for k, w in enumerate(walk_plan(rank, h)[0])}
-    return h, tuple(tuple((w, at[u], at[v]) for w, (u, v) in zip(words, split))
-                    for split in splits)
+    walked = words_upto(rank, h)
+    at = {w: k for k, w in enumerate(walked)}
+    return (tuple((at[w[:-1]], w[-1]) for w in walked[1:]),
+            tuple(tuple((w, at[u], at[v]) for w, (u, v) in zip(words, split))
+                  for split in splits))
 
 
 def walk_fingerprints(root, step, rank: int, radius: int,
@@ -117,8 +102,10 @@ def walk_fingerprints(root, step, rank: int, radius: int,
     for the stabilizer K of `root`: that of K, then with `conjugates` that
     of l K l^-1 for each letter l. `step(v, letter)` gives the neighbor;
     one walk over the words of length <= h decides every word."""
-    h, tests = fingerprint_plan(rank, radius, conjugates)
-    ends = walk_table(root, step, rank, h)
+    steps, tests = fingerprint_plan(rank, radius, conjugates)
+    ends = [root]
+    for k, l in steps:
+        ends.append(step(ends[k], l))
     return [tuple([w for w, a, b in test if ends[a] == ends[b]])
             for test in tests]
 

@@ -187,7 +187,8 @@ def _fp2(action) -> str:
 
 
 def cmd_enumerate_normalizer(args) -> tuple[str, int]:
-    law = parse_base_spec(args.base, args.rank, args.p)
+    # a file: base brings its rank; any other base is refused below
+    law = parse_base_spec(args.base, 2, args.p)
     if not (law.is_point and isinstance(law.oracle, FiniteOracle)):
         raise DomainError("enumeration needs a finite point-mass base")
     base = law.oracle
@@ -405,14 +406,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--base", required=True)
     sp.add_argument("--check-invariance", action="store_true")
     sp.add_argument("--radius", type=int, default=2)
-    _add_common(sp, p=True, budget=True)
+    _add_common(sp, seed=False, rank=False, p=True, budget=True)
     sp.set_defaults(fn=cmd_enumerate_normalizer)
 
     sp = sub.add_parser("encode", help="encode a configuration as a graph")
     sp.add_argument("--subshift", required=True)
     sp.add_argument("--radius", type=int, required=True)
     sp.add_argument("--basepoint", type=int, default=None)
-    _add_common(sp, rank=False, budget=True)
+    _add_common(sp, seed=False, rank=False, budget=True)
     sp.set_defaults(fn=cmd_encode)
 
     sp = sub.add_parser("decode", help="read a configuration off a graph")

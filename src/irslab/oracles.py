@@ -293,8 +293,11 @@ class BallView:
                 self.inc[key] = src
             kept.append(edge)
         self.edges = tuple(kept)
-        # the letters a step can follow: STAR only where there are stars
-        self.letters = letters_ordered(rank) + [STAR] * bool(self.star)
+
+    @property
+    def letters(self) -> list:
+        """The letters a step can follow: STAR only where there are stars."""
+        return letters_ordered(self.rank) + [STAR] * bool(self.star)
 
     def step(self, vertex, letter):
         """Neighbor along a letter or along the star edge (letter STAR);

@@ -28,10 +28,10 @@ _EMPTY = blake2b(digest_size=16)  # copied, not built, for each new hasher
 
 
 def _text(obj) -> str:
-    """The encoding as text: one UTF-8 encode of it gives the bytes. Exact
-    ints, tuples and strings, and the ints inside tuples, take the short
-    way; subclasses (bool among them) and the rare leaf types go by
-    isinstance. A string's length prefix counts its UTF-8 bytes."""
+    """The encoding as text: one UTF-8 encode of it gives the bytes. A key
+    is an exact int, an exact str or an exact tuple of keys; anything else,
+    subclasses among them, raises TypeError. A string's length prefix
+    counts its UTF-8 bytes."""
     t = type(obj)
     if t is int:
         return f"i{obj};"
@@ -48,21 +48,12 @@ def _text(obj) -> str:
         return "(" + "".join(parts) + ")"
     if t is str:
         return f"s{len(obj) if obj.isascii() else len(obj.encode())}:{obj}"
-    if isinstance(obj, bool):  # bool is an int subclass; keep it distinct
-        return "b1" if obj else "b0"
-    if isinstance(obj, int):
-        return "i" + str(obj) + ";"
-    if isinstance(obj, str):
-        return f"s{len(obj.encode())}:{str.__str__(obj)}"
-    if isinstance(obj, tuple):
-        return "(" + "".join(map(_text, obj)) + ")"
-    if obj is None:
-        return "n;"
-    raise TypeError(f"cannot encode {type(obj).__name__} as a hash key")
+    raise TypeError(f"cannot encode {t.__name__} as a hash key")
 
 
 def token_bytes(obj) -> bytes:
-    """Canonical, injective byte encoding of nested tuples/ints/strings."""
+    """Canonical, injective byte encoding of an int, a str or a tuple of
+    keys."""
     return _text(obj).encode()
 
 

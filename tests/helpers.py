@@ -331,18 +331,16 @@ def reference_ball_code(view: BallView) -> tuple:
 
 
 def token_bytes(obj) -> bytes:
-    """Canonical, injective byte encoding of nested tuples/ints/strings."""
-    if isinstance(obj, bool):  # bool is an int subclass; keep it distinct
-        return b"b1" if obj else b"b0"
-    if isinstance(obj, int):
+    """Canonical, injective byte encoding of an exact int, an exact str or
+    an exact tuple of keys; any other key, subclasses among them, raises
+    TypeError."""
+    if type(obj) is int:
         return b"i" + str(obj).encode() + b";"
-    if isinstance(obj, str):
+    if type(obj) is str:
         data = obj.encode()
         return b"s" + str(len(data)).encode() + b":" + data
-    if isinstance(obj, tuple):
+    if type(obj) is tuple:
         return b"(" + b"".join(token_bytes(x) for x in obj) + b")"
-    if obj is None:
-        return b"n;"
     raise TypeError(f"cannot encode {type(obj).__name__} as a hash key")
 
 

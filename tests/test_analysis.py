@@ -33,8 +33,6 @@ from irslab.analysis import (
     conjugate_code,
     conjugate_fingerprints,
     fingerprint_plan,
-    walk_plan,
-    walk_table,
 )
 from irslab.encoding import psi_oracle
 from irslab.errors import DomainError, HorizonError
@@ -59,6 +57,7 @@ from helpers import (
     brute_root_isomorphic,
     cyclic_oracle,
     reference_conjugate_fingerprints,
+    reference_walk_table,
 )
 from test_encoding import three_cycle_space
 from test_words import random_word
@@ -236,38 +235,53 @@ def test_fingerprint_conjugation_identity(index2):
         assert list(fp_conj) == expected
 
 
-def test_walk_table_ends_each_word_where_its_trace_does(index2, cayley2):
-    sampled = normalizer_oracle(cayley2, Fraction(1, 2), 4)
-    words = walk_plan(2, 3)[0]
-    assert list(words) == words_upto(2, 3)
-    for oracle in (index2, cayley2, sampled):
-        ends = walk_table(oracle.root, oracle.neighbor, 2, 3)
-        assert len(ends) == len(words)
-        assert all(ends[k] == trace(oracle, words[k]) for k in range(len(words)))
+def _planned_walk(rank, radius, conjugates):
+    """The words the steps of `fingerprint_plan` walk, rebuilt from the
+    steps: each step appends a letter to a word listed before it."""
+    steps = fingerprint_plan(rank, radius, conjugates)[0]
+    words = [()]
+    for k, (parent, l) in enumerate(steps, 1):
+        assert parent < k
+        words.append(words[parent] + (l,))
+    return words
 
 
 def test_walk_plan_is_cached_and_indexes_prefixes():
+    """The steps of a fingerprint plan walk the words of length <= h in
+    shortlex order, each from a prefix walked before it."""
     for rank in (1, 2, 3):
-        for length in range(4):
-            words, steps = plan = walk_plan(rank, length)
-            assert walk_plan(rank, length) is plan
-            assert words == tuple(words_upto(rank, length))
-            assert [(words[k], l) for k, l in steps] == [(w[:-1], w[-1])
-                                                         for w in words[1:]]
+        for radius in range(5):
+            for conjugates in (False, True):
+                plan = fingerprint_plan(rank, radius, conjugates)
+                assert fingerprint_plan(rank, radius, conjugates) is plan
+                moved = rank > 1 and radius > 0 and conjugates
+                h = (radius + 1) // 2 + moved
+                assert _planned_walk(rank, radius, conjugates) == \
+                    words_upto(rank, h)
+
+
+def test_walk_table_ends_each_word_where_its_trace_does(index2, cayley2):
+    sampled = normalizer_oracle(cayley2, Fraction(1, 2), 4)
+    steps = fingerprint_plan(2, 3, True)[0]  # the words of length <= 3
+    words = words_upto(2, 3)
+    for oracle in (index2, cayley2, sampled):
+        ends = [oracle.root]
+        for k, l in steps:
+            ends.append(oracle.neighbor(ends[k], l))
+        assert ends == list(reference_walk_table(oracle.root, oracle.neighbor,
+                                                 2, 3).values())
+        assert ends == [trace(oracle, w) for w in words]
 
 
 def test_fingerprint_plan_splits_each_tested_word_in_halves():
     for rank in (1, 2, 3):
         for radius in range(5):
             for conjugates in (False, True):
-                h, tests = plan = fingerprint_plan(rank, radius, conjugates)
-                assert fingerprint_plan(rank, radius, conjugates) is plan
-                moved = rank > 1 and radius > 0 and conjugates
-                assert h == (radius + 1) // 2 + moved
-                words = walk_plan(rank, h)[0]
+                words = _planned_walk(rank, radius, conjugates)
                 inverses = [()]  # l^-1 for each conjugate l K l^-1
                 if conjugates:
                     inverses += [(-l,) for l in letters_ordered(rank)]
+                tests = fingerprint_plan(rank, radius, conjugates)[1]
                 assert len(tests) == len(inverses)
                 for g, test in zip(inverses, tests):
                     assert [w for w, _, _ in test] == words_upto(rank, radius)
@@ -278,6 +292,18 @@ def test_fingerprint_plan_splits_each_tested_word_in_halves():
                         assert len(u) == (len(c) + 1) // 2
 
 
+def _asked(rank, radius, conjugates):
+    """The distinct (vertex, letter) asks of one fingerprint over the
+    Cayley tree, where no two walks meet and each is asked once."""
+    oracle = Counting(CayleyOracle(rank))
+    if conjugates:
+        conjugate_fingerprints(oracle.root, oracle.neighbor, rank, radius)
+    else:
+        cylinder_fingerprint(oracle, radius)
+    assert len(oracle.asked) == sum(oracle.asked.values())
+    return len(oracle.asked)
+
+
 @pytest.mark.parametrize("radius, conjugates, asked",
                          [(0, False, 0), (1, False, 4), (2, False, 4),
                           (3, False, 16), (0, True, 0), (1, True, 16),
@@ -285,15 +311,18 @@ def test_fingerprint_plan_splits_each_tested_word_in_halves():
 def test_fingerprints_walk_only_the_ball_of_half_their_length(radius,
                                                               conjugates,
                                                               asked):
-    """At rank 2 over the Cayley tree, where no two walks meet, each
-    fingerprint asks each edge of the half ball once: a radius-2 cylinder
-    4, a radius-3 one 16 and a radius-1 or radius-2 conjugate table 16."""
-    oracle = Counting(CayleyOracle(2))
-    if conjugates:
-        conjugate_fingerprints(oracle.root, oracle.neighbor, 2, radius)
-    else:
-        cylinder_fingerprint(oracle, radius)
-    assert len(oracle.asked) == sum(oracle.asked.values()) == asked
+    """At rank 2 each fingerprint asks each edge of the half ball once: a
+    radius-2 cylinder 4, a radius-3 one 16 and a radius-1 or radius-2
+    conjugate table 16."""
+    assert _asked(2, radius, conjugates) == asked
+
+
+@pytest.mark.parametrize("radius, conjugates, asked",
+                         [(1, False, 6), (2, False, 6), (3, False, 36),
+                          (1, True, 36), (2, True, 36)])
+def test_rank_3_fingerprints_walk_only_the_ball_of_half_their_length(
+        radius, conjugates, asked):
+    assert _asked(3, radius, conjugates) == asked
 
 
 def test_a_cylinder_fingerprint_needs_the_stored_ball_of_half_its_radius(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from irslab import ball, emit_sgr, parse_sgr, psi_oracle
@@ -183,6 +185,35 @@ def test_enumerate_needs_a_finite_point_base(capsys, base):
                        "--p", "1/2")
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["encode", "--subshift", "{subshift}", "--radius", "2"], "--seed"),
+    (["enumerate-normalizer", "--base", "file:{graph}", "--p", "1/2"],
+     "--seed"),
+    (["enumerate-normalizer", "--base", "file:{graph}", "--p", "1/2"],
+     "--rank"),
+], ids=["encode-seed", "enumerate-seed", "enumerate-rank"])
+def test_options_that_did_nothing_are_gone(capsys, index2_file, subshift_file,
+                                           argv, flag):
+    argv = [a.format(graph=index2_file, subshift=subshift_file) for a in argv]
+    assert run(capsys, *argv)[0] == 0
+    code, out, err = run(capsys, *argv, flag, "3")
+    assert (code, out) == (1, "")
+    assert f"unrecognized arguments: {flag}" in err
+
+
+def test_a_huge_declared_rank_is_refused_without_building_it(capsys, tmp_path):
+    path = tmp_path / "rank.sgr"
+    path.write_text("schreier r=1000000\nroot A\nA s1 A\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "aut", "--graph", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "") and err.startswith("error:")
+    assert peak < 1_000_000
 
 
 def test_encode_decode_roundtrip(capsys, tmp_path, subshift_file):

@@ -301,7 +301,7 @@ GOLDEN = {
     "canonical_code tripled": "ad3e31219dc778fd011ad9f2f3774f8d",
     "cli aut": "d0e6474100e8cd7f5cefb4790e41da0d",
     "cli ball": "7ea85b1fccb4adbcca5b64220b7ac0d5",
-    "cli enumerate-normalizer": "8ac0feefd0102d2d8b90474c404ca073",
+    "cli enumerate-normalizer": "599542037eb61d51bf40d287fb39f917",
     "cli named file base": "6ff33972f57a350e4283f79f7d9e2ce5",
     "cli stab-law": "a3c5293e4a0c248d60f979221b6c8d6a",
     "conjugate_code cyclic5 atoms": "a756bd5eb75ccb3910886671db3ec230",

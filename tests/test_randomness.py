@@ -43,10 +43,6 @@ PINNED = {
     "poulsen vertex over numerals": ("perc", ((("b", 1),), ("b", 46)),
                                      0xa427e756e205f9f3d23d81d7a864bfa9,
                                      15149407484787343273, 1),
-    "none": ("law", None,
-             0x600e86f30837b49b5fbc49d983ff96c7, 6898469927796053703, 1),
-    "bool": ("law", True,
-             0x28214c5c6279f77a05319dc765658770, 374253723773667184, 0),
 }
 
 
@@ -79,10 +75,24 @@ def test_pinned_draws(name):
     assert reference_digest128(SEED, namespace, key) == digest
 
 
+class _Slot(enum.IntEnum):
+    MIDDLE = 1
+
+
+class _Kind(str, enum.Enum):
+    BASE = "b"
+
+
+_Vertex = namedtuple("_Vertex", "kind coset")
+
 _text = st.text(st.characters(exclude_categories=()), max_size=8) | \
     st.sampled_from(["\ud800", "a\udfffb", "é\udc80", "s1*s2^-1", "€ß"])
-_leaves = st.none() | st.booleans() | st.integers() | _text
-_unsupported = st.floats(allow_nan=False) | st.binary(max_size=2)
+_leaves = st.integers() | _text
+# a key's type alone decides that it raises, so one strategy of fixed
+# values keeps most generated leaves inside the domain
+_unsupported = st.sampled_from([None, True, False, 1.5, -0.0, b"", b"\x01",
+                                _Slot.MIDDLE, _Kind.BASE,
+                                _Vertex("b", (1, -2))])
 _keys = st.recursive(
     _leaves | _unsupported,
     lambda kids: st.lists(kids, max_size=4).map(tuple)
@@ -112,16 +122,31 @@ def test_token_bytes_matches_reference(key):
 ], ids=["bool-then-int", "int-then-bool", "nested-bool-then-int",
         "nested-int-then-bool", "bare-bool-then-int", "bare-int-then-bool"])
 def test_equal_keys_of_other_types_draw_apart(first, second):
+    """Equal keys never share a draw: the int key draws as the reference
+    does, and the bool key raises TypeError."""
+    def draw(k):
+        return digest128(SEED, "perc", k)
+
+    def reference(k):
+        return reference_digest128(SEED, "perc", k)
+
     assert first == second
     for key in (first, second, first, second):
-        assert digest128(SEED, "perc", key) == \
-            reference_digest128(SEED, "perc", key)
-    assert digest128(SEED, "perc", first) != digest128(SEED, "perc", second)
+        assert outcome(draw, key) == outcome(reference, key)
+    assert {outcome(draw, first)[1], outcome(draw, second)[1]} == \
+        {None, TypeError}
 
 
-@pytest.mark.parametrize("bad, good", [(1.0, 1), ([1], (1,)), ((1.0,), (1,))],
-                         ids=["float", "list", "tuple-of-float"])
+@pytest.mark.parametrize("bad, good", [
+    (1.0, 1), ([1], (1,)), ((1.0,), (1,)), (True, 1), (None, 0),
+    (_Slot.MIDDLE, 1), (_Kind.BASE, "b"),
+    (_Vertex("b", (1, -2)), ("b", (1, -2))),
+], ids=["float", "list", "tuple-of-float", "bool", "none", "int-enum",
+        "str-enum", "namedtuple"])
 def test_unsupported_key_raises_after_like_key_drawn(bad, good):
+    """A key is an exact int, an exact str or an exact tuple of keys; any
+    other key, a subclass of those among them, raises TypeError from every
+    entry point, also after an equal-looking key was drawn."""
     keyed = Keyed(SEED, "mark")
     d = digest128(SEED, "mark", good)
     assert keyed.choose(good, (d, d + 1)) == 1
@@ -132,43 +157,24 @@ def test_unsupported_key_raises_after_like_key_drawn(bad, good):
             draw(bad)
 
 
-class _Slot(enum.IntEnum):
-    MIDDLE = 1
-
-
-class _Kind(str, enum.Enum):
-    BASE = "b"
-
-
-_Vertex = namedtuple("_Vertex", "kind coset")
-
-
 @pytest.mark.parametrize("key", [
     _Slot.MIDDLE, _Kind.BASE, ("t", (1,), _Slot.MIDDLE),
-    _Vertex(_Kind.BASE, (1, -2)), (_Vertex("b", ()), True),
+    _Vertex(_Kind.BASE, (1, -2)), (_Vertex("b", ()), 1),
 ], ids=["int-enum", "str-enum", "int-enum-in-tuple", "namedtuple",
         "namedtuple-in-tuple"])
 def test_subclass_keys_match_reference(key):
-    assert token_bytes(key) == reference_token_bytes(key)
-    assert digest128(SEED, "perc", key) == \
-        reference_digest128(SEED, "perc", key)
-    d = reference_digest128(SEED, "perc", key)
-    assert Keyed(SEED, "perc").choose(key, (d, d + 1)) == 1
+    """Subclass keys, also inside tuples, are outside the domain of the
+    reference encoder too."""
+    assert outcome(token_bytes, key) == outcome(reference_token_bytes, key) \
+        == (None, TypeError)
+    assert outcome(reference_digest128, SEED, "perc", key) == (None, TypeError)
 
 
-_subclassed = st.sampled_from([_Slot.MIDDLE, _Kind.BASE]) | \
-    st.builds(_Vertex, _leaves, _leaves)
-_draw_keys = st.recursive(
-    _leaves | _subclassed | _unsupported,
-    lambda kids: st.lists(kids, max_size=4).map(tuple)
-    | st.lists(kids, max_size=2),
-    max_leaves=12,
-)
 _seeds = st.integers(0, 2**64 - 1)
 _namespaces = st.sampled_from(["mark", "perc", "law", "", "ñamespace"])
 
 
-@given(_seeds, _namespaces, _draw_keys)
+@given(_seeds, _namespaces, _keys)
 def test_keyed_digest_equals_digest128(seed, namespace, key):
     keyed = Keyed(seed, namespace)
     expected = outcome(lambda k: reference_digest128(seed, namespace, k), key)
@@ -177,7 +183,7 @@ def test_keyed_digest_equals_digest128(seed, namespace, key):
     assert outcome(drawn(keyed, expected), key) == expected  # reusable
 
 
-@given(_seeds, _namespaces, _draw_keys, _draw_keys, _draw_keys)
+@given(_seeds, _namespaces, _keys, _keys, _keys)
 def test_keyed_under_head_draws_the_pair(seed, namespace, head, inner, key):
     keyed = Keyed(seed, namespace)
     pair = outcome(lambda k: reference_digest128(seed, namespace, (head, k)), key)

@@ -270,6 +270,22 @@ def test_convergence_sweep_over_a_finite_point_base_can_fail(construction):
     assert all(a.deviation > b.deviation for a, b in zip(rows, rows[1:]))
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("base", [cyclic_oracle(3), index2_oracle()],
+                         ids=["cyclic3", "index2"])
+def test_poulsen_sweep_converges_to_a_finite_point_base(base, seed):
+    """The Poulsen estimate of the base's own radius-2 cylinder stays well
+    below 1 at p = 1/5 (0.62-0.65 measured) and nears it at p = 1/100
+    (0.98), each within its bound."""
+    spec = CylinderSpec(cylinder_fingerprint(base, 2), 2)
+    ps = (Fraction(1, 5), Fraction(1, 10), Fraction(1, 20), Fraction(1, 100))
+    rows = convergence_sweep("poulsen", PointLaw(base), ps, spec, 2000, seed)
+    for r in rows:
+        assert float(r.deviation) <= r.bound
+    assert rows[0].estimate < Fraction(3, 4)
+    assert rows[-1].estimate >= Fraction(19, 20)
+
+
 def test_render_invariance_formats():
     law = NormalizerLaw(trivial_law(2), Fraction(1, 2))
     rows = invariance_report(law, 1, 500, seed=13)
