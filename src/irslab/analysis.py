@@ -14,6 +14,7 @@ from functools import lru_cache
 
 from .errors import DomainError, InvalidGraphError
 from .oracles import (
+    STAR,
     BallView,
     DEFAULT_BUDGET,
     FiniteAction,
@@ -200,12 +201,10 @@ def z_set_member(oracle: SchreierOracle, g: Word, check_radius: int) -> str:
 
 
 def bfs_numbering(root, step, letters) -> tuple[list, tuple]:
-    """Number the vertices reachable from `root` in the discovery order of
-    `bfs` along `letters`; `step(v, letter)` gives the neighbor, or None
-    where there is none. Returns (order, rows): the vertices in that order,
-    and for each one a tuple with the number of its neighbor along each of
-    `letters[::2]`, None where there is none: s1..sr of `letters_ordered`,
-    then STAR when it ends `letters`."""
+    """(order, rows): the vertices reachable from `root` in the discovery
+    order of `bfs` along `letters` (those of `letters_ordered`), and for
+    each one a tuple with the number of its neighbor along each of s1..sr,
+    or None where `step(v, letter)` gives None."""
     number, _, cells = bfs(root, step, letters)
     width = len(letters)
     return list(number), tuple([tuple(cells[at:at + width:2])
@@ -223,15 +222,19 @@ def canonical_code(oracle: SchreierOracle) -> tuple:
 
 
 def ball_code(view: BallView) -> tuple:
-    """Canonical form of a rooted view: (rank, n, rows) under BFS numbering
-    along `view.letters`; each row holds the s1..sr successors (None where
-    absent), then the star partner when the view has star edges. Equals
+    """Canonical form of a rooted view: (rank, n, rows) in its BFS
+    numbering; each row holds the s1..sr successors (None where absent),
+    then the star partner when the view has star edges. Equals
     `canonical_code(view.to_oracle())` on a complete view without stars.
     Raises DomainError unless every vertex is reachable from the root."""
-    order, rows = bfs_numbering(view.root, view.step, view.letters)
-    if len(order) != len(view.vertices):
+    if None in view.depth:
         raise DomainError("view is not connected from its root")
-    return (view.rank, len(order), rows)
+    n, width, heads = len(view.vertices), len(view.letters), view.letters[::2]
+    at = [2 * heads.index(l) if l in heads else None  # no column: no edge
+          for l in (*range(1, view.rank + 1), *[STAR] * view.has_stars())]
+    return (view.rank, n, tuple(
+        tuple([None if j is None else view.cells[k * width + j] for j in at])
+        for k in range(n)))
 
 
 def array_code(succ, root: int) -> tuple:

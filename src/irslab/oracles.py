@@ -9,7 +9,9 @@ are write-once.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import BudgetError, DomainError, HorizonError, InvalidGraphError
 from .words import (
@@ -252,102 +254,133 @@ def conjugate(oracle: SchreierOracle, g: Word) -> SchreierOracle:
 
 
 class BallView:
-    """Explicit finite ball: vertices in BFS order, labeled directed edges
-    (label int 1..r) plus optional undirected star edges (label "*"),
-    boundary = vertices at distance exactly `radius`.
-
-    Vertices are the string tokens supplied by the originating oracle.
-    """
+    """An explicit finite rooted ball in one canonical form. Vertices are
+    string tokens numbered in the discovery order of `bfs` from the root
+    (vertex 0) along `letters`, then the unreached ones by token; `depth`
+    holds their distances (None if unreached). `letters` has s_i, s_i^-1
+    only for labels on some edge, then STAR if there is a star edge (one
+    undirected edge per vertex at most), and `cells[k * len(letters) + j]`
+    is the number of the neighbor of vertex k along `letters[j]`, or None.
+    `boundary` holds the tokens at distance exactly `radius`. The
+    constructor checks and numbers (src, label, dst) edges, label 1..r or
+    STAR (a star edge possibly recorded both ways)."""
 
     def __init__(self, rank, radius, root, vertices, edges, boundary):
-        self.rank = rank
-        self.radius = radius
-        self.root = root
-        self.vertices = tuple(vertices)
-        self.boundary = frozenset(boundary)
-        self.out = {}
-        self.inc = {}
-        self.star = {}
-        kept = []
-        for edge in edges:
-            src, label, dst = edge
-            if label == STAR:
-                if self.star.get(src) == dst:
-                    continue  # keep only the first record of a star edge
-                for a, b in ((src, dst), (dst, src)):
-                    if self.star.get(a, b) != b:
-                        raise DomainError(
-                            f"vertex {a!r} is incident to two star edges"
-                        )
-                    self.star[a] = b
-            else:
-                key = (src, label)
-                if key in self.out:
-                    raise InvalidGraphError(
-                        f"two outgoing s{label}-edges at {src!r}")
-                self.out[key] = dst
-                key = (dst, label)
-                if key in self.inc:
-                    raise InvalidGraphError(
-                        f"two incoming s{label}-edges at {dst!r}")
-                self.inc[key] = src
-            kept.append(edge)
-        self.edges = tuple(kept)
+        edges, vertices = list(edges), tuple(vertices)
+        labels = {label for _, label, _ in edges}
+        letters = [l for i in sorted(labels - {STAR}) for l in (i, -i)]
+        if letters and not 1 <= letters[0] <= letters[-2] <= rank:
+            raise DomainError("edge labels must lie in 1..rank or be STAR")
+        letters += [STAR] * (STAR in labels)
+        column = {l: j for j, l in enumerate(letters)}
+        rows = {v: [None] * len(letters) for v in vertices}  # token -> tokens
+        if len(rows) < len(vertices):
+            twice = next(v for k, v in enumerate(vertices) if vertices.index(v) < k)
+            raise DomainError(f"vertex {twice!r} is listed twice")
+        for what, v in [("root", root), *[("boundary token", v) for v in boundary]]:
+            if v not in rows:
+                raise DomainError(f"{what} {v!r} is not a vertex")
+        for src, label, dst in edges:
+            a, b, j = rows.get(src), rows.get(dst), column[label]
+            if a is None or b is None:
+                raise DomainError(f"edge endpoint {src if a is None else dst!r} "
+                                  "is not a vertex")
+            if label == STAR:  # recorded once or both ways
+                for v, w, row in ((src, dst, a), (dst, src, b)):
+                    if row[j] not in (None, w):
+                        raise DomainError(f"vertex {v!r} is incident to two star edges")
+                    row[j] = w
+                continue
+            if a[j] is not None:
+                raise InvalidGraphError(f"two outgoing s{label}-edges at {src!r}")
+            if b[j + 1] is not None:
+                raise InvalidGraphError(f"two incoming s{label}-edges at {dst!r}")
+            a[j], b[j + 1] = dst, src
+        number, depth, cells = bfs(root, lambda v, l: rows[v][column[l]], letters)
+        if len(number) < len(rows):  # the unreached vertices go last, by token
+            for v in sorted(rows.keys() - number.keys()):
+                number[v] = len(number)
+        for v in list(number)[len(depth):]:
+            depth.append(None)
+            cells += [w if w is None else number[w] for w in rows[v]]
+        self._store(rank, radius, number, boundary, letters, depth, cells)
+
+    def _store(self, rank, radius, vertices, boundary, letters, depth, cells):
+        """Keep canonical fields, less the columns of labels on no edge."""
+        n, width = len(depth), len(letters)
+        keep = [j for j in range(0, width, 2) if cells[j::width].count(None) < n]
+        if len(keep) * 2 < width:
+            keep = [c for j in keep for c in ((j,) if letters[j] == STAR else (j, j + 1))]
+            letters = [letters[j] for j in keep]
+            cells = [cells[at + j] for at in range(0, n * width, width) for j in keep]
+        self.rank, self.radius, self.depth, self.cells = rank, radius, depth, cells
+        self.vertices, self.letters = tuple(vertices), tuple(letters)
+        self.root, self.boundary = self.vertices[0], frozenset(boundary)
+        return self
+
+    @cached_property
+    def index(self) -> dict:
+        """Each token to its vertex number."""
+        return dict(zip(self.vertices, range(len(self.vertices))))
 
     @property
-    def letters(self) -> list:
-        """The letters a step can follow: STAR only where there are stars."""
-        return letters_ordered(self.rank) + [STAR] * bool(self.star)
+    def edges(self) -> tuple:
+        """(src, label, dst) records: vertex by vertex its s_i-edges, then
+        each star edge once, smaller token first."""
+        width, names, cells = len(self.letters), self.vertices, self.cells
+        heads = [(l, cells[j::width]) for j, l in enumerate(self.letters)
+                 if l != STAR and l > 0]
+        out = [(v, l, names[m]) for k, v in enumerate(names)
+               for l, column in heads if (m := column[k]) is not None]
+        if self.has_stars():
+            out += [(v, STAR, names[m]) for v, m in zip(names, cells[width - 1::width])
+                    if m is not None and v <= names[m]]
+        return tuple(out)
 
     def step(self, vertex, letter):
         """Neighbor along a letter or along the star edge (letter STAR);
         None where the view has no such edge."""
-        if letter == STAR:
-            return self.star.get(vertex)
-        if letter > 0:
-            return self.out.get((vertex, letter))
-        return self.inc.get((vertex, -letter))
-
-    @property
-    def interior(self):
-        return [v for v in self.vertices if v not in self.boundary]
+        k = self.index.get(vertex)
+        if k is None or letter not in self.letters:
+            return None
+        m = self.cells[k * len(self.letters) + self.letters.index(letter)]
+        return None if m is None else self.vertices[m]
 
     def has_stars(self) -> bool:
-        return bool(self.star)
+        return STAR in self.letters
 
     def is_complete(self) -> bool:
         """Every vertex has full degree: one in and one out per label."""
-        for v in self.vertices:
-            for i in range(1, self.rank + 1):
-                if (v, i) not in self.out or (v, i) not in self.inc:
-                    return False
-        return True
+        full, width = 2 * self.rank, len(self.letters)
+        return width - self.has_stars() == full and all(
+            None not in self.cells[at:at + full]
+            for at in range(0, len(self.cells), width))
 
     def to_oracle(self) -> FiniteOracle:
         if self.has_stars():
             raise DomainError("ball has star edges; not a Schreier graph")
         if not self.is_complete():
             raise DomainError("ball is not a complete finite Schreier graph")
-        index = {v: k for k, v in enumerate(self.vertices)}
-        perms = [[index[self.out[(v, i)]] for v in self.vertices]
-                 for i in range(1, self.rank + 1)]
-        return FiniteOracle.from_perms(perms, index[self.root], self.vertices)
+        width = len(self.letters)
+        perms = [self.cells[j::width] for j in range(0, width, 2)]
+        return FiniteOracle.from_perms(perms, 0, self.vertices)
 
 
 def validate_schreier_ball(view: BallView) -> None:
-    """One-in/one-out-per-label on interior vertices; at most one star edge
-    per vertex anywhere. Raises InvalidGraphError on violation."""
-    for v in view.interior:
+    """One-in/one-out-per-label on vertices off the boundary; at most one
+    star edge per vertex anywhere, which a view's one STAR cell per vertex
+    holds by construction. Raises InvalidGraphError on violation."""
+    full, width = 2 * view.rank, len(view.letters)
+    whole = width - view.has_stars() == full  # every label has its columns
+    for k, v in enumerate(view.vertices):
+        if v in view.boundary or whole and None not in view.cells[
+                k * width:k * width + full]:
+            continue
         for i in range(1, view.rank + 1):
-            if (v, i) not in view.out:
-                raise InvalidGraphError(
-                    f"interior vertex {v!r} lacks outgoing s{i}-edge"
-                )
-            if (v, i) not in view.inc:
-                raise InvalidGraphError(
-                    f"interior vertex {v!r} lacks incoming s{i}-edge"
-                )
-    # star multiplicity is enforced by the BallView constructor
+            for l, way in ((i, "outgoing"), (-i, "incoming")):
+                if view.step(v, l) is None:
+                    raise InvalidGraphError(
+                        f"interior vertex {v!r} lacks {way} s{i}-edge")
 
 
 class BallBackedOracle(SchreierOracle):
@@ -376,53 +409,36 @@ class BallBackedOracle(SchreierOracle):
 
 def grow_view(root, step, succ, rank: int, radius: int, token, star=None,
               budget=None) -> BallView:
-    """The radius-`radius` view around `root`; every BallView grown by BFS
-    is built here.
-
-    `bfs` runs along `step` over the 2r letters, plus STAR when `star` (the
-    star partner of a vertex, or None) is given. Vertices are named by
-    `token`; raises InvalidGraphError unless the names are distinct. Each
-    s_i-edge inside the ball is recorded in BFS order, then each star edge
-    once with the smaller token first. The edges come from the cells of
-    `bfs`; `succ(v, l)` (`step` unchecked along s_i and `star` along STAR,
-    or None for a vertex outside the ball) is asked only for the s_i and
-    STAR cells a boundary vertex lacks. The boundary is the layer at
-    distance `radius`.
-    """
+    """The radius-`radius` view around `root`, from the cells of one `bfs`
+    along `step` over the 2r letters, plus STAR when `star` (the star
+    partner of a vertex, or None) is given. Vertices are named by `token`;
+    raises InvalidGraphError unless the names are distinct. `succ(v, l)`
+    (`step` unchecked along s_i and `star` along STAR, or None for a vertex
+    outside the ball) is asked only for the s_i and STAR cells a boundary
+    vertex lacks, and fills the cells at both ends of an edge it names."""
     if radius < 0:
         raise DomainError("radius must be >= 0")
-    letters = letters_ordered(rank)
-    if star is None:
-        walk = step
-    else:
-        letters.append(STAR)
-
-        def walk(v, l):
-            return star(v) if l == STAR else step(v, l)
-
+    letters = letters_ordered(rank) + [STAR] * (star is not None)
+    walk = step if star is None else (
+        lambda v, l: star(v) if l == STAR else step(v, l))
     number, depth, cells = bfs(root, walk, letters, radius, budget)
     tok = [token(v) for v in number]
     if len(set(tok)) != len(tok):
         raise InvalidGraphError("oracle tokens are not injective")
-    edges = []
-    stars = []
     width = len(letters)
-    ahead = letters[::2]  # s_1..s_r, then STAR if it is walked
-    for k, v in enumerate(number):
-        at = k * width
-        outer = depth[k] == radius  # not expanded: it may lack cells
-        for j, l in enumerate(ahead):
-            m = cells[at + 2 * j]
-            if m is None and outer:
-                m = number.get(succ(v, l))
-            if m is None:
-                continue
-            if l != STAR:
-                edges.append((tok[k], l, tok[m]))
-            elif tok[k] < tok[m]:
-                stars.append((tok[k], STAR, tok[m]))
-    boundary = [t for t, d in zip(tok, depth) if d == radius]
-    return BallView(rank, radius, tok[0], tok, edges + stars, boundary)
+    outer = bisect_left(depth, radius)  # the layer bfs did not expand
+    for k, v in enumerate(list(number)[outer:], outer):
+        for j in range(0, width, 2):
+            at = k * width + j
+            if cells[at] is None:
+                m = number.get(succ(v, letters[j]))
+                if m is not None:
+                    back = m * width + j + (letters[j] != STAR)
+                    if cells[back] is not None:
+                        raise InvalidGraphError(f"steps at {tok[m]!r} do not pair up")
+                    cells[at], cells[back] = m, k
+    return BallView.__new__(BallView)._store(rank, radius, tok, tok[outer:],
+                                             letters, depth, cells)
 
 
 def ball(oracle: SchreierOracle, radius: int, budget: int = DEFAULT_BUDGET) -> BallView:
@@ -445,11 +461,19 @@ def ball(oracle: SchreierOracle, radius: int, budget: int = DEFAULT_BUDGET) -> B
 
 
 def sub_ball(view: BallView, radius: int) -> BallView:
-    """Radius-`radius` ball of a stored view around its root (graph BFS,
-    star edges count as length-1 steps). Raises HorizonError past the
-    stored radius of a view with a boundary."""
+    """Radius-`radius` ball of a stored view around its root (star edges
+    count as length-1 steps): the prefix of its vertices within `radius`,
+    with every edge among them. Raises HorizonError past the stored radius
+    of a view with a boundary."""
+    if radius < 0:
+        raise DomainError("radius must be >= 0")
     if radius > view.radius and view.boundary:
-        raise HorizonError(
-            f"stored ball has radius {view.radius}, need {radius}")
-    return grow_view(view.root, view.step, view.step, view.rank, radius, str,
-                     view.star.get if view.has_stars() else None)
+        raise HorizonError(f"stored ball has radius {view.radius}, need {radius}")
+    depth = view.depth[:len(view.depth) - view.depth.count(None)]
+    n = bisect_right(depth, radius)
+    cells = [None if c is None or c >= n else c
+             for c in view.cells[:n * len(view.letters)]]
+    return BallView.__new__(BallView)._store(
+        view.rank, radius, view.vertices[:n],
+        view.vertices[bisect_left(depth, radius, 0, n):n], view.letters,
+        depth[:n], cells)

@@ -184,7 +184,7 @@ def star_ball(graph: PercolationGraph, radius: int,
 
 def star_records(view: BallView) -> tuple:
     """Star edges of a view as sorted (v, w) pairs with v <= w."""
-    return tuple(sorted((v, w) for v, w in view.star.items() if v <= w))
+    return tuple(sorted((v, w) for v, l, w in view.edges if l == STAR))
 
 
 def _swap_s1(view: BallView, pairs, keep_stars: bool) -> BallView:
@@ -195,20 +195,14 @@ def _swap_s1(view: BallView, pairs, keep_stars: bool) -> BallView:
         partner[v] = w
         partner[w] = v
     for v in partner:
-        if (v, 1) not in view.out:
-            raise DomainError(
-                f"starred vertex {v!r} lacks its outgoing s1-edge; "
-                "surgery needs all four implicated edges"
-            )
+        if view.step(v, 1) is None:
+            raise DomainError(f"starred vertex {v!r} lacks its outgoing "
+                              "s1-edge; surgery needs all four implicated edges")
     edges = [e for e in view.edges if e[1] != STAR and e[1] != 1]
-    for v in view.vertices:
-        if v in partner:
-            edges.append((v, 1, view.out[(partner[v], 1)]))
-        elif (v, 1) in view.out:
-            edges.append((v, 1, view.out[(v, 1)]))
+    edges += [(v, 1, w) for v in view.vertices
+              if (w := view.step(partner.get(v, v), 1)) is not None]
     if keep_stars:
-        for v, w in pairs:
-            edges.append((v, STAR, w))
+        edges += [(v, STAR, w) for v, w in pairs]
     return BallView(view.rank, view.radius, view.root, view.vertices,
                     edges, view.boundary)
 
@@ -227,14 +221,8 @@ def inverse_surgery(view: BallView, records) -> BallView:
 
 
 def view_equal_exact(a: BallView, b: BallView) -> bool:
-    """Identity of views as labeled graphs: same vertices, root, radius,
-    boundary and edge set (star edges compared undirected)."""
-    return (
-        a.rank == b.rank
-        and a.radius == b.radius
-        and a.root == b.root
-        and set(a.vertices) == set(b.vertices)
-        and a.boundary == b.boundary
-        and a.out == b.out
-        and a.star == b.star
-    )
+    """Identity of views as labeled graphs: views are canonical (see
+    BallView), so equal rank, radius, boundary, vertices and cells."""
+    return (a.rank == b.rank and a.radius == b.radius
+            and a.boundary == b.boundary and a.vertices == b.vertices
+            and a.letters == b.letters and a.cells == b.cells)

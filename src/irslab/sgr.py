@@ -7,27 +7,26 @@
 
 A token is a non-empty string with no whitespace that does not start with
 '#'; emit and parse both raise DomainError on any other token. Lines
-starting with '#' and blank lines are ignored on parse; emit writes edges
-in stored order, boundary tokens sorted and no comments, so parse . emit
-is the identity on emitted text. The parsed radius is the depth of the
-farthest layer, so a complete finite ball asked beyond its eccentricity
-reads back with the smaller radius.
-"""
+starting with '#' and blank lines are ignored on parse. A parsed view is
+numbered in BFS order from the root like every BallView, and emit writes
+edges in that order (`BallView.edges`), boundary tokens sorted and no
+comments, so parse . emit is the identity on emitted text and the order
+of a file's lines changes nothing it reads as. The parsed radius is the
+depth of the farthest layer, so a complete finite ball asked beyond its
+eccentricity reads back with the smaller radius."""
 
 from __future__ import annotations
 
 import re
 from itertools import filterfalse
-from operator import itemgetter
 
 from .errors import DomainError
 from .oracles import STAR, BallView, FiniteOracle
 
 
-def _names(edges) -> dict:
-    """Each label on `edges` to its name in a file: "s<i>", or "*"."""
-    return {l: STAR if l == STAR else f"s{l}"
-            for l in set(map(itemgetter(1), edges))}
+def _names(view) -> dict:
+    """Each label of a view to its name in a file: "s<i>", or "*"."""
+    return {l: STAR if l == STAR else f"s{l}" for l in view.letters[::2]}
 
 
 # the least int() digit limit Python 3.11+ can be set to (4 300 by default)
@@ -59,7 +58,7 @@ def _check_tokens(tokens) -> None:
 
 def emit_sgr(view: BallView) -> str:
     _check_tokens(view.vertices)
-    names = _names(view.edges)
+    names = _names(view)
     return "\n".join(
         [f"schreier r={view.rank}", f"root {view.root}"]
         + [f"{src} {names[label]} {dst}" for src, label, dst in view.edges]
@@ -72,10 +71,9 @@ def parse_sgr(text: str) -> BallView:
     BallView, connectivity from the root, and the boundary layer."""
     rank = root = None
     edges = []
-    ends = []  # the numbers of each edge's src and dst, in turn
     boundary = []
     labels = {}  # label fields read by lookup: "*" and s1..s<rank> up to s64
-    seen: dict[str, int] = {}  # token to number, in order of first appearance
+    seen = {}  # each token, in order of first appearance
     for lineno, parts in enumerate(map(str.split, text.splitlines()), 1):
         if not parts or parts[0][0] == "#":
             continue
@@ -93,8 +91,7 @@ def parse_sgr(text: str) -> BallView:
                     raise DomainError(
                         f"line {lineno}: label {label} out of range")
             edges.append((src, lab, dst))
-            ends.append(seen.setdefault(src, len(seen)))
-            ends.append(seen.setdefault(dst, len(seen)))
+            seen[src] = seen[dst] = None
         elif parts[0] == "schreier":
             head = parts[1] if len(parts) == 2 else ""
             if not (head.startswith("r=") and head[2:].isdecimal()):
@@ -113,7 +110,7 @@ def parse_sgr(text: str) -> BallView:
             if root is not None:
                 raise DomainError(f"line {lineno}: second 'root' line")
             root = parts[1]
-            seen.setdefault(root, len(seen))
+            seen[root] = None
         elif parts[0] == "boundary":
             if len(parts) != 2:
                 raise DomainError(f"line {lineno}: bad boundary line")
@@ -130,24 +127,10 @@ def parse_sgr(text: str) -> BallView:
         if v not in seen:
             raise DomainError(f"boundary vertex {v!r} has no edges")
     view = BallView(rank, None, root, seen, edges, boundary)
-    # BFS over int neighbour lists, each edge both ways
-    near = [[] for _ in seen]
-    for a, b in zip(ends[::2], ends[1::2]):
-        near[a].append(b)
-        near[b].append(a)
-    depth = [None] * len(seen)
-    order = [seen[root]]
-    depth[order[0]] = 0
-    for a in order:
-        d = depth[a] + 1
-        for b in near[a]:
-            if depth[b] is None:
-                depth[b] = d
-                order.append(b)
-    if len(order) != len(seen):
+    if None in view.depth:
         raise DomainError("graph is not connected from the root")
-    view.radius = depth[order[-1]]
-    if any(depth[seen[v]] != view.radius for v in boundary):
+    view.radius = view.depth[-1]
+    if not view.boundary <= set(view.vertices[view.depth.index(view.radius):]):
         raise DomainError("a boundary vertex is not in the farthest layer")
     return view
 
@@ -163,6 +146,6 @@ def parse_complete_oracle(text: str) -> FiniteOracle:
 
 def emit_edgelist(view: BallView) -> str:
     """Plain edge-list export with labels as attributes, one edge per line."""
-    names = _names(view.edges)
+    names = _names(view)
     return "\n".join(f"{src} {dst} label={names[label]}"
                      for src, label, dst in view.edges) + "\n"

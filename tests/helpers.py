@@ -310,7 +310,8 @@ def reference_sub_ball(view: BallView, radius: int) -> BallView:
         raise HorizonError(f"stored ball has radius {view.radius}, need {radius}")
     return reference_grow_view(view.root, view.step, view.step, view.rank,
                                radius, str,
-                               view.star.get if view.has_stars() else None)
+                               (lambda v: view.step(v, STAR))
+                               if view.has_stars() else None)
 
 
 def reference_ball_code(view: BallView) -> tuple:

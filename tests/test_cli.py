@@ -216,6 +216,27 @@ def test_a_huge_declared_rank_is_refused_without_building_it(capsys, tmp_path):
     assert peak < 1_000_000
 
 
+@pytest.mark.parametrize("edges", ["", "A s1 A\n", "A s1000000 A\n"],
+                         ids=["root-only", "label-s1", "label-s1000000"])
+def test_a_huge_declared_rank_is_read_without_a_cell_per_label(edges):
+    text = "schreier r=1000000\nroot A\n" + edges
+    tracemalloc.start()
+    try:
+        view = parse_sgr(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert view.rank == 1000000 and view.vertices == ("A",)
+    assert peak < 1_000_000
+
+
+def test_decoding_a_huge_declared_rank_exits_1(capsys, tmp_path):
+    path = tmp_path / "rank.sgr"
+    path.write_text("schreier r=1000000\nroot A\nA s1 A\n")
+    code, out, err = run(capsys, "decode", "--graph", str(path), "--radius", "2")
+    assert (code, out) == (1, "") and err.startswith("error:")
+
+
 def test_encode_decode_roundtrip(capsys, tmp_path, subshift_file):
     out_path = str(tmp_path / "encoded.sgr")
     code, _, _ = run(capsys, "encode", "--subshift", subshift_file,

@@ -10,12 +10,15 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from irslab import (
     CayleyOracle,
     DomainError,
+    NormalizerLaw,
+    PoulsenLaw,
     ball,
     emit_sgr,
     psi_oracle,
     trivial_law,
 )
 from irslab.actions import parse_action
+from irslab.analysis import ball_code
 from irslab.encoding import parse_subshift
 from irslab.montecarlo import CylinderSpec
 from irslab.oracles import bfs
@@ -110,8 +113,40 @@ def test_parse_sgr_raises_only_domain_errors(text):
     back = parse_sgr(again)
     assert emit_sgr(back) == again
     assert view_equal_exact(back, view)
-    ends = (t for src, _, dst in view.edges for t in (src, dst))
-    assert back.vertices == tuple(dict.fromkeys([view.root, *ends]))
+    assert back.vertices == view.vertices == tuple(number)
+
+
+_HALF = Fraction(1, 2)
+_NORMALIZER = NormalizerLaw(trivial_law(2), _HALF)
+SHUFFLED = {
+    "ball trivial": trivial_law(2),
+    "ball normalizer:trivial": _NORMALIZER,
+    "ball poulsen:normalizer:trivial": PoulsenLaw(_NORMALIZER, _HALF),
+    "star_ball trivial": None,
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(SHUFFLED)), st.integers(0, 2**32),
+       st.integers(0, 3), st.randoms(use_true_random=False))
+def test_a_files_line_order_changes_nothing(family, seed, radius, rnd):
+    """Shuffled edge and boundary lines read back as the file that
+    `emit_sgr` wrote: the same canonical view, code and text."""
+    law = SHUFFLED[family]
+    if law is None:
+        view = star_ball(PercolationGraph(trivial_law(2), _HALF, seed), radius)
+    else:
+        view = ball(law.sample(seed), radius)
+    text = emit_sgr(view)
+    lines = text.splitlines()
+    body = lines[2:]
+    rnd.shuffle(body)
+    shuffled = parse_sgr("\n".join(lines[:2] + body) + "\n")
+    plain = parse_sgr(text)
+    assert view_equal_exact(shuffled, plain)
+    assert shuffled.vertices == plain.vertices
+    assert ball_code(shuffled) == ball_code(plain)
+    assert emit_sgr(shuffled) == emit_sgr(plain) == text
 
 
 @FUZZ

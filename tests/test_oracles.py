@@ -25,8 +25,10 @@ from irslab import (
 from irslab.analysis import ball_code
 from irslab.errors import HorizonError
 from irslab.normalizer import SLOT_CUTS
-from irslab.oracles import STAR, BallBackedOracle, SchreierOracle, sub_ball
-from irslab.poulsen import PercolationGraph, star_ball, view_equal_exact
+from irslab.oracles import (STAR, BallBackedOracle, BallView, SchreierOracle,
+                            sub_ball)
+from irslab.poulsen import (PercolationGraph, star_ball, surgery,
+                            view_equal_exact)
 from irslab.randomness import Keyed, KeyedRng
 from irslab.words import (concat, conjugated_word, inverse_word,
                           letters_ordered, reduce_word, word_to_str,
@@ -192,6 +194,27 @@ def test_ball_radius0_keeps_root_loops(index2, cayley2):
     assert len(b.vertices) == 1
     assert (("A", 2, "A") in b.edges)
     assert ball(cayley2, 0).edges == ()
+
+
+@pytest.mark.parametrize("root, vertices, edges, boundary, message", [
+    ("a", ["a"], [("a", 1, "z"), ("z", 1, "a")], ["q"],
+     "boundary token 'q' is not a vertex"),
+    ("a", ["a"], [("a", 1, "z"), ("z", 1, "a")], [],
+     "edge endpoint 'z' is not a vertex"),
+    ("a", ["a"], [("z", 1, "a")], [], "edge endpoint 'z' is not a vertex"),
+    ("x", ["a"], [("a", 1, "a")], [], "root 'x' is not a vertex"),
+    ("a", ["a", "a"], [("a", 1, "a")], [], "vertex 'a' is listed twice"),
+    ("a", ["a", "b", "a"], [("a", 1, "b")], [], "vertex 'a' is listed twice"),
+    ("a", ["a"], [("a", 2, "a")], [],
+     "edge labels must lie in 1..rank or be STAR"),
+], ids=["boundary", "edge-target", "edge-source", "root", "twice",
+        "twice-apart", "label-past-rank"])
+def test_ball_view_refuses_a_token_that_is_not_one_vertex(root, vertices,
+                                                          edges, boundary,
+                                                          message):
+    with pytest.raises(DomainError) as caught:
+        BallView(1, 1, root, vertices, edges, boundary)
+    assert type(caught.value) is DomainError and str(caught.value) == message
 
 
 def test_ball_rejects_negative_radius(cayley2):
@@ -613,7 +636,8 @@ def _same_view(got, want) -> None:
        st.integers(-2, 2))
 def test_views_equal_the_two_pass_reference(family, seed, radius, slack):
     """`ball`, `star_ball`, `sub_ball` and `ball_code` agree with a BFS
-    followed by a second stepping pass, at budgets around the vertex count."""
+    followed by a second stepping pass, at budgets around the vertex count,
+    on grown, constructor-built, parsed, surgered and disconnected views."""
     kind, spec = family.split(" ")
     if kind == "ball":
         fresh = functools.partial(BALL_LAWS[spec].sample, seed)
@@ -630,9 +654,24 @@ def test_views_equal_the_two_pass_reference(family, seed, radius, slack):
     if error is not None:
         return
     _same_view(got, want)
-    for k in range(radius + 2):
-        small, error = outcome(sub_ball, got, k)
-        expected_small, expected = outcome(reference_sub_ball, want, k)
-        assert error is expected
-        if error is None:
-            _same_view(small, expected_small)
+    # the same graph through the constructor, read back from its text,
+    # surgered, and with a vertex the root does not reach
+    built = BallView(got.rank, got.radius, got.root, reversed(got.vertices),
+                     reversed(got.edges), got.boundary)
+    assert view_equal_exact(built, got)
+    lost = BallView(got.rank, got.radius, got.root, [*got.vertices, "~"],
+                    [*got.edges, ("~", 1, "~")], got.boundary)
+    views = [got, built, parse_sgr(emit_sgr(got)), lost]
+    cut, error = outcome(surgery, got)
+    if error is None and got.has_stars():
+        views.append(cut)
+    assert outcome(ball_code, lost) == (None, DomainError)
+    for view in views:
+        code, error = outcome(ball_code, view)
+        assert (code, error) == outcome(reference_ball_code, view)
+        for k in range(radius + 2):
+            small, error = outcome(sub_ball, view, k)
+            expected_small, expected = outcome(reference_sub_ball, view, k)
+            assert error is expected
+            if error is None:
+                _same_view(small, expected_small)

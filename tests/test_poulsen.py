@@ -67,9 +67,9 @@ def test_surgery_two_copy_crossing():
     cut = surgery(view)
     assert not cut.has_stars()
     # the s1-walk now crosses between the copies
-    assert cut.out[("A", 1)] == "B'"
-    assert cut.out[("A'", 1)] == "B"
-    assert cut.out[("B", 1)] == "A"
+    assert cut.step("A", 1) == "B'"
+    assert cut.step("A'", 1) == "B"
+    assert cut.step("B", 1) == "A"
     validate_schreier_ball(cut)
     oracle = cut.to_oracle()
     assert trace(oracle, (1,)) == "B'"
@@ -111,7 +111,7 @@ def _interior_star_views(n, p, seed0):
         k += 1
         graph = PercolationGraph(law, p, sampler_seed)
         view = star_ball(graph, 3)
-        if all((v, 1) in view.out and (w, 1) in view.out
+        if all(view.step(v, 1) is not None and view.step(w, 1) is not None
                for v, w in star_records(view)):
             got.append((view, sampler_seed))
         if k > 50 * n:
@@ -217,8 +217,7 @@ def test_star_ball_matches_oracle_after_surgery():
         for w in words_upto(2, 1):
             v_cut = cut.root
             for l in w:
-                table = cut.out if l > 0 else cut.inc
-                v_cut = table[(v_cut, abs(l))]
+                v_cut = cut.step(v_cut, l)
             expected = oracle.token(trace(oracle, w))
             assert expected == v_cut
             if w and oracle.neighbor(oracle.root, w[0]) != \

@@ -16,7 +16,8 @@ from irslab import (
     rooted_equal_finite,
     trivial_law,
 )
-from irslab.poulsen import PercolationGraph, star_ball, view_equal_exact
+from irslab.poulsen import (PercolationGraph, star_ball, star_records,
+                            view_equal_exact)
 
 from helpers import index2_oracle
 
@@ -58,7 +59,7 @@ def test_star_edges_roundtrip():
     text = emit_sgr(view)
     back = parse_sgr(text)
     assert emit_sgr(back) == text
-    assert back.star and len(back.star) == len(view.star)
+    assert star_records(back) == star_records(view) != ()
 
 
 def test_parse_comments_and_blank_lines():
@@ -152,7 +153,7 @@ def test_parse_rejects_a_token_starting_with_a_hash(text):
 def test_to_oracle_keeps_the_file_names():
     text = "schreier r=2\nY s1 X\nX s1 Y\nX s2 X\nY s2 Y\nroot X\n"
     oracle = parse_complete_oracle(text)
-    assert oracle.vertices == ("Y", "X") and oracle.root == "X"
+    assert oracle.vertices == ("X", "Y") and oracle.root == "X"
     assert oracle.neighbor("X", 1) == "Y" and oracle.neighbor("Y", -2) == "Y"
     assert rooted_equal_finite(oracle, index2_oracle())
 
@@ -224,7 +225,7 @@ def test_parse_sgr_rejects_with_a_pinned_message(text, error, message):
 
 @pytest.mark.parametrize("text, vertices, edges, radius, boundary", [
     ("schreier r=1\nA s1 B\nB s1 A\nroot B\n",
-     ("A", "B"), (("A", 1, "B"), ("B", 1, "A")), 1, ()),
+     ("B", "A"), (("B", 1, "A"), ("A", 1, "B")), 1, ()),
     ("schreier r=1\r\nroot A\r\nA s1 B\r\nB s1 A\r\nboundary B\r\n",
      ("A", "B"), (("A", 1, "B"), ("B", 1, "A")), 1, ("B",)),
     ("schreier\tr=1\nroot\tA\nA\ts1\tB\n\tboundary B\t\n",
@@ -238,7 +239,7 @@ def test_parse_sgr_rejects_with_a_pinned_message(text, error, message):
     ("schreier r=2\nroot A\nA s1 A\nA s2 A\n",
      ("A",), (("A", 1, "A"), ("A", 2, "A")), 0, ()),
     ("schreier r=70\nroot A\nA s70 B\nB s65 A\nA s1 A\n",
-     ("A", "B"), (("A", 70, "B"), ("B", 65, "A"), ("A", 1, "A")), 1, ()),
+     ("A", "B"), (("A", 1, "A"), ("A", 70, "B"), ("B", 65, "A")), 1, ()),
     ("schreier r=3\nroot A\n", ("A",), (), 0, ()),
     ("schreier r=3\nroot A\nboundary A\n", ("A",), (), 0, ("A",)),
     ("schreier r=1\nroot root\nroot s1 boundary\nboundary s1 root\n",
