@@ -1,9 +1,13 @@
+import argparse
+import shlex
 import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from irslab import ball, emit_sgr, parse_sgr, psi_oracle
-from irslab.cli import main
+from irslab.cli import build_parser, main
 from irslab.encoding import SubshiftSpace
 from irslab.actions import FiniteAction
 
@@ -613,3 +617,127 @@ def test_header_echoes_each_option_that_changes_the_output(
         heads.append([l for l in out.splitlines() if l.startswith("#")])
     assert heads[0] and heads[0] != heads[1]
     assert f"{option[2:]}={a}" in heads[0][0]
+
+
+# The parser's surface: per subcommand, the function it runs, the defaults
+# it sets beside its options, and per option its (default, required,
+# choices, action class, type name); each dest is the option string
+# without its dashes. Every subcommand also takes --out. Help wording is
+# left out, since argparse wraps it differently across Python versions.
+_REQ = (None, True, None, "_StoreAction", None)
+_REQ_INT = (None, True, None, "_StoreAction", "int")
+_ALIAS = (None, True, None, "_StoreAction", "<lambda>")
+_SEED = (0, False, None, "_StoreAction", "parse_seed")
+_RANK = (2, False, None, "_StoreAction", "int")
+_P = (None, False, None, "_StoreAction", "parse_rational")
+_BUDGET = (10**6, False, None, "_StoreAction", "int")
+_TEXT_CSV = ("text", False, ("text", "csv"), "_StoreAction", None)
+_DRAWN = {"--seed": _SEED, "--rank": _RANK, "--p": _P}
+_BALL = {"--base": _REQ, "--radius": _REQ_INT, **_DRAWN, "--budget": _BUDGET}
+_ALIAS_BALL = {**_BALL, "--base": _ALIAS}
+
+PARSER_SURFACE = {
+    "ball": ("cmd_ball", {}, {
+        **_BALL,
+        "--format": ("sgr", False, ("sgr", "edgelist"), "_StoreAction", None),
+    }),
+    "metric": ("cmd_metric", {}, {
+        "--base": _REQ, "--other": _REQ, "--max-radius": _REQ_INT,
+        "--other-seed": _SEED, **_DRAWN, "--budget": _BUDGET}),
+    "fingerprint": ("cmd_fingerprint", {}, {
+        "--base": _REQ, "--radius": _REQ_INT, **_DRAWN}),
+    "aut": ("cmd_aut", {}, {"--graph": _REQ}),
+    "sample-normalizer": ("cmd_ball", {"format": "sgr"}, _ALIAS_BALL),
+    "sample-poulsen": ("cmd_ball", {"format": "sgr"}, _ALIAS_BALL),
+    "enumerate-normalizer": ("cmd_enumerate_normalizer", {}, {
+        "--base": _REQ,
+        "--check-invariance": (False, False, None, "_StoreTrueAction", None),
+        "--radius": (2, False, None, "_StoreAction", "int"),
+        "--p": _P, "--budget": _BUDGET}),
+    "encode": ("cmd_encode", {}, {
+        "--subshift": _REQ, "--radius": _REQ_INT,
+        "--basepoint": (None, False, None, "_StoreAction", "int"),
+        "--budget": _BUDGET}),
+    "decode": ("cmd_decode", {}, {"--graph": _REQ, "--radius": _REQ_INT}),
+    "check-equivariance": ("cmd_check_equivariance", {}, {
+        "--subshift": _REQ, "--trials": _REQ_INT,
+        "--radius": (4, False, None, "_StoreAction", "int"),
+        "--max-word-len": (3, False, None, "_StoreAction", "int"),
+        "--seed": _SEED, "--budget": _BUDGET}),
+    "upsilon": ("cmd_upsilon", {}, {
+        "--graph": _REQ, "--subshift": _REQ, "--radius": _REQ_INT,
+        "--budget": _BUDGET}),
+    "lambda": ("cmd_lambda", {}, {"--subshift": _REQ}),
+    "stab-law": ("cmd_stab_law", {}, {"--action": _REQ}),
+    "tnf-check": ("cmd_tnf_check", {}, {"--action": _REQ}),
+    "first-return": ("cmd_first_return", {}, {
+        "--action": _REQ, "--gen": _REQ_INT, "--subset": _REQ}),
+    "estimate": ("cmd_estimate", {}, {
+        "--sampler": _REQ, "--fingerprint": ("e", False, None,
+                                             "_StoreAction", None),
+        "--radius": _REQ_INT, "--samples": _REQ_INT, **_DRAWN}),
+    "invariance": ("cmd_invariance", {}, {
+        "--sampler": _REQ, "--radius": _REQ_INT, "--samples": _REQ_INT,
+        "--min-mass": (Fraction(1, 100), False, None, "_StoreAction",
+                       "parse_rational"),
+        "--z-threshold": (4.0, False, None, "_StoreAction", "float"),
+        **_DRAWN, "--format": _TEXT_CSV}),
+    "sweep": ("cmd_sweep", {}, {
+        "--construction": ("poulsen", False, ("poulsen", "normalizer"),
+                           "_StoreAction", None),
+        "--base": _REQ, "--p-list": _REQ,
+        "--fingerprint": ("e", False, None, "_StoreAction", None),
+        "--radius": _REQ_INT, "--samples": _REQ_INT, **_DRAWN,
+        "--format": _TEXT_CSV}),
+}
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_parser_surface_is_pinned():
+    commands = _subparsers(build_parser())
+    assert list(commands) == list(PARSER_SURFACE)
+    for name, (fn, defaults, options) in PARSER_SURFACE.items():
+        sp = commands[name]
+        assert sp.get_default("fn").__name__ == fn, name
+        assert {k: v for k, v in sp._defaults.items() if k != "fn"} \
+            == defaults, name
+        seen = {}
+        for a in sp._actions:
+            if isinstance(a, argparse._HelpAction):
+                continue
+            (option,) = a.option_strings
+            assert a.dest == option[2:].replace("-", "_"), (name, option)
+            seen[option] = (a.default, a.required, a.choices,
+                            type(a).__name__,
+                            None if a.type is None else a.type.__name__)
+        expected = {**options,
+                    "--out": (None, False, None, "_StoreAction", None)}
+        assert seen == expected, name
+        assert f"usage: irslab {name}" in sp.format_help()
+
+
+def _readme_commands():
+    """Each `irslab …` line of the fenced block under README's
+    "## Command line", continuation lines joined, comments dropped."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    block = text.split("\n## Command line\n", 1)[1].split("```\n", 2)[1]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        words = shlex.split(line, comments=True)
+        if words:
+            assert words[0] == "irslab", line
+            commands.append(words[1:])
+    return commands
+
+
+@pytest.mark.parametrize("argv", _readme_commands(),
+                         ids=lambda argv: argv[0])
+def test_readme_command_examples_parse(argv):
+    # parsing only: the files the examples name need not exist
+    args = build_parser().parse_args(argv)
+    assert args.command == argv[0]
