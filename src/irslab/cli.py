@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .actions import (
@@ -122,13 +123,10 @@ def _write(path: str | None, text: str) -> None:
 
 def _header(args, **extra) -> str:
     bits = [f"# irslab {args.command}"]
-    for key in ("base", "other", "sampler", "construction", "p", "p_list",
-                "seed", "other_seed", "radius", "max_radius", "max_word_len",
-                "samples", "fingerprint", "min_mass", "subshift", "graph",
-                "action"):
-        val = getattr(args, key, None)
-        if val is not None:
-            bits.append(f"{key.replace('_', '-')}={val}")
+    for name, (echo, _) in OPTIONS.items():
+        val = getattr(args, name.replace("-", "_"), None)
+        if echo and val is not None:
+            bits.append(f"{name}={val}")
     for k, v in extra.items():
         bits.append(f"{k}={v}")
     return " ".join(bits) + "\n"
@@ -301,7 +299,7 @@ def cmd_first_return(args) -> tuple[str, int]:
         raise DomainError(f"cannot parse --subset {args.subset!r}")
     subset = frozenset(map(int, points))
     fr = first_return(action.perms[args.gen - 1], subset)
-    out = _header(args, gen=args.gen, subset=args.subset)
+    out = _header(args)
     for y in sorted(fr):
         out += f"{y} -> {fr[y]}\n"
     return out, EXIT_OK
@@ -338,22 +336,107 @@ def cmd_sweep(args) -> tuple[str, int]:
     return _header(args) + render_sweep(rows, args.format), EXIT_OK
 
 
-def _add_common(sp, *, seed=True, rank=True, p=False, budget=False, fmt=False):
-    if seed:
-        sp.add_argument("--seed", type=parse_seed, default=0,
-                        help="seed in [0, 2^64) (default 0, never entropy)")
-    if rank:
-        sp.add_argument("--rank", type=int, default=2,
-                        help="free group rank for synthetic bases (default 2)")
-    if p:
-        sp.add_argument("--p", type=parse_rational, default=None,
-                        help="parameter p as an exact rational, e.g. 1/10")
-    if budget:
-        sp.add_argument("--budget", type=int, default=10**6,
-                        help="vertex budget for lazy exploration")
-    sp.add_argument("--out", default=None, help="write output to a file")
-    if fmt:
-        sp.add_argument("--format", choices=("text", "csv"), default="text")
+# Each option once: whether '#' headers echo it, then its argparse keywords.
+# Headers list the echoed options in this order.
+OPTIONS = {
+    "base": (True, {"required": True}),
+    "other": (True, {"required": True}),
+    "sampler": (True, {"required": True}),
+    "construction": (True, {"choices": ("poulsen", "normalizer"),
+                            "default": "poulsen"}),
+    "p": (True, {"type": parse_rational, "default": None,
+                 "help": "parameter p as an exact rational, e.g. 1/10"}),
+    "p-list": (True, {"required": True, "help": "comma-separated rationals, "
+                      "e.g. 0.2,0.1,0.05,0.01"}),
+    "seed": (True, {"type": parse_seed, "default": 0,
+                    "help": "seed in [0, 2^64) (default 0, never entropy)"}),
+    "other-seed": (True, {"type": parse_seed, "default": 0, "help":
+                          "seed of --other, in [0, 2^64) (default 0)"}),
+    "radius": (True, {"type": int, "required": True}),
+    "max-radius": (True, {"type": int, "required": True}),
+    "max-word-len": (True, {"type": int, "default": 3}),
+    "samples": (True, {"type": int, "required": True}),
+    "fingerprint": (True, {"default": "e", "help": "comma-separated words, "
+                           "e.g. 'e,s2,s2^-1'"}),
+    "min-mass": (True, {"type": parse_rational, "default": Fraction(1, 100)}),
+    "subshift": (True, {"required": True}),
+    "graph": (True, {"required": True}),
+    "action": (True, {"required": True}),
+    "gen": (True, {"type": int, "required": True}),
+    "subset": (True, {"required": True,
+                      "help": "comma-separated points, e.g. 0,2"}),
+    "rank": (False, {"type": int, "default": 2, "help":
+                     "free group rank for synthetic bases (default 2)"}),
+    "budget": (False, {"type": int, "default": 10**6,
+                       "help": "vertex budget for lazy exploration"}),
+    "check-invariance": (False, {"action": "store_true"}),
+    "basepoint": (False, {"type": int, "default": None}),
+    "trials": (False, {"type": int, "required": True}),
+    "z-threshold": (False, {"type": float, "default": 4.0}),
+    "format": (False, {"choices": ("text", "csv"), "default": "text"}),
+    "out": (False, {"default": None, "help": "write output to a file"}),
+}
+
+
+class _Command(NamedTuple):
+    fn: Callable
+    help: str
+    options: str  # the options it takes besides --out, in --help order
+    overrides: dict = {}  # option -> the keywords that differ from OPTIONS
+    defaults: dict = {}  # values set without an option
+
+
+def _alias(head: str) -> _Command:
+    return _Command(cmd_ball, f"alias of ball --base {head}<base>",
+                    "base radius seed rank p budget",
+                    {"base": {"type": lambda spec: head + spec}},
+                    {"format": "sgr"})
+
+
+COMMANDS = {
+    "ball": _Command(cmd_ball, "emit a radius-R ball of a base graph",
+                     "base radius format seed rank p budget",
+                     {"format": {"choices": ("sgr", "edgelist"),
+                                 "default": "sgr"}}),
+    "metric": _Command(cmd_metric, "local distance between two graphs",
+                       "base other max-radius other-seed seed rank p budget"),
+    "fingerprint": _Command(cmd_fingerprint,
+                            "length-limited membership fingerprint",
+                            "base radius seed rank p"),
+    "aut": _Command(cmd_aut, "automorphism count of a finite graph", "graph"),
+    "sample-normalizer": _alias("normalizer:"),
+    "sample-poulsen": _alias("poulsen:"),
+    "enumerate-normalizer": _Command(
+        cmd_enumerate_normalizer, "exact output law over a finite base",
+        "base check-invariance radius p budget",
+        {"radius": {"required": False, "default": 2}}),
+    "encode": _Command(cmd_encode, "encode a configuration as a graph",
+                       "subshift radius basepoint budget"),
+    "decode": _Command(cmd_decode, "read a configuration off a graph",
+                       "graph radius"),
+    "check-equivariance": _Command(
+        cmd_check_equivariance, "shift-vs-conjugation equivariance trials",
+        "subshift trials radius max-word-len seed budget",
+        {"radius": {"required": False, "default": 4}}),
+    "upsilon": _Command(cmd_upsilon, "retract a subgroup into the encoded set",
+                        "graph subshift radius budget"),
+    "lambda": _Command(cmd_lambda,
+                       "exact translate pushforward of a configuration law",
+                       "subshift"),
+    "stab-law": _Command(cmd_stab_law, "stabilizer pushforward law", "action"),
+    "tnf-check": _Command(cmd_tnf_check, "totally-non-free test", "action"),
+    "first-return": _Command(cmd_first_return, "first-return map on a subset",
+                             "action gen subset"),
+    "estimate": _Command(cmd_estimate, "Monte Carlo cylinder mass",
+                         "sampler fingerprint radius samples seed rank p"),
+    "invariance": _Command(
+        cmd_invariance, "conjugation-invariance z-table",
+        "sampler radius samples min-mass z-threshold seed rank p format"),
+    "sweep": _Command(
+        cmd_sweep, "small-p convergence sweep",
+        "construction base p-list fingerprint radius samples seed rank p "
+        "format"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -363,136 +446,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("ball", help="emit a radius-R ball of a base graph")
-    sp.add_argument("--base", required=True)
-    sp.add_argument("--radius", type=int, required=True)
-    sp.add_argument("--format", choices=("sgr", "edgelist"), default="sgr")
-    _add_common(sp, p=True, budget=True)
-    sp.set_defaults(fn=cmd_ball)
-
-    sp = sub.add_parser("metric", help="local distance between two graphs")
-    sp.add_argument("--base", required=True)
-    sp.add_argument("--other", required=True)
-    sp.add_argument("--max-radius", type=int, required=True)
-    sp.add_argument("--other-seed", type=parse_seed, default=0,
-                    help="seed of --other, in [0, 2^64) (default 0)")
-    _add_common(sp, p=True, budget=True)
-    sp.set_defaults(fn=cmd_metric)
-
-    sp = sub.add_parser("fingerprint",
-                        help="length-limited membership fingerprint")
-    sp.add_argument("--base", required=True)
-    sp.add_argument("--radius", type=int, required=True)
-    _add_common(sp, p=True)
-    sp.set_defaults(fn=cmd_fingerprint)
-
-    sp = sub.add_parser("aut", help="automorphism count of a finite graph")
-    sp.add_argument("--graph", required=True)
-    _add_common(sp, seed=False, rank=False)
-    sp.set_defaults(fn=cmd_aut)
-
-    for name, head in (("sample-normalizer", "normalizer:"),
-                       ("sample-poulsen", "poulsen:")):
-        sp = sub.add_parser(name, help=f"alias of ball --base {head}<base>")
-        sp.add_argument("--base", required=True,
-                        type=lambda spec, head=head: head + spec)
-        sp.add_argument("--radius", type=int, required=True)
-        _add_common(sp, p=True, budget=True)
-        sp.set_defaults(fn=cmd_ball, format="sgr")
-
-    sp = sub.add_parser("enumerate-normalizer",
-                        help="exact output law over a finite base")
-    sp.add_argument("--base", required=True)
-    sp.add_argument("--check-invariance", action="store_true")
-    sp.add_argument("--radius", type=int, default=2)
-    _add_common(sp, seed=False, rank=False, p=True, budget=True)
-    sp.set_defaults(fn=cmd_enumerate_normalizer)
-
-    sp = sub.add_parser("encode", help="encode a configuration as a graph")
-    sp.add_argument("--subshift", required=True)
-    sp.add_argument("--radius", type=int, required=True)
-    sp.add_argument("--basepoint", type=int, default=None)
-    _add_common(sp, seed=False, rank=False, budget=True)
-    sp.set_defaults(fn=cmd_encode)
-
-    sp = sub.add_parser("decode", help="read a configuration off a graph")
-    sp.add_argument("--graph", required=True)
-    sp.add_argument("--radius", type=int, required=True)
-    _add_common(sp, seed=False, rank=False)
-    sp.set_defaults(fn=cmd_decode)
-
-    sp = sub.add_parser("check-equivariance",
-                        help="shift-vs-conjugation equivariance trials")
-    sp.add_argument("--subshift", required=True)
-    sp.add_argument("--trials", type=int, required=True)
-    sp.add_argument("--radius", type=int, default=4)
-    sp.add_argument("--max-word-len", type=int, default=3)
-    _add_common(sp, rank=False, budget=True)
-    sp.set_defaults(fn=cmd_check_equivariance)
-
-    sp = sub.add_parser("upsilon",
-                        help="retract a subgroup into the encoded set")
-    sp.add_argument("--graph", required=True)
-    sp.add_argument("--subshift", required=True)
-    sp.add_argument("--radius", type=int, required=True)
-    _add_common(sp, seed=False, rank=False, budget=True)
-    sp.set_defaults(fn=cmd_upsilon)
-
-    sp = sub.add_parser("lambda",
-                        help="exact translate pushforward of a configuration law")
-    sp.add_argument("--subshift", required=True)
-    _add_common(sp, seed=False, rank=False)
-    sp.set_defaults(fn=cmd_lambda)
-
-    sp = sub.add_parser("stab-law", help="stabilizer pushforward law")
-    sp.add_argument("--action", required=True)
-    _add_common(sp, seed=False, rank=False)
-    sp.set_defaults(fn=cmd_stab_law)
-
-    sp = sub.add_parser("tnf-check", help="totally-non-free test")
-    sp.add_argument("--action", required=True)
-    _add_common(sp, seed=False, rank=False)
-    sp.set_defaults(fn=cmd_tnf_check)
-
-    sp = sub.add_parser("first-return", help="first-return map on a subset")
-    sp.add_argument("--action", required=True)
-    sp.add_argument("--gen", type=int, required=True)
-    sp.add_argument("--subset", required=True,
-                    help="comma-separated points, e.g. 0,2")
-    _add_common(sp, seed=False, rank=False)
-    sp.set_defaults(fn=cmd_first_return)
-
-    sp = sub.add_parser("estimate", help="Monte Carlo cylinder mass")
-    sp.add_argument("--sampler", required=True)
-    sp.add_argument("--fingerprint", default="e",
-                    help="comma-separated words, e.g. 'e,s2,s2^-1'")
-    sp.add_argument("--radius", type=int, required=True)
-    sp.add_argument("--samples", type=int, required=True)
-    _add_common(sp, p=True)
-    sp.set_defaults(fn=cmd_estimate)
-
-    sp = sub.add_parser("invariance", help="conjugation-invariance z-table")
-    sp.add_argument("--sampler", required=True)
-    sp.add_argument("--radius", type=int, required=True)
-    sp.add_argument("--samples", type=int, required=True)
-    sp.add_argument("--min-mass", type=parse_rational, default=Fraction(1, 100))
-    sp.add_argument("--z-threshold", type=float, default=4.0)
-    _add_common(sp, p=True, fmt=True)
-    sp.set_defaults(fn=cmd_invariance)
-
-    sp = sub.add_parser("sweep", help="small-p convergence sweep")
-    sp.add_argument("--construction", choices=("poulsen", "normalizer"),
-                    default="poulsen")
-    sp.add_argument("--base", required=True)
-    sp.add_argument("--p-list", required=True,
-                    help="comma-separated rationals, e.g. 0.2,0.1,0.05,0.01")
-    sp.add_argument("--fingerprint", default="e")
-    sp.add_argument("--radius", type=int, required=True)
-    sp.add_argument("--samples", type=int, required=True)
-    _add_common(sp, p=True, fmt=True)
-    sp.set_defaults(fn=cmd_sweep)
-
+    for name, cmd in COMMANDS.items():
+        sp = sub.add_parser(name, help=cmd.help)
+        for option in cmd.options.split() + ["out"]:
+            keywords = OPTIONS[option][1] | cmd.overrides.get(option, {})
+            sp.add_argument(f"--{option}", **keywords)
+        sp.set_defaults(fn=cmd.fn, **cmd.defaults)
     return ap
 
 
