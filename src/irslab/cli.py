@@ -1,9 +1,13 @@
 """Command line interface.
 
 Every run is fully determined by its flags: seeds default to 0 (never to
-entropy), randomized subcommands echo their effective configuration as
-'#'-comment header lines, and output ordering never depends on hash or map
-iteration order. Exit codes: 0 success, 1 domain error, 2 budget exceeded,
+entropy), and output ordering never depends on hash or map iteration order.
+Every subcommand but aut opens with one '#' header line that echoes each
+option OPTIONS marks and the command took (unset ones, None, are left
+out), in OPTIONS order; a command that takes --seed also echoes
+stream=<randomness.STREAM_VERSION>, the version of the map from a seed to
+its draws. An unmarked option either shows in the output body or does not
+change the output's content. Exit codes: 0 success, 1 domain error, 2 budget exceeded,
 3 verification failure. Each cmd_* function returns its text and exit code
 and does no I/O; main writes the text once, to stdout or to --out.
 """
@@ -54,7 +58,7 @@ from .montecarlo import (
 from .normalizer import enumerate_normalizer_law
 from .oracles import BallBackedOracle, FiniteOracle, ball, conjugate
 from .sgr import emit_edgelist, emit_sgr, parse_complete_oracle, parse_sgr
-from .randomness import KeyedRng
+from .randomness import STREAM_VERSION, KeyedRng
 from .words import (letters_ordered, phi_word, word_from_str, word_to_str,
                     words_upto)
 
@@ -122,6 +126,8 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _header(args, **extra) -> str:
+    if hasattr(args, "seed"):
+        extra["stream"] = STREAM_VERSION
     bits = [f"# irslab {args.command}"]
     for name, (echo, _) in OPTIONS.items():
         val = getattr(args, name.replace("-", "_"), None)
@@ -344,6 +350,8 @@ OPTIONS = {
     "sampler": (True, {"required": True}),
     "construction": (True, {"choices": ("poulsen", "normalizer"),
                             "default": "poulsen"}),
+    "rank": (True, {"type": int, "default": 2, "help":
+                    "free group rank for synthetic bases (default 2)"}),
     "p": (True, {"type": parse_rational, "default": None,
                  "help": "parameter p as an exact rational, e.g. 1/10"}),
     "p-list": (True, {"required": True, "help": "comma-separated rationals, "
@@ -365,8 +373,6 @@ OPTIONS = {
     "gen": (True, {"type": int, "required": True}),
     "subset": (True, {"required": True,
                       "help": "comma-separated points, e.g. 0,2"}),
-    "rank": (False, {"type": int, "default": 2, "help":
-                     "free group rank for synthetic bases (default 2)"}),
     "budget": (False, {"type": int, "default": 10**6,
                        "help": "vertex budget for lazy exploration"}),
     "check-invariance": (False, {"action": "store_true"}),

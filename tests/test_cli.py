@@ -9,6 +9,7 @@ import pytest
 from irslab import ball, emit_sgr, parse_sgr, psi_oracle
 from irslab.cli import build_parser, main
 from irslab.encoding import SubshiftSpace
+from irslab.randomness import STREAM_VERSION
 from irslab.actions import FiniteAction
 
 INDEX2_TEXT = """\
@@ -161,6 +162,8 @@ def test_enumerate_normalizer_invariance(capsys, index2_file):
     assert code == 0
     assert "exact invariance: PASS" in out
     assert "total 1" in out
+    # an exact law reads no draw, so its header names no stream version
+    assert "stream=" not in out.splitlines()[0]
 
 
 def test_enumerate_requires_exact_p(capsys, index2_file):
@@ -604,9 +607,11 @@ def test_seeds_outside_64_bits_exit_1(capsys, argv, seed, expected):
      "--max-word-len", "1", "2"),
     (("invariance", "--sampler", "trivial", "--radius", "1", "--samples", "1"),
      "--min-mass", "1/100", "1/2"),
+    (("fingerprint", "--base", "normalizer:trivial", "--p", "1/2", "--seed",
+      "4", "--radius", "2"), "--rank", "2", "3"),
 ], ids=["metric-other-seed", "estimate-fingerprint", "sweep-fingerprint",
         "sweep-construction", "sweep-p-list", "equivariance-max-word-len",
-        "invariance-min-mass"])
+        "invariance-min-mass", "fingerprint-rank"])
 def test_header_echoes_each_option_that_changes_the_output(
         capsys, subshift_file, argv, option, a, b):
     argv = [x.format(subshift=subshift_file) for x in argv]
@@ -617,6 +622,8 @@ def test_header_echoes_each_option_that_changes_the_output(
         heads.append([l for l in out.splitlines() if l.startswith("#")])
     assert heads[0] and heads[0] != heads[1]
     assert f"{option[2:]}={a}" in heads[0][0]
+    # every command here takes --seed, so it names its stream version
+    assert f"stream={STREAM_VERSION}" in heads[0][0].split()
 
 
 # The parser's surface: per subcommand, the function it runs, the defaults

@@ -300,9 +300,9 @@ GOLDEN = {
     "canonical_code orbit": "cc0e2b30ab01db2804fd1f4d01f9b701",
     "canonical_code tripled": "ad3e31219dc778fd011ad9f2f3774f8d",
     "cli aut": "d0e6474100e8cd7f5cefb4790e41da0d",
-    "cli ball": "7ea85b1fccb4adbcca5b64220b7ac0d5",
+    "cli ball": "4547128e75207bb3e09865ba2c02a6b0",
     "cli enumerate-normalizer": "599542037eb61d51bf40d287fb39f917",
-    "cli named file base": "6ff33972f57a350e4283f79f7d9e2ce5",
+    "cli named file base": "3882c5f9b12d9b089d5408fcfd494e0b",
     "cli stab-law": "a3c5293e4a0c248d60f979221b6c8d6a",
     "conjugate_code cyclic5 atoms": "a756bd5eb75ccb3910886671db3ec230",
     "convergence_sweep normalizer": "00078c747b5894e5916daeda5ce8dd50",
