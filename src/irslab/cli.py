@@ -83,6 +83,14 @@ def parse_seed(text: str) -> int:
     return seed
 
 
+def parse_budget(text: str) -> int:
+    """A vertex or outcome budget: an integer >= 0."""
+    budget = int(text)
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"budget {budget} is below 0")
+    return budget
+
+
 def parse_base_spec(spec: str, rank: int, p: Fraction | None):
     """Base/sampler specifications compose right to left:
     trivial | file:<path.sgr> | normalizer:<spec> | biased-normalizer:<spec>
@@ -373,7 +381,7 @@ OPTIONS = {
     "gen": (True, {"type": int, "required": True}),
     "subset": (True, {"required": True,
                       "help": "comma-separated points, e.g. 0,2"}),
-    "budget": (False, {"type": int, "default": 10**6,
+    "budget": (False, {"type": parse_budget, "default": 10**6,
                        "help": "vertex budget for lazy exploration"}),
     "check-invariance": (False, {"action": "store_true"}),
     "basepoint": (False, {"type": int, "default": None}),

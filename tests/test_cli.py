@@ -592,6 +592,27 @@ def test_seeds_outside_64_bits_exit_1(capsys, argv, seed, expected):
         assert out == "" and "[0, 2^64)" in err
 
 
+@pytest.mark.parametrize("argv, budget, expected", [
+    (("ball", "--base", "normalizer:trivial", "--p", "1/2", "--radius", "1"),
+     "-1", 1),
+    (("enumerate-normalizer", "--base", "file:{graph}", "--p", "1/2"), "-1", 1),
+    (("ball", "--base", "normalizer:trivial", "--p", "1/2", "--radius", "1"),
+     "0", 2),
+    (("enumerate-normalizer", "--base", "file:{graph}", "--p", "1/2"), "0", 2),
+], ids=["ball-negative", "enumerate-negative", "ball-0", "enumerate-0"])
+def test_a_negative_budget_exits_1(capsys, index2_file, argv, budget,
+                                   expected):
+    # a budget of 0 is well formed, and the work then exceeds it
+    argv = [a.format(graph=index2_file) for a in argv]
+    code, out, err = run(capsys, *argv, f"--budget={budget}")
+    assert (code, out) == (expected, "")
+    assert "Traceback" not in err
+    if expected == 1:
+        assert "budget -1 is below 0" in err
+    else:
+        assert "exceed" in err and "budget 0" in err
+
+
 @pytest.mark.parametrize("argv, option, a, b", [
     (("metric", "--base", "trivial", "--other", "normalizer:trivial", "--p",
       "1/2", "--max-radius", "1"), "--other-seed", "1", "2"),
@@ -637,7 +658,7 @@ _ALIAS = (None, True, None, "_StoreAction", "<lambda>")
 _SEED = (0, False, None, "_StoreAction", "parse_seed")
 _RANK = (2, False, None, "_StoreAction", "int")
 _P = (None, False, None, "_StoreAction", "parse_rational")
-_BUDGET = (10**6, False, None, "_StoreAction", "int")
+_BUDGET = (10**6, False, None, "_StoreAction", "parse_budget")
 _TEXT_CSV = ("text", False, ("text", "csv"), "_StoreAction", None)
 _DRAWN = {"--seed": _SEED, "--rank": _RANK, "--p": _P}
 _BALL = {"--base": _REQ, "--radius": _REQ_INT, **_DRAWN, "--budget": _BUDGET}
