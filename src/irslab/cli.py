@@ -6,10 +6,13 @@ Every subcommand but aut opens with one '#' header line that echoes each
 option OPTIONS marks and the command took (unset ones, None, are left
 out), in OPTIONS order; a command that takes --seed also echoes
 stream=<randomness.STREAM_VERSION>, the version of the map from a seed to
-its draws. An unmarked option either shows in the output body or does not
-change the output's content. Exit codes: 0 success, 1 domain error, 2 budget exceeded,
-3 verification failure. Each cmd_* function returns its text and exit code
-and does no I/O; main writes the text once, to stdout or to --out.
+its draws. An unmarked option shows in the body (--trials, --z-threshold,
+--check-invariance), is echoed by its effective value (encode's basepoint,
+which the file can set), or sets only the layout, the destination or the
+point of failure (--format, --out, --budget). Exit codes: 0 success,
+1 domain error, 2 budget exceeded, 3 verification failure. Each cmd_*
+function returns its text and exit code and does no I/O; main writes the
+text once, to stdout or to --out.
 """
 
 from __future__ import annotations
@@ -360,7 +363,7 @@ OPTIONS = {
                             "default": "poulsen"}),
     "rank": (True, {"type": int, "default": 2, "help":
                     "free group rank for synthetic bases (default 2)"}),
-    "p": (True, {"type": parse_rational, "default": None,
+    "p": (True, {"type": parse_rational,
                  "help": "parameter p as an exact rational, e.g. 1/10"}),
     "p-list": (True, {"required": True, "help": "comma-separated rationals, "
                       "e.g. 0.2,0.1,0.05,0.01"}),
@@ -384,11 +387,11 @@ OPTIONS = {
     "budget": (False, {"type": parse_budget, "default": 10**6,
                        "help": "vertex budget for lazy exploration"}),
     "check-invariance": (False, {"action": "store_true"}),
-    "basepoint": (False, {"type": int, "default": None}),
+    "basepoint": (False, {"type": int}),
     "trials": (False, {"type": int, "required": True}),
     "z-threshold": (False, {"type": float, "default": 4.0}),
     "format": (False, {"choices": ("text", "csv"), "default": "text"}),
-    "out": (False, {"default": None, "help": "write output to a file"}),
+    "out": (False, {"help": "write output to a file"}),
 }
 
 
