@@ -33,7 +33,7 @@ from .encoding import (
     in_Z,
     lambda_pushforward,
     psi_oracle,
-    translate_set,
+    translate_count,
     upsilon,
 )
 from .errors import (

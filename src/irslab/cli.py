@@ -44,7 +44,7 @@ from .encoding import (
     lambda_pushforward,
     parse_subshift,
     psi_oracle,
-    translate_set,
+    translate_count,
     upsilon,
 )
 from .errors import BudgetError, DomainError
@@ -278,7 +278,7 @@ def cmd_lambda(args) -> tuple[str, int]:
     space, _ = parse_subshift(_read(args.subshift))
     lam, reps = lambda_pushforward(space)
     out = _header(args)
-    out += f"translates {len(translate_set(space.alphabet, space.rank))}\n"
+    out += f"translates {translate_count(space.alphabet, space.rank)}\n"
     out += f"atoms {len(lam)} total {lam.total()}\n"
     for i, (key, mass) in enumerate(lam.items_sorted()):
         kind, k, _pc = key

@@ -22,7 +22,7 @@ from fractions import Fraction
 from .actions import FiniteAction, emit_action, parse_action
 from .errors import AmbiguityError, DomainError, HorizonError, NotInYError, NotInZError
 from .measures import AtomicMeasure
-from .oracles import SchreierOracle, ball, conjugate, trace
+from .oracles import DEFAULT_BUDGET, SchreierOracle, ball, bfs, conjugate, trace
 from .analysis import ball_code, bfs_numbering
 from .randomness import KeyedRng
 from .words import (
@@ -31,6 +31,7 @@ from .words import (
     letters_ordered,
     phi_word,
     reduce_word,
+    shortlex_walk,
     word_to_str,
     words_upto,
 )
@@ -154,11 +155,11 @@ def psi_oracle(point: SubshiftPoint) -> PsiOracle:
     return point.space.psi(point.basepoint)
 
 
-def translate_set(alphabet: int, rank: int) -> list[Word]:
-    """All reduced words of length <= alphabet size, shortlex, identity
-    first: conjugating an encoded subgroup by these reaches every root of
-    its orbit."""
-    return words_upto(rank, alphabet)
+def translate_count(alphabet: int, rank: int) -> int:
+    """The number of translates, the reduced words of length <= alphabet
+    size: conjugating an encoded subgroup by these reaches every root of its
+    orbit. 1 + 2r((2r - 1)^a - 1)/(2r - 2) for rank r >= 2."""
+    return 1 + 2 * rank * ((2 * rank - 1) ** alphabet - 1) // (2 * rank - 2)
 
 
 def in_Z(oracle: SchreierOracle, space: SubshiftSpace, radius: int) -> bool:
@@ -172,11 +173,12 @@ def in_Z(oracle: SchreierOracle, space: SubshiftSpace, radius: int) -> bool:
 
 def upsilon(oracle: SchreierOracle, space: SubshiftSpace, radius: int):
     """Retract a subgroup into the encoded set: conjugate by the first
-    translate that lands there. Returns (retracted oracle, translate word).
+    translate, in shortlex order, that lands there; the walk of translates
+    stops there. Returns (retracted oracle, translate word).
 
     Raises NotInYError when no translate passes, AmbiguityError when the
     chosen translate fails a recheck at radius + 2 (raise the radius)."""
-    for f in translate_set(space.alphabet, space.rank):
+    for f in shortlex_walk(space.rank, space.alphabet):
         cand = conjugate(oracle, f)
         if in_Z(cand, space, radius):
             if not in_Z(cand, space, radius + 2):
@@ -201,7 +203,7 @@ def decode(oracle: SchreierOracle, radius: int, symbol_cap: int = 4096) -> dict:
         raise DomainError("radius must be >= 2 to see the cycle structure")
     pattern: dict = {}
     try:
-        for g in words_upto(oracle.rank, radius - 2):
+        for g in shortlex_walk(oracle.rank, radius - 2):
             u = trace(oracle, phi_word(g) + (1,))
             v = oracle.neighbor(u, 2)
             count = 1
@@ -228,14 +230,13 @@ def decode(oracle: SchreierOracle, radius: int, symbol_cap: int = 4096) -> dict:
 def point_class_code(space: SubshiftSpace, q: int) -> tuple:
     """Canonical code of the labeled orbit graph rooted at q; equal codes
     <=> the two basepoints define the same configuration."""
-    got = space._pc.get(q)
-    if got is not None:
-        return got
-    rank = space.rank
-    order, rows = bfs_numbering(q, space.action.step, letters_ordered(rank))
-    labels = tuple(space.labels[v] for v in order)
-    code = ("pc", rank, space.alphabet, len(order), labels, rows)
-    space._pc[q] = code
+    code = space._pc.get(q)
+    if code is None:
+        order, rows = bfs_numbering(q, space.action.step,
+                                    letters_ordered(space.rank))
+        labels = tuple(space.labels[v] for v in order)
+        code = space._pc[q] = ("pc", space.rank, space.alphabet, len(order),
+                               labels, rows)
     return code
 
 
@@ -244,24 +245,10 @@ def encoded_root_key(space: SubshiftSpace, q: int, vertex) -> tuple:
     `vertex`; equal keys <=> equal subgroups. Cayley roots give
     ("cay", 0, pc); cycle roots record the s2-distance to their subdivision
     vertex as ("cyc", k, pc)."""
-    kind = vertex[0]
-    if kind == "c":
-        h = vertex[1]
-        return ("cay", 0, point_class_code(space, space.action.act(q, h)))
-    _, h, j = vertex
-    base = space.action.act(q, h)
-    sym = space.labels[base]
-    return ("cyc", (-j) % sym, point_class_code(space, base))
-
-
-def _check_invariant_eta(space: SubshiftSpace, eta: dict) -> None:
-    action = space.action
-    for qq in range(action.n):
-        for k in range(action.rank):
-            if eta[qq] != eta[action.perms[k][qq]]:
-                raise DomainError(
-                    "eta is not invariant under the finite action"
-                )
+    base = space.action.act(q, vertex[1])
+    if vertex[0] == "c":
+        return ("cay", 0, point_class_code(space, base))
+    return ("cyc", -vertex[2] % space.labels[base], point_class_code(space, base))
 
 
 def lambda_pushforward(space: SubshiftSpace, eta: dict | None = None):
@@ -273,34 +260,34 @@ def lambda_pushforward(space: SubshiftSpace, eta: dict | None = None):
     representative (basepoint, vertex) per atom for conjugation checks.
     Restricted to the encoded set the measure equals the pushforward of
     eta, and it is exactly conjugation-invariant when eta is invariant.
+
+    The roots the translates f reach, trace(psi, f^-1), are exactly the
+    vertices within distance alphabet of the root: a shortest walk never
+    steps back, so it spells a reduced word. One `bfs` of that radius per
+    class finds them, and raises BudgetError past DEFAULT_BUDGET vertices.
     """
     action = space.action
-    if eta is None:
-        eta = {q: Fraction(1, action.n) for q in range(action.n)}
-    else:
-        eta = {q: Fraction(eta[q]) for q in range(action.n)}
-    _check_invariant_eta(space, eta)
+    eta = {q: Fraction(1, action.n) if eta is None else Fraction(eta[q])
+           for q in range(action.n)}
+    if any(eta[q] != eta[action.step(q, l)] for q in range(action.n)
+           for l in range(1, action.rank + 1)):
+        raise DomainError("eta is not invariant under the finite action")
 
-    classes: dict = {}
+    classes: dict = {}  # point class code -> [a point of it, its mass]
     for q in range(action.n):
-        pc = point_class_code(space, q)
-        rec = classes.get(pc)
-        if rec is None:
-            classes[pc] = [q, eta[q]]
-        else:
-            rec[1] += eta[q]
+        classes.setdefault(point_class_code(space, q), [q, 0])[1] += eta[q]
 
-    L = translate_set(space.alphabet, space.rank)
+    letters = letters_ordered(space.rank)
     lam = AtomicMeasure()
     reps: dict = {}
-    for pc, (q, mass) in sorted(classes.items(), key=lambda kv: kv[0]):
+    for pc, (q, mass) in sorted(classes.items()):
         if mass == 0:
             continue
         target = ("cay", 0, pc)
         psi = space.psi(q)
         seen: set = set()
-        for f in L:
-            u = trace(psi, inverse_word(f))
+        for u in bfs(psi.root, psi.neighbor, letters, space.alphabet,
+                     DEFAULT_BUDGET)[0]:
             key = encoded_root_key(space, q, u)
             if key in seen:
                 continue
@@ -313,13 +300,14 @@ def lambda_pushforward(space: SubshiftSpace, eta: dict | None = None):
 
 def _retraction_key(space, psi: PsiOracle, q: int, u) -> tuple:
     """Key of the retraction of the subgroup rooted at u: conjugate by the
-    first translate whose root is a Cayley vertex (decidable here because
-    the graph is an encoded configuration)."""
-    for f in translate_set(space.alphabet, space.rank):
-        v = trace(psi.rebased(u), inverse_word(f))
+    first translate, in shortlex order, whose root is a Cayley vertex
+    (decidable here because the graph is an encoded configuration)."""
+    rooted = psi.rebased(u)
+    for f in shortlex_walk(space.rank, space.alphabet):
+        v = trace(rooted, inverse_word(f))
         if v[0] == "c":
             return encoded_root_key(space, q, v)
-    raise AssertionError("every encoded-graph vertex retracts within L")
+    raise AssertionError("every encoded-graph vertex retracts by a translate")
 
 
 def lambda_conjugate(space: SubshiftSpace, lam: AtomicMeasure, reps: dict,

@@ -11,7 +11,7 @@ s_1 < s_1^-1 < s_2 < s_2^-1 < ...
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import DomainError
 
@@ -59,22 +59,32 @@ def shortlex_key(w: Word):
 
 def letters_ordered(rank: int) -> list[int]:
     """All 2r letters in shortlex letter order: s1, s1^-1, s2, s2^-1, ..."""
-    out = []
-    for i in range(1, rank + 1):
-        out.append(i)
-        out.append(-i)
-    return out
+    return [l for i in range(1, rank + 1) for l in (i, -i)]
+
+
+def shortlex_walk(rank: int, n: int) -> Iterator[Word]:
+    """The reduced words of length <= n in shortlex order, identity first,
+    one at a time: the words of each length extend those of the length
+    below, walked again, so the walk holds one word per length, and it
+    builds `letters_ordered(rank)` only after the identity."""
+    yield ()
+    if n > 0:
+        letters = letters_ordered(rank)
+
+        def layer(k: int) -> Iterator[Word]:
+            for w in layer(k - 1) if k > 1 else [()]:
+                back = -w[-1] if w else 0
+                for l in letters:
+                    if l != back:
+                        yield w + (l,)
+
+        for k in range(1, n + 1):
+            yield from layer(k)
 
 
 def words_upto(rank: int, n: int) -> list[Word]:
     """All reduced words of length <= n, in shortlex order (identity first)."""
-    ls = letters_ordered(rank)
-    out: list[Word] = [()]
-    layer: list[Word] = [()]
-    for _ in range(n):
-        layer = [w + (l,) for w in layer for l in ls if not w or w[-1] != -l]
-        out.extend(layer)
-    return out
+    return list(shortlex_walk(rank, n))
 
 
 class _LetterNames(dict):

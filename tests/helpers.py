@@ -10,10 +10,11 @@ from fractions import Fraction
 from itertools import permutations, takewhile
 
 from irslab import AtomicMeasure, DomainError, FiniteOracle, MarkLaw, canonical_code
+from irslab.encoding import encoded_root_key, point_class_code
 from irslab.errors import BudgetError, HorizonError, InvalidGraphError
 from irslab.normalizer import NormalizerOracle
-from irslab.oracles import DEFAULT_BUDGET, STAR, BallView, SchreierOracle, conjugate
-from irslab.words import letters_ordered, words_upto
+from irslab.oracles import DEFAULT_BUDGET, STAR, BallView, SchreierOracle, conjugate, trace
+from irslab.words import inverse_word, letters_ordered, words_upto
 
 
 def brute_reduce(letters):
@@ -326,6 +327,41 @@ def reference_ball_code(view: BallView) -> tuple:
     rows = tuple(tuple(number.get(view.step(v, l)) for l in labels)
                  for v in order)
     return (view.rank, len(order), rows)
+
+
+# -- the word-walk translate pushforward, kept as a reference ---------------
+
+
+def reference_lambda_pushforward(space, eta=None):
+    """`lambda_pushforward` by listing every translate: the root of each
+    reduced word f of length <= alphabet is trace(psi, f^-1), and a root
+    retracts by the first translate in `words_upto` order that reaches a
+    Cayley vertex. Returns (measure, reps) as the library does."""
+    n = space.action.n
+    eta = {q: Fraction(1, n) if eta is None else Fraction(eta[q])
+           for q in range(n)}
+    classes = {}
+    for q in range(n):
+        rec = classes.setdefault(point_class_code(space, q), [q, 0])
+        rec[1] += eta[q]
+    translates = words_upto(space.rank, space.alphabet)
+    lam, reps = AtomicMeasure(), {}
+    for pc, (q, mass) in sorted(classes.items()):
+        if mass == 0:
+            continue
+        psi, seen = space.psi(q), set()
+        for f in translates:
+            u = trace(psi, inverse_word(f))
+            key = encoded_root_key(space, q, u)
+            if key in seen:
+                continue
+            seen.add(key)
+            ends = (trace(psi.rebased(u), inverse_word(g)) for g in translates)
+            v = next(v for v in ends if v[0] == "c")
+            if encoded_root_key(space, q, v) == ("cay", 0, pc):
+                lam.add(key, mass)
+                reps.setdefault(key, (q, u))
+    return lam, reps
 
 
 # -- the recursive key encoder of the keyed draws, kept as a reference -------

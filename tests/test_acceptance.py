@@ -29,7 +29,7 @@ from irslab import (
     psi_oracle,
     root_isomorphic,
     stab_pushforward_law,
-    translate_set,
+    translate_count,
     trivial_law,
     upsilon,
     validate_schreier_ball,
@@ -272,7 +272,7 @@ def _c8_report() -> str:
         ("cay", 0, point_class_code(space, q)): Fraction(1, 2) for q in (0, 1)
     })
     restriction_ok = z_mass == expected
-    bound_ok = lam.total() <= len(translate_set(space.alphabet, space.rank))
+    bound_ok = lam.total() <= translate_count(space.alphabet, space.rank)
     invariant = all(
         lambda_conjugate(space, lam, reps, l) == lam for l in (1, -1, 2, -2)
     )

@@ -238,10 +238,21 @@ def test_a_huge_declared_rank_is_read_without_a_cell_per_label(edges):
 
 
 def test_decoding_a_huge_declared_rank_exits_1(capsys, tmp_path):
+    # decoding fails at the identity, before a word of a letter is made
     path = tmp_path / "rank.sgr"
     path.write_text("schreier r=1000000\nroot A\nA s1 A\n")
-    code, out, err = run(capsys, "decode", "--graph", str(path), "--radius", "2")
-    assert (code, out) == (1, "") and err.startswith("error:")
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "decode", "--graph", str(path),
+                             "--radius", "2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err == ("error: walk left the stored graph while decoding: walk "
+                   "left the stored ball at 'A' (letter 2); provide a larger "
+                   "ball\n")
+    assert peak < 1_000_000
 
 
 def test_encode_decode_roundtrip(capsys, tmp_path, subshift_file):

@@ -1,8 +1,13 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from irslab import encoding
 from irslab import (
+    BudgetError,
     CayleyOracle,
     DomainError,
     NotInYError,
@@ -16,7 +21,7 @@ from irslab import (
     psi_oracle,
     root_isomorphic,
     trace,
-    translate_set,
+    translate_count,
     upsilon,
     validate_schreier_ball,
 )
@@ -29,13 +34,17 @@ from irslab.encoding import (
     point_class_code,
     random_subshift_space,
 )
+from irslab.oracles import bfs
 from irslab.randomness import KeyedRng
 from irslab.words import (
     inverse_word,
+    letters_ordered,
     phi_word,
     word_from_str,
     words_upto,
 )
+
+from helpers import reference_lambda_pushforward
 
 
 def constant_one_space():
@@ -105,10 +114,25 @@ def test_psi_valid_and_infinite_index():
 
 
 def test_translate_set():
-    L = translate_set(1, 2)
-    assert L == [(), (1,), (-1,), (2,), (-2,)]
-    assert len(translate_set(2, 2)) == 17
-    assert translate_set(3, 2)[0] == ()
+    assert translate_count(1, 2) == 5
+    assert translate_count(2, 2) == 17
+    for rank in (2, 3, 4):
+        for alphabet in range(1, 6):
+            assert translate_count(alphabet, rank) == len(
+                words_upto(rank, alphabet))
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_translate_roots_are_the_ball_of_radius_alphabet(case):
+    # a shortest walk spells a reduced word, so the roots the translates
+    # reach are the vertices bfs finds within distance alphabet
+    space = random_subshift_space(1 + case % 5, 2 + case % 2, 1 + case % 4,
+                                  seed=6000 + case)
+    psi = space.psi(case % space.action.n)
+    roots = {trace(psi, inverse_word(f))
+             for f in words_upto(space.rank, space.alphabet)}
+    assert roots == bfs(psi.root, psi.neighbor, letters_ordered(space.rank),
+                        space.alphabet)[0].keys()
 
 
 def test_equivariance_sampled():
@@ -233,8 +257,7 @@ def test_lambda_period_two():
     expected = {("cay", 0, point_class_code(space, q)): Fraction(1, 2)
                 for q in (0, 1)}
     assert z_mass == expected
-    L = translate_set(space.alphabet, space.rank)
-    assert lam.total() <= len(L)
+    assert lam.total() <= translate_count(space.alphabet, space.rank)
     for l in (1, -1, 2, -2):
         assert lambda_conjugate(space, lam, reps, l) == lam
 
@@ -254,6 +277,53 @@ def test_lambda_invariant_under_nonuniform_orbit_masses():
     lam, reps = lambda_pushforward(space, eta)
     for l in (1, -1, 2, -2):
         assert lambda_conjugate(space, lam, reps, l) == lam
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 5), st.integers(2, 3), st.integers(1, 6),
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_the_ball_lambda_equals_the_word_walk_lambda(n, rank, alphabet, seed,
+                                                     uniform):
+    space = random_subshift_space(n, rank, alphabet, seed)
+    eta = None
+    if not uniform:  # invariant: constant on the orbits, by orbit minimum
+        orbit = {q: min(bfs(q, space.action.step,
+                            letters_ordered(rank))[0]) for q in range(n)}
+        eta = {q: Fraction(1 + orbit[q], 1 + n) for q in range(n)}
+    lam, reps = lambda_pushforward(space, eta)
+    ref, ref_reps = reference_lambda_pushforward(space, eta)
+    assert lam == ref
+    for l in letters_ordered(rank):
+        assert (lambda_conjugate(space, lam, reps, l)
+                == lambda_conjugate(space, ref, ref_reps, l))
+
+
+def two_point_space(alphabet):
+    return SubshiftSpace(FiniteAction(2, ((1, 0), (0, 1))), (1, 2), alphabet)
+
+
+def test_lambda_at_alphabet_11_stays_small():
+    # the word walk lists 265 721 translates here and peaks near 95 MB
+    space = two_point_space(11)
+    tracemalloc.start()
+    try:
+        lam, reps = lambda_pushforward(space)
+        invariant = all(lambda_conjugate(space, lam, reps, l) == lam
+                        for l in letters_ordered(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert invariant
+    assert peak < 8_000_000
+
+
+def test_lambda_past_the_budget_raises(monkeypatch):
+    space = two_point_space(6)  # 332 vertices within distance 6 of a root
+    monkeypatch.setattr(encoding, "DEFAULT_BUDGET", 331)
+    with pytest.raises(BudgetError, match="exceeded budget 331"):
+        lambda_pushforward(space)
+    monkeypatch.setattr(encoding, "DEFAULT_BUDGET", 332)
+    lambda_pushforward(space)
 
 
 def test_point_class_code_separates_patterns():

@@ -1,3 +1,6 @@
+import tracemalloc
+from itertools import islice
+
 from hypothesis import given
 import hypothesis.strategies as st
 
@@ -12,7 +15,7 @@ from irslab import (
     words_upto,
 )
 from irslab.randomness import KeyedRng
-from irslab.words import letters_ordered, shortlex_key
+from irslab.words import letters_ordered, shortlex_key, shortlex_walk
 
 from helpers import brute_reduce, reference_word_to_str
 
@@ -63,6 +66,20 @@ def test_words_upto_counts_and_order():
     ws = words_upto(2, 3)
     assert ws == sorted(ws, key=shortlex_key)
     assert len(set(ws)) == len(ws)
+
+
+def test_shortlex_walk_is_lazy():
+    # the walk yields what words_upto lists, one word at a time
+    assert list(islice(shortlex_walk(2, 30), 17)) == words_upto(2, 2)
+    assert list(shortlex_walk(3, 0)) == [()]
+    tracemalloc.start()
+    try:
+        walk = shortlex_walk(10**6, 3)
+        assert next(walk) == ()  # before its 2 000 000 letters are built
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_letters_ordered():
