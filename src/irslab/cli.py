@@ -4,7 +4,8 @@ Every run is fully determined by its flags: seeds default to 0 (never to
 entropy), and output ordering never depends on hash or map iteration order.
 Every subcommand but aut opens with one '#' header line that echoes each
 option OPTIONS marks and the command took (unset ones, None, are left
-out), in OPTIONS order; a command that takes --seed also echoes
+out), in OPTIONS order, and rank= is the rank of the bases, which a file:
+base brings itself; a command that takes --seed also echoes
 stream=<randomness.STREAM_VERSION>, the version of the map from a seed to
 its draws. An unmarked option shows in the body (--trials, --z-threshold,
 --check-invariance), is echoed by its effective value (encode's basepoint,
@@ -156,13 +157,25 @@ def _load_graph_oracle(path: str):
     return BallBackedOracle(view)
 
 
+def _laws(args, *specs) -> list:
+    """The laws of base specs, which must share one rank. A file: base
+    brings its own rank, so args.rank becomes the rank the output is made
+    with, the one the header echoes and fingerprint words are read in."""
+    laws = [parse_base_spec(spec, args.rank, args.p) for spec in specs]
+    ranks = sorted({law.rank for law in laws})
+    if len(ranks) > 1:
+        raise DomainError(f"bases of ranks {ranks[0]} and {ranks[1]} differ")
+    args.rank = ranks[0]
+    return laws
+
+
 def _fingerprint_spec(args) -> CylinderSpec:
     words = tuple(word_from_str(w, args.rank) for w in args.fingerprint.split(","))
     return CylinderSpec(words, args.radius)
 
 
 def cmd_ball(args) -> tuple[str, int]:
-    law = parse_base_spec(args.base, args.rank, args.p)
+    law, = _laws(args, args.base)
     oracle = law.sample(args.seed)
     view = ball(oracle, args.radius, args.budget)
     body = emit_edgelist(view) if args.format == "edgelist" else emit_sgr(view)
@@ -170,8 +183,7 @@ def cmd_ball(args) -> tuple[str, int]:
 
 
 def cmd_metric(args) -> tuple[str, int]:
-    law_a = parse_base_spec(args.base, args.rank, args.p)
-    law_b = parse_base_spec(args.other, args.rank, args.p)
+    law_a, law_b = _laws(args, args.base, args.other)
     a = law_a.sample(args.seed)
     b = law_b.sample(args.other_seed)
     d = metric(a, b, args.max_radius, args.budget)
@@ -184,7 +196,7 @@ def cmd_metric(args) -> tuple[str, int]:
 
 
 def cmd_fingerprint(args) -> tuple[str, int]:
-    law = parse_base_spec(args.base, args.rank, args.p)
+    law, = _laws(args, args.base)
     oracle = law.sample(args.seed)
     fp = cylinder_fingerprint(oracle, args.radius)
     return _header(args) + "".join(word_to_str(w) + "\n" for w in fp), EXIT_OK
@@ -323,7 +335,7 @@ def cmd_first_return(args) -> tuple[str, int]:
 
 
 def cmd_estimate(args) -> tuple[str, int]:
-    law = parse_base_spec(args.sampler, args.rank, args.p)
+    law, = _laws(args, args.sampler)
     spec = _fingerprint_spec(args)
     rep = estimate_cylinder(law, spec, args.samples, args.seed)
     return _header(args) + rep.render() + "\n", EXIT_OK
@@ -332,7 +344,7 @@ def cmd_estimate(args) -> tuple[str, int]:
 def cmd_invariance(args) -> tuple[str, int]:
     if not 0 <= args.z_threshold < float("inf"):
         raise DomainError("--z-threshold must be finite and >= 0")
-    law = parse_base_spec(args.sampler, args.rank, args.p)
+    law, = _laws(args, args.sampler)
     rows = invariance_report(law, args.radius, args.samples, args.seed,
                              min_mass=args.min_mass)
     out = _header(args) + render_invariance(rows, args.format)
@@ -345,7 +357,7 @@ def cmd_invariance(args) -> tuple[str, int]:
 
 
 def cmd_sweep(args) -> tuple[str, int]:
-    base = parse_base_spec(args.base, args.rank, args.p)
+    base, = _laws(args, args.base)
     spec = _fingerprint_spec(args)
     p_list = [parse_rational(s) for s in args.p_list.split(",")]
     rows = convergence_sweep(args.construction, base, p_list, spec,

@@ -567,14 +567,55 @@ def test_ball_over_a_file_with_a_hash_token_exits_1(capsys, tmp_path):
     assert out == "" and err.startswith("error:") and "'#b'" in err
 
 
-@pytest.mark.parametrize("fingerprint", ["e,s3,s3^-1", "e,s²"],
-                         ids=["s3-at-rank-2", "superscript"])
-def test_fingerprint_letters_checked_against_rank(capsys, fingerprint):
-    code, out, err = run(capsys, "estimate", "--sampler", "trivial",
-                         "--fingerprint", fingerprint, "--radius", "2",
-                         "--samples", "1")
+@pytest.mark.parametrize("argv", [
+    ("estimate", "--sampler", "trivial", "--fingerprint", "e,s3,s3^-1"),
+    ("estimate", "--sampler", "trivial", "--fingerprint", "e,s²"),
+    ("estimate", "--sampler", "file:{graph}", "--fingerprint", "e,s3,s3^-1",
+     "--rank", "3"),
+    ("sweep", "--base", "file:{graph}", "--p-list", "1/2", "--fingerprint",
+     "e,s3,s3^-1", "--rank", "3"),
+], ids=["s3-at-rank-2", "superscript", "s3-over-a-rank-2-file",
+        "sweep-s3-over-a-rank-2-file"])
+def test_fingerprint_letters_checked_against_rank(capsys, index2_file, argv):
+    # a file: base brings its rank, whatever --rank says
+    argv = [a.format(graph=index2_file) for a in argv]
+    code, out, err = run(capsys, *argv, "--radius", "2", "--samples", "1")
     assert code == 1
     assert out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--base", "file:{graph}", "--other", "trivial", "--rank", "3"),
+    ("--base", "trivial", "--other", "file:{graph}", "--rank", "3"),
+], ids=["file-then-trivial", "trivial-then-file"])
+def test_metric_between_bases_of_two_ranks_exits_1(capsys, index2_file, argv):
+    argv = [a.format(graph=index2_file) for a in argv]
+    code, out, err = run(capsys, "metric", *argv, "--max-radius", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: bases of ranks 2 and 3 differ\n"
+    assert run(capsys, "metric", *argv[:-2], "--max-radius", "2")[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("ball", "--base", "file:{graph}", "--radius", "1"),
+    ("sample-poulsen", "--base", "file:{graph}", "--p", "1/2", "--radius",
+     "1"),
+    ("metric", "--base", "file:{graph}", "--other", "file:{graph}",
+     "--max-radius", "1"),
+    ("fingerprint", "--base", "file:{graph}", "--radius", "1"),
+    ("estimate", "--sampler", "file:{graph}", "--radius", "1", "--samples",
+     "1"),
+    ("invariance", "--sampler", "file:{graph}", "--radius", "1",
+     "--samples", "1"),
+    ("sweep", "--base", "file:{graph}", "--p-list", "1/2", "--radius", "1",
+     "--samples", "1"),
+], ids=lambda argv: argv[0])
+def test_headers_echo_the_rank_a_file_base_brings(capsys, index2_file, argv):
+    argv = [a.format(graph=index2_file) for a in argv]
+    outs = [run(capsys, *argv, "--rank", rank) for rank in ("2", "3")]
+    assert outs[0] == outs[1]
+    code, out, _ = outs[0]
+    assert code == 0 and "rank=2" in out.splitlines()[0].split()
 
 
 @pytest.mark.parametrize("argv, seed, expected", [
