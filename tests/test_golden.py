@@ -35,7 +35,9 @@ from irslab.analysis import conjugate_code
 from irslab.cli import main
 from irslab.encoding import (
     emit_subshift,
+    parse_subshift,
     point_class_code,
+    psi_oracle,
     random_subshift_space,
 )
 from irslab.montecarlo import (
@@ -48,7 +50,7 @@ from irslab.montecarlo import (
     render_sweep,
 )
 from irslab.normalizer import NormalizerOracle
-from irslab.oracles import sub_ball
+from irslab.oracles import conjugate, sub_ball
 from irslab.poulsen import PercolationGraph, star_ball
 from irslab.randomness import STREAM_VERSION, KeyedRng
 
@@ -146,6 +148,16 @@ def _subshift_files() -> str:
         emit_subshift(random_subshift_space(n, rank, alphabet, seed), basepoint)
         for n, rank, alphabet, seed, basepoint in ((5, 2, 3, 0, 0),
                                                    (9, 3, 4, 1, 6)))
+
+
+def _encoded_balls() -> str:
+    # a rank-2 and a rank-3 space, each from its first and its last point
+    out = []
+    for n, rank, alphabet, seed in ((5, 2, 3, 7), (4, 3, 4, 8)):
+        space = random_subshift_space(n, rank, alphabet, seed)
+        for q in (0, n - 1):
+            out.append(emit_sgr(ball(psi_oracle(space.point(q)), 6)))
+    return "".join(out)
 
 
 def _aut_masses() -> str:
@@ -265,6 +277,7 @@ CASES = {
     "canonical_code tripled": _tripled_codes,
     "point_class_code": _point_classes,
     "emit_subshift": _subshift_files,
+    "encoded balls": _encoded_balls,
     "aut_trivial_mass": _aut_masses,
     "aut_trivial_mass random": _random_aut_masses,
     "enumerate_normalizer_law": _normalizer_laws,
@@ -301,9 +314,13 @@ GOLDEN = {
     "canonical_code tripled": "ad3e31219dc778fd011ad9f2f3774f8d",
     "cli aut": "d0e6474100e8cd7f5cefb4790e41da0d",
     "cli ball": "4547128e75207bb3e09865ba2c02a6b0",
+    "cli check-equivariance": "0f6b6c9785f4862fc64e90fe41e4bb38",
+    "cli encode": "2df8bfd6696bca6b5dab318b15ca476e",
     "cli enumerate-normalizer": "599542037eb61d51bf40d287fb39f917",
+    "cli lambda": "f233bf3452a2081020f8a09ab7b3faf5",
     "cli named file base": "3882c5f9b12d9b089d5408fcfd494e0b",
     "cli stab-law": "a3c5293e4a0c248d60f979221b6c8d6a",
+    "cli upsilon": "8e5eae035cbe26836fe2ad881ff7a694",
     "conjugate_code cyclic5 atoms": "a756bd5eb75ccb3910886671db3ec230",
     "convergence_sweep normalizer": "00078c747b5894e5916daeda5ce8dd50",
     "convergence_sweep poulsen": "a77566d1948a8dbf9e4e4072f6616a9e",
@@ -315,6 +332,7 @@ GOLDEN = {
     "deep ball poulsen:poulsen:normalizer:trivial r=3 p=1/2":
         "8eb89ba8ae70cfe932394aae50a73665",
     "emit_subshift": "9088f9c2e7b03cc6f39dec01e4cd11aa",
+    "encoded balls": "e74aac017bc529e3db8b5244dc644ec6",
     "enumerate_normalizer_law": "00acbe9bbe9e9b045594ef23d8d846dc",
     "estimate_cylinder poulsen:normalizer:trivial":
         "cf7aedfab6f3c9d0731fa8e29d656ca7",
@@ -396,3 +414,59 @@ def test_golden_cli_stab_law(capsys, tmp_path, monkeypatch):
         (tmp_path / f"a{k}.txt").write_text(emit_action(action))
         assert main(["stab-law", "--action", f"a{k}.txt"]) == 0
     assert _digest(capsys.readouterr().out) == GOLDEN["cli stab-law"]
+
+
+# Encoded configurations through the CLI: the two-point space (s1 swaps
+# points labeled 1 and 2, s2 fixes them) at alphabet 6, a random 3-point
+# rank-2 space at alphabet 3 from basepoint 2 and a random 4-point rank-3
+# space at alphabet 3.
+TWO_POINT_SUB = """\
+alphabet 6
+points 2
+perm s1: (0 1)
+perm s2: id
+label 0 1
+label 1 2
+basepoint 0
+"""
+
+
+@pytest.fixture
+def subshift_files(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "two.sub").write_text(TWO_POINT_SUB)
+    (tmp_path / "three.sub").write_text(
+        emit_subshift(random_subshift_space(3, 2, 3, 21), 2))
+    (tmp_path / "rank3.sub").write_text(
+        emit_subshift(random_subshift_space(4, 3, 3, 22), 0))
+    return tmp_path
+
+
+def test_golden_cli_encode(capsys, subshift_files):
+    for name in ("two.sub", "three.sub"):
+        assert main(["encode", "--subshift", name, "--radius", "8"]) == 0
+    assert _digest(capsys.readouterr().out) == GOLDEN["cli encode"]
+
+
+def test_golden_cli_lambda(capsys, subshift_files):
+    for name in ("two.sub", "rank3.sub"):
+        assert main(["lambda", "--subshift", name]) == 0
+    assert _digest(capsys.readouterr().out) == GOLDEN["cli lambda"]
+
+
+def test_golden_cli_check_equivariance(capsys, subshift_files):
+    for name in ("three.sub", "rank3.sub"):
+        assert main(["check-equivariance", "--subshift", name,
+                     "--trials", "50", "--radius", "4"]) == 0
+    assert _digest(capsys.readouterr().out) == GOLDEN["cli check-equivariance"]
+
+
+def test_golden_cli_upsilon(capsys, subshift_files):
+    # encoded graphs with their roots moved off the encoded set by g^-1
+    for name, g in (("two.sub", (-1,)), ("three.sub", (2, 1))):
+        space, basepoint = parse_subshift((subshift_files / name).read_text())
+        moved = conjugate(psi_oracle(space.point(basepoint)), g)
+        (subshift_files / "moved.sgr").write_text(emit_sgr(ball(moved, 10)))
+        assert main(["upsilon", "--graph", "moved.sgr", "--subshift", name,
+                     "--radius", "3"]) == 0
+    assert _digest(capsys.readouterr().out) == GOLDEN["cli upsilon"]
