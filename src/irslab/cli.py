@@ -151,10 +151,7 @@ def _header(args, **extra) -> str:
 
 
 def _load_graph_oracle(path: str):
-    view = parse_sgr(_read(path))
-    if not view.boundary and view.is_complete() and not view.has_stars():
-        return view.to_oracle()
-    return BallBackedOracle(view)
+    return BallBackedOracle(parse_sgr(_read(path)))
 
 
 def _laws(args, *specs) -> list:

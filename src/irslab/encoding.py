@@ -22,7 +22,8 @@ from fractions import Fraction
 from .actions import FiniteAction, emit_action, parse_action
 from .errors import AmbiguityError, DomainError, HorizonError, NotInYError, NotInZError
 from .measures import AtomicMeasure
-from .oracles import DEFAULT_BUDGET, SchreierOracle, ball, bfs, conjugate, trace
+from .oracles import (DEFAULT_BUDGET, CayleyOracle, SchreierOracle, ball, bfs,
+                      conjugate, trace)
 from .analysis import ball_code, bfs_numbering
 from .randomness import KeyedRng
 from .words import (
@@ -30,7 +31,6 @@ from .words import (
     inverse_word,
     letters_ordered,
     phi_word,
-    reduce_word,
     shortlex_walk,
     word_to_str,
     words_upto,
@@ -61,7 +61,7 @@ class SubshiftSpace:
         self.labels = labels
         self.alphabet = alphabet
         self.rank = action.rank
-        self._psi: dict = {}
+        self.cayley = CayleyOracle(self.rank)  # shared by every PsiOracle
         self._codes: dict = {}
         self._pc: dict = {}
 
@@ -69,11 +69,7 @@ class SubshiftSpace:
         return SubshiftPoint(self, q)
 
     def psi(self, q: int) -> "PsiOracle":
-        o = self._psi.get(q)
-        if o is None:
-            o = PsiOracle(SubshiftPoint(self, q))
-            self._psi[q] = o
-        return o
+        return PsiOracle(self.point(q))
 
     def candidate_codes(self, radius: int) -> frozenset:
         """Ball codes of every configuration's encoding at this radius."""
@@ -105,54 +101,54 @@ class SubshiftPoint:
 
 
 class PsiOracle(SchreierOracle):
-    """Lazy Schreier oracle of an encoded configuration.
+    """Lazy Schreier oracle of an encoded configuration: the decorated
+    Cayley graph, walked on the numerals of the space's `CayleyOracle`.
 
-    Vertices: ("c", g) for the Cayley copy of g, ("y", g, j) for the j-th
-    vertex of the cycle at the subdivision of (g, g.s1), 0 <= j < symbol(g).
-    Root: ("c", ()).
+    Vertices: ("c", n, x) for the Cayley copy of the word g with numeral n,
+    ("y", n, x, j) for the j-th vertex of the cycle at the subdivision of
+    (g, g.s1), 0 <= j < label(x); x = q . g is the point of g, so a step
+    moves n along the Cayley graph and x along the action. Root: ("c", 0, q).
     """
 
     def __init__(self, point: SubshiftPoint):
-        self.point = point
-        self.rank = point.space.rank
-        self.root = ("c", ())
-        self._sym: dict = {}
-
-    def symbol(self, g: Word) -> int:
-        s = self._sym.get(g)
-        if s is None:
-            s = self.point.symbol(g)
-            self._sym[g] = s
-        return s
+        space = point.space
+        self.rank = space.rank
+        self.root = ("c", 0, point.basepoint)
+        self._cayley = space.cayley
+        self._step = space.action.step
+        self._labels = space.labels
 
     def neighbor(self, vertex, letter: int):
-        kind = vertex[0]
-        if kind == "c":
-            g = vertex[1]
+        if vertex[0] == "c":
+            _, n, x = vertex
             if letter == 1:
-                return ("y", g, 0)
+                return ("y", n, x, 0)
+            m = self._cayley.neighbor(n, letter)
             if letter == -1:
-                return ("y", reduce_word(g + (-1,)), 0)
-            return ("c", reduce_word(g + (letter,)))
-        _, g, j = vertex
+                return ("y", m, self._step(x, -1), 0)
+            return ("c", m, self._step(x, letter))
+        _, n, x, j = vertex
         a = abs(letter)
         if a == 1:
             if j > 0:
                 return vertex
-            return ("c", reduce_word(g + (1,))) if letter == 1 else ("c", g)
+            if letter == -1:
+                return ("c", n, x)
+            return ("c", self._cayley.neighbor(n, 1), self._step(x, 1))
         if a == 2:
-            k = self.symbol(g)
-            return ("y", g, (j + 1) % k if letter == 2 else (j - 1) % k)
+            k = self._labels[x]
+            return ("y", n, x, (j + 1) % k if letter == 2 else (j - 1) % k)
         return vertex
 
     def token(self, vertex) -> str:
+        word = self._cayley.token(vertex[1])
         if vertex[0] == "c":
-            return f"c({word_to_str(vertex[1])})"
-        return f"y({word_to_str(vertex[1])};{vertex[2]})"
+            return f"c({word})"
+        return f"y({word};{vertex[3]})"
 
 
 def psi_oracle(point: SubshiftPoint) -> PsiOracle:
-    return point.space.psi(point.basepoint)
+    return PsiOracle(point)
 
 
 def translate_count(alphabet: int, rank: int) -> int:
@@ -240,15 +236,15 @@ def point_class_code(space: SubshiftSpace, q: int) -> tuple:
     return code
 
 
-def encoded_root_key(space: SubshiftSpace, q: int, vertex) -> tuple:
-    """Canonical key of the encoded graph of basepoint q re-rooted at
-    `vertex`; equal keys <=> equal subgroups. Cayley roots give
-    ("cay", 0, pc); cycle roots record the s2-distance to their subdivision
-    vertex as ("cyc", k, pc)."""
-    base = space.action.act(q, vertex[1])
+def encoded_root_key(space: SubshiftSpace, vertex) -> tuple:
+    """Canonical key of an encoded graph re-rooted at the `PsiOracle`
+    vertex `vertex`; equal keys <=> equal subgroups. Cayley roots give
+    ("cay", 0, pc) for the point class of their point; cycle roots record
+    the s2-distance to their subdivision vertex as ("cyc", k, pc)."""
+    x = vertex[2]
     if vertex[0] == "c":
-        return ("cay", 0, point_class_code(space, base))
-    return ("cyc", -vertex[2] % space.labels[base], point_class_code(space, base))
+        return ("cay", 0, point_class_code(space, x))
+    return ("cyc", -vertex[3] % space.labels[x], point_class_code(space, x))
 
 
 def lambda_pushforward(space: SubshiftSpace, eta: dict | None = None):
@@ -288,17 +284,17 @@ def lambda_pushforward(space: SubshiftSpace, eta: dict | None = None):
         seen: set = set()
         for u in bfs(psi.root, psi.neighbor, letters, space.alphabet,
                      DEFAULT_BUDGET)[0]:
-            key = encoded_root_key(space, q, u)
+            key = encoded_root_key(space, u)
             if key in seen:
                 continue
             seen.add(key)
-            if _retraction_key(space, psi, q, u) == target:
+            if _retraction_key(space, psi, u) == target:
                 lam.add(key, mass)
                 reps.setdefault(key, (q, u))
     return lam, reps
 
 
-def _retraction_key(space, psi: PsiOracle, q: int, u) -> tuple:
+def _retraction_key(space, psi: PsiOracle, u) -> tuple:
     """Key of the retraction of the subgroup rooted at u: conjugate by the
     first translate, in shortlex order, whose root is a Cayley vertex
     (decidable here because the graph is an encoded configuration)."""
@@ -306,7 +302,7 @@ def _retraction_key(space, psi: PsiOracle, q: int, u) -> tuple:
     for f in shortlex_walk(space.rank, space.alphabet):
         v = trace(rooted, inverse_word(f))
         if v[0] == "c":
-            return encoded_root_key(space, q, v)
+            return encoded_root_key(space, v)
     raise AssertionError("every encoded-graph vertex retracts by a translate")
 
 
@@ -318,7 +314,7 @@ def lambda_conjugate(space: SubshiftSpace, lam: AtomicMeasure, reps: dict,
     for key, mass in lam.data.items():
         q, u = reps[key]
         v = space.psi(q).neighbor(u, -letter)
-        out.add(encoded_root_key(space, q, v), mass)
+        out.add(encoded_root_key(space, v), mass)
     return out
 
 

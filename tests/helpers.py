@@ -352,13 +352,13 @@ def reference_lambda_pushforward(space, eta=None):
         psi, seen = space.psi(q), set()
         for f in translates:
             u = trace(psi, inverse_word(f))
-            key = encoded_root_key(space, q, u)
+            key = encoded_root_key(space, u)
             if key in seen:
                 continue
             seen.add(key)
             ends = (trace(psi.rebased(u), inverse_word(g)) for g in translates)
             v = next(v for v in ends if v[0] == "c")
-            if encoded_root_key(space, q, v) == ("cay", 0, pc):
+            if encoded_root_key(space, v) == ("cay", 0, pc):
                 lam.add(key, mass)
                 reps.setdefault(key, (q, u))
     return lam, reps
