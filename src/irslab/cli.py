@@ -245,8 +245,8 @@ def cmd_decode(args) -> tuple[str, int]:
     oracle = _load_graph_oracle(args.graph)
     pattern = decode(oracle, args.radius)
     out = _header(args)
-    for g in sorted(pattern, key=lambda w: (len(w), w)):
-        out += f"x({word_to_str(g)}) = {pattern[g]}\n"
+    for g, symbol in pattern.items():  # in shortlex order
+        out += f"x({word_to_str(g)}) = {symbol}\n"
     return out, EXIT_OK
 
 

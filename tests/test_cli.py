@@ -11,6 +11,7 @@ from irslab.cli import build_parser, main
 from irslab.encoding import SubshiftSpace
 from irslab.randomness import STREAM_VERSION
 from irslab.actions import FiniteAction
+from irslab.words import word_to_str, words_upto
 
 INDEX2_TEXT = """\
 schreier r=2
@@ -264,6 +265,9 @@ def test_encode_decode_roundtrip(capsys, tmp_path, subshift_file):
     assert code == 0
     assert "x(e) = 1" in out
     assert "x(s1) = 2" in out
+    # one line per word of length <= 2, in shortlex order
+    lines = [l.split(" = ")[0] for l in out.splitlines()[1:]]
+    assert lines == [f"x({word_to_str(w)})" for w in words_upto(2, 2)]
 
 
 def test_decode_not_encoding_exits_1(capsys, tmp_path):
