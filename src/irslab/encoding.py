@@ -20,7 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .actions import FiniteAction, emit_action, parse_action
-from .errors import AmbiguityError, DomainError, HorizonError, NotInYError, NotInZError
+from .errors import (AmbiguityError, BudgetError, DomainError, HorizonError,
+                     NotInYError, NotInZError)
 from .measures import AtomicMeasure
 from .oracles import (DEFAULT_BUDGET, CayleyOracle, SchreierOracle, ball, bfs,
                       conjugate, trace)
@@ -173,10 +174,19 @@ def upsilon(oracle: SchreierOracle, space: SubshiftSpace, radius: int):
     stops there. Returns (retracted oracle, translate word).
 
     Raises NotInYError when no translate passes, AmbiguityError when the
-    chosen translate fails a recheck at radius + 2 (raise the radius)."""
+    chosen translate fails a recheck at radius + 2 (raise the radius), and
+    BudgetError once the radius-`radius` balls of the translates walked
+    hold more than DEFAULT_BUDGET vertices in all."""
+    if radius < 2:
+        raise DomainError("radius must be >= 2 to see the cycle structure")
+    codes, spent = space.candidate_codes(radius), 0
     for f in shortlex_walk(space.rank, space.alphabet):
         cand = conjugate(oracle, f)
-        if in_Z(cand, space, radius):
+        view = ball(cand, radius)
+        spent += len(view.vertices)
+        if spent > DEFAULT_BUDGET:
+            raise BudgetError(f"translate balls exceeded budget {DEFAULT_BUDGET}")
+        if ball_code(view) in codes:
             if not in_Z(cand, space, radius + 2):
                 raise AmbiguityError(
                     f"translate {word_to_str(f)} passed at radius {radius} "

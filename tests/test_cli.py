@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from irslab import ball, emit_sgr, parse_sgr, psi_oracle
+from irslab import ball, emit_sgr, encoding, parse_sgr, psi_oracle
 from irslab.cli import build_parser, main
 from irslab.encoding import SubshiftSpace
 from irslab.randomness import STREAM_VERSION
@@ -322,6 +322,19 @@ def test_upsilon_not_in_Y_exits_1(capsys, tmp_path, subshift_file):
     code, _, err = run(capsys, "upsilon", "--graph", str(path),
                        "--subshift", subshift_file, "--radius", "3")
     assert code == 1
+
+
+def test_upsilon_past_the_budget_exits_2(capsys, tmp_path, subshift_file,
+                                         monkeypatch):
+    from irslab import CayleyOracle
+
+    path = tmp_path / "plain.sgr"
+    path.write_text(emit_sgr(ball(CayleyOracle(2), 10)))
+    monkeypatch.setattr(encoding, "DEFAULT_BUDGET", 100)
+    code, out, err = run(capsys, "upsilon", "--graph", str(path),
+                         "--subshift", subshift_file, "--radius", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: translate balls exceeded budget 100\n"
 
 
 def test_lambda(capsys, subshift_file):

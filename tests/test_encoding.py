@@ -326,6 +326,18 @@ def test_lambda_past_the_budget_raises(monkeypatch):
     lambda_pushforward(space)
 
 
+def test_upsilon_past_the_budget_raises(monkeypatch):
+    space = two_point_space(4)
+    # the radius-3 balls of the translates e, ..., s1*s2, the first to pass,
+    # hold 120 vertices in all
+    moved = conjugate(psi_oracle(space.point(0)), (2, 1))
+    monkeypatch.setattr(encoding, "DEFAULT_BUDGET", 119)
+    with pytest.raises(BudgetError, match="exceeded budget 119"):
+        upsilon(moved, space, 3)
+    monkeypatch.setattr(encoding, "DEFAULT_BUDGET", 120)
+    assert upsilon(moved, space, 3)[1] == (1, 2)
+
+
 def test_point_class_code_separates_patterns():
     space = period_two_space()
     assert point_class_code(space, 0) != point_class_code(space, 1)
