@@ -14,10 +14,12 @@ from irslab import (
     CylinderSpec,
     NormalizerLaw,
     NotInYError,
+    PointLaw,
     PoulsenLaw,
     aut_count,
     ball,
     conjugate,
+    cylinder_fingerprint,
     decode,
     enumerate_normalizer_law,
     in_Z,
@@ -129,25 +131,38 @@ C3_P = (Fraction(1, 5), Fraction(1, 10), Fraction(1, 20), Fraction(1, 100))
 
 
 def _c3_rows():
-    return convergence_sweep("poulsen", trivial_law(2), C3_P,
-                             CylinderSpec(((),), 2), 10_000,
-                             seed=subseed(SEED, "c3", 0))
+    """Sweeps over `trivial`, where every estimate is exactly 1, and over the
+    index-2 point base on its own radius-2 fingerprint, which Poulsen
+    percolation moves off the base at p > 0."""
+    index2 = index2_oracle()
+    return (convergence_sweep("poulsen", trivial_law(2), C3_P,
+                              CylinderSpec(((),), 2), 10_000,
+                              seed=subseed(SEED, "c3", 0)),
+            convergence_sweep("poulsen", PointLaw(index2, "index2"), C3_P,
+                              CylinderSpec(cylinder_fingerprint(index2, 2), 2),
+                              10_000, seed=subseed(SEED, "c3", 1)))
 
 
 def _c3_report() -> str:
-    return render_sweep(_c3_rows())
+    return "".join(map(render_sweep, _c3_rows()))
 
 
 def test_c03_convergence():
-    rows = _c3_rows()
-    report = _remember("c3", render_sweep(rows))
+    rows, index2_rows = _c3_rows()
+    report = _remember("c3", render_sweep(rows) + render_sweep(index2_rows))
     for row in rows:
         assert float(row.deviation) <= row.bound
     last = rows[-1]
     assert last.p == Fraction(1, 100)
     assert last.estimate >= Fraction(4, 5)
+    for row in index2_rows:
+        assert 0 < float(row.deviation) <= row.bound
+    last = index2_rows[-1]
+    assert last.p == Fraction(1, 100)
+    assert last.estimate >= Fraction(95, 100)
     assert report
-    _passed(3, "cylinder deviations within 2(1-(1-p)^17)+3se; estimate(0.01) >= 0.80")
+    _passed(3, "cylinder deviations within 2(1-(1-p)^k)+3se over trivial and "
+            "index 2; estimates at p=0.01 >= 0.80 and >= 0.95")
 
 
 # -- criterion 4: statistical invariance + negative control -------------------
