@@ -185,6 +185,28 @@ def _random_aut_masses() -> str:
     return "".join(out)
 
 
+# the random index-8 base of the bench's `exact` workload at --seed 1
+BENCH_EXACT_SEED = 18180102201420570201
+
+
+def _cycle_type_aut_masses() -> str:
+    # random bases of index 6-8 at rank 2 and 5 at rank 3, each with a
+    # letter of several cycles. At p = 1/2, those of seeds 1, 13, 18, 17 and
+    # 33 have a mass below 1 (index 6 seed 13 and index 8 seed 33 have an
+    # automorphism); the rest, and the bench's base, have mass 1
+    bases = [random_transitive_action(n, rank, seed)
+             for n, rank, seeds in ((6, 2, (1, 13, 18)), (7, 2, (3, 5, 17)),
+                                    (8, 2, (3, 5, 33)), (5, 3, (3, 4, 5)))
+             for seed in seeds]
+    bases.append(random_transitive_action(8, 2, BENCH_EXACT_SEED))
+    out = []
+    for action in bases:
+        base = orbit_schreier(action, 0)
+        for p in (Fraction(1, 2), Fraction(1, 10)):
+            out.append(f"{action.perms} {p} {aut_trivial_mass(base, p)}\n")
+    return "".join(out)
+
+
 def _normalizer_laws() -> str:
     out = []
     for base in (index2_oracle(), cyclic_oracle(3)):
@@ -280,6 +302,7 @@ CASES = {
     "encoded balls": _encoded_balls,
     "aut_trivial_mass": _aut_masses,
     "aut_trivial_mass random": _random_aut_masses,
+    "aut_trivial_mass cycle type": _cycle_type_aut_masses,
     "enumerate_normalizer_law": _normalizer_laws,
     "exact_invariance_rows cyclic5": _exact_rows,
     "conjugate_code cyclic5 atoms": _conjugate_codes,
@@ -307,6 +330,7 @@ CASES = {
 GOLDEN = {
     "aut_trivial_mass": "2a7a3f63d1b6e95085814eeece786e64",
     "aut_trivial_mass random": "db5c0d110e8707f2f7b9cd265aa4560d",
+    "aut_trivial_mass cycle type": "c1c4a747bacade3ec2ca217b657c6528",
     "ball normalizer:trivial": "c2ca9673dfac871cd5de31cb812bed34",
     "ball poulsen:normalizer:trivial": "c887126b7b9443b66d90c4156f279eab",
     "ball trivial": "d4d080b7f6c08c2ffd0ab95d51357bf7",
