@@ -14,6 +14,7 @@ from .errors import DomainError
 from .measures import AtomicMeasure
 from .oracles import FiniteAction, FiniteOracle, bfs
 from .randomness import KeyedRng
+from .sgr import _number
 from .words import letters_ordered
 
 
@@ -161,7 +162,7 @@ def parse_action(text: str) -> FiniteAction:
                 raise DomainError(f"line {lineno}: bad point count {words[1]!r}")
             if n is not None:
                 raise DomainError(f"line {lineno}: second 'points' line")
-            n = int(words[1])
+            n = _number(words[1], lineno, "point count")
             continue
         if len(words) == 2 and words[0] == "perm":
             if n is None:
@@ -169,7 +170,7 @@ def parse_action(text: str) -> FiniteAction:
             gen = words[1]
             if not (gen.startswith("s") and gen[1:].isdecimal()):
                 raise DomainError(f"line {lineno}: bad generator {gen!r}")
-            i = int(gen[1:])
+            i = _number(gen[1:], lineno, "generator")
             if i in perms:
                 raise DomainError(f"line {lineno}: second 'perm s{i}' line")
             perms[i] = parse_cycles(cyc, n)

@@ -27,6 +27,7 @@ from .oracles import (DEFAULT_BUDGET, CayleyOracle, SchreierOracle, ball, bfs,
                       conjugate, trace)
 from .analysis import ball_code, bfs_numbering
 from .randomness import KeyedRng
+from .sgr import _number
 from .words import (
     Word,
     inverse_word,
@@ -350,10 +351,11 @@ def parse_subshift(text: str):
         action_lines.append(raw if is_action else "")
         if is_action or not parts or parts[0].startswith("#"):
             continue
-        values = [int(x) for x in parts[1:] if x.isdecimal()]
         arity = {"alphabet": 1, "label": 2, "basepoint": 1}.get(parts[0])
-        if arity is None or len(parts) != arity + 1 or len(values) != arity:
+        if (arity is None or len(parts) != arity + 1
+                or not all(x.isdecimal() for x in parts[1:])):
             raise DomainError(f"line {lineno}: cannot parse {raw.strip()!r}")
+        values = [_number(x, lineno, parts[0]) for x in parts[1:]]
         key = (parts[0], *values[:-1])  # a label line is keyed by its point
         if key in seen:
             raise DomainError(

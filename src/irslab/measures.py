@@ -13,6 +13,15 @@ class AtomicMeasure:
             for k, m in dict(data).items():
                 self.add(k, m)
 
+    @classmethod
+    def from_counts(cls, counts: dict, scale: int) -> "AtomicMeasure":
+        """The measure of mass count / scale at each key of `counts`; keys
+        of equal count share one Fraction."""
+        masses = {c: Fraction(c, scale) for c in set(counts.values()) if c}
+        measure = cls()
+        measure.data = {k: masses[c] for k, c in counts.items() if c}
+        return measure
+
     def add(self, key, mass) -> None:
         mass = Fraction(mass)
         if mass == 0:

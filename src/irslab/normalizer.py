@@ -22,7 +22,7 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import add, getitem, mul
 
 from .analysis import array_code, aut_trivial, automorphisms
@@ -292,7 +292,11 @@ def enumerate_normalizer_law(base: FiniteOracle, p,
     build = _tripled(base)
     root = base.vertices.index(base.root)
     weights = law.weights(n)
-    measure = AtomicMeasure()
+    # masses are tallied as integer numerators over one common denominator
+    scale = lcm(*(w.denominator for row in weights for w in row))
+    if biased_root_slot is None:
+        scale *= 3
+    counts: dict = {}
     # an assignment's weight and root slots depend on its class alone
     for (a, marked, *_), left, right in _class_pairs(base.action.perms, root):
         prob = weights[a][marked - (a != 0)]
@@ -302,12 +306,57 @@ def enumerate_normalizer_law(base: FiniteOracle, p,
             slots = (biased_root_slot,)
         else:
             slots, prob = (0, 1, 2), prob / 3
+        count = prob.numerator * (scale // prob.denominator)
         for _, x in left:
             for _, y in right:
                 succ, enter = build(x + y)
                 for slot in slots:
-                    measure.add(array_code(succ, enter[root] + slot), prob)
-    return measure
+                    code = array_code(succ, enter[root] + slot)
+                    counts[code] = counts.get(code, 0) + count
+    return AtomicMeasure.from_counts(counts, scale)
+
+
+def _cycle_type(perms):
+    """cycle_gcd(marks, g), or None when each letter of `perms` is one cycle.
+
+    In the tripled graph of marks m, a base s_i-cycle C becomes one s_i-cycle
+    of length |C| + sum of ext(m_v) over v in C, where ext is 0 for an
+    unmarked vertex, 1 for one marked i and 2 for any other mark, and each
+    vertex marked i adds a slot-1 loop. cycle_gcd folds into g, for each
+    letter of more than one cycle and each length L, the number of vertices
+    on s_i-cycles of length L."""
+    size = len(perms) + 1
+    letters = []
+    for i, s in enumerate(perms, start=1):
+        cycles, seen = [], set()
+        for v in range(len(s)):
+            if v not in seen:
+                cycle = [v]
+                while s[cycle[-1]] != v:
+                    cycle.append(s[cycle[-1]])
+                seen.update(cycle)
+                cycles.append(cycle)
+        if len(cycles) > 1:
+            ext = [2] * size
+            ext[0], ext[i] = 0, 1
+            letters.append((i, cycles, ext))
+    if not letters:
+        return None
+
+    def cycle_gcd(marks, g: int) -> int:
+        for i, cycles, ext in letters:
+            on = {1: marks.count(i)}  # cycle length -> vertices on such cycles
+            for cycle in cycles:
+                length = len(cycle)
+                for v in cycle:
+                    length += ext[marks[v]]
+                on[length] = on.get(length, 0) + length
+            g = gcd(g, *on.values())
+            if g == 1:
+                break
+        return g
+
+    return cycle_gcd
 
 
 def aut_trivial_mass(base: FiniteOracle, p) -> Fraction:
@@ -327,7 +376,17 @@ def aut_trivial_mass(base: FiniteOracle, p) -> Fraction:
     marked vertices, and the tallies are weighed with the MarkLaw masses
     once. No assignment of such a pair is visited.
 
-    Pass 2 builds and tests one graph per orbit of Aut(base) on the rest.
+    Pass 2 settles one assignment per orbit of Aut(base) on the rest, first
+    by its cycle type (`_cycle_type`) and only then by building its graph.
+    An automorphism commutes with each s_i, so it maps the s_i-cycles of
+    each length L onto themselves, and it acts freely, so |Aut| divides the
+    number of vertices on them. When those numbers, over each letter i and
+    length L, have gcd 1 with the loop gcd, the graph is rigid. Only letters
+    of more than one base cycle are read: a letter of one cycle gives one
+    s_i-cycle of N - L_i vertices besides its loops, which the loop gcd
+    already holds, so bases of one-cycle letters (the cyclic ones) build
+    every graph of pass 2 as before.
+
     Let sigma be an automorphism of the base, so that sigma s_i = s_i sigma
     for every letter. Then v -> sigma(v), extended slot by slot, is an
     (unrooted) isomorphism from the tripled graph of marks m o sigma onto
@@ -335,10 +394,11 @@ def aut_trivial_mass(base: FiniteOracle, p) -> Fraction:
     the fixed points of each s_i and keeps k and every L_i, so it maps the
     assignments of each pass onto themselves: pass 1 counts every image of
     its assignments once, under the image's own root mark, and no orbit of
-    pass 2 meets pass 1. If m o sigma = m with sigma not the identity, that isomorphism is a
-    nontrivial automorphism, so the images of an assignment whose graph is
-    rigid are all distinct. The root takes the size-biased law, so those
-    images can differ in mass: each is tallied on its own."""
+    pass 2 meets pass 1. If m o sigma = m with sigma not the identity,
+    that isomorphism is a nontrivial automorphism, so the images of an
+    assignment whose graph is rigid are all distinct. The root takes the
+    size-biased law, so those images can differ in mass: each is tallied on
+    its own."""
     law = MarkLaw(p, base.rank)
     perms = base.action.perms
     n, size = len(perms[0]), base.rank + 1
@@ -354,19 +414,22 @@ def aut_trivial_mass(base: FiniteOracle, p) -> Fraction:
     tally = [[0] * n for _ in range(size)]  # [root mark][other marked]
     rest = []
     for (a, marked, *loops), left, right in _class_pairs(perms, root):
-        if gcd(n + 2 * marked, *loops) == 1:
+        g = gcd(n + 2 * marked, *loops)
+        if g == 1:
             tally[a][marked - (a != 0)] += len(left) * len(right)
         else:
-            rest.append((marked, left, right))
+            rest.append((marked, g, left, right))
     build = _tripled(base)
+    cycle_gcd = _cycle_type(perms)
     seen = bytearray(size ** n)
-    for marked, left, right in rest:
+    for marked, g, left, right in rest:
         for i, x in left:
             for j, y in right:
                 if seen[i + j]:
                     continue
                 marks = x + y
-                trivial = aut_trivial(build(marks)[0])
+                trivial = (cycle_gcd is not None and cycle_gcd(marks, g) == 1
+                           or aut_trivial(build(marks)[0]))
                 for place, at in images:
                     seen[sum(map(mul, marks, place))] = 1
                     if trivial:

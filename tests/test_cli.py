@@ -553,6 +553,35 @@ def test_malformed_subshift_file_exits_1(capsys, tmp_path, text):
     assert err.startswith("error:")
 
 
+HUGE = "9" * 5000  # int() refuses more than 4 300 digits on Python 3.11+
+ACTION_TEXT = "points 2\nperm s1: (0 1)\nperm s2: id\n"
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("tnf-check", ACTION_TEXT.replace("points 2", "points " + HUGE),
+     "line 1: point count"),
+    ("tnf-check", ACTION_TEXT.replace("perm s2", "perm s" + HUGE),
+     "line 3: generator"),
+    ("lambda", SUBSHIFT_TEXT.replace("alphabet 2", "alphabet " + HUGE),
+     "line 1: alphabet"),
+    ("lambda", SUBSHIFT_TEXT.replace("label 1 2", f"label {HUGE} 2"),
+     "line 6: label"),
+    ("lambda", SUBSHIFT_TEXT.replace("label 1 2", f"label 1 {HUGE}"),
+     "line 6: label"),
+    ("lambda", SUBSHIFT_TEXT.replace("basepoint 0", "basepoint " + HUGE),
+     "line 7: basepoint"),
+], ids=["points", "perm-generator", "alphabet", "label-point",
+        "label-symbol", "basepoint"])
+def test_a_number_field_of_5000_digits_exits_1(capsys, tmp_path, command,
+                                               text, message):
+    path = tmp_path / "huge.txt"
+    path.write_text(text)
+    flag = "--action" if command == "tnf-check" else "--subshift"
+    code, out, err = run(capsys, command, flag, str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: {message} has more than 640 digits\n"
+
+
 @pytest.mark.parametrize("text", [
     INDEX2_TEXT.replace("r=2", "r=x"),
     INDEX2_TEXT.replace("schreier r=2", "schreier"),

@@ -33,7 +33,7 @@ from irslab.analysis import (
     canonical_code,
     conjugate_code,
 )
-from irslab.normalizer import _tripled, _vertex_terms
+from irslab.normalizer import _cycle_type, _tripled, _vertex_terms
 from irslab.words import letters_ordered
 
 from helpers import (
@@ -113,6 +113,52 @@ def test_counting_test_calls_only_rigid_graphs_rigid():
                 fired += 1
                 assert aut_trivial(succ), (perms, marks)
     assert 0 < fired < tested
+
+
+def _on_cycles(perm) -> dict:
+    """{L: the number of points on the L-cycles of a permutation}."""
+    on = {}
+    for v in range(len(perm)):
+        w, length = perm[v], 1
+        while w != v:
+            w, length = perm[w], length + 1
+        on[length] = on.get(length, 0) + 1
+    return on
+
+
+def test_cycle_test_calls_only_rigid_graphs_rigid():
+    """Over the letters of more than one cycle, cycle_gcd(marks, 0) is the
+    gcd of the numbers of vertices on the s_i-cycles of each length in the
+    tripled graph, slot-1 loops included, and |Aut| divides it. Every graph
+    it settles after the loop gcd has no automorphism, and it exists only
+    for bases with a letter of several cycles."""
+    bases = [BASES[name]() for name in BASES]
+    bases += [orbit_schreier(random_transitive_action(n, rank, seed), 0)
+              for n in range(3, 8) for rank in (2, 3) for seed in (0, 1)]
+    fired = skipped = 0
+    for base in bases:
+        perms = base.action.perms
+        n = len(perms[0])
+        several = [i for i, s in enumerate(perms) if _on_cycles(s) != {n: n}]
+        cycle_gcd = _cycle_type(perms)
+        assert (cycle_gcd is None) == (not several)
+        if cycle_gcd is None:
+            skipped += 1
+            continue
+        terms = _vertex_terms(perms, base.vertices.index(base.root))
+        build = _tripled(base)
+        for marks in itertools.product(range(base.rank + 1), repeat=n):
+            _, marked, *loops = map(sum, zip(*map(getitem, terms, marks)))
+            succ = build(marks)[0]
+            counts = [c for i in several for c in _on_cycles(succ[i]).values()]
+            assert cycle_gcd(marks, 0) == math.gcd(*counts), (perms, marks)
+            aut = 1 + sum(1 for _ in automorphisms(succ))
+            assert math.gcd(*counts) % aut == 0
+            g = math.gcd(n + 2 * marked, *loops)
+            if g > 1 and cycle_gcd(marks, g) == 1:
+                fired += 1
+                assert aut == 1, (perms, marks)
+    assert fired and skipped
 
 
 @st.composite
