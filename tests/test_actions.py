@@ -227,3 +227,49 @@ def test_action_file_roundtrip():
     b = parse_action(text)
     assert a == b
     assert emit_action(b) == text
+
+
+ACTION2 = "points 2\nperm s1: (0 1)\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("points x\nperm s1: id\n", "line 1: bad point count 'x'"),
+    ("points\nperm s1: id\n", "line 1: cannot parse 'points'"),
+    ("points\t2 3\nperm s1: id\n", "line 1: cannot parse 'points\\t2 3'"),
+    ("points 2\npoints 2\nperm s1: id\n", "line 2: second 'points' line"),
+    ("points " + "9" * 641 + "\nperm s1: id\n",
+     "line 1: point count has more than 640 digits"),
+    ("points 0\nperm s1: id\n", "need at least one point"),
+    ("perm s1: id\npoints 2\n", "'points <n>' must come first"),
+    ("points 2\nperm sx: id\n", "line 2: bad generator 'sx'"),
+    ("points 2\nperm s" + "9" * 641 + ": id\n",
+     "line 2: generator has more than 640 digits"),
+    (ACTION2 + "perm s1: id\n", "line 3: second 'perm s1' line"),
+    (ACTION2 + "perm s01: id\n", "line 3: second 'perm s1' line"),
+    ("points 2\nperm\n", "line 2: cannot parse 'perm'"),
+    ("points 2\nperm s1 id\n", "line 2: cannot parse 'perm s1 id'"),
+    (ACTION2 + "foo\n", "line 3: cannot parse 'foo'"),
+    ("# only a comment\n\n", "action file needs 'points' and 'perm' lines"),
+    ("points 2\n", "action file needs 'points' and 'perm' lines"),
+    ("points 2\nperm s2: id\n", "perm lines must cover s1..sr without gaps"),
+    ("points 2\nperm s1: 0 1\n", "bad cycle notation '0 1'"),
+    ("points 2\nperm s1: (0 1\n", "bad cycle '(0 1'"),
+    ("points 2\nperm s1: (0 1)1\n", "bad cycle '1'"),
+    ("points 2\nperm s1: (0 a)\n", "bad cycle '(0 a)'"),
+    ("points 2\nperm s1: (0 0)\n", "repeated point in cycle '(0 0)'"),
+    ("points 2\nperm s1: (0 5)\n", "point 5 out of range 0..1"),
+    ("points 3\nperm s1: (0 1)(1 2)\n", "point 1 in two cycles"),
+], ids=[
+    "bad-point-count", "bare-points", "points-with-two-fields",
+    "repeated-points", "point-count-of-641-digits", "no-points",
+    "perm-before-points", "bad-generator", "generator-of-641-digits",
+    "repeated-perm-s1", "repeated-perm-s01", "bare-perm", "perm-without-colon",
+    "unknown-line", "no-lines", "no-perm-line", "gap-in-generators",
+    "cycles-without-parentheses", "unclosed-cycle", "trailing-point",
+    "letter-in-cycle", "repeated-point-in-cycle", "point-out-of-range",
+    "point-in-two-cycles",
+])
+def test_parse_action_rejects_with_a_pinned_message(text, message):
+    with pytest.raises(DomainError) as caught:
+        parse_action(text)
+    assert str(caught.value) == message

@@ -353,3 +353,53 @@ def test_subshift_file_roundtrip():
     assert space2.labels == space.labels
     assert space2.action.perms == space.action.perms
     assert emit_subshift(space2, bp) == text
+
+
+SUBSHIFT2 = ("alphabet 2\npoints 2\nperm s1: (0 1)\nperm s2: id\n"
+             "label 0 1\nlabel 1 2\nbasepoint 0\n")
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("alphabet 2", "alphabet x", "line 1: cannot parse 'alphabet x'"),
+    ("alphabet 2", "alphabet", "line 1: cannot parse 'alphabet'"),
+    ("alphabet 2", "alphabet 2\nalphabet 2", "line 2: second 'alphabet' line"),
+    ("alphabet 2\n", "", "subshift file needs an alphabet line"),
+    ("alphabet 2", "alphabet " + "9" * 641,
+     "line 1: alphabet has more than 640 digits"),
+    ("alphabet 2", "alphabet 0", "alphabet size must be >= 1"),
+    ("label 0 1", "label 0", "line 5: cannot parse 'label 0'"),
+    ("label 0 1", "label\t0  1 2", "line 5: cannot parse 'label\\t0  1 2'"),
+    ("label 0 1", "label 0 1\nlabel 0 1", "line 6: second 'label 0' line"),
+    ("label 1 2", "label 1 2\nlabel 01 1", "line 7: second 'label 1' line"),
+    ("label 0 1", "label " + "9" * 641 + " 1",
+     "line 5: label has more than 640 digits"),
+    ("label 1 2\n", "", "need a label line for every point"),
+    ("label 1 2", "label 1 2\nlabel 2 1", "need a label line for every point"),
+    ("label 0 1", "label 0 3", "symbol 3 outside alphabet 1..2 (0 is illegal)"),
+    ("label 0 1", "label 0 0", "symbol 0 outside alphabet 1..2 (0 is illegal)"),
+    ("basepoint 0", "basepoint 0\nbasepoint 1",
+     "line 8: second 'basepoint' line"),
+    ("basepoint 0", "basepoint 2", "basepoint out of range"),
+    ("basepoint 0", "basepoint", "line 7: cannot parse 'basepoint'"),
+    ("basepoint 0", "foo 1", "line 7: cannot parse 'foo 1'"),
+    ("points 2", "points 2\npoints 2", "line 3: second 'points' line"),
+    ("points 2", "points x", "line 2: bad point count 'x'"),
+    ("points 2\n", "", "'points <n>' must come first"),
+    ("perm s2: id", "perm s2: id\nperm s2: id", "line 5: second 'perm s2' line"),
+    ("perm s2: id\n", "", "encoding needs rank >= 2"),
+    ("perm s1: (0 1)", "perm s1: (0 2)", "point 2 out of range 0..1"),
+], ids=[
+    "bad-alphabet", "bare-alphabet", "repeated-alphabet", "no-alphabet",
+    "alphabet-of-641-digits", "alphabet-zero", "label-without-symbol",
+    "label-with-three-fields", "repeated-label-0", "repeated-label-01",
+    "label-of-641-digits", "missing-label", "label-past-the-points",
+    "symbol-past-the-alphabet", "symbol-zero", "repeated-basepoint",
+    "basepoint-out-of-range", "bare-basepoint", "unknown-line",
+    "repeated-points", "bad-point-count", "no-points", "repeated-perm-s2",
+    "rank-one", "point-out-of-range",
+])
+def test_parse_subshift_rejects_with_a_pinned_message(old, new, message):
+    assert old in SUBSHIFT2
+    with pytest.raises(DomainError) as caught:
+        parse_subshift(SUBSHIFT2.replace(old, new))
+    assert str(caught.value) == message
