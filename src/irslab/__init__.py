@@ -32,7 +32,6 @@ from .encoding import (
     decode,
     in_Z,
     lambda_pushforward,
-    psi_oracle,
     translate_count,
     upsilon,
 )
@@ -78,7 +77,6 @@ from .poulsen import (
     PercolationGraph,
     PoulsenOracle,
     inverse_surgery,
-    poulsen_oracle,
     star_ball,
     star_records,
     surgery,

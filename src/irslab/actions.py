@@ -10,11 +10,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .analysis import array_code
-from .errors import DomainError
+from .errors import BudgetError, DomainError
+from .lines import bad_line, number, once, quote, records
 from .measures import AtomicMeasure
-from .oracles import FiniteAction, FiniteOracle, bfs
+from .oracles import DEFAULT_BUDGET, FiniteAction, FiniteOracle, bfs
 from .randomness import KeyedRng
-from .sgr import _number
 from .words import letters_ordered
 
 
@@ -96,96 +96,91 @@ def random_transitive_action(n: int, rank: int, seed: int) -> FiniteAction:
     raise DomainError("could not find a transitive action")
 
 
-def parse_cycles(text: str, n: int) -> tuple:
-    """Permutation of 0..n-1 from cycle notation like "(0 1 2)(3 4)" or "id"."""
+def parse_cycles(text: str, n: int, lineno: int = 1) -> tuple:
+    """Permutation of 0..n-1 from cycle notation like "(0 1 2)(3 4)" or
+    "id", read from line `lineno` of a file."""
     text = text.strip()
     perm = list(range(n))
     if text in ("id", "()", ""):
         return tuple(perm)
     if not text.startswith("("):
-        raise DomainError(f"bad cycle notation {text!r}")
+        raise DomainError(f"line {lineno}: bad cycle notation {quote(text)}")
     moved = set()
-    for chunk in text.replace(")", ")\n").split("\n"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if not (chunk.startswith("(") and chunk.endswith(")")):
-            raise DomainError(f"bad cycle {chunk!r}")
-        try:
-            pts = [int(s) for s in chunk[1:-1].replace(",", " ").split()]
-        except ValueError:
-            raise DomainError(f"bad cycle {chunk!r}") from None
+    for chunk in filter(None, map(str.strip, text.replace(")", ")\n").split("\n"))):
+        fields = chunk[1:-1].replace(",", " ").split()
+        if not (chunk[0] == "(" and chunk[-1] == ")"
+                and all(map(str.isdecimal, fields))):
+            raise DomainError(f"line {lineno}: bad cycle {quote(chunk)}")
+        pts = [number(f, lineno, "point") for f in fields]
         if len(pts) != len(set(pts)):
-            raise DomainError(f"repeated point in cycle {chunk!r}")
-        for x in pts:
-            if not 0 <= x < n:
-                raise DomainError(f"point {x} out of range 0..{n - 1}")
+            raise DomainError(
+                f"line {lineno}: repeated point in cycle {quote(chunk)}")
+        for f, x, y in zip(fields, pts, pts[1:] + pts[:1]):
+            if x >= n:
+                raise DomainError(
+                    f"line {lineno}: point {quote(f)} out of range 0..{n - 1}")
             if x in moved:
-                raise DomainError(f"point {x} in two cycles")
+                raise DomainError(f"line {lineno}: point {x} in two cycles")
             moved.add(x)
-        for i, x in enumerate(pts):
-            perm[x] = pts[(i + 1) % len(pts)]
+            perm[x] = y
     return tuple(perm)
 
 
 def format_cycles(perm: tuple) -> str:
-    n = len(perm)
-    seen = set()
-    parts = []
-    for i in range(n):
+    seen, parts = set(), []
+    for i in range(len(perm)):
         if i in seen or perm[i] == i:
-            seen.add(i)
             continue
         cyc = [i]
-        j = perm[i]
-        while j != i:
-            cyc.append(j)
-            seen.add(j)
-            j = perm[j]
-        seen.add(i)
+        while perm[cyc[-1]] != i:
+            cyc.append(perm[cyc[-1]])
+        seen.update(cyc)
         parts.append("(" + " ".join(map(str, cyc)) + ")")
-    return "".join(parts) if parts else "id"
+    return "".join(parts) or "id"
 
 
 def parse_action(text: str) -> FiniteAction:
-    """Action file format: `points <n>` then `perm s<i>: <cycles>` lines."""
+    """Action file: `points <n>` then `perm s<i>: <cycles>` lines, read by
+    the line rules of README's "File formats"."""
+    return read_action(text, records(text))
+
+
+def read_action(text: str, rows) -> FiniteAction:
+    """The action of `rows`, the (line number, fields) of the `points` and
+    `perm` lines of `text`. A point count past DEFAULT_BUDGET raises
+    BudgetError before any permutation is built."""
     n = None
     perms: dict[int, tuple] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        head, _, cyc = line.partition(":")
+    for lineno, fields in rows:
+        head, _, cyc = " ".join(fields).partition(":")
         words = head.split()
         if len(words) == 2 and words[0] == "points" and not cyc:
             if not words[1].isdecimal():
-                raise DomainError(f"line {lineno}: bad point count {words[1]!r}")
-            if n is not None:
-                raise DomainError(f"line {lineno}: second 'points' line")
-            n = _number(words[1], lineno, "point count")
-            continue
-        if len(words) == 2 and words[0] == "perm":
+                raise DomainError(
+                    f"line {lineno}: bad point count {quote(words[1])}")
+            once(n, lineno, "'points' line")
+            n = number(words[1], lineno, "point count")
+            if n > DEFAULT_BUDGET:
+                raise BudgetError(f"line {lineno}: point count exceeds "
+                                  f"budget {DEFAULT_BUDGET}")
+        elif len(words) == 2 and words[0] == "perm":
             if n is None:
-                raise DomainError("'points <n>' must come first")
+                raise DomainError(f"line {lineno}: 'points <n>' must come first")
             gen = words[1]
             if not (gen.startswith("s") and gen[1:].isdecimal()):
-                raise DomainError(f"line {lineno}: bad generator {gen!r}")
-            i = _number(gen[1:], lineno, "generator")
-            if i in perms:
-                raise DomainError(f"line {lineno}: second 'perm s{i}' line")
-            perms[i] = parse_cycles(cyc, n)
-            continue
-        raise DomainError(f"line {lineno}: cannot parse {line!r}")
+                raise DomainError(f"line {lineno}: bad generator {quote(gen)}")
+            i = number(gen[1:], lineno, "generator")
+            once(perms.get(i), lineno, f"'perm s{i}' line")
+            perms[i] = parse_cycles(cyc, n, lineno)
+        else:
+            raise bad_line(text, lineno, "cannot parse")
     if n is None or not perms:
         raise DomainError("action file needs 'points' and 'perm' lines")
-    rank = max(perms)
-    if sorted(perms) != list(range(1, rank + 1)):
+    if sorted(perms) != list(range(1, len(perms) + 1)):
         raise DomainError("perm lines must cover s1..sr without gaps")
-    return FiniteAction(n, tuple(perms[i] for i in range(1, rank + 1)))
+    return FiniteAction(n, tuple(perms[i] for i in sorted(perms)))
 
 
 def emit_action(action: FiniteAction) -> str:
-    lines = [f"points {action.n}"]
-    for i, p in enumerate(action.perms, start=1):
-        lines.append(f"perm s{i}: {format_cycles(p)}")
-    return "\n".join(lines) + "\n"
+    return f"points {action.n}\n" + "".join(
+        f"perm s{i}: {format_cycles(p)}\n" for i, p in enumerate(action.perms, 1))

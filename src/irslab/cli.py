@@ -24,12 +24,8 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .actions import (
-    first_return,
-    is_totally_nonfree,
-    parse_action,
-    stab_pushforward_law,
-)
+from .actions import (first_return, is_totally_nonfree, parse_action,
+                      stab_pushforward_law)
 from .analysis import (
     aut_count,
     automorphisms,
@@ -39,15 +35,8 @@ from .analysis import (
     root_isomorphic,
     walk_fingerprints,
 )
-from .encoding import (
-    decode,
-    lambda_conjugate,
-    lambda_pushforward,
-    parse_subshift,
-    psi_oracle,
-    translate_count,
-    upsilon,
-)
+from .encoding import (PsiOracle, decode, lambda_conjugate, lambda_pushforward,
+                       parse_subshift, translate_count, upsilon)
 from .errors import BudgetError, DomainError
 from .laws import NormalizerLaw, PointLaw, PoulsenLaw, trivial_law
 from .montecarlo import (
@@ -236,7 +225,7 @@ def cmd_encode(args) -> tuple[str, int]:
     space, basepoint = parse_subshift(_read(args.subshift))
     if args.basepoint is not None:
         basepoint = args.basepoint
-    oracle = psi_oracle(space.point(basepoint))
+    oracle = PsiOracle(space.point(basepoint))
     view = ball(oracle, args.radius, args.budget)
     return _header(args, basepoint=basepoint) + emit_sgr(view), EXIT_OK
 
@@ -263,8 +252,8 @@ def cmd_check_equivariance(args) -> tuple[str, int]:
         q = rng.randrange(space.action.n)
         f = candidates[rng.randrange(len(candidates))]
         x = space.point(q)
-        lhs = ball(psi_oracle(x.shifted(f)), args.radius, args.budget)
-        rhs = ball(conjugate(psi_oracle(x), phi_word(f)), args.radius, args.budget)
+        lhs = ball(PsiOracle(x.shifted(f)), args.radius, args.budget)
+        rhs = ball(conjugate(PsiOracle(x), phi_word(f)), args.radius, args.budget)
         if not root_isomorphic(lhs, rhs):
             failures += 1
     out = _header(args) + (

@@ -19,15 +19,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .actions import FiniteAction, emit_action, parse_action
+from .actions import FiniteAction, emit_action, read_action
 from .errors import (AmbiguityError, BudgetError, DomainError, HorizonError,
                      NotInYError, NotInZError)
 from .measures import AtomicMeasure
 from .oracles import (DEFAULT_BUDGET, CayleyOracle, SchreierOracle, ball, bfs,
                       conjugate, trace)
 from .analysis import ball_code, bfs_numbering
+from .lines import bad_line, number, once, records
 from .randomness import KeyedRng
-from .sgr import _number
 from .words import (
     Word,
     inverse_word,
@@ -70,14 +70,11 @@ class SubshiftSpace:
     def point(self, q: int) -> "SubshiftPoint":
         return SubshiftPoint(self, q)
 
-    def psi(self, q: int) -> "PsiOracle":
-        return PsiOracle(self.point(q))
-
     def candidate_codes(self, radius: int) -> frozenset:
         """Ball codes of every configuration's encoding at this radius."""
         got = self._codes.get(radius)
         if got is None:
-            got = frozenset(ball_code(ball(self.psi(q), radius))
+            got = frozenset(ball_code(ball(PsiOracle(self.point(q)), radius))
                             for q in range(self.action.n))
             self._codes[radius] = got
         return got
@@ -147,10 +144,6 @@ class PsiOracle(SchreierOracle):
         if vertex[0] == "c":
             return f"c({word})"
         return f"y({word};{vertex[3]})"
-
-
-def psi_oracle(point: SubshiftPoint) -> PsiOracle:
-    return PsiOracle(point)
 
 
 def translate_count(alphabet: int, rank: int) -> int:
@@ -291,7 +284,7 @@ def lambda_pushforward(space: SubshiftSpace, eta: dict | None = None):
         if mass == 0:
             continue
         target = ("cay", 0, pc)
-        psi = space.psi(q)
+        psi = PsiOracle(space.point(q))
         seen: set = set()
         for u in bfs(psi.root, psi.neighbor, letters, space.alphabet,
                      DEFAULT_BUDGET)[0]:
@@ -324,7 +317,7 @@ def lambda_conjugate(space: SubshiftSpace, lam: AtomicMeasure, reps: dict,
     out = AtomicMeasure()
     for key, mass in lam.data.items():
         q, u = reps[key]
-        v = space.psi(q).neighbor(u, -letter)
+        v = PsiOracle(space.point(q)).neighbor(u, -letter)
         out.add(encoded_root_key(space, v), mass)
     return out
 
@@ -338,45 +331,37 @@ def random_subshift_space(n_points: int, rank: int, alphabet: int,
 
 
 def parse_subshift(text: str):
-    """Subshift file: the points/perm lines of an action file plus
-    alphabet/label/basepoint lines. Returns (SubshiftSpace, basepoint)."""
-    alphabet = None
+    """Subshift file: an action file's `points`/`perm` lines plus `alphabet`,
+    `label <point> <symbol>` and `basepoint` lines (README, "File formats").
+    Returns (SubshiftSpace, basepoint)."""
+    alphabet = basepoint = None
     labels: dict[int, int] = {}
-    basepoint = 0
-    action_lines = []
-    seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split()
-        is_action = parts[:1] in (["points"], ["perm"])
-        action_lines.append(raw if is_action else "")
-        if is_action or not parts or parts[0].startswith("#"):
+    action_rows = []
+    for lineno, (kind, *args) in records(text):
+        if kind in ("points", "perm"):
+            action_rows.append((lineno, [kind, *args]))
             continue
-        arity = {"alphabet": 1, "label": 2, "basepoint": 1}.get(parts[0])
-        if (arity is None or len(parts) != arity + 1
-                or not all(x.isdecimal() for x in parts[1:])):
-            raise DomainError(f"line {lineno}: cannot parse {raw.strip()!r}")
-        values = [_number(x, lineno, parts[0]) for x in parts[1:]]
-        key = (parts[0], *values[:-1])  # a label line is keyed by its point
-        if key in seen:
-            raise DomainError(
-                f"line {lineno}: second {' '.join(map(str, key))!r} line")
-        seen.add(key)
-        if parts[0] == "alphabet":
+        arity = {"alphabet": 1, "label": 2, "basepoint": 1}.get(kind)
+        if arity != len(args) or not all(map(str.isdecimal, args)):
+            raise bad_line(text, lineno, "cannot parse")
+        values = [number(x, lineno, kind) for x in args]
+        if kind == "alphabet":
+            once(alphabet, lineno, "'alphabet' line")
             alphabet = values[0]
-        elif parts[0] == "label":
+        elif kind == "label":
+            once(labels.get(values[0]), lineno, f"'label {values[0]}' line")
             labels[values[0]] = values[1]
         else:
+            once(basepoint, lineno, "'basepoint' line")
             basepoint = values[0]
     if alphabet is None:
         raise DomainError("subshift file needs an alphabet line")
-    action = parse_action("\n".join(action_lines))
+    action = read_action(text, action_rows)
     if sorted(labels) != list(range(action.n)):
         raise DomainError("need a label line for every point")
     space = SubshiftSpace(action, tuple(labels[i] for i in range(action.n)),
                           alphabet)
-    if not 0 <= basepoint < action.n:
-        raise DomainError("basepoint out of range")
-    return space, basepoint
+    return space, space.point(basepoint or 0).basepoint  # checks the range
 
 
 def emit_subshift(space: SubshiftSpace, basepoint: int = 0) -> str:

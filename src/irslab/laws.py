@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .normalizer import MarkLaw, checked_root_slot, tripled_oracle
 from .oracles import CayleyOracle, SchreierOracle
-from .poulsen import poulsen_oracle, retention_cutoff
+from .poulsen import PoulsenOracle, retention_cutoff
 from .randomness import subseed
 
 
@@ -82,7 +82,7 @@ class PoulsenLaw(_SeededLaw):
         self.rank = inner.rank
 
     def sample(self, seed: int) -> SchreierOracle:
-        return poulsen_oracle(self.inner, self.p, subseed(seed, "law", "perc"))
+        return PoulsenOracle(self.inner, self.p, subseed(seed, "law", "perc"))
 
     def describe(self) -> str:
         return f"poulsen:{self.inner.describe()}"

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import BudgetError, DomainError, HorizonError, InvalidGraphError
+from .lines import quote
 from .words import (
     Word,
     inverse_word,
@@ -276,25 +277,25 @@ class BallView:
         rows = {v: [None] * len(letters) for v in vertices}  # token -> tokens
         if len(rows) < len(vertices):
             twice = next(v for k, v in enumerate(vertices) if vertices.index(v) < k)
-            raise DomainError(f"vertex {twice!r} is listed twice")
+            raise DomainError(f"vertex {quote(twice)} is listed twice")
         for what, v in [("root", root), *[("boundary token", v) for v in boundary]]:
             if v not in rows:
-                raise DomainError(f"{what} {v!r} is not a vertex")
+                raise DomainError(f"{what} {quote(v)} is not a vertex")
         for src, label, dst in edges:
             a, b, j = rows.get(src), rows.get(dst), column[label]
             if a is None or b is None:
-                raise DomainError(f"edge endpoint {src if a is None else dst!r} "
+                raise DomainError(f"edge endpoint {quote(src if a is None else dst)} "
                                   "is not a vertex")
             if label == STAR:  # recorded once or both ways
                 for v, w, row in ((src, dst, a), (dst, src, b)):
                     if row[j] not in (None, w):
-                        raise DomainError(f"vertex {v!r} is incident to two star edges")
+                        raise DomainError(f"vertex {quote(v)} is incident to two star edges")
                     row[j] = w
                 continue
             if a[j] is not None:
-                raise InvalidGraphError(f"two outgoing s{label}-edges at {src!r}")
+                raise InvalidGraphError(f"two outgoing s{label}-edges at {quote(src)}")
             if b[j + 1] is not None:
-                raise InvalidGraphError(f"two incoming s{label}-edges at {dst!r}")
+                raise InvalidGraphError(f"two incoming s{label}-edges at {quote(dst)}")
             a[j], b[j + 1] = dst, src
         number, depth, cells = bfs(root, lambda v, l: rows[v][column[l]], letters)
         if len(number) < len(rows):  # the unreached vertices go last, by token

@@ -170,10 +170,6 @@ class PoulsenOracle(SchreierOracle):
         return self.graph.token(u)
 
 
-def poulsen_oracle(base_law, p, seed: int) -> PoulsenOracle:
-    return PoulsenOracle(base_law, p, seed)
-
-
 def star_ball(graph: PercolationGraph, radius: int,
               budget: int = DEFAULT_BUDGET) -> BallView:
     """Ball of the unsurgered graph; star edges count as length-1 steps and

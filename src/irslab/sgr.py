@@ -6,8 +6,8 @@
     boundary <token>        one line per boundary vertex
 
 A token is a non-empty string with no whitespace that does not start with
-'#'; emit and parse both raise DomainError on any other token. Lines
-starting with '#' and blank lines are ignored on parse. A parsed view is
+'#'; emit and parse both raise DomainError on any other token. Parse reads
+lines by the rules of `lines` (README, "File formats"). A parsed view is
 numbered in BFS order from the root like every BallView, and emit writes
 edges in that order (`BallView.edges`), boundary tokens sorted and no
 comments, so parse . emit is the identity on emitted text and the order
@@ -21,25 +21,13 @@ import re
 from itertools import filterfalse
 
 from .errors import DomainError
+from .lines import bad_line, number, once, quote, records
 from .oracles import STAR, BallView, FiniteOracle
 
 
 def _names(view) -> dict:
     """Each label of a view to its name in a file: "s<i>", or "*"."""
     return {l: STAR if l == STAR else f"s{l}" for l in view.letters[::2]}
-
-
-# the least int() digit limit Python 3.11+ can be set to (4 300 by default)
-_MAX_DIGITS = 640
-
-
-def _number(digits: str, lineno: int, what: str) -> int:
-    """int(digits) for a field of decimal digits; DomainError beyond
-    _MAX_DIGITS digits on every Python."""
-    if len(digits) > _MAX_DIGITS:
-        raise DomainError(
-            f"line {lineno}: {what} has more than {_MAX_DIGITS} digits")
-    return int(digits)
 
 
 _TOKEN = re.compile(r"[^\s#]\S*")
@@ -50,7 +38,7 @@ def _check_tokens(tokens) -> None:
     has no whitespace and does not start with '#'."""
     try:
         for v in filterfalse(_TOKEN.fullmatch, tokens):
-            raise DomainError(f"bad vertex token {v!r}: a token is non-empty, "
+            raise DomainError(f"bad vertex token {quote(v)}: a token is non-empty, "
                               "has no whitespace and does not start with '#'")
     except TypeError:
         raise DomainError("vertex tokens must be strings") from None
@@ -66,17 +54,16 @@ def emit_sgr(view: BallView) -> str:
 
 
 def parse_sgr(text: str) -> BallView:
-    """Parse .sgr text into a BallView. The line checks come first, then in
-    order: the tokens, boundary vertices with no edges, the edge checks of
-    BallView, connectivity from the root, and the boundary layer."""
+    """Parse .sgr text into a BallView under the line rules of README's
+    "File formats". The line checks come first, then in order: the tokens,
+    boundary vertices with no edges, the edge checks of BallView,
+    connectivity from the root, and the boundary layer."""
     rank = root = None
     edges = []
     boundary = []
     labels = {}  # label fields read by lookup: "*" and s1..s<rank> up to s64
     seen = {}  # each token, in order of first appearance
-    for lineno, parts in enumerate(map(str.split, text.splitlines()), 1):
-        if not parts or parts[0][0] == "#":
-            continue
+    for lineno, parts in records(text):
         if len(parts) == 3:  # an edge line, even from a vertex named "root"
             src, label, dst = parts
             lab = labels.get(label)
@@ -85,8 +72,8 @@ def parse_sgr(text: str) -> BallView:
                     raise DomainError(
                         f"line {lineno}: edge line before 'schreier' header")
                 if not (label.startswith("s") and label[1:].isdecimal()):
-                    raise DomainError(f"line {lineno}: bad label {label!r}")
-                lab = _number(label[1:], lineno, "label")
+                    raise DomainError(f"line {lineno}: bad label {quote(label)}")
+                lab = number(label[1:], lineno, "label")
                 if not 1 <= lab <= rank:
                     raise DomainError(
                         f"line {lineno}: label {label} out of range")
@@ -95,11 +82,9 @@ def parse_sgr(text: str) -> BallView:
         elif parts[0] == "schreier":
             head = parts[1] if len(parts) == 2 else ""
             if not (head.startswith("r=") and head[2:].isdecimal()):
-                raise DomainError(f"line {lineno}: bad header "
-                                  f"{text.splitlines()[lineno - 1].strip()!r}")
-            if rank is not None:
-                raise DomainError(f"line {lineno}: second 'schreier' header")
-            rank = _number(head[2:], lineno, "rank")
+                raise bad_line(text, lineno, "bad header")
+            once(rank, lineno, "'schreier' header")
+            rank = number(head[2:], lineno, "rank")
             if rank < 1:
                 raise DomainError(f"line {lineno}: rank must be >= 1")
             labels = {f"s{i}": i for i in range(1, min(rank, 64) + 1)}
@@ -107,8 +92,7 @@ def parse_sgr(text: str) -> BallView:
         elif parts[0] == "root":
             if len(parts) != 2:
                 raise DomainError(f"line {lineno}: bad root line")
-            if root is not None:
-                raise DomainError(f"line {lineno}: second 'root' line")
+            once(root, lineno, "'root' line")
             root = parts[1]
             seen[root] = None
         elif parts[0] == "boundary":
@@ -116,8 +100,7 @@ def parse_sgr(text: str) -> BallView:
                 raise DomainError(f"line {lineno}: bad boundary line")
             boundary.append(parts[1])
         else:
-            raise DomainError(f"line {lineno}: bad edge line "
-                              f"{text.splitlines()[lineno - 1].strip()!r}")
+            raise bad_line(text, lineno, "bad edge line")
     if rank is None:
         raise DomainError("missing 'schreier r=<r>' header")
     if root is None:
@@ -125,7 +108,7 @@ def parse_sgr(text: str) -> BallView:
     _check_tokens(seen)
     for v in boundary:
         if v not in seen:
-            raise DomainError(f"boundary vertex {v!r} has no edges")
+            raise DomainError(f"boundary vertex {quote(v)} has no edges")
     view = BallView(rank, None, root, seen, edges, boundary)
     if None in view.depth:
         raise DomainError("graph is not connected from the root")

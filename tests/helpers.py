@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import permutations, takewhile
 
 from irslab import AtomicMeasure, DomainError, FiniteOracle, MarkLaw, canonical_code
-from irslab.encoding import encoded_root_key, point_class_code
+from irslab.encoding import PsiOracle, encoded_root_key, point_class_code
 from irslab.errors import BudgetError, HorizonError, InvalidGraphError
 from irslab.normalizer import NormalizerOracle
 from irslab.oracles import DEFAULT_BUDGET, STAR, BallView, SchreierOracle, conjugate, trace
@@ -349,7 +349,7 @@ def reference_lambda_pushforward(space, eta=None):
     for pc, (q, mass) in sorted(classes.items()):
         if mass == 0:
             continue
-        psi, seen = space.psi(q), set()
+        psi, seen = PsiOracle(space.point(q)), set()
         for f in translates:
             u = trace(psi, inverse_word(f))
             key = encoded_root_key(space, u)

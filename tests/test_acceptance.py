@@ -16,6 +16,8 @@ from irslab import (
     NotInYError,
     PointLaw,
     PoulsenLaw,
+    PoulsenOracle,
+    PsiOracle,
     aut_count,
     ball,
     conjugate,
@@ -27,8 +29,6 @@ from irslab import (
     lambda_pushforward,
     metric,
     normalizer_oracle,
-    poulsen_oracle,
-    psi_oracle,
     root_isomorphic,
     stab_pushforward_law,
     translate_count,
@@ -101,7 +101,7 @@ def _c2_report() -> str:
         return normalizer_oracle(CayleyOracle(2), p, seed)
 
     def poulsen_sampler(p, seed):
-        return poulsen_oracle(NormalizerLaw(trivial_law(2), p), p, seed)
+        return PoulsenOracle(NormalizerLaw(trivial_law(2), p), p, seed)
 
     for tag, sampler in (("normalizer", normalizer_sampler),
                          ("poulsen", poulsen_sampler)):
@@ -217,10 +217,10 @@ def _c5_report() -> str:
     failures = 0
     for space, q in _encoding_cases():
         x = space.point(q)
-        psi = psi_oracle(x)
+        psi = PsiOracle(x)
         for _ in range(20):
             f = candidates[rng.randrange(len(candidates))]
-            lhs = ball(psi_oracle(x.shifted(f)), 4)
+            lhs = ball(PsiOracle(x.shifted(f)), 4)
             rhs = ball(conjugate(psi, phi_word(f)), 4)
             checked += 1
             if not root_isomorphic(lhs, rhs):
@@ -239,7 +239,7 @@ def _c6_report() -> str:
     failures = 0
     for space, q in _encoding_cases():
         x = space.point(q)
-        if decode(psi_oracle(x), 7) != x.pattern(5):
+        if decode(PsiOracle(x), 7) != x.pattern(5):
             failures += 1
     return f"points 100 failures {failures}"
 
@@ -258,7 +258,7 @@ def _c7_report() -> str:
         space, q = cases[i % len(cases)]
         words = [w for w in words_upto(2, space.alphabet) if w]
         g = words[rng.randrange(len(words))]
-        moved = conjugate(psi_oracle(space.point(q)), inverse_word(g))
+        moved = conjugate(PsiOracle(space.point(q)), inverse_word(g))
         ret, _f = upsilon(moved, space, 4)
         if in_Z(ret, space, 5):
             successes += 1
@@ -356,12 +356,12 @@ def _metric_pool():
                           subseed(SEED, "c10", 2)),
         normalizer_oracle(index2_oracle(), Fraction(1, 2),
                           subseed(SEED, "c10", 3)),
-        poulsen_oracle(trivial_law(2), Fraction(1, 5), subseed(SEED, "c10", 4)),
-        poulsen_oracle(NormalizerLaw(trivial_law(2), Fraction(1, 5)),
+        PoulsenOracle(trivial_law(2), Fraction(1, 5), subseed(SEED, "c10", 4)),
+        PoulsenOracle(NormalizerLaw(trivial_law(2), Fraction(1, 5)),
                        Fraction(1, 5), subseed(SEED, "c10", 5)),
-        psi_oracle(random_subshift_space(3, 2, 2,
+        PsiOracle(random_subshift_space(3, 2, 2,
                                          subseed(SEED, "c10", 6)).point(0)),
-        psi_oracle(random_subshift_space(4, 2, 3,
+        PsiOracle(random_subshift_space(4, 2, 3,
                                          subseed(SEED, "c10", 7)).point(1)),
     ]
     return pool

@@ -1,9 +1,11 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from irslab import (
+    BudgetError,
     DomainError,
     FiniteAction,
     aut_count,
@@ -17,6 +19,7 @@ from irslab import (
     stab_equal,
     stab_pushforward_law,
 )
+from irslab import actions
 from irslab.actions import (
     emit_action,
     format_cycles,
@@ -26,6 +29,7 @@ from irslab.actions import (
     random_transitive_action,
 )
 from irslab.analysis import conjugate_code
+from irslab.encoding import parse_subshift
 from irslab.randomness import KeyedRng
 
 from helpers import index2_oracle
@@ -240,7 +244,7 @@ ACTION2 = "points 2\nperm s1: (0 1)\n"
     ("points " + "9" * 641 + "\nperm s1: id\n",
      "line 1: point count has more than 640 digits"),
     ("points 0\nperm s1: id\n", "need at least one point"),
-    ("perm s1: id\npoints 2\n", "'points <n>' must come first"),
+    ("perm s1: id\npoints 2\n", "line 1: 'points <n>' must come first"),
     ("points 2\nperm sx: id\n", "line 2: bad generator 'sx'"),
     ("points 2\nperm s" + "9" * 641 + ": id\n",
      "line 2: generator has more than 640 digits"),
@@ -252,13 +256,15 @@ ACTION2 = "points 2\nperm s1: (0 1)\n"
     ("# only a comment\n\n", "action file needs 'points' and 'perm' lines"),
     ("points 2\n", "action file needs 'points' and 'perm' lines"),
     ("points 2\nperm s2: id\n", "perm lines must cover s1..sr without gaps"),
-    ("points 2\nperm s1: 0 1\n", "bad cycle notation '0 1'"),
-    ("points 2\nperm s1: (0 1\n", "bad cycle '(0 1'"),
-    ("points 2\nperm s1: (0 1)1\n", "bad cycle '1'"),
-    ("points 2\nperm s1: (0 a)\n", "bad cycle '(0 a)'"),
-    ("points 2\nperm s1: (0 0)\n", "repeated point in cycle '(0 0)'"),
-    ("points 2\nperm s1: (0 5)\n", "point 5 out of range 0..1"),
-    ("points 3\nperm s1: (0 1)(1 2)\n", "point 1 in two cycles"),
+    ("points 2\nperm s1: 0 1\n", "line 2: bad cycle notation '0 1'"),
+    ("points 2\nperm s1: (0 1\n", "line 2: bad cycle '(0 1'"),
+    ("points 2\nperm s1: (0 1)1\n", "line 2: bad cycle '1'"),
+    ("points 2\nperm s1: (0 a)\n", "line 2: bad cycle '(0 a)'"),
+    ("points 2\nperm s1: (0 -1)\n", "line 2: bad cycle '(0 -1)'"),
+    ("points 2\nperm s1: (+1 0)\n", "line 2: bad cycle '(+1 0)'"),
+    ("points 2\nperm s1: (0 0)\n", "line 2: repeated point in cycle '(0 0)'"),
+    ("points 2\nperm s1: (0 5)\n", "line 2: point '5' out of range 0..1"),
+    ("points 3\nperm s1: (0 1)(1 2)\n", "line 2: point 1 in two cycles"),
 ], ids=[
     "bad-point-count", "bare-points", "points-with-two-fields",
     "repeated-points", "point-count-of-641-digits", "no-points",
@@ -266,10 +272,35 @@ ACTION2 = "points 2\nperm s1: (0 1)\n"
     "repeated-perm-s1", "repeated-perm-s01", "bare-perm", "perm-without-colon",
     "unknown-line", "no-lines", "no-perm-line", "gap-in-generators",
     "cycles-without-parentheses", "unclosed-cycle", "trailing-point",
-    "letter-in-cycle", "repeated-point-in-cycle", "point-out-of-range",
+    "letter-in-cycle", "minus-sign-in-cycle", "plus-sign-in-cycle",
+    "repeated-point-in-cycle", "point-out-of-range",
     "point-in-two-cycles",
 ])
 def test_parse_action_rejects_with_a_pinned_message(text, message):
     with pytest.raises(DomainError) as caught:
         parse_action(text)
     assert str(caught.value) == message
+
+
+def test_a_point_count_past_the_budget_raises(monkeypatch):
+    monkeypatch.setattr(actions, "DEFAULT_BUDGET", 4)
+    assert parse_action("points 4\nperm s1: (0 1 2 3)\n").n == 4
+    with pytest.raises(BudgetError) as caught:
+        parse_action("# five\npoints 5\nperm s1: (0 1)\n")
+    assert str(caught.value) == "line 2: point count exceeds budget 4"
+    with pytest.raises(BudgetError) as caught:
+        parse_subshift("alphabet 2\npoints 5\nperm s1: id\nperm s2: id\n")
+    assert str(caught.value) == "line 2: point count exceeds budget 4"
+
+
+@pytest.mark.parametrize("count", ["1" + "0" * 600, "1" + "0" * 9])
+def test_a_huge_point_count_is_refused_before_anything_is_built(count):
+    text = f"points {count}\nperm s1: (0 1)\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            parse_action(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000

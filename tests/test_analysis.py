@@ -34,7 +34,7 @@ from irslab.analysis import (
     conjugate_fingerprints,
     fingerprint_plan,
 )
-from irslab.encoding import psi_oracle
+from irslab.encoding import PsiOracle
 from irslab.errors import DomainError, HorizonError
 from irslab.laws import NormalizerLaw, PoulsenLaw, trivial_law
 from irslab.normalizer import enumerate_normalizer_law
@@ -384,7 +384,7 @@ def _one_walk_samples(rank: int):
     if rank == 2:
         space = three_cycle_space()
         for q in range(space.action.n):
-            yield psi_oracle(space.point(q))
+            yield PsiOracle(space.point(q))
 
 
 @pytest.mark.parametrize("rank", [2, 3])

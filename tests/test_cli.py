@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from irslab import ball, emit_sgr, encoding, parse_sgr, psi_oracle
+from irslab import PsiOracle, ball, emit_sgr, encoding, parse_sgr
 from irslab.cli import build_parser, main
 from irslab.encoding import SubshiftSpace
 from irslab.randomness import STREAM_VERSION
@@ -305,7 +305,7 @@ def test_upsilon_roundtrip(capsys, tmp_path, subshift_file):
     space = SubshiftSpace(FiniteAction(2, ((1, 0), (0, 1))), (1, 2), 2)
     from irslab import conjugate
 
-    moved = conjugate(psi_oracle(space.point(0)), (-1,))
+    moved = conjugate(PsiOracle(space.point(0)), (-1,))
     path = tmp_path / "moved.sgr"
     path.write_text(emit_sgr(ball(moved, 12)))
     code, out, _ = run(capsys, "upsilon", "--graph", str(path),
@@ -570,8 +570,13 @@ ACTION_TEXT = "points 2\nperm s1: (0 1)\nperm s2: id\n"
      "line 6: label"),
     ("lambda", SUBSHIFT_TEXT.replace("basepoint 0", "basepoint " + HUGE),
      "line 7: basepoint"),
+    ("tnf-check", ACTION_TEXT.replace("(0 1)", f"(0 {HUGE})"), "line 2: point"),
+    ("tnf-check", ACTION_TEXT.replace("perm s2: id", f"perm s2: ({HUGE},0)"),
+     "line 3: point"),
+    ("lambda", SUBSHIFT_TEXT.replace("(0 1)", f"(1 {HUGE})"), "line 3: point"),
 ], ids=["points", "perm-generator", "alphabet", "label-point",
-        "label-symbol", "basepoint"])
+        "label-symbol", "basepoint", "cycle-point", "cycle-point-after-comma",
+        "subshift-cycle-point"])
 def test_a_number_field_of_5000_digits_exits_1(capsys, tmp_path, command,
                                                text, message):
     path = tmp_path / "huge.txt"
@@ -580,6 +585,65 @@ def test_a_number_field_of_5000_digits_exits_1(capsys, tmp_path, command,
     code, out, err = run(capsys, command, flag, str(path))
     assert code == 1 and out == ""
     assert err == f"error: {message} has more than 640 digits\n"
+    assert len(err.encode()) < 200
+
+
+LONG = "x" * 3000
+
+
+@pytest.mark.parametrize("command, text, start", [
+    ("aut", INDEX2_TEXT + f"A s1 {LONG} A\n", "line 7: bad edge line 'A s1 xx"),
+    ("aut", INDEX2_TEXT.replace("r=2", "r=" + LONG),
+     "line 1: bad header 'schreier r=xx"),
+    ("aut", INDEX2_TEXT.replace("A s2 A", f"A s2{LONG} A"), "line 5: bad label 's2xx"),
+    ("aut", INDEX2_TEXT.replace("B s1 A", f"B s1 #{LONG}"), "bad vertex token '#xx"),
+    ("aut", INDEX2_TEXT + f"boundary {LONG}\n", "boundary vertex 'xx"),
+    ("tnf-check", ACTION_TEXT.replace("(0 1)", "(0 " + "9" * 600 + ")"),
+     "line 2: point '99"),
+    ("tnf-check", ACTION_TEXT.replace("(0 1)", f"(0 {LONG})"),
+     "line 2: bad cycle '(0 xx"),
+    ("tnf-check", ACTION_TEXT.replace("(0 1)", f"(0 {LONG}"),
+     "line 2: bad cycle '(0 xx"),
+    ("tnf-check", ACTION_TEXT.replace("(0 1)", f"{LONG}"),
+     "line 2: bad cycle notation 'xx"),
+    ("tnf-check", ACTION_TEXT.replace("(0 1)", "(0 0 " + "1 " * 1000 + ")"),
+     "line 2: repeated point in cycle '(0 0 1"),
+    ("tnf-check", ACTION_TEXT.replace("points 2", "points " + LONG),
+     "line 1: bad point count 'xx"),
+    ("tnf-check", ACTION_TEXT.replace("perm s2", "perm s" + LONG),
+     "line 3: bad generator 'sxx"),
+    ("tnf-check", ACTION_TEXT + f"{LONG}\n", "line 4: cannot parse 'xx"),
+    ("lambda", SUBSHIFT_TEXT + f"label {LONG}\n", "line 8: cannot parse 'label xx"),
+], ids=["sgr-edge-line", "sgr-header", "sgr-label", "sgr-token",
+        "sgr-boundary-token", "cycle-point-out-of-range", "cycle-letters",
+        "unclosed-cycle", "cycle-notation", "repeated-cycle-point",
+        "point-count", "generator", "action-line", "subshift-line"])
+def test_a_long_bad_line_or_field_is_quoted_short(capsys, tmp_path, command,
+                                                  text, start):
+    path = tmp_path / "long.txt"
+    path.write_text(text)
+    flag = {"aut": "--graph", "tnf-check": "--action", "lambda": "--subshift"}
+    code, out, err = run(capsys, command, flag[command], str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {start}") and "'..." in err
+    assert len(err.encode()) < 200
+
+
+@pytest.mark.parametrize("command, text", [
+    ("tnf-check", ACTION_TEXT.replace("points 2", "points 1" + "0" * 600)),
+    ("stab-law", ACTION_TEXT.replace("points 2", "points 1" + "0" * 600)),
+    ("stab-law", ACTION_TEXT.replace("points 2", "points 1000001")),
+    ("lambda", SUBSHIFT_TEXT.replace("points 2", "points 1" + "0" * 600)),
+], ids=["tnf-check-600-zeros", "stab-law-600-zeros", "stab-law-1000001",
+        "lambda-600-zeros"])
+def test_a_point_count_past_the_budget_exits_2(capsys, tmp_path, command, text):
+    path = tmp_path / "big.txt"
+    path.write_text(text)
+    flag = "--subshift" if command == "lambda" else "--action"
+    code, out, err = run(capsys, command, flag, str(path))
+    line = 2 if command == "lambda" else 1
+    assert (code, out) == (2, "")
+    assert err == f"error: line {line}: point count exceeds budget 1000000\n"
 
 
 @pytest.mark.parametrize("text", [

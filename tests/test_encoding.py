@@ -12,13 +12,13 @@ from irslab import (
     DomainError,
     NotInYError,
     NotInZError,
+    PsiOracle,
     ball,
     conjugate,
     contains,
     decode,
     in_Z,
     lambda_pushforward,
-    psi_oracle,
     root_isomorphic,
     trace,
     translate_count,
@@ -72,7 +72,7 @@ def test_space_validation():
 
 
 def test_psi_membership_constant_one():
-    psi = psi_oracle(constant_one_space().point(0))
+    psi = PsiOracle(constant_one_space().point(0))
     assert contains(psi, word_from_str("s1*s2*s1^-1"))
     assert not contains(psi, (1, 1))
     assert not contains(psi, (2,))
@@ -82,7 +82,7 @@ def test_psi_membership_constant_one():
 
 
 def test_psi_membership_cycle_length_three():
-    psi = psi_oracle(three_cycle_space().point(0))
+    psi = PsiOracle(three_cycle_space().point(0))
     assert contains(psi, (1, 2, 2, 2, -1))
     assert not contains(psi, (1, 2, -1))
     assert not contains(psi, (1, 2, 2, -1))
@@ -91,7 +91,7 @@ def test_psi_membership_cycle_length_three():
 def test_psi_generator_families():
     # family checks on a mixed space: symbols via shifted basepoints
     space = three_cycle_space()
-    psi = psi_oracle(space.point(0))
+    psi = PsiOracle(space.point(0))
     x = space.point(0)
     # family (1)-type at a neighbor with symbol 1: phi(s1)=s1^2 shifts to
     # the point with x(s1)=symbol at basepoint.s1
@@ -102,7 +102,7 @@ def test_psi_generator_families():
 
 def test_psi_valid_and_infinite_index():
     space = three_cycle_space()
-    psi = psi_oracle(space.point(0))
+    psi = PsiOracle(space.point(0))
     sizes = []
     for r in range(1, 7):
         view = ball(psi, r)
@@ -128,7 +128,7 @@ def test_translate_roots_are_the_ball_of_radius_alphabet(case):
     # reach are the vertices bfs finds within distance alphabet
     space = random_subshift_space(1 + case % 5, 2 + case % 2, 1 + case % 4,
                                   seed=6000 + case)
-    psi = space.psi(case % space.action.n)
+    psi = PsiOracle(space.point(case % space.action.n))
     roots = {trace(psi, inverse_word(f))
              for f in words_upto(space.rank, space.alphabet)}
     assert roots == bfs(psi.root, psi.neighbor, letters_ordered(space.rank),
@@ -143,8 +143,8 @@ def test_equivariance_sampled():
         x = space.point(q)
         words = [w for w in words_upto(2, 3) if w]
         f = words[rng.randrange(len(words))]
-        lhs = ball(psi_oracle(x.shifted(f)), 4)
-        rhs = ball(conjugate(psi_oracle(x), phi_word(f)), 4)
+        lhs = ball(PsiOracle(x.shifted(f)), 4)
+        rhs = ball(conjugate(PsiOracle(x), phi_word(f)), 4)
         assert root_isomorphic(lhs, rhs)
 
 
@@ -160,14 +160,14 @@ def test_injectivity_at_radius():
         if xa.pattern(radius) == xb.pattern(radius):
             continue
         found_pairs += 1
-        ba = ball(psi_oracle(xa), 2 * radius + 2)
-        bb = ball(psi_oracle(xb), 2 * radius + 2)
+        ba = ball(PsiOracle(xa), 2 * radius + 2)
+        bb = ball(PsiOracle(xb), 2 * radius + 2)
         assert not root_isomorphic(ba, bb)
     assert found_pairs > 20
 
 
 def test_decode_roundtrip_constant():
-    psi = psi_oracle(constant_one_space().point(0))
+    psi = PsiOracle(constant_one_space().point(0))
     pattern = decode(psi, 5)
     assert set(pattern.values()) == {1}
     assert set(pattern) == set(words_upto(2, 3))
@@ -176,14 +176,14 @@ def test_decode_roundtrip_constant():
 @pytest.mark.parametrize("radius", [-1, 0, 1])
 def test_decode_rejects_radius_below_2(radius):
     with pytest.raises(DomainError):
-        decode(psi_oracle(constant_one_space().point(0)), radius)
+        decode(PsiOracle(constant_one_space().point(0)), radius)
 
 
 def test_decode_roundtrip_random():
     for case in range(25):
         space = random_subshift_space(2 + case % 6, 2, 4, seed=4000 + case)
         x = space.point(case % space.action.n)
-        pattern = decode(psi_oracle(x), 6)
+        pattern = decode(PsiOracle(x), 6)
         assert pattern == x.pattern(4)
 
 
@@ -192,7 +192,7 @@ def test_decode_equivariance():
     space = three_cycle_space()
     x = space.point(0)
     f = (1,)
-    moved = conjugate(psi_oracle(x), phi_word(f))
+    moved = conjugate(PsiOracle(x), phi_word(f))
     assert decode(moved, 5) == x.shifted(f).pattern(3)
 
 
@@ -203,7 +203,7 @@ def test_decode_rejects_non_encoding():
 
 def test_in_Z_examples():
     space = three_cycle_space()
-    psi = psi_oracle(space.point(0))
+    psi = PsiOracle(space.point(0))
     for radius in (2, 3, 4):
         assert in_Z(psi, space, radius)
     assert not in_Z(conjugate(psi, (1,)), space, 4)  # root on a cycle
@@ -214,7 +214,7 @@ def test_in_Z_examples():
 
 def test_upsilon_in_Z_returns_self():
     space = three_cycle_space()
-    psi = psi_oracle(space.point(0))
+    psi = PsiOracle(space.point(0))
     ret, f = upsilon(psi, space, 4)
     assert f == ()
     assert ret.root == psi.root
@@ -225,7 +225,7 @@ def test_upsilon_covering_sampled():
     for case in range(20):
         space = random_subshift_space(2 + case % 4, 2, 2, seed=5000 + case)
         q = rng.randrange(space.action.n)
-        psi = psi_oracle(space.point(q))
+        psi = PsiOracle(space.point(q))
         g_words = [w for w in words_upto(2, space.alphabet) if w]
         g = g_words[rng.randrange(len(g_words))]
         moved = conjugate(psi, inverse_word(g))
@@ -330,7 +330,7 @@ def test_upsilon_past_the_budget_raises(monkeypatch):
     space = two_point_space(4)
     # the radius-3 balls of the translates e, ..., s1*s2, the first to pass,
     # hold 120 vertices in all
-    moved = conjugate(psi_oracle(space.point(0)), (2, 1))
+    moved = conjugate(PsiOracle(space.point(0)), (2, 1))
     monkeypatch.setattr(encoding, "DEFAULT_BUDGET", 119)
     with pytest.raises(BudgetError, match="exceeded budget 119"):
         upsilon(moved, space, 3)
@@ -384,10 +384,10 @@ SUBSHIFT2 = ("alphabet 2\npoints 2\nperm s1: (0 1)\nperm s2: id\n"
     ("basepoint 0", "foo 1", "line 7: cannot parse 'foo 1'"),
     ("points 2", "points 2\npoints 2", "line 3: second 'points' line"),
     ("points 2", "points x", "line 2: bad point count 'x'"),
-    ("points 2\n", "", "'points <n>' must come first"),
+    ("points 2\n", "", "line 2: 'points <n>' must come first"),
     ("perm s2: id", "perm s2: id\nperm s2: id", "line 5: second 'perm s2' line"),
     ("perm s2: id\n", "", "encoding needs rank >= 2"),
-    ("perm s1: (0 1)", "perm s1: (0 2)", "point 2 out of range 0..1"),
+    ("perm s1: (0 1)", "perm s1: (0 2)", "line 3: point '2' out of range 0..1"),
 ], ids=[
     "bad-alphabet", "bare-alphabet", "repeated-alphabet", "no-alphabet",
     "alphabet-of-641-digits", "alphabet-zero", "label-without-symbol",

@@ -12,9 +12,9 @@ from irslab import (
     DomainError,
     NormalizerLaw,
     PoulsenLaw,
+    PsiOracle,
     ball,
     emit_sgr,
-    psi_oracle,
     trivial_law,
 )
 from irslab.actions import parse_action
@@ -39,7 +39,7 @@ SUBSHIFT_TEXT = ("alphabet 2\npoints 2\nperm s1: (0 1)\nperm s2: id\n"
 def _sgr_seeds():
     space, q = parse_subshift(SUBSHIFT_TEXT)
     views = [ball(CayleyOracle(2), 2), ball(index2_oracle(), 2),
-             ball(psi_oracle(space.point(q)), 3),
+             ball(PsiOracle(space.point(q)), 3),
              star_ball(PercolationGraph(trivial_law(2), Fraction(1, 2), 4), 2)]
     return [emit_sgr(v) for v in views]
 

@@ -34,10 +34,10 @@ from irslab.actions import emit_action, random_action, random_transitive_action
 from irslab.analysis import conjugate_code
 from irslab.cli import main
 from irslab.encoding import (
+    PsiOracle,
     emit_subshift,
     parse_subshift,
     point_class_code,
-    psi_oracle,
     random_subshift_space,
 )
 from irslab.montecarlo import (
@@ -156,7 +156,7 @@ def _encoded_balls() -> str:
     for n, rank, alphabet, seed in ((5, 2, 3, 7), (4, 3, 4, 8)):
         space = random_subshift_space(n, rank, alphabet, seed)
         for q in (0, n - 1):
-            out.append(emit_sgr(ball(psi_oracle(space.point(q)), 6)))
+            out.append(emit_sgr(ball(PsiOracle(space.point(q)), 6)))
     return "".join(out)
 
 
@@ -489,7 +489,7 @@ def test_golden_cli_upsilon(capsys, subshift_files):
     # encoded graphs with their roots moved off the encoded set by g^-1
     for name, g in (("two.sub", (-1,)), ("three.sub", (2, 1))):
         space, basepoint = parse_subshift((subshift_files / name).read_text())
-        moved = conjugate(psi_oracle(space.point(basepoint)), g)
+        moved = conjugate(PsiOracle(space.point(basepoint)), g)
         (subshift_files / "moved.sgr").write_text(emit_sgr(ball(moved, 10)))
         assert main(["upsilon", "--graph", "moved.sgr", "--subshift", name,
                      "--radius", "3"]) == 0

@@ -16,7 +16,6 @@ from irslab import (
     cylinder_fingerprint,
     emit_sgr,
     parse_sgr,
-    poulsen_oracle,
     trace,
     trivial_law,
     validate_schreier_ball,
@@ -39,9 +38,9 @@ from helpers import index2_oracle
 
 def test_poulsen_rejects_bad_p():
     with pytest.raises(DomainError):
-        poulsen_oracle(trivial_law(2), Fraction(0), 1)
+        PoulsenOracle(trivial_law(2), Fraction(0), 1)
     with pytest.raises(DomainError):
-        poulsen_oracle(trivial_law(2), Fraction(1), 1)
+        PoulsenOracle(trivial_law(2), Fraction(1), 1)
     for p in (Fraction(0), Fraction(1), Fraction(2), Fraction(-1, 2)):
         with pytest.raises(DomainError, match="strictly between"):
             PoulsenLaw(trivial_law(2), p)  # checked before any sample
@@ -132,7 +131,7 @@ def test_surgery_involution_sampled():
 def test_sampled_balls_valid():
     for p in (Fraction(1, 20), Fraction(1, 5), Fraction(1, 2)):
         for seed in range(15):
-            oracle = poulsen_oracle(trivial_law(2), p, seed)
+            oracle = PoulsenOracle(trivial_law(2), p, seed)
             view = ball(oracle, 1 + seed % 4)
             validate_schreier_ball(view)
 
@@ -140,7 +139,7 @@ def test_sampled_balls_valid():
 def test_poulsen_over_finite_base_valid():
     law = PointLaw(index2_oracle())
     for seed in range(10):
-        oracle = poulsen_oracle(law, Fraction(1, 3), seed)
+        oracle = PoulsenOracle(law, Fraction(1, 3), seed)
         view = ball(oracle, 4)
         validate_schreier_ball(view)
 
@@ -148,7 +147,7 @@ def test_poulsen_over_finite_base_valid():
 def test_poulsen_over_normalizer_valid():
     law = NormalizerLaw(trivial_law(2), Fraction(1, 5))
     for seed in range(10):
-        oracle = poulsen_oracle(law, Fraction(1, 5), seed)
+        oracle = PoulsenOracle(law, Fraction(1, 5), seed)
         view = ball(oracle, 3)
         validate_schreier_ball(view)
 
@@ -157,7 +156,7 @@ def test_trivial_base_fingerprint_always_trivial():
     # surgery keeps trees trees: over the trivial subgroup the output stays
     # the free Cayley graph, so no nontrivial word ever returns
     for seed in range(30):
-        oracle = poulsen_oracle(trivial_law(2), Fraction(3, 10), seed)
+        oracle = PoulsenOracle(trivial_law(2), Fraction(3, 10), seed)
         assert cylinder_fingerprint(oracle, 3) == ((),)
 
 
@@ -178,14 +177,14 @@ def test_poulsen_over_the_trivial_base_is_the_cayley_tree(rank):
 
 def test_determinism_bitwise():
     law = NormalizerLaw(trivial_law(2), Fraction(1, 10))
-    a = emit_sgr(ball(poulsen_oracle(law, Fraction(1, 10), 9), 3))
-    b = emit_sgr(ball(poulsen_oracle(law, Fraction(1, 10), 9), 3))
+    a = emit_sgr(ball(PoulsenOracle(law, Fraction(1, 10), 9), 3))
+    b = emit_sgr(ball(PoulsenOracle(law, Fraction(1, 10), 9), 3))
     assert a == b
 
 
 def test_budget_exceeded():
     with pytest.raises(BudgetError):
-        ball(poulsen_oracle(trivial_law(2), Fraction(9, 10), 1), 8, budget=64)
+        ball(PoulsenOracle(trivial_law(2), Fraction(9, 10), 1), 8, budget=64)
 
 
 def test_attachment_roots_not_percolated():
@@ -213,7 +212,7 @@ def test_star_ball_matches_oracle_after_surgery():
     crossings = 0
     for view, sampler_seed in _interior_star_views(60, Fraction(1, 4), seed0=21):
         cut = surgery(view)
-        oracle = poulsen_oracle(trivial_law(2), Fraction(1, 4), sampler_seed)
+        oracle = PoulsenOracle(trivial_law(2), Fraction(1, 4), sampler_seed)
         for w in words_upto(2, 1):
             v_cut = cut.root
             for l in w:
@@ -260,7 +259,7 @@ _ps = st.sampled_from([Fraction(1, 10), Fraction(1, 3), Fraction(1, 2)])
 @given(st.integers(0, 2**64 - 1), _ps)
 def test_percolated_equals_the_plain_digest(seed, p):
     law = NormalizerLaw(trivial_law(2), p)
-    vertices = _poulsen_vertices(poulsen_oracle(law, p, seed), 4)
+    vertices = _poulsen_vertices(PoulsenOracle(law, p, seed), 4)
     fresh = PercolationGraph(law, p, seed)
     threshold = (p.numerator << 128) // p.denominator
     for u in vertices:
@@ -290,7 +289,7 @@ def _uncached_token(graph: PercolationGraph, u) -> str:
 def test_deep_poulsen_tokens_equal_the_uncached_formula(seed):
     p = Fraction(1, 2)
     law = PoulsenLaw(NormalizerLaw(trivial_law(2), p), p)
-    oracle = poulsen_oracle(law, p, subseed(seed, "deep-tokens", 0))
+    oracle = PoulsenOracle(law, p, subseed(seed, "deep-tokens", 0))
     vertices = _poulsen_vertices(oracle, 4)
     assert max(len(path) for path, _ in vertices) >= 2
     tokens = [oracle.token(u) for u in vertices]
