@@ -98,13 +98,11 @@ def random_transitive_action(n: int, rank: int, seed: int) -> FiniteAction:
 
 def parse_cycles(text: str, n: int, lineno: int = 1) -> tuple:
     """Permutation of 0..n-1 from cycle notation like "(0 1 2)(3 4)" or
-    "id", read from line `lineno` of a file."""
+    "id", read from line `lineno` of a file; a point appears at most once."""
     text = text.strip()
     perm = list(range(n))
-    if text in ("id", "()", ""):
+    if text == "id":
         return tuple(perm)
-    if not text.startswith("("):
-        raise DomainError(f"line {lineno}: bad cycle notation {quote(text)}")
     moved = set()
     for chunk in filter(None, map(str.strip, text.replace(")", ")\n").split("\n"))):
         fields = chunk[1:-1].replace(",", " ").split()
@@ -112,31 +110,34 @@ def parse_cycles(text: str, n: int, lineno: int = 1) -> tuple:
                 and all(map(str.isdecimal, fields))):
             raise DomainError(f"line {lineno}: bad cycle {quote(chunk)}")
         pts = [number(f, lineno, "point") for f in fields]
-        if len(pts) != len(set(pts)):
-            raise DomainError(
-                f"line {lineno}: repeated point in cycle {quote(chunk)}")
         for f, x, y in zip(fields, pts, pts[1:] + pts[:1]):
             if x >= n:
                 raise DomainError(
                     f"line {lineno}: point {quote(f)} out of range 0..{n - 1}")
             if x in moved:
-                raise DomainError(f"line {lineno}: point {x} in two cycles")
+                raise DomainError(f"line {lineno}: point {x} appears twice")
             moved.add(x)
             perm[x] = y
     return tuple(perm)
 
 
 def format_cycles(perm: tuple) -> str:
-    seen, parts = set(), []
-    for i in range(len(perm)):
+    n = len(perm)
+    seen = set()
+    parts = []
+    for i in range(n):
         if i in seen or perm[i] == i:
+            seen.add(i)
             continue
         cyc = [i]
-        while perm[cyc[-1]] != i:
-            cyc.append(perm[cyc[-1]])
-        seen.update(cyc)
+        j = perm[i]
+        while j != i:
+            cyc.append(j)
+            seen.add(j)
+            j = perm[j]
+        seen.add(i)
         parts.append("(" + " ".join(map(str, cyc)) + ")")
-    return "".join(parts) or "id"
+    return "".join(parts) if parts else "id"
 
 
 def parse_action(text: str) -> FiniteAction:
@@ -182,5 +183,7 @@ def read_action(text: str, rows) -> FiniteAction:
 
 
 def emit_action(action: FiniteAction) -> str:
-    return f"points {action.n}\n" + "".join(
-        f"perm s{i}: {format_cycles(p)}\n" for i, p in enumerate(action.perms, 1))
+    lines = [f"points {action.n}"]
+    for i, p in enumerate(action.perms, start=1):
+        lines.append(f"perm s{i}: {format_cycles(p)}")
+    return "\n".join(lines) + "\n"

@@ -3,8 +3,6 @@
 most MAX_DIGITS digits, a line that may occur once is refused the second
 time, and a message quotes a bad line or field cut to QUOTE_CHARS."""
 
-from operator import itemgetter
-
 from .errors import DomainError
 
 MAX_DIGITS = 640  # the least int() digit limit Python 3.11+ can be set to
@@ -13,10 +11,9 @@ QUOTE_CHARS = 60
 
 def records(text: str):
     """(line number from 1, fields) of each line not blank nor a comment."""
-    rows = filter(itemgetter(1), enumerate(map(str.split, text.splitlines()), 1))
-    if "#" not in text:  # no comment to skip: the C filter alone
-        return rows
-    return ((k, fields) for k, fields in rows if fields[0][0] != "#")
+    for lineno, fields in enumerate(map(str.split, text.splitlines()), 1):
+        if fields and fields[0][0] != "#":
+            yield lineno, fields
 
 
 def number(field: str, lineno: int, what: str) -> int:

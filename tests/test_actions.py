@@ -256,15 +256,15 @@ ACTION2 = "points 2\nperm s1: (0 1)\n"
     ("# only a comment\n\n", "action file needs 'points' and 'perm' lines"),
     ("points 2\n", "action file needs 'points' and 'perm' lines"),
     ("points 2\nperm s2: id\n", "perm lines must cover s1..sr without gaps"),
-    ("points 2\nperm s1: 0 1\n", "line 2: bad cycle notation '0 1'"),
+    ("points 2\nperm s1: 0 1\n", "line 2: bad cycle '0 1'"),
     ("points 2\nperm s1: (0 1\n", "line 2: bad cycle '(0 1'"),
     ("points 2\nperm s1: (0 1)1\n", "line 2: bad cycle '1'"),
     ("points 2\nperm s1: (0 a)\n", "line 2: bad cycle '(0 a)'"),
     ("points 2\nperm s1: (0 -1)\n", "line 2: bad cycle '(0 -1)'"),
     ("points 2\nperm s1: (+1 0)\n", "line 2: bad cycle '(+1 0)'"),
-    ("points 2\nperm s1: (0 0)\n", "line 2: repeated point in cycle '(0 0)'"),
+    ("points 2\nperm s1: (0 0)\n", "line 2: point 0 appears twice"),
     ("points 2\nperm s1: (0 5)\n", "line 2: point '5' out of range 0..1"),
-    ("points 3\nperm s1: (0 1)(1 2)\n", "line 2: point 1 in two cycles"),
+    ("points 3\nperm s1: (0 1)(1 2)\n", "line 2: point 1 appears twice"),
 ], ids=[
     "bad-point-count", "bare-points", "points-with-two-fields",
     "repeated-points", "point-count-of-641-digits", "no-points",

@@ -605,9 +605,7 @@ LONG = "x" * 3000
     ("tnf-check", ACTION_TEXT.replace("(0 1)", f"(0 {LONG}"),
      "line 2: bad cycle '(0 xx"),
     ("tnf-check", ACTION_TEXT.replace("(0 1)", f"{LONG}"),
-     "line 2: bad cycle notation 'xx"),
-    ("tnf-check", ACTION_TEXT.replace("(0 1)", "(0 0 " + "1 " * 1000 + ")"),
-     "line 2: repeated point in cycle '(0 0 1"),
+     "line 2: bad cycle 'xx"),
     ("tnf-check", ACTION_TEXT.replace("points 2", "points " + LONG),
      "line 1: bad point count 'xx"),
     ("tnf-check", ACTION_TEXT.replace("perm s2", "perm s" + LONG),
@@ -616,7 +614,7 @@ LONG = "x" * 3000
     ("lambda", SUBSHIFT_TEXT + f"label {LONG}\n", "line 8: cannot parse 'label xx"),
 ], ids=["sgr-edge-line", "sgr-header", "sgr-label", "sgr-token",
         "sgr-boundary-token", "cycle-point-out-of-range", "cycle-letters",
-        "unclosed-cycle", "cycle-notation", "repeated-cycle-point",
+        "unclosed-cycle", "cycle-without-parentheses",
         "point-count", "generator", "action-line", "subshift-line"])
 def test_a_long_bad_line_or_field_is_quoted_short(capsys, tmp_path, command,
                                                   text, start):
