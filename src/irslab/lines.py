@@ -17,7 +17,7 @@ def records(text: str):
 
 
 def number(field: str, lineno: int, what: str) -> int:
-    """int(field) of a field of decimal digits, at most MAX_DIGITS of them."""
+    """int(field) for a field of decimal digits; DomainError past MAX_DIGITS."""
     if len(field) > MAX_DIGITS:
         raise DomainError(f"line {lineno}: {what} has more than {MAX_DIGITS} digits")
     return int(field)
