@@ -266,7 +266,7 @@ def cmd_check_equivariance(args) -> tuple[str, int]:
 def cmd_upsilon(args) -> tuple[str, int]:
     oracle = _load_graph_oracle(args.graph)
     space, _ = parse_subshift(_read(args.subshift))
-    retracted, f = upsilon(oracle, space, args.radius)
+    retracted, f = upsilon(oracle, space, args.radius, args.budget)
     out = _header(args) + f"translate {word_to_str(f)}\n"
     out += emit_sgr(ball(retracted, args.radius, args.budget))
     return out, EXIT_OK

@@ -18,15 +18,16 @@ translate pushforward be computed with exact rational masses.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import log10
 
 from .actions import FiniteAction, emit_action, read_action
 from .errors import (AmbiguityError, BudgetError, DomainError, HorizonError,
                      NotInYError, NotInZError)
 from .measures import AtomicMeasure
-from .oracles import (DEFAULT_BUDGET, CayleyOracle, SchreierOracle, ball, bfs,
-                      conjugate, trace)
+from .oracles import (DEFAULT_BUDGET, CayleyOracle, FiniteOracle,
+                      SchreierOracle, ball, bfs, conjugate, trace)
 from .analysis import ball_code, bfs_numbering
-from .lines import bad_line, number, once, records
+from .lines import MAX_DIGITS, bad_line, number, once, quote, records
 from .randomness import KeyedRng
 from .words import (
     Word,
@@ -56,9 +57,8 @@ class SubshiftSpace:
             raise DomainError("need one label per point")
         for s in labels:
             if not 1 <= s <= alphabet:
-                raise DomainError(
-                    f"symbol {s} outside alphabet 1..{alphabet} (0 is illegal)"
-                )
+                raise DomainError(f"symbol {quote(str(s))} outside alphabet "
+                                  f"{quote(f'1..{alphabet}')} (0 is illegal)")
         self.action = action
         self.labels = labels
         self.alphabet = alphabet
@@ -149,8 +149,13 @@ class PsiOracle(SchreierOracle):
 def translate_count(alphabet: int, rank: int) -> int:
     """The number of translates, the reduced words of length <= alphabet
     size: conjugating an encoded subgroup by these reaches every root of its
-    orbit. 1 + 2r((2r - 1)^a - 1)/(2r - 2) for rank r >= 2."""
-    return 1 + 2 * rank * ((2 * rank - 1) ** alphabet - 1) // (2 * rank - 2)
+    orbit. 1 + 2r((2r - 1)^a - 1)/(2r - 2) for rank r >= 2; BudgetError
+    past MAX_DIGITS digits, checked on its lower bound (2r - 1)^a first."""
+    if alphabet <= MAX_DIGITS / log10(2 * rank - 1):
+        count = 1 + 2 * rank * ((2 * rank - 1) ** alphabet - 1) // (2 * rank - 2)
+        if count < 10 ** MAX_DIGITS:
+            return count
+    raise BudgetError(f"translate count has more than {MAX_DIGITS} digits")
 
 
 def in_Z(oracle: SchreierOracle, space: SubshiftSpace, radius: int) -> bool:
@@ -162,7 +167,8 @@ def in_Z(oracle: SchreierOracle, space: SubshiftSpace, radius: int) -> bool:
     return ball_code(ball(oracle, radius)) in space.candidate_codes(radius)
 
 
-def upsilon(oracle: SchreierOracle, space: SubshiftSpace, radius: int):
+def upsilon(oracle: SchreierOracle, space: SubshiftSpace, radius: int,
+            budget: int | None = None):
     """Retract a subgroup into the encoded set: conjugate by the first
     translate, in shortlex order, that lands there; the walk of translates
     stops there. Returns (retracted oracle, translate word).
@@ -170,16 +176,17 @@ def upsilon(oracle: SchreierOracle, space: SubshiftSpace, radius: int):
     Raises NotInYError when no translate passes, AmbiguityError when the
     chosen translate fails a recheck at radius + 2 (raise the radius), and
     BudgetError once the radius-`radius` balls of the translates walked
-    hold more than DEFAULT_BUDGET vertices in all."""
+    hold more than `budget` (default DEFAULT_BUDGET) vertices in all."""
     if radius < 2:
         raise DomainError("radius must be >= 2 to see the cycle structure")
+    budget = DEFAULT_BUDGET if budget is None else budget
     codes, spent = space.candidate_codes(radius), 0
     for f in shortlex_walk(space.rank, space.alphabet):
         cand = conjugate(oracle, f)
         view = ball(cand, radius)
         spent += len(view.vertices)
-        if spent > DEFAULT_BUDGET:
-            raise BudgetError(f"translate balls exceeded budget {DEFAULT_BUDGET}")
+        if spent > budget:
+            raise BudgetError(f"translate balls exceeded budget {budget}")
         if ball_code(view) in codes:
             if not in_Z(cand, space, radius + 2):
                 raise AmbiguityError(
@@ -263,10 +270,16 @@ def lambda_pushforward(space: SubshiftSpace, eta: dict | None = None):
 
     The roots the translates f reach, trace(psi, f^-1), are exactly the
     vertices within distance alphabet of the root: a shortest walk never
-    steps back, so it spells a reduced word. One `bfs` of that radius per
-    class finds them, and raises BudgetError past DEFAULT_BUDGET vertices.
+    steps back, so it spells a reduced word. Keys and steps never read the
+    Cayley numeral, so one `bfs` of that radius per class walks the finite
+    quotient, `PsiOracle` over the one-vertex Schreier graph; a space of more
+    than DEFAULT_BUDGET points + labels raises BudgetError first. A vertex
+    retracts to the Cayley vertex of its own point (the shortlex-first walk
+    there runs along its s2-cycle to place 0, then s1^-1).
     """
     action = space.action
+    if action.n + sum(space.labels) > DEFAULT_BUDGET:
+        raise BudgetError(f"points + labels exceed budget {DEFAULT_BUDGET}")
     eta = {q: Fraction(1, action.n) if eta is None else Fraction(eta[q])
            for q in range(action.n)}
     if any(eta[q] != eta[action.step(q, l)] for q in range(action.n)
@@ -278,36 +291,20 @@ def lambda_pushforward(space: SubshiftSpace, eta: dict | None = None):
         classes.setdefault(point_class_code(space, q), [q, 0])[1] += eta[q]
 
     letters = letters_ordered(space.rank)
+    loops = FiniteOracle.from_perms([(0,)] * space.rank, names=[0])
     lam = AtomicMeasure()
     reps: dict = {}
     for pc, (q, mass) in sorted(classes.items()):
         if mass == 0:
             continue
-        target = ("cay", 0, pc)
         psi = PsiOracle(space.point(q))
-        seen: set = set()
-        for u in bfs(psi.root, psi.neighbor, letters, space.alphabet,
-                     DEFAULT_BUDGET)[0]:
+        psi._cayley = loops  # every letter is a loop at numeral 0
+        for u in bfs(psi.root, psi.neighbor, letters, space.alphabet)[0]:
             key = encoded_root_key(space, u)
-            if key in seen:
-                continue
-            seen.add(key)
-            if _retraction_key(space, psi, u) == target:
+            if key[2] == pc and key not in reps:
                 lam.add(key, mass)
-                reps.setdefault(key, (q, u))
+                reps[key] = (q, u)
     return lam, reps
-
-
-def _retraction_key(space, psi: PsiOracle, u) -> tuple:
-    """Key of the retraction of the subgroup rooted at u: conjugate by the
-    first translate, in shortlex order, whose root is a Cayley vertex
-    (decidable here because the graph is an encoded configuration)."""
-    rooted = psi.rebased(u)
-    for f in shortlex_walk(space.rank, space.alphabet):
-        v = trace(rooted, inverse_word(f))
-        if v[0] == "c":
-            return encoded_root_key(space, v)
-    raise AssertionError("every encoded-graph vertex retracts by a translate")
 
 
 def lambda_conjugate(space: SubshiftSpace, lam: AtomicMeasure, reps: dict,

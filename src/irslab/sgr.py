@@ -76,7 +76,7 @@ def parse_sgr(text: str) -> BallView:
                 lab = number(label[1:], lineno, "label")
                 if not 1 <= lab <= rank:
                     raise DomainError(
-                        f"line {lineno}: label {label} out of range")
+                        f"line {lineno}: label {quote(label)} out of range")
             edges.append((src, lab, dst))
             seen[src] = seen[dst] = None
         elif parts[0] == "schreier":

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from irslab import PsiOracle, ball, emit_sgr, encoding, parse_sgr
+from irslab import PsiOracle, ball, emit_sgr, parse_sgr
 from irslab.cli import build_parser, main
 from irslab.encoding import SubshiftSpace
 from irslab.randomness import STREAM_VERSION
@@ -324,23 +324,75 @@ def test_upsilon_not_in_Y_exits_1(capsys, tmp_path, subshift_file):
     assert code == 1
 
 
-def test_upsilon_past_the_budget_exits_2(capsys, tmp_path, subshift_file,
-                                         monkeypatch):
+def test_upsilon_past_the_budget_exits_2(capsys, tmp_path, subshift_file):
     from irslab import CayleyOracle
 
     path = tmp_path / "plain.sgr"
     path.write_text(emit_sgr(ball(CayleyOracle(2), 10)))
-    monkeypatch.setattr(encoding, "DEFAULT_BUDGET", 100)
-    code, out, err = run(capsys, "upsilon", "--graph", str(path),
-                         "--subshift", subshift_file, "--radius", "3")
-    assert (code, out) == (2, "")
-    assert err == "error: translate balls exceeded budget 100\n"
+    for budget in ("100", "10"):  # --budget bounds the walk of translates
+        code, out, err = run(capsys, "upsilon", "--graph", str(path),
+                             "--subshift", subshift_file, "--radius", "3",
+                             "--budget", budget)
+        assert (code, out) == (2, "")
+        assert err == f"error: translate balls exceeded budget {budget}\n"
 
 
 def test_lambda(capsys, subshift_file):
     code, out, _ = run(capsys, "lambda", "--subshift", subshift_file)
     assert code == 0
     assert "conjugation invariance: PASS" in out
+
+
+ONE_POINT_TEXT = """\
+alphabet 40
+points 1
+perm s1: id
+perm s2: id
+label 0 40
+basepoint 0
+"""
+
+
+def traced_run(capsys, *argv):
+    """run(), and the tracemalloc peak of the command."""
+    tracemalloc.start()
+    try:
+        result = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (*result, peak)
+
+
+@pytest.mark.parametrize("text, atoms", [
+    (SUBSHIFT_TEXT.replace("alphabet 2", "alphabet 40"), "atoms 5 total 5/2"),
+    (ONE_POINT_TEXT, "atoms 41 total 41"),
+], ids=["two-points-alphabet-40", "one-point-label-40"])
+def test_lambda_answers_from_the_finite_quotient(capsys, tmp_path, text,
+                                                 atoms):
+    path = tmp_path / "big.sub"
+    path.write_text(text)
+    code, out, err, peak = traced_run(capsys, "lambda", "--subshift", str(path))
+    assert (code, err) == (0, "")
+    assert atoms + "\n" in out and out.endswith("invariance: PASS\n")
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("text, message", [
+    (SUBSHIFT_TEXT.replace("alphabet 2", "alphabet 9100"),
+     "translate count has more than 640 digits"),
+    (SUBSHIFT_TEXT.replace("alphabet 2", "alphabet 1" + "0" * 600),
+     "translate count has more than 640 digits"),
+    (ONE_POINT_TEXT.replace("40", "1000001"),
+     "points + labels exceed budget 1000000"),
+], ids=["alphabet-9100", "alphabet-600-zeros", "label-1000001"])
+def test_lambda_past_its_declared_size_exits_2(capsys, tmp_path, text,
+                                               message):
+    path = tmp_path / "big.sub"
+    path.write_text(text)
+    code, out, err, peak = traced_run(capsys, "lambda", "--subshift", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert peak < 1_000_000
 
 
 def test_stab_law_cli(capsys, tmp_path):
@@ -612,10 +664,15 @@ LONG = "x" * 3000
      "line 3: bad generator 'sxx"),
     ("tnf-check", ACTION_TEXT + f"{LONG}\n", "line 4: cannot parse 'xx"),
     ("lambda", SUBSHIFT_TEXT + f"label {LONG}\n", "line 8: cannot parse 'label xx"),
+    ("aut", INDEX2_TEXT.replace("A s2 A", "A s" + "9" * 640 + " A"),
+     "line 5: label 's99"),
+    ("lambda", SUBSHIFT_TEXT.replace("alphabet 2", "alphabet " + "9" * 639)
+     .replace("label 1 2", "label 1 " + "9" * 640), "symbol '99"),
 ], ids=["sgr-edge-line", "sgr-header", "sgr-label", "sgr-token",
         "sgr-boundary-token", "cycle-point-out-of-range", "cycle-letters",
         "unclosed-cycle", "cycle-without-parentheses",
-        "point-count", "generator", "action-line", "subshift-line"])
+        "point-count", "generator", "action-line", "subshift-line",
+        "sgr-label-out-of-range", "symbol-outside-the-alphabet"])
 def test_a_long_bad_line_or_field_is_quoted_short(capsys, tmp_path, command,
                                                   text, start):
     path = tmp_path / "long.txt"

@@ -302,28 +302,60 @@ def two_point_space(alphabet):
     return SubshiftSpace(FiniteAction(2, ((1, 0), (0, 1))), (1, 2), alphabet)
 
 
-def test_lambda_at_alphabet_11_stays_small():
-    # the word walk lists 265 721 translates here and peaks near 95 MB
-    space = two_point_space(11)
+def traced_lambda(space):
+    """(lambda_pushforward, conjugation invariance, tracemalloc peak)."""
     tracemalloc.start()
     try:
         lam, reps = lambda_pushforward(space)
         invariant = all(lambda_conjugate(space, lam, reps, l) == lam
-                        for l in letters_ordered(2))
+                        for l in letters_ordered(space.rank))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return lam, invariant, peak
+
+
+def test_lambda_at_alphabet_11_stays_small():
+    # the word walk lists 265 721 translates here and peaks near 95 MB
+    lam, invariant, peak = traced_lambda(two_point_space(11))
     assert invariant
     assert peak < 8_000_000
 
 
+@pytest.mark.parametrize("space, atoms, total", [
+    (two_point_space(40), 5, Fraction(5, 2)),
+    (SubshiftSpace(FiniteAction(1, ((0,), (0,))), (40,), 40), 41, 41),
+], ids=["two-points-alphabet-40", "one-point-label-40"])
+def test_lambda_walks_the_finite_quotient(space, atoms, total):
+    # each encoded graph has about 10^19 vertices within distance 40, and
+    # its quotient 5 or 41
+    lam, invariant, peak = traced_lambda(space)
+    assert (len(lam), lam.total(), invariant) == (atoms, total, True)
+    assert peak < 200_000
+
+
 def test_lambda_past_the_budget_raises(monkeypatch):
-    space = two_point_space(6)  # 332 vertices within distance 6 of a root
-    monkeypatch.setattr(encoding, "DEFAULT_BUDGET", 331)
-    with pytest.raises(BudgetError, match="exceeded budget 331"):
+    # the quotient has 2 + 1 + 2 = 5 vertices: two points, labels 1 and 2
+    space = two_point_space(6)
+    monkeypatch.setattr(encoding, "DEFAULT_BUDGET", 4)
+    with pytest.raises(BudgetError, match="exceed budget 4"):
         lambda_pushforward(space)
-    monkeypatch.setattr(encoding, "DEFAULT_BUDGET", 332)
+    monkeypatch.setattr(encoding, "DEFAULT_BUDGET", 5)
     lambda_pushforward(space)
+
+
+@pytest.mark.parametrize("rank, last", [(2, 1340), (3, 915)])
+def test_translate_count_is_capped_at_640_digits(rank, last):
+    assert len(str(translate_count(last, rank))) == 640
+    for alphabet in (last + 1, 10**600):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="more than 640 digits"):
+                translate_count(alphabet, rank)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000
 
 
 def test_upsilon_past_the_budget_raises(monkeypatch):
@@ -336,6 +368,8 @@ def test_upsilon_past_the_budget_raises(monkeypatch):
         upsilon(moved, space, 3)
     monkeypatch.setattr(encoding, "DEFAULT_BUDGET", 120)
     assert upsilon(moved, space, 3)[1] == (1, 2)
+    with pytest.raises(BudgetError, match="exceeded budget 119"):
+        upsilon(moved, space, 3, budget=119)  # a budget passed in wins
 
 
 def test_point_class_code_separates_patterns():
@@ -375,8 +409,10 @@ SUBSHIFT2 = ("alphabet 2\npoints 2\nperm s1: (0 1)\nperm s2: id\n"
      "line 5: label has more than 640 digits"),
     ("label 1 2\n", "", "need a label line for every point"),
     ("label 1 2", "label 1 2\nlabel 2 1", "need a label line for every point"),
-    ("label 0 1", "label 0 3", "symbol 3 outside alphabet 1..2 (0 is illegal)"),
-    ("label 0 1", "label 0 0", "symbol 0 outside alphabet 1..2 (0 is illegal)"),
+    ("label 0 1", "label 0 3",
+     "symbol '3' outside alphabet '1..2' (0 is illegal)"),
+    ("label 0 1", "label 0 0",
+     "symbol '0' outside alphabet '1..2' (0 is illegal)"),
     ("basepoint 0", "basepoint 0\nbasepoint 1",
      "line 8: second 'basepoint' line"),
     ("basepoint 0", "basepoint 2", "basepoint out of range"),

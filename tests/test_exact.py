@@ -206,6 +206,16 @@ def test_aut_trivial_mass_of_larger_cyclic_bases(n, mass):
     assert aut_trivial_mass(cyclic_oracle(n), Fraction(1, 2)) == mass
 
 
+def test_a_rigid_base_can_have_a_tripled_graph_with_an_automorphism():
+    # so a base with no automorphism does not settle its tripled graphs
+    base = FiniteOracle.from_perms([(0, 2, 3, 1), (1, 2, 3, 0)])
+    assert aut_count(base) == 1
+    succ, _ = _tripled(base)((0, 0, 1, 0))
+    assert len(succ[0]) == 6 and len(list(automorphisms(succ))) == 1
+    assert aut_trivial_mass(base, Fraction(1, 2)) == Fraction(63, 64)
+    assert aut_trivial_mass(base, Fraction(1, 10)) == Fraction(7757, 8000)
+
+
 def test_automorphisms_are_the_maps_commuting_with_every_letter():
     graphs = [BASES[name]() for name in BASES]
     graphs += [cyclic_oracle(n) for n in range(1, 9)]

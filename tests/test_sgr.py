@@ -181,10 +181,10 @@ NOT_A_TOKEN = ("a token is non-empty, has no whitespace and does not start "
     (HEAD2 + "A s1 A\nboundary\n", DomainError, "line 4: bad boundary line"),
     (HEAD2 + "A s1 A\nboundary Z\n", DomainError,
      "boundary vertex 'Z' has no edges"),
-    (HEAD2 + "A s3 A\n", DomainError, "line 3: label s3 out of range"),
-    (HEAD2 + "A s0 A\n", DomainError, "line 3: label s0 out of range"),
+    (HEAD2 + "A s3 A\n", DomainError, "line 3: label 's3' out of range"),
+    (HEAD2 + "A s0 A\n", DomainError, "line 3: label 's0' out of range"),
     ("schreier r=70\nroot A\nA s71 A\n", DomainError,
-     "line 3: label s71 out of range"),
+     "line 3: label 's71' out of range"),
     (HEAD2 + "A x A\n", DomainError, "line 3: bad label 'x'"),
     (HEAD2 + "A S1 A\n", DomainError, "line 3: bad label 'S1'"),
     (HEAD2 + "A s1\n", DomainError, "line 3: bad edge line 'A s1'"),
