@@ -2,7 +2,7 @@
 
 `FiniteAction` itself lives in `oracles`, since a finite Schreier graph is
 such an action seen from a point; this module adds orbit graphs,
-stabilizer codes, first returns, random actions and the action file format.
+stabilizer codes, first returns, random actions and the action file reader.
 """
 
 from __future__ import annotations
@@ -25,11 +25,6 @@ def orbit_schreier(action: FiniteAction, point: int) -> FiniteOracle:
     pos = {v: k for k, v in enumerate(orbit)}
     perms = [[pos[p[v]] for v in orbit] for p in action.perms]
     return FiniteOracle.from_perms(perms, pos[point], map(str, orbit))
-
-
-def stab_equal(action: FiniteAction, x: int, y: int) -> bool:
-    """Whether two points have the same stabilizer subgroup."""
-    return array_code(action.perms, x) == array_code(action.perms, y)
 
 
 def is_totally_nonfree(action: FiniteAction) -> bool:
@@ -56,21 +51,6 @@ def first_return(perm: tuple, subset) -> dict:
             z = perm[z]
         out[y] = z
     return out
-
-
-def graphing_cost(action: FiniteAction, domains) -> Fraction:
-    """Cost of a graphing under the uniform measure: sum of |domain_i| / n,
-    with domain_i the subset on which generator i is used."""
-    if len(domains) != action.rank:
-        raise DomainError("need one domain per generator")
-    total = 0
-    for d in domains:
-        ds = frozenset(d)
-        for y in ds:
-            if not 0 <= y < action.n:
-                raise DomainError(f"domain point {y} out of range")
-        total += len(ds)
-    return Fraction(total, action.n)
 
 
 def stab_pushforward_law(action: FiniteAction) -> AtomicMeasure:
@@ -121,25 +101,6 @@ def parse_cycles(text: str, n: int, lineno: int = 1) -> tuple:
     return tuple(perm)
 
 
-def format_cycles(perm: tuple) -> str:
-    n = len(perm)
-    seen = set()
-    parts = []
-    for i in range(n):
-        if i in seen or perm[i] == i:
-            seen.add(i)
-            continue
-        cyc = [i]
-        j = perm[i]
-        while j != i:
-            cyc.append(j)
-            seen.add(j)
-            j = perm[j]
-        seen.add(i)
-        parts.append("(" + " ".join(map(str, cyc)) + ")")
-    return "".join(parts) if parts else "id"
-
-
 def parse_action(text: str) -> FiniteAction:
     """Action file: `points <n>` then `perm s<i>: <cycles>` lines, read by
     the line rules of README's "File formats"."""
@@ -180,10 +141,3 @@ def read_action(text: str, rows) -> FiniteAction:
     if sorted(perms) != list(range(1, len(perms) + 1)):
         raise DomainError("perm lines must cover s1..sr without gaps")
     return FiniteAction(n, tuple(perms[i] for i in sorted(perms)))
-
-
-def emit_action(action: FiniteAction) -> str:
-    lines = [f"points {action.n}"]
-    for i, p in enumerate(action.perms, start=1):
-        lines.append(f"perm s{i}: {format_cycles(p)}")
-    return "\n".join(lines) + "\n"

@@ -1,6 +1,5 @@
 """Comparisons and invariants of rooted labeled graphs: rooted isomorphism,
-the local metric, cylinder fingerprints, automorphism counting and the
-normalizer-element predicate.
+the local metric, cylinder fingerprints and automorphism counting.
 
 Deterministic labeled graphs admit at most one root-isomorphism, so a
 rooted graph has a canonical code, its successor table under BFS numbering
@@ -13,29 +12,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, InvalidGraphError
-from .oracles import (
-    STAR,
-    BallView,
-    DEFAULT_BUDGET,
-    FiniteAction,
-    FiniteOracle,
-    SchreierOracle,
-    ball,
-    bfs,
-    contains,
-)
-from .words import (
-    Word,
-    check_letter,
-    conjugated_word,
-    inverse_word,
-    letters_ordered,
-    reduce_word,
-    words_upto,
-)
-
-Z_NO = "no"
-Z_CONSISTENT = "consistent-up-to-radius"
+from .oracles import (STAR, BallView, DEFAULT_BUDGET, FiniteAction,
+                      FiniteOracle, SchreierOracle, ball, bfs)
+from .words import Word, inverse_word, letters_ordered, reduce_word, words_upto
 
 
 def root_isomorphic(a: BallView, b: BallView) -> bool:
@@ -182,24 +161,6 @@ def automorphisms(succ):
             yield image
 
 
-def z_set_member(oracle: SchreierOracle, g: Word, check_radius: int) -> str:
-    """Truncated test of "g normalizes K but g is not in K".
-
-    Returns Z_NO definitively when g is in K, or when some word w with
-    |w| <= check_radius is in K while g w g^-1 is not. Otherwise returns
-    Z_CONSISTENT: the property is closed but not decidable at finite radius.
-    """
-    g = reduce_word(g)
-    if check_radius < len(g):
-        raise DomainError("check_radius must be at least |g|")
-    if contains(oracle, g):
-        return Z_NO
-    for w in cylinder_fingerprint(oracle, check_radius):
-        if not contains(oracle, conjugated_word(g, w)):
-            return Z_NO
-    return Z_CONSISTENT
-
-
 def bfs_numbering(root, step, letters) -> tuple[list, tuple]:
     """(order, rows): the vertices reachable from `root` in the discovery
     order of `bfs` along `letters` (those of `letters_ordered`), and for
@@ -243,8 +204,7 @@ def array_code(succ, root: int) -> tuple:
     under BFS numbering from the root, expanding along letters_ordered.
     The same code as `canonical_code`, kept as a path over int permutations
     because `enumerate_normalizer_law` calls it once per mark assignment and
-    root slot; `conjugate_code` and the stabilizer functions of `actions`
-    call it once per code or point."""
+    root slot, and the stabilizer functions of `actions` once per point."""
     steps = []
     for s in succ:
         steps += [s, sorted(range(len(s)), key=s.__getitem__)]  # s, s^-1
@@ -273,17 +233,3 @@ def code_action(code: tuple) -> FiniteAction:
 
 def oracle_from_code(code: tuple) -> FiniteOracle:
     return FiniteOracle(code_action(code))
-
-
-def conjugate_code(code: tuple, g: Word) -> tuple:
-    """Canonical code of the conjugated (rebased) finite graph: the root
-    moves along g^-1."""
-    action = code_action(code)
-    v = 0
-    for l in inverse_word(g):
-        check_letter(l, code[0])
-        v = action.step(v, l)
-    moved = array_code(action.perms, v)
-    if moved[1] != code[1]:
-        raise DomainError("graph is not connected from the root")
-    return moved

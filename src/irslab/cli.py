@@ -19,8 +19,10 @@ text once, to stdout or to --out.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
+from math import log2
 from typing import Callable, NamedTuple
 
 from . import __version__
@@ -39,6 +41,7 @@ from .encoding import (PsiOracle, decode, lambda_conjugate, lambda_pushforward,
                        parse_subshift, translate_count, upsilon)
 from .errors import BudgetError, DomainError
 from .laws import NormalizerLaw, PointLaw, PoulsenLaw, trivial_law
+from .lines import MAX_DIGITS, quote
 from .montecarlo import (
     CylinderSpec,
     convergence_sweep,
@@ -51,9 +54,9 @@ from .montecarlo import (
 from .normalizer import enumerate_normalizer_law
 from .oracles import BallBackedOracle, FiniteOracle, ball, conjugate
 from .sgr import emit_edgelist, emit_sgr, parse_complete_oracle, parse_sgr
-from .randomness import STREAM_VERSION, KeyedRng
-from .words import (letters_ordered, phi_word, word_from_str, word_to_str,
-                    words_upto)
+from .randomness import STREAM_VERSION, TWO128, KeyedRng
+from .words import (letters_ordered, phi_word, shortlex_word, word_from_str,
+                    word_to_str)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -62,10 +65,19 @@ EXIT_VERIFY = 3
 
 
 def parse_rational(text: str) -> Fraction:
+    """An exact rational as Fraction reads it, e.g. 1/10, 0.1 or 1e-1. Each
+    digit field, and the zeros an exponent stands for, count against the
+    MAX_DIGITS cap of the file formats, checked before Fraction is called."""
+    fields = re.findall(r"\d+", text)
+    if max(map(len, fields), default=0) > MAX_DIGITS or (
+            "e" in text.lower() and fields and int(fields[-1]) > MAX_DIGITS):
+        raise argparse.ArgumentTypeError(
+            f"rational {quote(text)} has more than {MAX_DIGITS} digits")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise DomainError(f"cannot parse rational {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"cannot parse rational {quote(text)}") from None
 
 
 def parse_seed(text: str) -> int:
@@ -245,12 +257,19 @@ def cmd_check_equivariance(args) -> tuple[str, int]:
         raise DomainError("--trials must be >= 1")
     if args.max_word_len < 1:
         raise DomainError("--max-word-len must be >= 1")
+    # each trial draws a word of length 1..n by its shortlex position, and
+    # one 128-bit draw must reach every position; (2r - 1)^n bounds the count
+    n, rank = args.max_word_len, space.rank
+    count = translate_count(n, rank) - 1 if n < 128 / log2(2 * rank - 1) \
+        else TWO128
+    if count >= TWO128:
+        raise DomainError(
+            f"--max-word-len gives 2^128 words or more at rank {rank}")
     rng = KeyedRng(args.seed, "equivariance")
-    candidates = [w for w in words_upto(space.rank, args.max_word_len) if w]
     failures = 0
     for _ in range(args.trials):
         q = rng.randrange(space.action.n)
-        f = candidates[rng.randrange(len(candidates))]
+        f = shortlex_word(rank, 1 + rng.randrange(count))
         x = space.point(q)
         lhs = ball(PsiOracle(x.shifted(f)), args.radius, args.budget)
         rhs = ball(conjugate(PsiOracle(x), phi_word(f)), args.radius, args.budget)
@@ -483,7 +502,7 @@ def main(argv=None) -> int:
     except BudgetError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except (DomainError, OSError) as e:
+    except (DomainError, OSError, argparse.ArgumentTypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DOMAIN
 

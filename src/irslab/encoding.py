@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import log10
 
-from .actions import FiniteAction, emit_action, read_action
+from .actions import FiniteAction, read_action
 from .errors import (AmbiguityError, BudgetError, DomainError, HorizonError,
                      NotInYError, NotInZError)
 from .measures import AtomicMeasure
@@ -28,7 +28,6 @@ from .oracles import (DEFAULT_BUDGET, CayleyOracle, FiniteOracle,
                       SchreierOracle, ball, bfs, conjugate, trace)
 from .analysis import ball_code, bfs_numbering
 from .lines import MAX_DIGITS, bad_line, number, once, quote, records
-from .randomness import KeyedRng
 from .words import (
     Word,
     inverse_word,
@@ -319,14 +318,6 @@ def lambda_conjugate(space: SubshiftSpace, lam: AtomicMeasure, reps: dict,
     return out
 
 
-def random_subshift_space(n_points: int, rank: int, alphabet: int,
-                          seed: int) -> SubshiftSpace:
-    rng = KeyedRng(seed, "subshift")
-    perms = tuple(rng.permutation(n_points) for _ in range(rank))
-    labels = tuple(1 + rng.randrange(alphabet) for _ in range(n_points))
-    return SubshiftSpace(FiniteAction(n_points, perms), labels, alphabet)
-
-
 def parse_subshift(text: str):
     """Subshift file: an action file's `points`/`perm` lines plus `alphabet`,
     `label <point> <symbol>` and `basepoint` lines (README, "File formats").
@@ -359,9 +350,3 @@ def parse_subshift(text: str):
     space = SubshiftSpace(action, tuple(labels[i] for i in range(action.n)),
                           alphabet)
     return space, space.point(basepoint or 0).basepoint  # checks the range
-
-
-def emit_subshift(space: SubshiftSpace, basepoint: int = 0) -> str:
-    labels = "".join(f"label {q} {s}\n" for q, s in enumerate(space.labels))
-    return (f"alphabet {space.alphabet}\n" + emit_action(space.action)
-            + labels + f"basepoint {basepoint}\n")

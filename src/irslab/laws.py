@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .normalizer import MarkLaw, checked_root_slot, tripled_oracle
+from .normalizer import checked_root_slot, mark_law, normalizer_oracle
 from .oracles import CayleyOracle, SchreierOracle
 from .poulsen import PoulsenOracle, retention_cutoff
 from .randomness import subseed
@@ -58,13 +58,13 @@ class NormalizerLaw(_SeededLaw):
         self.inner = inner
         self.p = Fraction(p)
         self.rank = inner.rank
-        self.mark_law = MarkLaw(self.p, self.rank)
+        mark_law(self.p, self.rank)
         self.biased_root_slot = checked_root_slot(biased_root_slot)
 
     def sample(self, seed: int) -> SchreierOracle:
         base = self.inner.draw(seed, "law", "base-draw")
-        return tripled_oracle(base, self.mark_law, subseed(seed, "law", "marks"),
-                              self.biased_root_slot)
+        return normalizer_oracle(base, self.p, subseed(seed, "law", "marks"),
+                                 self.biased_root_slot)
 
     def describe(self) -> str:
         tag = "biased-normalizer" if self.biased_root_slot is not None \

@@ -40,12 +40,6 @@ class AtomicMeasure:
     def items_sorted(self):
         return sorted(self.data.items(), key=lambda kv: kv[0])
 
-    def map_keys(self, fn) -> "AtomicMeasure":
-        out = AtomicMeasure()
-        for k, m in self.data.items():
-            out.add(fn(k), m)
-        return out
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, AtomicMeasure):
             return NotImplemented
@@ -56,12 +50,3 @@ class AtomicMeasure:
 
     def __repr__(self) -> str:
         return f"AtomicMeasure({len(self.data)} atoms, total={self.total()})"
-
-
-def tv_distance(a: AtomicMeasure, b: AtomicMeasure) -> Fraction:
-    """Total variation distance (1/2) sum |a(k) - b(k)| over the key union."""
-    keys = set(a.keys()) | set(b.keys())
-    acc = Fraction(0)
-    for k in keys:
-        acc += abs(a.mass(k) - b.mass(k))
-    return acc / 2

@@ -63,7 +63,7 @@ class MarkLaw:
     def thresholds(self, at_root: bool) -> tuple[int, ...]:
         """Integer cutoffs c_0 < ... < c_r = 2^128 so that a uniform 128-bit
         draw d yields mark = first i with d < c_i. Computed once per
-        `MarkLaw`; a `NormalizerLaw` builds one."""
+        `MarkLaw`, and `mark_law` builds one per (p, rank)."""
         cuts = []
         acc = Fraction(0)
         for m in self.masses(at_root):
@@ -100,9 +100,9 @@ class NormalizerOracle(SchreierOracle):
     """Lazy tripled-and-rewired graph over an arbitrary base oracle.
 
     `markfn` maps a base vertex to its mark; `root_slot` fixes the slot when
-    the root coset is marked, or is a function of no arguments that gives
-    it and is called only then. The sampling constructors derive both from
-    a seed. Moves inside a marked coset read the slot tables SLOTS and
+    the root coset is marked, or is None for the uniform slot that
+    `markfn.root_slot()` draws, only then. `normalizer_oracle` derives both
+    from a seed. Moves inside a marked coset read the slot tables SLOTS and
     INVERSE, which `_tripled` reads too; every other step crosses to a base
     neighbour through `_onto`, at slot 0 for a positive letter and slot 2
     for an inverse one if that neighbour is marked.
@@ -116,11 +116,9 @@ class NormalizerOracle(SchreierOracle):
         if self._mark(base.root) == 0:
             self.root = ("b", base.root)
         else:
-            if callable(root_slot):
-                root_slot = root_slot()
-            if root_slot not in (0, 1, 2):
-                raise DomainError("root slot must be 0, 1 or 2")
-            self.root = ("t", base.root, root_slot)
+            if root_slot is None:
+                root_slot = markfn.root_slot()
+            self.root = ("t", base.root, checked_root_slot(root_slot))
 
     def neighbor(self, vertex, letter: int):
         if vertex[0] == "t":
@@ -154,10 +152,12 @@ class NormalizerOracle(SchreierOracle):
 
 class _HashMarks:
     """Memoized keyed-hash marks, each keyed by its base vertex; write-once
-    cache, safe for shared readers."""
+    cache, safe for shared readers. `root_slot` draws the uniform slot of a
+    marked root from the same seed."""
 
     def __init__(self, base: SchreierOracle, law: MarkLaw, seed: int):
         self.base = base
+        self.seed = seed
         self.keyed = Keyed(seed, "mark")
         self.root_cuts = law.root_cuts
         self.other_cuts = law.other_cuts
@@ -170,6 +170,9 @@ class _HashMarks:
             m = self.cache[v] = self.keyed.choose(v, cuts)
         return m
 
+    def root_slot(self) -> int:
+        return Keyed(self.seed, "rootslot").choose("root", SLOT_CUTS)
+
 
 def checked_root_slot(slot: int | None) -> int | None:
     """A biased root slot, None or 0, 1 or 2; raises DomainError otherwise."""
@@ -178,27 +181,23 @@ def checked_root_slot(slot: int | None) -> int | None:
     return slot
 
 
+@functools.lru_cache(maxsize=64)
+def mark_law(p, rank: int) -> MarkLaw:
+    """`MarkLaw(p, rank)`, built once per (p, rank) and then looked up."""
+    return MarkLaw(p, rank)
+
+
 def normalizer_oracle(base: SchreierOracle, p, seed: int,
                       biased_root_slot: int | None = None) -> NormalizerOracle:
-    """Sample the perturbed graph with keyed randomness: `tripled_oracle`
-    under the mark law of p."""
-    return tripled_oracle(base, MarkLaw(p, base.rank), seed, biased_root_slot)
-
-
-def tripled_oracle(base: SchreierOracle, law: MarkLaw, seed: int,
-                   biased_root_slot: int | None = None) -> NormalizerOracle:
-    """Sample the perturbed graph with keyed randomness, marks drawn from
-    `law`, whose rank is that of `base`.
+    """Sample the perturbed graph with keyed randomness: marks drawn from
+    the mark law of p, and the root slot uniform when the root is marked.
 
     `biased_root_slot` forces a fixed root slot instead of the uniform
     choice; this deliberately breaks invariance and exists as a negative
     control for the invariance test harness.
     """
-    slot = checked_root_slot(biased_root_slot)
-    if slot is None:
-        def slot():  # drawn only for a marked root
-            return Keyed(seed, "rootslot").choose("root", SLOT_CUTS)
-    return NormalizerOracle(base, _HashMarks(base, law, seed), slot)
+    marks = _HashMarks(base, mark_law(p, base.rank), seed)
+    return NormalizerOracle(base, marks, checked_root_slot(biased_root_slot))
 
 
 def _tripled(base: FiniteOracle):

@@ -15,13 +15,7 @@ from functools import cached_property
 
 from .errors import BudgetError, DomainError, HorizonError, InvalidGraphError
 from .lines import quote
-from .words import (
-    Word,
-    inverse_word,
-    letters_ordered,
-    reduce_word,
-    word_to_str,
-)
+from .words import Word, inverse_word, letters_ordered, word_to_str
 
 DEFAULT_BUDGET = 10**6
 
@@ -242,11 +236,6 @@ def trace(oracle: SchreierOracle, w: Word):
     for l in w:
         v = oracle.neighbor(v, l)
     return v
-
-
-def contains(oracle: SchreierOracle, w) -> bool:
-    """Word membership in the subgroup represented by the oracle."""
-    return trace(oracle, reduce_word(w)) == oracle.root
 
 
 def conjugate(oracle: SchreierOracle, g: Word) -> SchreierOracle:

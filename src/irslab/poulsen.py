@@ -178,44 +178,6 @@ def star_ball(graph: PercolationGraph, radius: int,
                      radius, graph.token, graph.star, budget)
 
 
-def star_records(view: BallView) -> tuple:
-    """Star edges of a view as sorted (v, w) pairs with v <= w."""
-    return tuple(sorted((v, w) for v, l, w in view.edges if l == STAR))
-
-
-def _swap_s1(view: BallView, pairs, keep_stars: bool) -> BallView:
-    partner = {}
-    for v, w in pairs:
-        if v in partner or w in partner:
-            raise DomainError("a vertex appears in two star records")
-        partner[v] = w
-        partner[w] = v
-    for v in partner:
-        if view.step(v, 1) is None:
-            raise DomainError(f"starred vertex {v!r} lacks its outgoing "
-                              "s1-edge; surgery needs all four implicated edges")
-    edges = [e for e in view.edges if e[1] != STAR and e[1] != 1]
-    edges += [(v, 1, w) for v in view.vertices
-              if (w := view.step(partner.get(v, v), 1)) is not None]
-    if keep_stars:
-        edges += [(v, STAR, w) for v, w in pairs]
-    return BallView(view.rank, view.radius, view.root, view.vertices,
-                    edges, view.boundary)
-
-
-def surgery(view: BallView) -> BallView:
-    """Consume every star edge {v, w}: replace (v, v.s1) and (w, w.s1) by
-    (v, w.s1) and (w, v.s1). The output has no star edges. Up to the
-    retained star records this is an involution; `inverse_surgery` undoes it."""
-    return _swap_s1(view, star_records(view), keep_stars=False)
-
-
-def inverse_surgery(view: BallView, records) -> BallView:
-    """Undo a surgery given its star records: swap the same s1-successor
-    pairs back and restore the star edges."""
-    return _swap_s1(view, tuple(records), keep_stars=True)
-
-
 def view_equal_exact(a: BallView, b: BallView) -> bool:
     """Identity of views as labeled graphs: views are canonical (see
     BallView), so equal rank, radius, boundary, vertices and cells."""

@@ -111,6 +111,3 @@ class KeyedRng:
             j = self._next() * (i + 1) // TWO128
             perm[i], perm[j] = perm[j], perm[i]
         return tuple(perm)
-
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]

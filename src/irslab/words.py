@@ -10,7 +10,6 @@ s_1 < s_1^-1 < s_2 < s_2^-1 < ...
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterable, Iterator
 
 from .errors import DomainError
@@ -36,17 +35,8 @@ def reduce_word(letters: Iterable[int]) -> Word:
     return tuple(out)
 
 
-def concat(*words: Word) -> Word:
-    return reduce_word(chain.from_iterable(words))
-
-
 def inverse_word(w: Word) -> Word:
     return tuple(-l for l in reversed(w))
-
-
-def conjugated_word(g: Word, w: Word) -> Word:
-    """g w g^-1, reduced."""
-    return concat(g, w, inverse_word(g))
 
 
 def letter_key(l: int) -> tuple[int, int]:
@@ -85,6 +75,29 @@ def shortlex_walk(rank: int, n: int) -> Iterator[Word]:
 def words_upto(rank: int, n: int) -> list[Word]:
     """All reduced words of length <= n, in shortlex order (identity first)."""
     return list(shortlex_walk(rank, n))
+
+
+def shortlex_word(rank: int, k: int) -> Word:
+    """The reduced word at position k >= 0 of the shortlex order, that is
+    `words_upto(rank, n)[k]` for any n that reaches it, found without
+    listing the words before it: past its first letter, each letter is one
+    digit in base 2r - 1 over `letters_ordered(rank)` less the inverse of
+    the letter before."""
+    letters = letters_ordered(rank)
+    length, size = 0, 1  # size: the number of words of this length
+    while k >= size:
+        k -= size
+        length += 1
+        size = 2 * rank * (2 * rank - 1) ** (length - 1)
+    digits = []
+    for _ in range(length - 1):
+        k, d = divmod(k, 2 * rank - 1)
+        digits.append(d)
+    word = [letters[k]] if length else []
+    for d in reversed(digits):
+        back = letters.index(-word[-1])
+        word.append(letters[d + (d >= back)])
+    return tuple(word)
 
 
 class _LetterNames(dict):
@@ -134,26 +147,4 @@ def phi_word(w: Word) -> Word:
             out.append(l)
         else:
             out.append(l)
-    return tuple(out)
-
-
-def phi_inverse_word(w: Word) -> Word | None:
-    """Partial inverse of phi_word; None when w has an odd run of s1-letters
-    (i.e. w is not in the subgroup generated by s1^2, s2, ..., s_r)."""
-    out: list[int] = []
-    i = 0
-    while i < len(w):
-        l = w[i]
-        if abs(l) == 1:
-            j = i
-            while j < len(w) and w[j] == l:
-                j += 1
-            run = j - i
-            if run % 2 != 0:
-                return None
-            out.extend([l] * (run // 2))
-            i = j
-        else:
-            out.append(l)
-            i += 1
     return tuple(out)

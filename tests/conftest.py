@@ -1,6 +1,6 @@
 import pytest
 
-from irslab import CayleyOracle
+from irslab.oracles import CayleyOracle
 
 from helpers import index2_oracle, one_vertex_oracle
 

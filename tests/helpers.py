@@ -1,20 +1,26 @@
 """Shared test fixtures data and independent brute-force oracles.
 
 The brute-force routines deliberately avoid the library's algorithms so
-that tests cross-check two separate code paths.
+that tests cross-check two separate code paths. The last section holds
+word maps, file writers and random data that only the tests use.
 """
 
 import itertools
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations, takewhile
+from itertools import chain, permutations, takewhile
 
-from irslab import AtomicMeasure, DomainError, FiniteOracle, MarkLaw, canonical_code
-from irslab.encoding import PsiOracle, encoded_root_key, point_class_code
-from irslab.errors import BudgetError, HorizonError, InvalidGraphError
-from irslab.normalizer import NormalizerOracle
-from irslab.oracles import DEFAULT_BUDGET, STAR, BallView, SchreierOracle, conjugate, trace
-from irslab.words import inverse_word, letters_ordered, words_upto
+from irslab.analysis import array_code, canonical_code, code_action
+from irslab.encoding import (PsiOracle, SubshiftSpace, encoded_root_key,
+                             point_class_code)
+from irslab.errors import BudgetError, DomainError, HorizonError, InvalidGraphError
+from irslab.measures import AtomicMeasure
+from irslab.normalizer import MarkLaw, NormalizerOracle
+from irslab.oracles import (DEFAULT_BUDGET, STAR, BallView, FiniteAction,
+                            FiniteOracle, SchreierOracle, conjugate, trace)
+from irslab.randomness import KeyedRng
+from irslab.words import (check_letter, inverse_word, letters_ordered,
+                          reduce_word, words_upto)
 
 
 def brute_reduce(letters):
@@ -388,3 +394,147 @@ def outcome(fn, *args):
         return fn(*args), None
     except Exception as exc:  # the type is compared, not the message
         return None, type(exc)
+
+
+# -- word maps, writers and random data that only the tests need -------------
+
+
+def contains(oracle: SchreierOracle, w) -> bool:
+    """Word membership in the subgroup represented by the oracle."""
+    return trace(oracle, reduce_word(w)) == oracle.root
+
+
+def concat(*words):
+    return reduce_word(chain.from_iterable(words))
+
+
+def conjugated_word(g, w):
+    """g w g^-1, reduced."""
+    return concat(g, w, inverse_word(g))
+
+
+def phi_inverse_word(w):
+    """Partial inverse of phi_word; None when w has an odd run of s1-letters
+    (i.e. w is not in the subgroup generated by s1^2, s2, ..., s_r)."""
+    out: list[int] = []
+    i = 0
+    while i < len(w):
+        l = w[i]
+        if abs(l) == 1:
+            j = i
+            while j < len(w) and w[j] == l:
+                j += 1
+            run = j - i
+            if run % 2 != 0:
+                return None
+            out.extend([l] * (run // 2))
+            i = j
+        else:
+            out.append(l)
+            i += 1
+    return tuple(out)
+
+
+def conjugate_code(code: tuple, g) -> tuple:
+    """Canonical code of the conjugated (rebased) finite graph: the root
+    moves along g^-1. The int-array path of `reference_conjugate_code`."""
+    action = code_action(code)
+    v = 0
+    for l in inverse_word(g):
+        check_letter(l, code[0])
+        v = action.step(v, l)
+    moved = array_code(action.perms, v)
+    if moved[1] != code[1]:
+        raise DomainError("graph is not connected from the root")
+    return moved
+
+
+def pushforward(measure: AtomicMeasure, fn) -> AtomicMeasure:
+    """The measure of fn(k) for k drawn from `measure`."""
+    out = AtomicMeasure()
+    for k, m in measure.data.items():
+        out.add(fn(k), m)
+    return out
+
+
+def format_cycles(perm: tuple) -> str:
+    n = len(perm)
+    seen = set()
+    parts = []
+    for i in range(n):
+        if i in seen or perm[i] == i:
+            seen.add(i)
+            continue
+        cyc = [i]
+        j = perm[i]
+        while j != i:
+            cyc.append(j)
+            seen.add(j)
+            j = perm[j]
+        seen.add(i)
+        parts.append("(" + " ".join(map(str, cyc)) + ")")
+    return "".join(parts) if parts else "id"
+
+
+def emit_action(action: FiniteAction) -> str:
+    """An action file (README, "File formats") that `parse_action` reads."""
+    lines = [f"points {action.n}"]
+    for i, p in enumerate(action.perms, start=1):
+        lines.append(f"perm s{i}: {format_cycles(p)}")
+    return "\n".join(lines) + "\n"
+
+
+def random_subshift_space(n_points: int, rank: int, alphabet: int,
+                          seed: int) -> SubshiftSpace:
+    rng = KeyedRng(seed, "subshift")
+    perms = tuple(rng.permutation(n_points) for _ in range(rank))
+    labels = tuple(1 + rng.randrange(alphabet) for _ in range(n_points))
+    return SubshiftSpace(FiniteAction(n_points, perms), labels, alphabet)
+
+
+def emit_subshift(space: SubshiftSpace, basepoint: int = 0) -> str:
+    """A subshift file that `parse_subshift` reads."""
+    labels = "".join(f"label {q} {s}\n" for q, s in enumerate(space.labels))
+    return (f"alphabet {space.alphabet}\n" + emit_action(space.action)
+            + labels + f"basepoint {basepoint}\n")
+
+
+# -- surgery on explicit balls: the reference of PoulsenOracle's lazy one ----
+
+
+def star_records(view: BallView) -> tuple:
+    """Star edges of a view as sorted (v, w) pairs with v <= w."""
+    return tuple(sorted((v, w) for v, l, w in view.edges if l == STAR))
+
+
+def _swap_s1(view: BallView, pairs, keep_stars: bool) -> BallView:
+    partner = {}
+    for v, w in pairs:
+        if v in partner or w in partner:
+            raise DomainError("a vertex appears in two star records")
+        partner[v] = w
+        partner[w] = v
+    for v in partner:
+        if view.step(v, 1) is None:
+            raise DomainError(f"starred vertex {v!r} lacks its outgoing "
+                              "s1-edge; surgery needs all four implicated edges")
+    edges = [e for e in view.edges if e[1] != STAR and e[1] != 1]
+    edges += [(v, 1, w) for v in view.vertices
+              if (w := view.step(partner.get(v, v), 1)) is not None]
+    if keep_stars:
+        edges += [(v, STAR, w) for v, w in pairs]
+    return BallView(view.rank, view.radius, view.root, view.vertices,
+                    edges, view.boundary)
+
+
+def surgery(view: BallView) -> BallView:
+    """Consume every star edge {v, w}: replace (v, v.s1) and (w, w.s1) by
+    (v, w.s1) and (w, v.s1). The output has no star edges. Up to the
+    retained star records this is an involution; `inverse_surgery` undoes it."""
+    return _swap_s1(view, star_records(view), keep_stars=False)
+
+
+def inverse_surgery(view: BallView, records) -> BallView:
+    """Undo a surgery given its star records: swap the same s1-successor
+    pairs back and restore the star edges."""
+    return _swap_s1(view, tuple(records), keep_stars=True)

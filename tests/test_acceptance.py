@@ -9,50 +9,56 @@ import hashlib
 import itertools
 from fractions import Fraction
 
-from irslab import (
-    CayleyOracle,
-    CylinderSpec,
-    NormalizerLaw,
-    NotInYError,
-    PointLaw,
-    PoulsenLaw,
-    PoulsenOracle,
-    PsiOracle,
-    aut_count,
-    ball,
-    conjugate,
-    cylinder_fingerprint,
-    decode,
-    enumerate_normalizer_law,
-    in_Z,
-    invariance_report,
-    lambda_pushforward,
-    metric,
-    normalizer_oracle,
-    root_isomorphic,
+from irslab.actions import (
+    first_return,
+    is_totally_nonfree,
+    random_action,
     stab_pushforward_law,
-    translate_count,
-    trivial_law,
-    upsilon,
-    validate_schreier_ball,
 )
-from irslab.actions import FiniteAction, first_return, is_totally_nonfree, random_action
-from irslab.analysis import conjugate_code
-from irslab.encoding import SubshiftSpace, lambda_conjugate, point_class_code, random_subshift_space
-from irslab.errors import InvalidGraphError
+from irslab.analysis import (
+    aut_count,
+    cylinder_fingerprint,
+    metric,
+    root_isomorphic,
+)
+from irslab.encoding import (
+    PsiOracle,
+    SubshiftSpace,
+    decode,
+    in_Z,
+    lambda_conjugate,
+    lambda_pushforward,
+    point_class_code,
+    translate_count,
+    upsilon,
+)
+from irslab.errors import InvalidGraphError, NotInYError
+from irslab.laws import NormalizerLaw, PointLaw, PoulsenLaw, trivial_law
 from irslab.measures import AtomicMeasure
 from irslab.montecarlo import (
+    CylinderSpec,
     convergence_sweep,
     exact_invariance_rows,
+    invariance_report,
     render_invariance,
     render_sweep,
 )
-from irslab.oracles import FiniteOracle
+from irslab.normalizer import enumerate_normalizer_law, normalizer_oracle
+from irslab.oracles import (
+    CayleyOracle,
+    FiniteAction,
+    FiniteOracle,
+    ball,
+    conjugate,
+    validate_schreier_ball,
+)
+from irslab.poulsen import PoulsenOracle
 from irslab.randomness import KeyedRng, subseed
 from irslab.sgr import emit_sgr
 from irslab.words import inverse_word, phi_word, words_upto
 
-from helpers import index2_oracle
+from helpers import (conjugate_code, index2_oracle, pushforward,
+                     random_subshift_space)
 
 SEED = 20260808
 REPORTS: dict = {}
@@ -311,7 +317,7 @@ def _c9_report() -> str:
         action = random_action(8, 2, seed=subseed(SEED, "c9", i))
         law = stab_pushforward_law(action)
         for letter in (1, -1, 2, -2):
-            if law.map_keys(lambda c: conjugate_code(c, (letter,))) != law:
+            if pushforward(law, lambda c: conjugate_code(c, (letter,))) != law:
                 bad_laws += 1
                 break
     fr_mismatch = 0

@@ -1,38 +1,38 @@
 import itertools
 import tracemalloc
-from fractions import Fraction
 
 import pytest
 
-from irslab import (
-    BudgetError,
-    DomainError,
-    FiniteAction,
-    aut_count,
-    canonical_code,
-    contains,
-    first_return,
-    graphing_cost,
-    is_totally_nonfree,
-    orbit_schreier,
-    rooted_equal_finite,
-    stab_equal,
-    stab_pushforward_law,
-)
 from irslab import actions
 from irslab.actions import (
-    emit_action,
-    format_cycles,
+    first_return,
+    is_totally_nonfree,
+    orbit_schreier,
     parse_action,
     parse_cycles,
     random_action,
     random_transitive_action,
+    stab_pushforward_law,
 )
-from irslab.analysis import conjugate_code
+from irslab.analysis import (
+    array_code,
+    aut_count,
+    canonical_code,
+    rooted_equal_finite,
+)
 from irslab.encoding import parse_subshift
+from irslab.errors import BudgetError, DomainError
+from irslab.oracles import FiniteAction
 from irslab.randomness import KeyedRng
 
-from helpers import index2_oracle
+from helpers import (
+    conjugate_code,
+    contains,
+    emit_action,
+    format_cycles,
+    index2_oracle,
+    pushforward,
+)
 from test_words import random_word
 
 
@@ -67,6 +67,11 @@ def test_contains_iff_word_fixes_point():
         for _ in range(200):
             w = random_word(rng, 8)
             assert contains(g, w) == (a.act(x, w) == x)
+
+
+def stab_equal(action: FiniteAction, x: int, y: int) -> bool:
+    """Whether two points have the same stabilizer: equal stabilizer codes."""
+    return array_code(action.perms, x) == array_code(action.perms, y)
 
 
 def test_stab_equal():
@@ -149,37 +154,6 @@ def test_first_return_rejects_empty():
         first_return((0, 1), set())
 
 
-def test_graphing_cost_examples():
-    a = random_action(4, 2, seed=1)
-    assert graphing_cost(a, [set(range(4)), set(range(4))]) == 2
-    assert graphing_cost(a, [set(range(4)), {0, 1}]) == Fraction(3, 2)
-    assert graphing_cost(a, [{0, 1}, set()]) == Fraction(1, 2)
-
-
-def test_graphing_cost_spanning_tree():
-    a = random_transitive_action(6, 2, seed=9)
-    # greedy BFS spanning tree: one incoming generator edge per new vertex
-    domains = [set(), set()]
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in (0, 1):
-                w = a.perms[i][v]
-                if w not in seen:
-                    seen.add(w)
-                    domains[i].add(v)
-                    nxt.append(w)
-                w = a.inv[i][v]
-                if w not in seen:
-                    seen.add(w)
-                    domains[i].add(w)
-                    nxt.append(w)
-        frontier = nxt
-    assert graphing_cost(a, domains) == Fraction(5, 6)
-
-
 def test_stab_law_trivial_action():
     a = FiniteAction(4, ((0, 1, 2, 3), (0, 1, 2, 3)))
     law = stab_pushforward_law(a)
@@ -201,7 +175,7 @@ def test_stab_law_rebasing_invariant_random():
         law = stab_pushforward_law(a)
         assert law.total() == 1
         for letter in (1, -1, 2, -2):
-            pushed = law.map_keys(lambda c: conjugate_code(c, (letter,)))
+            pushed = pushforward(law, lambda c: conjugate_code(c, (letter,)))
             assert pushed == law
 
 

@@ -3,46 +3,41 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from irslab import (
-    CayleyOracle,
-    aut_count,
-    ball,
-    canonical_code,
-    conjugate,
-    contains,
-    cylinder_fingerprint,
-    metric,
-    normalizer_oracle,
-    oracle_from_code,
-    root_isomorphic,
-    rooted_equal_finite,
-    z_set_member,
-)
 from irslab.actions import (
-    FiniteAction,
     orbit_schreier,
     random_action,
     random_transitive_action,
     stab_pushforward_law,
 )
 from irslab.analysis import (
-    Z_CONSISTENT,
-    Z_NO,
+    aut_count,
     ball_code,
+    canonical_code,
     code_action,
-    conjugate_code,
     conjugate_fingerprints,
+    cylinder_fingerprint,
     fingerprint_plan,
+    metric,
+    oracle_from_code,
+    root_isomorphic,
+    rooted_equal_finite,
 )
 from irslab.encoding import PsiOracle
 from irslab.errors import DomainError, HorizonError
 from irslab.laws import NormalizerLaw, PoulsenLaw, trivial_law
-from irslab.normalizer import enumerate_normalizer_law
-from irslab.oracles import BallBackedOracle, BallView, trace
+from irslab.normalizer import enumerate_normalizer_law, normalizer_oracle
+from irslab.oracles import (
+    BallBackedOracle,
+    BallView,
+    CayleyOracle,
+    FiniteAction,
+    ball,
+    conjugate,
+    trace,
+)
 from irslab.poulsen import PercolationGraph, star_ball
 from irslab.randomness import KeyedRng
 from irslab.words import (
-    conjugated_word,
     inverse_word,
     letters_ordered,
     reduce_word,
@@ -55,6 +50,9 @@ from helpers import (
     Counting,
     brute_aut_count,
     brute_root_isomorphic,
+    conjugate_code,
+    conjugated_word,
+    contains,
     cyclic_oracle,
     reference_conjugate_fingerprints,
     reference_walk_table,
@@ -447,36 +445,20 @@ def test_aut_count_divides_vertex_count():
         assert 6 % aut_count(g) == 0
 
 
-def test_z_set_member_trivial(cayley2):
-    assert z_set_member(cayley2, (1,), 4) == Z_CONSISTENT
-
-
-def test_z_set_member_index2(index2):
-    # s1 is outside the subgroup and normalizes it (index 2 is normal)
-    assert z_set_member(index2, (1,), 4) == Z_CONSISTENT
-
-
-def test_z_set_member_contained(index2):
-    assert z_set_member(index2, (1, 1), 4) == Z_NO
-    assert z_set_member(index2, (), 4) == Z_NO
-
-
-def test_z_set_member_detects_non_normalizing():
-    # stabilizer of 0 under s1 = (0 1 2), s2 = (0 1): not normal
-    action = FiniteAction(3, ((1, 2, 0), (1, 0, 2)))
-    oracle = orbit_schreier(action, 0)
+def test_aut_count_settles_whether_a_letter_normalizes(index2):
+    """aut_count is the index of K in its normalizer, so over a finite
+    graph it answers exactly whether some g outside K normalizes K."""
+    # index 2 is normal: s1 is outside K and normalizes it
+    assert not contains(index2, (1,)) and aut_count(index2) == 2
+    assert contains(index2, (1, 1)) and contains(index2, ())
+    # stabilizer of 0 under s1 = (0 1 2), s2 = (0 1): not normal, and an
+    # independent witness: some w in K with s1 w s1^-1 not in K
+    oracle = orbit_schreier(FiniteAction(3, ((1, 2, 0), (1, 0, 2))), 0)
     g = (1,)
     assert not contains(oracle, g)
-    # independent witness: some w in K with g w g^-1 not in K
-    witness = [w for w in cylinder_fingerprint(oracle, 4)
-               if not contains(oracle, conjugated_word(g, w))]
-    assert witness
-    assert z_set_member(oracle, g, 4) == Z_NO
-
-
-def test_z_set_member_radius_precondition(index2):
-    with pytest.raises(DomainError):
-        z_set_member(index2, (1, 2, 1), 2)
+    assert [w for w in cylinder_fingerprint(oracle, 4)
+            if not contains(oracle, conjugated_word(g, w))]
+    assert aut_count(oracle) == 1
 
 
 def test_canonical_code_roundtrip(index2):
@@ -509,11 +491,11 @@ def test_conjugate_code(index2):
 
 def test_trace_reduce_consistency(cayley2, index2):
     rng = KeyedRng(23, "tracered")
-    from irslab import trace
+    from irslab.oracles import trace
 
     for oracle in (cayley2, index2):
         for _ in range(500):
-            raw = [rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(12))]
+            raw = [(1, -1, 2, -2)[rng.randrange(4)] for _ in range(rng.randrange(12))]
             v = oracle.root
             for l in raw:
                 v = oracle.neighbor(v, l)

@@ -1,16 +1,17 @@
 import argparse
 import shlex
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from irslab import PsiOracle, ball, emit_sgr, parse_sgr
 from irslab.cli import build_parser, main
-from irslab.encoding import SubshiftSpace
+from irslab.encoding import PsiOracle, SubshiftSpace
+from irslab.oracles import FiniteAction, ball
 from irslab.randomness import STREAM_VERSION
-from irslab.actions import FiniteAction
+from irslab.sgr import emit_sgr, parse_sgr
 from irslab.words import word_to_str, words_upto
 
 INDEX2_TEXT = """\
@@ -272,7 +273,7 @@ def test_encode_decode_roundtrip(capsys, tmp_path, subshift_file):
 
 def test_decode_not_encoding_exits_1(capsys, tmp_path):
     path = tmp_path / "plain.sgr"
-    from irslab import CayleyOracle
+    from irslab.oracles import CayleyOracle
 
     path.write_text(emit_sgr(ball(CayleyOracle(2), 6)))
     code, _, err = run(capsys, "decode", "--graph", str(path), "--radius", "4")
@@ -303,7 +304,7 @@ def test_check_equivariance(capsys, subshift_file):
 def test_upsilon_roundtrip(capsys, tmp_path, subshift_file):
     # conjugated encoding comes back into the encoded set
     space = SubshiftSpace(FiniteAction(2, ((1, 0), (0, 1))), (1, 2), 2)
-    from irslab import conjugate
+    from irslab.oracles import conjugate
 
     moved = conjugate(PsiOracle(space.point(0)), (-1,))
     path = tmp_path / "moved.sgr"
@@ -315,7 +316,7 @@ def test_upsilon_roundtrip(capsys, tmp_path, subshift_file):
 
 
 def test_upsilon_not_in_Y_exits_1(capsys, tmp_path, subshift_file):
-    from irslab import CayleyOracle
+    from irslab.oracles import CayleyOracle
 
     path = tmp_path / "plain.sgr"
     path.write_text(emit_sgr(ball(CayleyOracle(2), 10)))
@@ -325,7 +326,7 @@ def test_upsilon_not_in_Y_exits_1(capsys, tmp_path, subshift_file):
 
 
 def test_upsilon_past_the_budget_exits_2(capsys, tmp_path, subshift_file):
-    from irslab import CayleyOracle
+    from irslab.oracles import CayleyOracle
 
     path = tmp_path / "plain.sgr"
     path.write_text(emit_sgr(ball(CayleyOracle(2), 10)))
@@ -442,6 +443,41 @@ def test_check_equivariance_bad_counts_exit_1(capsys, subshift_file, extra):
                          subshift_file, *extra)
     assert code == 1
     assert out == "" and err.startswith("error:")
+
+
+RANK3_SUBSHIFT_TEXT = SUBSHIFT_TEXT.replace("perm s2: id",
+                                           "perm s2: id\nperm s3: (0 1)")
+
+
+@pytest.mark.parametrize("text, length, code", [
+    (SUBSHIFT_TEXT, "80", 0),
+    (SUBSHIFT_TEXT, "81", 1),
+    (RANK3_SUBSHIFT_TEXT, "54", 0),
+    (RANK3_SUBSHIFT_TEXT, "55", 1),
+    (SUBSHIFT_TEXT, "1" + "0" * 700, 1),
+], ids=["rank2-80", "rank2-81", "rank3-54", "rank3-55", "rank2-10^700"])
+def test_check_equivariance_draws_one_of_fewer_than_2_128_words(
+        capsys, tmp_path, text, length, code):
+    """A trial draws its word by shortlex position with one 128-bit draw,
+    so a length whose 2r((2r - 1)^n - 1)/(2r - 2) words reach 2^128 is
+    refused: at rank 2 by (2r - 1)^n, at rank 3 (1.5 * 5^55) by the count
+    itself. The longest accepted lengths run without listing any word."""
+    path = tmp_path / "s.sub"
+    path.write_text(text)
+    tracemalloc.start()
+    try:
+        got, out, err = run(capsys, "check-equivariance", "--subshift",
+                            str(path), "--trials", "5", "--radius", "2",
+                            "--max-word-len", length)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == code
+    if code:
+        assert out == "" and err.startswith("error: --max-word-len gives 2^128")
+    else:
+        assert out.endswith("equivariance trials 5 failures 0: PASS\n")
+    assert peak < 2_000_000
 
 
 @pytest.mark.parametrize("extra", [
@@ -682,6 +718,38 @@ def test_a_long_bad_line_or_field_is_quoted_short(capsys, tmp_path, command,
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {start}") and "'..." in err
     assert len(err.encode()) < 200
+
+
+BAD_RATIONALS = ["1e-5000", "1e-10000000", "1e641", "1/" + "1" * 5000,
+                 "0." + "0" * 700 + "1", HUGE, "1/0", "nope"]
+RATIONAL_ARGV = {
+    "p": ("ball", "--base", "normalizer:trivial", "--radius", "1", "--p"),
+    "min-mass": ("invariance", "--sampler", "normalizer:trivial", "--p", "1/2",
+                 "--radius", "1", "--samples", "10", "--min-mass"),
+    "p-list": ("sweep", "--base", "trivial", "--radius", "1", "--samples", "1",
+               "--p-list"),
+}
+
+
+@pytest.mark.parametrize("value", BAD_RATIONALS,
+                         ids=["exp-5000", "exp-10^7", "exp-641", "5000-ones",
+                              "700-zeros", "5000-nines", "zero-denominator",
+                              "word"])
+@pytest.mark.parametrize("option", list(RATIONAL_ARGV))
+def test_a_bad_rational_exits_1_at_once_with_a_short_error(capsys, option,
+                                                           value):
+    """The 640-digit cap counts an exponent as the zeros it stands for, so
+    no value builds a huge Fraction or prints one. An argparse error prints
+    the command's usage before its error line."""
+    if option == "p-list":
+        value = "1/2," + value
+    start = time.perf_counter()
+    code, out, err = run(capsys, *RATIONAL_ARGV[option], value)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    last = err.splitlines()[-1]
+    assert "error: " in last and "rational '" in last
+    assert all(len(line.encode()) < 200 for line in err.splitlines())
 
 
 @pytest.mark.parametrize("command, text", [

@@ -6,35 +6,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irslab import encoding
-from irslab import (
-    BudgetError,
-    CayleyOracle,
-    DomainError,
-    NotInYError,
-    NotInZError,
+from irslab.analysis import root_isomorphic
+from irslab.encoding import (
     PsiOracle,
-    ball,
-    conjugate,
-    contains,
+    SubshiftSpace,
     decode,
     in_Z,
-    lambda_pushforward,
-    root_isomorphic,
-    trace,
-    translate_count,
-    upsilon,
-    validate_schreier_ball,
-)
-from irslab.actions import FiniteAction
-from irslab.encoding import (
-    SubshiftSpace,
-    emit_subshift,
     lambda_conjugate,
+    lambda_pushforward,
     parse_subshift,
     point_class_code,
-    random_subshift_space,
+    translate_count,
+    upsilon,
 )
-from irslab.oracles import bfs
+from irslab.errors import BudgetError, DomainError, NotInYError, NotInZError
+from irslab.oracles import (
+    CayleyOracle,
+    FiniteAction,
+    ball,
+    bfs,
+    conjugate,
+    trace,
+    validate_schreier_ball,
+)
 from irslab.randomness import KeyedRng
 from irslab.words import (
     inverse_word,
@@ -44,7 +38,12 @@ from irslab.words import (
     words_upto,
 )
 
-from helpers import reference_lambda_pushforward
+from helpers import (
+    contains,
+    emit_subshift,
+    random_subshift_space,
+    reference_lambda_pushforward,
+)
 
 
 def constant_one_space():

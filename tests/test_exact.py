@@ -14,30 +14,34 @@ from operator import getitem
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from irslab import (
-    DomainError,
-    FiniteOracle,
-    InvalidGraphError,
-    MarkLaw,
-    aut_count,
-    aut_trivial_mass,
-    enumerate_normalizer_law,
-    oracle_from_code,
+from irslab.actions import (
     orbit_schreier,
+    random_action,
+    random_transitive_action,
 )
-from irslab.actions import random_action, random_transitive_action
 from irslab.analysis import (
     array_code,
+    aut_count,
     aut_trivial,
     automorphisms,
     canonical_code,
-    conjugate_code,
+    oracle_from_code,
 )
-from irslab.normalizer import _cycle_type, _tripled, _vertex_terms
+from irslab.errors import DomainError, InvalidGraphError
+from irslab.normalizer import (
+    MarkLaw,
+    _cycle_type,
+    _tripled,
+    _vertex_terms,
+    aut_trivial_mass,
+    enumerate_normalizer_law,
+)
+from irslab.oracles import FiniteOracle
 from irslab.words import letters_ordered
 
 from helpers import (
     brute_aut_count,
+    conjugate_code,
     cyclic_oracle,
     index2_oracle,
     one_vertex_oracle,

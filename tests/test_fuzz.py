@@ -7,23 +7,15 @@ from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from irslab import (
-    CayleyOracle,
-    DomainError,
-    NormalizerLaw,
-    PoulsenLaw,
-    PsiOracle,
-    ball,
-    emit_sgr,
-    trivial_law,
-)
 from irslab.actions import parse_action
 from irslab.analysis import ball_code
-from irslab.encoding import parse_subshift
+from irslab.encoding import PsiOracle, parse_subshift
+from irslab.errors import DomainError
+from irslab.laws import NormalizerLaw, PoulsenLaw, trivial_law
 from irslab.montecarlo import CylinderSpec
-from irslab.oracles import bfs
+from irslab.oracles import CayleyOracle, ball, bfs
 from irslab.poulsen import PercolationGraph, star_ball, view_equal_exact
-from irslab.sgr import parse_sgr
+from irslab.sgr import emit_sgr, parse_sgr
 from irslab.words import word_from_str
 
 from helpers import index2_oracle

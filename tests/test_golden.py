@@ -13,33 +13,19 @@ from fractions import Fraction
 
 import pytest
 
-from irslab import (
-    FiniteOracle,
-    NormalizerLaw,
-    PointLaw,
-    PoulsenLaw,
-    aut_trivial_mass,
-    ball,
+from irslab.actions import (
+    orbit_schreier,
+    random_action,
+    random_transitive_action,
+)
+from irslab.analysis import (
     canonical_code,
     cylinder_fingerprint,
-    emit_edgelist,
-    emit_sgr,
-    enumerate_normalizer_law,
     oracle_from_code,
-    orbit_schreier,
-    parse_sgr,
-    trivial_law,
 )
-from irslab.actions import emit_action, random_action, random_transitive_action
-from irslab.analysis import conjugate_code
 from irslab.cli import main
-from irslab.encoding import (
-    PsiOracle,
-    emit_subshift,
-    parse_subshift,
-    point_class_code,
-    random_subshift_space,
-)
+from irslab.encoding import PsiOracle, parse_subshift, point_class_code
+from irslab.laws import NormalizerLaw, PointLaw, PoulsenLaw, trivial_law
 from irslab.montecarlo import (
     CylinderSpec,
     convergence_sweep,
@@ -49,14 +35,25 @@ from irslab.montecarlo import (
     render_invariance,
     render_sweep,
 )
-from irslab.normalizer import NormalizerOracle
-from irslab.oracles import conjugate, sub_ball
+from irslab.normalizer import (
+    NormalizerOracle,
+    aut_trivial_mass,
+    enumerate_normalizer_law,
+)
+from irslab.oracles import FiniteOracle, ball, conjugate, sub_ball
 from irslab.poulsen import PercolationGraph, star_ball
-from irslab.randomness import STREAM_VERSION, KeyedRng
-
+from irslab.randomness import KeyedRng, STREAM_VERSION
+from irslab.sgr import emit_edgelist, emit_sgr, parse_sgr
 from irslab.words import letters_ordered
 
-from helpers import cyclic_oracle, index2_oracle
+from helpers import (
+    conjugate_code,
+    cyclic_oracle,
+    emit_action,
+    emit_subshift,
+    index2_oracle,
+    random_subshift_space,
+)
 
 P = Fraction(1, 10)
 SEEDS = (0, 1, 2, 3, 4)

@@ -4,37 +4,37 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from irslab import (
-    CayleyOracle,
-    DomainError,
-    MarkLaw,
-    NormalizerLaw,
-    PointLaw,
-    aut_count,
-    ball,
-    emit_sgr,
-    enumerate_normalizer_law,
-    normalizer_oracle,
-    oracle_from_code,
-    root_isomorphic,
-    trace,
-    trivial_law,
-    validate_schreier_ball,
-)
 from irslab import normalizer
 from irslab.actions import orbit_schreier, random_transitive_action
-from irslab.analysis import array_code
+from irslab.analysis import (
+    array_code,
+    aut_count,
+    oracle_from_code,
+    root_isomorphic,
+)
+from irslab.errors import DomainError
+from irslab.laws import NormalizerLaw, PointLaw, trivial_law
 from irslab.montecarlo import exact_invariance_rows
 from irslab.normalizer import (
-    SLOT_CUTS,
+    MarkLaw,
     NormalizerOracle,
+    SLOT_CUTS,
     _HashMarks,
     _tripled,
     aut_trivial_mass,
+    enumerate_normalizer_law,
     mark,
+    normalizer_oracle,
 )
-from irslab.oracles import FiniteOracle
+from irslab.oracles import (
+    CayleyOracle,
+    FiniteOracle,
+    ball,
+    trace,
+    validate_schreier_ball,
+)
 from irslab.randomness import Keyed, subseed
+from irslab.sgr import emit_sgr
 from irslab.words import reduce_word
 
 from helpers import cyclic_oracle, index2_oracle, one_vertex_oracle, outcome
@@ -247,7 +247,7 @@ def test_composition_normalizer_over_normalizer():
 
 
 def test_enumeration_budget():
-    from irslab import BudgetError
+    from irslab.errors import BudgetError
 
     base = orbit_schreier(random_transitive_action(8, 2, 0), 0)
     with pytest.raises(BudgetError):
@@ -259,7 +259,7 @@ def test_enumeration_budget():
 def test_enumeration_budget_is_the_number_of_outcomes(n, rank, slot):
     """A budget equal to the number of (assignment, root slot) outcomes that
     enumerate_normalizer_law enumerates passes, and one less raises."""
-    from irslab import BudgetError
+    from irslab.errors import BudgetError
 
     base = orbit_schreier(random_transitive_action(n, rank, 3), 0)
     at_root = 1 + 3 * rank if slot is None else rank + 1

@@ -5,42 +5,50 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from irslab import (
+from irslab.analysis import ball_code
+from irslab.errors import (
     BudgetError,
-    CayleyOracle,
     DomainError,
+    HorizonError,
+    InvalidGraphError,
+)
+from irslab.laws import NormalizerLaw, PoulsenLaw, trivial_law
+from irslab.normalizer import SLOT_CUTS
+from irslab.oracles import (
+    BallBackedOracle,
+    BallView,
+    CayleyOracle,
     FiniteAction,
     FiniteOracle,
-    InvalidGraphError,
-    NormalizerLaw,
-    PoulsenLaw,
+    STAR,
+    SchreierOracle,
     ball,
     conjugate,
-    contains,
-    emit_sgr,
-    parse_sgr,
+    sub_ball,
     trace,
-    trivial_law,
 )
-from irslab.analysis import ball_code
-from irslab.errors import HorizonError
-from irslab.normalizer import SLOT_CUTS
-from irslab.oracles import (STAR, BallBackedOracle, BallView, SchreierOracle,
-                            sub_ball)
-from irslab.poulsen import (PercolationGraph, star_ball, surgery,
-                            view_equal_exact)
+from irslab.poulsen import PercolationGraph, star_ball, view_equal_exact
 from irslab.randomness import Keyed, KeyedRng
-from irslab.words import (concat, conjugated_word, inverse_word,
-                          letters_ordered, reduce_word, word_to_str,
-                          words_upto)
+from irslab.sgr import emit_sgr, parse_sgr
+from irslab.words import (
+    inverse_word,
+    letters_ordered,
+    reduce_word,
+    word_to_str,
+    words_upto,
+)
 
 from helpers import (
     Counting,
+    concat,
+    conjugated_word,
+    contains,
     outcome,
     reference_ball,
     reference_ball_code,
     reference_star_ball,
     reference_sub_ball,
+    surgery,
 )
 from test_words import random_word
 
@@ -90,7 +98,7 @@ def test_cayley_token_of_a_long_word():
     rng = KeyedRng(5000, "long-word")
     w = [1]
     while len(w) < 5000:
-        l = rng.choice([1, -1, 2, -2])
+        l = (1, -1, 2, -2)[rng.randrange(4)]
         if l != -w[-1]:
             w.append(l)
     w = tuple(w)

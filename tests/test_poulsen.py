@@ -3,37 +3,35 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from irslab import (
-    BudgetError,
-    DomainError,
+from irslab.analysis import cylinder_fingerprint
+from irslab.errors import BudgetError, DomainError, InvalidGraphError
+from irslab.laws import NormalizerLaw, PointLaw, PoulsenLaw, trivial_law
+from irslab.oracles import (
+    BallView,
     FiniteOracle,
-    InvalidGraphError,
-    NormalizerLaw,
-    PointLaw,
-    PoulsenLaw,
+    STAR,
     ball,
-    contains,
-    cylinder_fingerprint,
-    emit_sgr,
-    parse_sgr,
+    bfs,
     trace,
-    trivial_law,
     validate_schreier_ball,
 )
-from irslab.oracles import STAR, BallView, bfs
 from irslab.poulsen import (
     PercolationGraph,
     PoulsenOracle,
-    inverse_surgery,
     star_ball,
-    star_records,
-    surgery,
     view_equal_exact,
 )
 from irslab.randomness import digest128, subseed
+from irslab.sgr import emit_sgr, parse_sgr
 from irslab.words import letters_ordered
 
-from helpers import index2_oracle
+from helpers import (
+    contains,
+    index2_oracle,
+    inverse_surgery,
+    star_records,
+    surgery,
+)
 
 
 def test_poulsen_rejects_bad_p():

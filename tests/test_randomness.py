@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 from irslab.laws import trivial_law
 from irslab.normalizer import SLOT_CUTS
 from irslab.poulsen import PercolationGraph, retention_cutoff
-from irslab.randomness import TWO128, Keyed, digest128, subseed, token_bytes
+from irslab.randomness import Keyed, TWO128, digest128, subseed, token_bytes
 
 from helpers import outcome, token_bytes as reference_token_bytes
 

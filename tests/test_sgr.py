@@ -2,24 +2,19 @@ from fractions import Fraction
 
 import pytest
 
-from irslab import (
-    CayleyOracle,
-    DomainError,
-    FiniteOracle,
-    InvalidGraphError,
-    ball,
+from irslab.analysis import root_isomorphic, rooted_equal_finite
+from irslab.errors import DomainError, InvalidGraphError
+from irslab.laws import trivial_law
+from irslab.oracles import CayleyOracle, FiniteOracle, ball
+from irslab.poulsen import PercolationGraph, star_ball, view_equal_exact
+from irslab.sgr import (
     emit_edgelist,
     emit_sgr,
     parse_complete_oracle,
     parse_sgr,
-    root_isomorphic,
-    rooted_equal_finite,
-    trivial_law,
 )
-from irslab.poulsen import (PercolationGraph, star_ball, star_records,
-                            view_equal_exact)
 
-from helpers import index2_oracle
+from helpers import index2_oracle, star_records
 
 INDEX2_TEXT = """\
 schreier r=2

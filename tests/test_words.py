@@ -1,23 +1,30 @@
 import tracemalloc
 from itertools import islice
 
+import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from irslab import (
-    concat,
+from irslab.randomness import KeyedRng
+from irslab.words import (
     inverse_word,
-    phi_inverse_word,
+    letters_ordered,
     phi_word,
     reduce_word,
+    shortlex_key,
+    shortlex_walk,
+    shortlex_word,
     word_from_str,
     word_to_str,
     words_upto,
 )
-from irslab.randomness import KeyedRng
-from irslab.words import letters_ordered, shortlex_key, shortlex_walk
 
-from helpers import brute_reduce, reference_word_to_str
+from helpers import (
+    brute_reduce,
+    concat,
+    phi_inverse_word,
+    reference_word_to_str,
+)
 
 letters = st.integers(min_value=-2, max_value=2).filter(lambda x: x != 0)
 raw_words = st.lists(letters, max_size=20)
@@ -25,7 +32,8 @@ wide_letters = st.integers(min_value=-12, max_value=12).filter(lambda x: x != 0)
 
 
 def random_word(rng: KeyedRng, max_len: int = 12):
-    raw = [rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(max_len + 1))]
+    raw = [(1, -1, 2, -2)[rng.randrange(4)]
+           for _ in range(rng.randrange(max_len + 1))]
     return reduce_word(raw)
 
 
@@ -66,6 +74,20 @@ def test_words_upto_counts_and_order():
     ws = words_upto(2, 3)
     assert ws == sorted(ws, key=shortlex_key)
     assert len(set(ws)) == len(ws)
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("n", range(6))
+def test_shortlex_word_is_the_word_at_its_position(rank, n):
+    words = words_upto(rank, n)
+    assert [shortlex_word(rank, k) for k in range(len(words))] == words
+
+
+def test_shortlex_word_reaches_far_positions_directly():
+    # the last word of length 80 at rank 2: s2^-1 repeated, 2(3^80 - 1) - 1
+    # positions past the identity
+    assert shortlex_word(2, 2 * (3**80 - 1)) == (-2,) * 80
+    assert shortlex_word(2, 2 * (3**80 - 1) + 1) == (1,) * 81
 
 
 def test_shortlex_walk_is_lazy():
