@@ -181,16 +181,23 @@ def checked_root_slot(slot: int | None) -> int | None:
     return slot
 
 
-@functools.lru_cache(maxsize=64)
 def mark_law(p, rank: int) -> MarkLaw:
-    """`MarkLaw(p, rank)`, built once per (p, rank) and then looked up."""
-    return MarkLaw(p, rank)
+    """`MarkLaw(p, rank)` for a rational p (a Fraction or an int), built
+    once per (p, rank) and then looked up by p's numerator and denominator,
+    which hash in C, where a Fraction would hash in Python on every sample."""
+    return _mark_law(p.numerator, p.denominator, rank)
+
+
+@functools.lru_cache(maxsize=64)
+def _mark_law(numerator: int, denominator: int, rank: int) -> MarkLaw:
+    return MarkLaw(Fraction(numerator, denominator), rank)
 
 
 def normalizer_oracle(base: SchreierOracle, p, seed: int,
                       biased_root_slot: int | None = None) -> NormalizerOracle:
     """Sample the perturbed graph with keyed randomness: marks drawn from
-    the mark law of p, and the root slot uniform when the root is marked.
+    the mark law of the rational p, and the root slot uniform when the root
+    is marked.
 
     `biased_root_slot` forces a fixed root slot instead of the uniform
     choice; this deliberately breaks invariance and exists as a negative
