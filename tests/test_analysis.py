@@ -445,19 +445,36 @@ def test_aut_count_divides_vertex_count():
         assert 6 % aut_count(g) == 0
 
 
-def test_aut_count_settles_whether_a_letter_normalizes(index2):
-    """aut_count is the index of K in its normalizer, so over a finite
-    graph it answers exactly whether some g outside K normalizes K."""
-    # index 2 is normal: s1 is outside K and normalizes it
-    assert not contains(index2, (1,)) and aut_count(index2) == 2
-    assert contains(index2, (1, 1)) and contains(index2, ())
-    # stabilizer of 0 under s1 = (0 1 2), s2 = (0 1): not normal, and an
-    # independent witness: some w in K with s1 w s1^-1 not in K
+def z_set_member(oracle, g) -> bool:
+    """Exact Z-set membership over a finite graph: g lies outside K and
+    g K g^-1 = K, i.e. rebasing along g^-1 gives the same rooted graph."""
+    return (not contains(oracle, g)
+            and rooted_equal_finite(conjugate(oracle, g), oracle))
+
+
+def test_z_set_member_index2(index2):
+    # s1 is outside the subgroup and normalizes it (index 2 is normal);
+    # aut_count, the index of K in its normalizer, agrees
+    assert z_set_member(index2, (1,))
+    assert aut_count(index2) == 2
+
+
+def test_z_set_member_contained(index2):
+    assert not z_set_member(index2, (1, 1))
+    assert not z_set_member(index2, ())
+
+
+def test_z_set_member_detects_non_normalizing():
+    # stabilizer of 0 under s1 = (0 1 2), s2 = (0 1): not normal
     oracle = orbit_schreier(FiniteAction(3, ((1, 2, 0), (1, 0, 2))), 0)
     g = (1,)
     assert not contains(oracle, g)
-    assert [w for w in cylinder_fingerprint(oracle, 4)
-            if not contains(oracle, conjugated_word(g, w))]
+    # independent witness: some w in K with g w g^-1 not in K
+    witness = [w for w in cylinder_fingerprint(oracle, 4)
+               if not contains(oracle, conjugated_word(g, w))]
+    assert witness
+    assert not z_set_member(oracle, g)
+    # K is its own normalizer, so no g outside K can be in the Z-set
     assert aut_count(oracle) == 1
 
 
