@@ -43,7 +43,7 @@ def first_return(perm: tuple, subset) -> dict:
     n = len(perm)
     for y in Y:
         if not 0 <= y < n:
-            raise DomainError(f"subset point {y} out of range")
+            raise DomainError(f"subset point {quote(str(y))} out of range")
     out = {}
     for y in sorted(Y):
         z = perm[y]
@@ -89,7 +89,7 @@ def parse_cycles(text: str, n: int, lineno: int = 1) -> tuple:
         if not (chunk[0] == "(" and chunk[-1] == ")"
                 and all(map(str.isdecimal, fields))):
             raise DomainError(f"line {lineno}: bad cycle {quote(chunk)}")
-        pts = [number(f, lineno, "point") for f in fields]
+        pts = [number(f, "point", lineno=lineno) for f in fields]
         for f, x, y in zip(fields, pts, pts[1:] + pts[:1]):
             if x >= n:
                 raise DomainError(
@@ -121,7 +121,7 @@ def read_action(text: str, rows) -> FiniteAction:
                 raise DomainError(
                     f"line {lineno}: bad point count {quote(words[1])}")
             once(n, lineno, "'points' line")
-            n = number(words[1], lineno, "point count")
+            n = number(words[1], "point count", lineno=lineno)
             if n > DEFAULT_BUDGET:
                 raise BudgetError(f"line {lineno}: point count exceeds "
                                   f"budget {DEFAULT_BUDGET}")
@@ -131,7 +131,7 @@ def read_action(text: str, rows) -> FiniteAction:
             gen = words[1]
             if not (gen.startswith("s") and gen[1:].isdecimal()):
                 raise DomainError(f"line {lineno}: bad generator {quote(gen)}")
-            i = number(gen[1:], lineno, "generator")
+            i = number(gen[1:], "generator", lineno=lineno)
             once(perms.get(i), lineno, f"'perm s{i}' line")
             perms[i] = parse_cycles(cyc, n, lineno)
         else:

@@ -11,10 +11,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, InvalidGraphError
+from .errors import BudgetError, DomainError, InvalidGraphError
 from .oracles import (STAR, BallView, DEFAULT_BUDGET, FiniteAction,
                       FiniteOracle, SchreierOracle, ball, bfs)
-from .words import Word, inverse_word, letters_ordered, reduce_word, words_upto
+from .words import (Word, inverse_word, letters_ordered, reduce_word,
+                    word_count, words_upto)
 
 
 def root_isomorphic(a: BallView, b: BallView) -> bool:
@@ -54,9 +55,12 @@ def fingerprint_plan(rank: int, radius: int, conjugates: bool) -> tuple:
     c = reduce(l^-1 w l) is in K: a and b are the positions of u and v^-1
     in `words_upto(rank, h)`, |u| = ceil(|c| / 2), and h is the longest u.
     steps[k - 1] is (position of the k-th of those words without its last
-    letter, that letter), so one step per word walks them all."""
+    letter, that letter), so one step per word walks them all. More than
+    DEFAULT_BUDGET words raise BudgetError before any is listed."""
     if radius < 0:
         raise DomainError("radius must be >= 0")
+    if word_count(rank, radius, DEFAULT_BUDGET) is None:
+        raise BudgetError(f"fingerprint words exceed budget {DEFAULT_BUDGET}")
     words = words_upto(rank, radius)
     tested = [words]
     if conjugates:

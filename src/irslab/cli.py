@@ -10,19 +10,18 @@ stream=<randomness.STREAM_VERSION>, the version of the map from a seed to
 its draws. An unmarked option shows in the body (--trials, --z-threshold,
 --check-invariance), is echoed by its effective value (encode's basepoint,
 which the file can set), or sets only the layout, the destination or the
-point of failure (--format, --out, --budget). Exit codes: 0 success,
-1 domain error, 2 budget exceeded, 3 verification failure. Each cmd_*
-function returns its text and exit code and does no I/O; main writes the
-text once, to stdout or to --out.
+point of failure (--format, --out, --budget). `lines.number` reads each
+number an option takes, as OPTIONS declares, after argparse. Exit codes:
+0 success, 1 domain error, 2 budget exceeded, 3 verification failure.
+Each cmd_* function returns its text and exit code and does no I/O; main
+writes the text once, to stdout or to --out.
 """
 
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from fractions import Fraction
-from math import log2
 from typing import Callable, NamedTuple
 
 from . import __version__
@@ -41,7 +40,7 @@ from .encoding import (PsiOracle, decode, lambda_conjugate, lambda_pushforward,
                        parse_subshift, translate_count, upsilon)
 from .errors import BudgetError, DomainError
 from .laws import NormalizerLaw, PointLaw, PoulsenLaw, trivial_law
-from .lines import MAX_DIGITS, quote
+from .lines import number, quote
 from .montecarlo import (
     CylinderSpec,
     convergence_sweep,
@@ -52,48 +51,17 @@ from .montecarlo import (
     render_sweep,
 )
 from .normalizer import enumerate_normalizer_law
-from .oracles import BallBackedOracle, FiniteOracle, ball, conjugate
+from .oracles import (DEFAULT_BUDGET, BallBackedOracle, FiniteOracle, ball,
+                      conjugate)
 from .sgr import emit_edgelist, emit_sgr, parse_complete_oracle, parse_sgr
 from .randomness import STREAM_VERSION, TWO128, KeyedRng
-from .words import (letters_ordered, phi_word, shortlex_word, word_from_str,
-                    word_to_str)
+from .words import (letters_ordered, phi_word, shortlex_word, word_count,
+                    word_from_str, word_to_str)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_BUDGET = 2
 EXIT_VERIFY = 3
-
-
-def parse_rational(text: str) -> Fraction:
-    """An exact rational as Fraction reads it, e.g. 1/10, 0.1 or 1e-1. Each
-    digit field, and the zeros an exponent stands for, count against the
-    MAX_DIGITS cap of the file formats, checked before Fraction is called."""
-    fields = re.findall(r"\d+", text)
-    if max(map(len, fields), default=0) > MAX_DIGITS or (
-            "e" in text.lower() and fields and int(fields[-1]) > MAX_DIGITS):
-        raise argparse.ArgumentTypeError(
-            f"rational {quote(text)} has more than {MAX_DIGITS} digits")
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(
-            f"cannot parse rational {quote(text)}") from None
-
-
-def parse_seed(text: str) -> int:
-    """A seed: an integer in [0, 2^64), the range the keyed streams take."""
-    seed = int(text)
-    if not 0 <= seed < 2**64:
-        raise argparse.ArgumentTypeError(f"seed {seed} is outside [0, 2^64)")
-    return seed
-
-
-def parse_budget(text: str) -> int:
-    """A vertex or outcome budget: an integer >= 0."""
-    budget = int(text)
-    if budget < 0:
-        raise argparse.ArgumentTypeError(f"budget {budget} is below 0")
-    return budget
 
 
 def parse_base_spec(spec: str, rank: int, p: Fraction | None):
@@ -113,7 +81,7 @@ def parse_base_spec(spec: str, rank: int, p: Fraction | None):
     ):
         if spec.startswith(head):
             return maker(parse_base_spec(spec[len(head):], rank, p))
-    raise DomainError(f"unknown base spec {spec!r}")
+    raise DomainError(f"unknown base spec {quote(spec)}")
 
 
 def _need_p(p: Fraction | None) -> Fraction:
@@ -142,7 +110,7 @@ def _header(args, **extra) -> str:
     if hasattr(args, "seed"):
         extra["stream"] = STREAM_VERSION
     bits = [f"# irslab {args.command}"]
-    for name, (echo, _) in OPTIONS.items():
+    for name, (echo, *_) in OPTIONS.items():
         val = getattr(args, name.replace("-", "_"), None)
         if echo and val is not None:
             bits.append(f"{name}={val}")
@@ -153,6 +121,23 @@ def _header(args, **extra) -> str:
 
 def _load_graph_oracle(path: str):
     return BallBackedOracle(parse_sgr(_read(path)))
+
+
+def _read_numbers(args) -> None:
+    """Read each numeric option given as text by `number`, as OPTIONS
+    declares; LISTS stay text, for headers to echo, until `_numbers`."""
+    for name, (_, _, *spec) in OPTIONS.items():
+        dest = name.replace("-", "_")
+        text = getattr(args, dest, None)
+        if spec and name not in LISTS and isinstance(text, str):
+            setattr(args, dest, number(text, f"--{name}", *spec))
+
+
+def _numbers(args, name: str) -> list:
+    """The values of the comma-separated option `name`."""
+    _, _, *spec = OPTIONS[name]
+    text = getattr(args, name.replace("-", "_"))
+    return [number(item, f"--{name}", *spec) for item in text.split(",")]
 
 
 def _laws(args, *specs) -> list:
@@ -253,23 +238,18 @@ def cmd_decode(args) -> tuple[str, int]:
 
 def cmd_check_equivariance(args) -> tuple[str, int]:
     space, _ = parse_subshift(_read(args.subshift))
-    if args.trials < 1:
-        raise DomainError("--trials must be >= 1")
-    if args.max_word_len < 1:
-        raise DomainError("--max-word-len must be >= 1")
     # each trial draws a word of length 1..n by its shortlex position, and
-    # one 128-bit draw must reach every position; (2r - 1)^n bounds the count
-    n, rank = args.max_word_len, space.rank
-    count = translate_count(n, rank) - 1 if n < 128 / log2(2 * rank - 1) \
-        else TWO128
-    if count >= TWO128:
+    # one 128-bit draw must reach every position
+    rank = space.rank
+    count = word_count(rank, args.max_word_len, TWO128)
+    if count is None:
         raise DomainError(
             f"--max-word-len gives 2^128 words or more at rank {rank}")
     rng = KeyedRng(args.seed, "equivariance")
     failures = 0
     for _ in range(args.trials):
         q = rng.randrange(space.action.n)
-        f = shortlex_word(rank, 1 + rng.randrange(count))
+        f = shortlex_word(rank, 1 + rng.randrange(count - 1))
         x = space.point(q)
         lhs = ball(PsiOracle(x.shifted(f)), args.radius, args.budget)
         rhs = ball(conjugate(PsiOracle(x), phi_word(f)), args.radius, args.budget)
@@ -326,13 +306,10 @@ def cmd_tnf_check(args) -> tuple[str, int]:
 
 def cmd_first_return(args) -> tuple[str, int]:
     action = parse_action(_read(args.action))
-    if not 1 <= args.gen <= action.rank:
-        raise DomainError(f"generator index {args.gen} out of range")
-    points = args.subset.split(",")
-    if not all(s.strip().isdecimal() for s in points):
-        raise DomainError(f"cannot parse --subset {args.subset!r}")
-    subset = frozenset(map(int, points))
-    fr = first_return(action.perms[args.gen - 1], subset)
+    if args.gen > action.rank:
+        raise DomainError(f"--gen is above the rank {action.rank}")
+    fr = first_return(action.perms[args.gen - 1],
+                      frozenset(_numbers(args, "subset")))
     out = _header(args)
     for y in sorted(fr):
         out += f"{y} -> {fr[y]}\n"
@@ -347,8 +324,6 @@ def cmd_estimate(args) -> tuple[str, int]:
 
 
 def cmd_invariance(args) -> tuple[str, int]:
-    if not 0 <= args.z_threshold < float("inf"):
-        raise DomainError("--z-threshold must be finite and >= 0")
     law, = _laws(args, args.sampler)
     rows = invariance_report(law, args.radius, args.samples, args.seed,
                              min_mass=args.min_mass)
@@ -364,52 +339,54 @@ def cmd_invariance(args) -> tuple[str, int]:
 def cmd_sweep(args) -> tuple[str, int]:
     base, = _laws(args, args.base)
     spec = _fingerprint_spec(args)
-    p_list = [parse_rational(s) for s in args.p_list.split(",")]
-    rows = convergence_sweep(args.construction, base, p_list, spec,
-                             args.samples, args.seed)
+    rows = convergence_sweep(args.construction, base, _numbers(args, "p-list"),
+                             spec, args.samples, args.seed)
     return _header(args) + render_sweep(rows, args.format), EXIT_OK
 
 
-# Each option once: whether '#' headers echo it, then its argparse keywords.
-# Headers list the echoed options in this order.
+# Each option once: whether '#' headers echo it, its argparse keywords,
+# then for a number its `lines.number` kind and bounds [low, high) (LISTS:
+# of each comma-separated item). Headers list echoed options in this order.
 OPTIONS = {
     "base": (True, {"required": True}),
     "other": (True, {"required": True}),
     "sampler": (True, {"required": True}),
     "construction": (True, {"choices": ("poulsen", "normalizer"),
                             "default": "poulsen"}),
-    "rank": (True, {"type": int, "default": 2, "help":
-                    "free group rank for synthetic bases (default 2)"}),
-    "p": (True, {"type": parse_rational,
-                 "help": "parameter p as an exact rational, e.g. 1/10"}),
+    "rank": (True, {"default": 2, "help":
+                    "free group rank for synthetic bases (default 2)"}, int, 1),
+    "p": (True, {"help": "parameter p as an exact rational, e.g. 1/10"},
+          Fraction),
     "p-list": (True, {"required": True, "help": "comma-separated rationals, "
-                      "e.g. 0.2,0.1,0.05,0.01"}),
-    "seed": (True, {"type": parse_seed, "default": 0,
-                    "help": "seed in [0, 2^64) (default 0, never entropy)"}),
-    "other-seed": (True, {"type": parse_seed, "default": 0, "help":
-                          "seed of --other, in [0, 2^64) (default 0)"}),
-    "radius": (True, {"type": int, "required": True}),
-    "max-radius": (True, {"type": int, "required": True}),
-    "max-word-len": (True, {"type": int, "default": 3}),
-    "samples": (True, {"type": int, "required": True}),
+                      "e.g. 0.2,0.1,0.05,0.01"}, Fraction),
+    "seed": (True, {"default": 0, "help": "seed in [0, 2^64) (default 0, "
+                    "never entropy)"}, int, 0, 2**64),
+    "other-seed": (True, {"default": 0, "help":
+                          "seed of --other, in [0, 2^64) (default 0)"},
+                   int, 0, 2**64),
+    "radius": (True, {"required": True}, int, 0),
+    "max-radius": (True, {"required": True}, int, 0),
+    "max-word-len": (True, {"default": 3}, int, 1),
+    "samples": (True, {"required": True}, int, 1),
     "fingerprint": (True, {"default": "e", "help": "comma-separated words, "
                            "e.g. 'e,s2,s2^-1'"}),
-    "min-mass": (True, {"type": parse_rational, "default": Fraction(1, 100)}),
+    "min-mass": (True, {"default": Fraction(1, 100)}, Fraction),
     "subshift": (True, {"required": True}),
     "graph": (True, {"required": True}),
     "action": (True, {"required": True}),
-    "gen": (True, {"type": int, "required": True}),
+    "gen": (True, {"required": True}, int, 1),  # cmd_first_return: <= rank
     "subset": (True, {"required": True,
-                      "help": "comma-separated points, e.g. 0,2"}),
-    "budget": (False, {"type": parse_budget, "default": 10**6,
-                       "help": "vertex budget for lazy exploration"}),
+                      "help": "comma-separated points, e.g. 0,2"}, int, 0),
+    "budget": (False, {"default": DEFAULT_BUDGET,
+                       "help": "vertex budget for lazy exploration"}, int, 0),
     "check-invariance": (False, {"action": "store_true"}),
-    "basepoint": (False, {"type": int}),
-    "trials": (False, {"type": int, "required": True}),
-    "z-threshold": (False, {"type": float, "default": 4.0}),
+    "basepoint": (False, {}, int, 0),
+    "trials": (False, {"required": True}, int, 1),
+    "z-threshold": (False, {"default": 4.0}, float, 0, float("inf")),
     "format": (False, {"choices": ("text", "csv"), "default": "text"}),
     "out": (False, {"help": "write output to a file"}),
 }
+LISTS = ("p-list", "subset")
 
 
 class _Command(NamedTuple):
@@ -496,13 +473,14 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_DOMAIN if e.code not in (0, None) else EXIT_OK
     try:
+        _read_numbers(args)
         text, code = args.fn(args)
         _write(args.out, text)
         return code
     except BudgetError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except (DomainError, OSError, argparse.ArgumentTypeError) as e:
+    except (DomainError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DOMAIN
 

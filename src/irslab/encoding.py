@@ -18,7 +18,6 @@ translate pushforward be computed with exact rational masses.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import log10
 
 from .actions import FiniteAction, read_action
 from .errors import (AmbiguityError, BudgetError, DomainError, HorizonError,
@@ -34,8 +33,8 @@ from .words import (
     letters_ordered,
     phi_word,
     shortlex_walk,
+    word_count,
     word_to_str,
-    words_upto,
 )
 
 
@@ -86,16 +85,10 @@ class SubshiftPoint:
         self.space = space
         self.basepoint = basepoint
 
-    def symbol(self, g: Word) -> int:
-        return self.space.labels[self.space.action.act(self.basepoint, g)]
-
     def shifted(self, f: Word) -> "SubshiftPoint":
         """The configuration f . x: basepoint moves along f^-1."""
         q = self.space.action.act(self.basepoint, inverse_word(f))
         return SubshiftPoint(self.space, q)
-
-    def pattern(self, radius: int) -> dict:
-        return {g: self.symbol(g) for g in words_upto(self.space.rank, radius)}
 
 
 class PsiOracle(SchreierOracle):
@@ -148,13 +141,11 @@ class PsiOracle(SchreierOracle):
 def translate_count(alphabet: int, rank: int) -> int:
     """The number of translates, the reduced words of length <= alphabet
     size: conjugating an encoded subgroup by these reaches every root of its
-    orbit. 1 + 2r((2r - 1)^a - 1)/(2r - 2) for rank r >= 2; BudgetError
-    past MAX_DIGITS digits, checked on its lower bound (2r - 1)^a first."""
-    if alphabet <= MAX_DIGITS / log10(2 * rank - 1):
-        count = 1 + 2 * rank * ((2 * rank - 1) ** alphabet - 1) // (2 * rank - 2)
-        if count < 10 ** MAX_DIGITS:
-            return count
-    raise BudgetError(f"translate count has more than {MAX_DIGITS} digits")
+    orbit. BudgetError past MAX_DIGITS digits."""
+    count = word_count(rank, alphabet, 10**MAX_DIGITS - 1)
+    if count is None:
+        raise BudgetError(f"translate count has more than {MAX_DIGITS} digits")
+    return count
 
 
 def in_Z(oracle: SchreierOracle, space: SubshiftSpace, radius: int) -> bool:
@@ -332,7 +323,7 @@ def parse_subshift(text: str):
         arity = {"alphabet": 1, "label": 2, "basepoint": 1}.get(kind)
         if arity != len(args) or not all(map(str.isdecimal, args)):
             raise bad_line(text, lineno, "cannot parse")
-        values = [number(x, lineno, kind) for x in args]
+        values = [number(x, kind, lineno=lineno) for x in args]
         if kind == "alphabet":
             once(alphabet, lineno, "'alphabet' line")
             alphabet = values[0]

@@ -28,14 +28,8 @@ class AtomicMeasure:
             return
         self.data[key] = self.data.get(key, Fraction(0)) + mass
 
-    def mass(self, key) -> Fraction:
-        return self.data.get(key, Fraction(0))
-
     def total(self) -> Fraction:
         return sum(self.data.values(), Fraction(0))
-
-    def keys(self):
-        return self.data.keys()
 
     def items_sorted(self):
         return sorted(self.data.items(), key=lambda kv: kv[0])

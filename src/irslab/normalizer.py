@@ -28,7 +28,7 @@ from operator import add, getitem, mul
 from .analysis import array_code, aut_trivial, automorphisms
 from .errors import BudgetError, DomainError
 from .measures import AtomicMeasure
-from .oracles import FiniteOracle, SchreierOracle
+from .oracles import DEFAULT_BUDGET, FiniteOracle, SchreierOracle
 from .randomness import TWO128, Keyed, digest128
 
 
@@ -280,7 +280,7 @@ def _class_pairs(perms, root: int):
 
 def enumerate_normalizer_law(base: FiniteOracle, p,
                              biased_root_slot: int | None = None,
-                             budget: int = 10**6) -> AtomicMeasure:
+                             budget: int = DEFAULT_BUDGET) -> AtomicMeasure:
     """Exact output law over root-isomorphism classes for a finite base:
     every mark assignment and root slot enumerated with its rational
     probability. Atom keys are canonical graph codes. `budget` bounds the

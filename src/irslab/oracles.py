@@ -71,11 +71,14 @@ class CayleyOracle(SchreierOracle):
     a letter appends its digit or drops the last one, and numerals sort in
     the shortlex order of their words. `token` memoizes on the oracle; over
     `trivial_law`, which shares one oracle, radius-R balls fill at most the
-    Cayley ball of radius R (4 373 entries, about 0.6 MB, at R = 7)."""
+    Cayley ball of radius R (4 373 entries, about 0.6 MB, at R = 7). A rank
+    past DEFAULT_BUDGET raises BudgetError."""
 
     def __init__(self, rank: int):
         if rank < 1:
             raise DomainError("rank must be >= 1")
+        if rank > DEFAULT_BUDGET:
+            raise BudgetError(f"rank exceeds budget {DEFAULT_BUDGET}")
         self.rank = rank
         self.root = 0
         self._base = 2 * rank
@@ -83,8 +86,8 @@ class CayleyOracle(SchreierOracle):
         names = ["e"] + [word_to_str((l,)) for l in letters]
         self._tokens = dict(enumerate(names))  # numeral -> token, write-once
         # letter -> (its digit, the remainder (n - 1) % 2r of a numeral n
-        # whose last digit is that of its inverse)
-        self._moves = {l: (d, letters.index(-l))
+        # whose last digit is that of its inverse, which pairs with it)
+        self._moves = {l: (d, (d - 1) ^ 1)
                        for d, l in enumerate(letters, start=1)}
 
     def neighbor(self, vertex: int, letter: int) -> int:
@@ -184,9 +187,11 @@ class FiniteOracle(SchreierOracle):
 
 def bfs(root, step, letters, radius=None, budget=None) -> tuple:
     """Breadth-first search from `root` along `letters`, numbering vertices
-    as it finds them. `step(v, letter)` gives the neighbor, or None where
-    there is none, and must be a pairing: step(v, l) == w implies
-    step(w, -l) == v, and STAR pairs with itself. So a step from v to w
+    as it finds them. `letters` holds each s_i just before s_i^-1, as
+    `letters_ordered` does, then STAR if at all, so the inverse of
+    letters[j] is letters[j ^ 1] and STAR is its own. `step(v, letter)`
+    gives the neighbor, or None where there is none, and must be a pairing:
+    step(v, l) == w implies step(w, -l) == v. So a step from v to w
     along l fills v's l cell and w's -l cell, and no cell already held is
     stepped again. Vertices at distance `radius` are not expanded: their
     cells hold only the steps that reached them. Raises BudgetError as soon
@@ -198,8 +203,7 @@ def bfs(root, step, letters, radius=None, budget=None) -> tuple:
     `letters[j]`, or None.
     """
     width = len(letters)
-    moves = [(j, l, letters.index(l if l == STAR else -l))
-             for j, l in enumerate(letters)]
+    moves = [(j, l, j if l == STAR else j ^ 1) for j, l in enumerate(letters)]
     blank = [None] * width
     number = {root: 0}
     order = [root]

@@ -73,7 +73,7 @@ def parse_sgr(text: str) -> BallView:
                         f"line {lineno}: edge line before 'schreier' header")
                 if not (label.startswith("s") and label[1:].isdecimal()):
                     raise DomainError(f"line {lineno}: bad label {quote(label)}")
-                lab = number(label[1:], lineno, "label")
+                lab = number(label[1:], "label", lineno=lineno)
                 if not 1 <= lab <= rank:
                     raise DomainError(
                         f"line {lineno}: label {quote(label)} out of range")
@@ -84,7 +84,7 @@ def parse_sgr(text: str) -> BallView:
             if not (head.startswith("r=") and head[2:].isdecimal()):
                 raise bad_line(text, lineno, "bad header")
             once(rank, lineno, "'schreier' header")
-            rank = number(head[2:], lineno, "rank")
+            rank = number(head[2:], "rank", lineno=lineno)
             if rank < 1:
                 raise DomainError(f"line {lineno}: rank must be >= 1")
             labels = {f"s{i}": i for i in range(1, min(rank, 64) + 1)}

@@ -10,18 +10,13 @@ s_1 < s_1^-1 < s_2 < s_2^-1 < ...
 
 from __future__ import annotations
 
+from math import log
 from typing import Iterable, Iterator
 
 from .errors import DomainError
+from .lines import number, quote
 
 Word = tuple  # tuple of nonzero ints
-
-
-def check_letter(letter: int, rank: int | None = None) -> None:
-    if not isinstance(letter, int) or letter == 0:
-        raise DomainError(f"bad letter {letter!r}")
-    if rank is not None and abs(letter) > rank:
-        raise DomainError(f"letter {letter} out of range for rank {rank}")
 
 
 def reduce_word(letters: Iterable[int]) -> Word:
@@ -72,6 +67,17 @@ def shortlex_walk(rank: int, n: int) -> Iterator[Word]:
             yield from layer(k)
 
 
+def word_count(rank: int, n: int, bound: int) -> int | None:
+    """The number of reduced words of length <= n, 2n + 1 at rank 1 and
+    1 + 2r((2r - 1)^n - 1)/(2r - 2) above, or None past `bound`, found
+    without a power (2r - 1)^n much past `bound`."""
+    if rank > 1 and n > 1 + log(bound + 1, 2 * rank - 1):
+        return None
+    count = 2 * n + 1 if rank == 1 else \
+        1 + 2 * rank * ((2 * rank - 1) ** n - 1) // (2 * rank - 2)
+    return count if count <= bound else None
+
+
 def words_upto(rank: int, n: int) -> list[Word]:
     """All reduced words of length <= n, in shortlex order (identity first)."""
     return list(shortlex_walk(rank, n))
@@ -93,11 +99,10 @@ def shortlex_word(rank: int, k: int) -> Word:
     for _ in range(length - 1):
         k, d = divmod(k, 2 * rank - 1)
         digits.append(d)
-    word = [letters[k]] if length else []
+    at = [k] if length else []  # positions j in letters: j ^ 1 is the inverse
     for d in reversed(digits):
-        back = letters.index(-word[-1])
-        word.append(letters[d + (d >= back)])
-    return tuple(word)
+        at.append(d + (d >= at[-1] ^ 1))
+    return tuple(letters[j] for j in at)
 
 
 class _LetterNames(dict):
@@ -128,11 +133,9 @@ def word_from_str(text: str, rank: int | None = None) -> Word:
         if neg:
             part = part[:-3]
         if not part.startswith("s") or not part[1:].isdecimal():
-            raise DomainError(f"cannot parse word letter {part!r}")
-        i = int(part[1:])
-        if i == 0:
-            raise DomainError("generator index must be >= 1")
-        check_letter(i, rank)
+            raise DomainError(f"cannot parse word letter {quote(part)}")
+        i = number(part[1:], "generator index", int, 1,
+                   None if rank is None else rank + 1)
         letters.append(-i if neg else i)
     return reduce_word(letters)
 

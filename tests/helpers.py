@@ -19,8 +19,7 @@ from irslab.normalizer import MarkLaw, NormalizerOracle
 from irslab.oracles import (DEFAULT_BUDGET, STAR, BallView, FiniteAction,
                             FiniteOracle, SchreierOracle, conjugate, trace)
 from irslab.randomness import KeyedRng
-from irslab.words import (check_letter, inverse_word, letters_ordered,
-                          reduce_word, words_upto)
+from irslab.words import inverse_word, letters_ordered, reduce_word, words_upto
 
 
 def brute_reduce(letters):
@@ -399,6 +398,25 @@ def outcome(fn, *args):
 # -- word maps, writers and random data that only the tests need -------------
 
 
+def point_symbol(x, g) -> int:
+    """The symbol of the configuration `x` (a SubshiftPoint) at g."""
+    return x.space.labels[x.space.action.act(x.basepoint, g)]
+
+
+def point_pattern(x, radius: int) -> dict:
+    """The symbols of `x` at every reduced word of length <= radius, in
+    shortlex order."""
+    return {g: point_symbol(x, g) for g in words_upto(x.space.rank, radius)}
+
+
+def atom_mass(measure: AtomicMeasure, key) -> Fraction:
+    return measure.data.get(key, Fraction(0))
+
+
+def atom_keys(measure: AtomicMeasure):
+    return measure.data.keys()
+
+
 def contains(oracle: SchreierOracle, w) -> bool:
     """Word membership in the subgroup represented by the oracle."""
     return trace(oracle, reduce_word(w)) == oracle.root
@@ -441,7 +459,8 @@ def conjugate_code(code: tuple, g) -> tuple:
     action = code_action(code)
     v = 0
     for l in inverse_word(g):
-        check_letter(l, code[0])
+        if not 0 < abs(l) <= code[0]:
+            raise DomainError(f"letter {l} out of range for rank {code[0]}")
         v = action.step(v, l)
     moved = array_code(action.perms, v)
     if moved[1] != code[1]:

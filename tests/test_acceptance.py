@@ -57,8 +57,8 @@ from irslab.randomness import KeyedRng, subseed
 from irslab.sgr import emit_sgr
 from irslab.words import inverse_word, phi_word, words_upto
 
-from helpers import (conjugate_code, index2_oracle, pushforward,
-                     random_subshift_space)
+from helpers import (conjugate_code, index2_oracle, point_pattern,
+                     pushforward, random_subshift_space)
 
 SEED = 20260808
 REPORTS: dict = {}
@@ -245,7 +245,7 @@ def _c6_report() -> str:
     failures = 0
     for space, q in _encoding_cases():
         x = space.point(q)
-        if decode(PsiOracle(x), 7) != x.pattern(5):
+        if decode(PsiOracle(x), 7) != point_pattern(x, 5):
             failures += 1
     return f"points 100 failures {failures}"
 

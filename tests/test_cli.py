@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from irslab.cli import build_parser, main
+from irslab.analysis import fingerprint_plan
+from irslab.cli import LISTS, OPTIONS, build_parser, main
 from irslab.encoding import PsiOracle, SubshiftSpace
 from irslab.oracles import FiniteAction, ball
 from irslab.randomness import STREAM_VERSION
@@ -421,16 +422,17 @@ def test_first_return_cli(capsys, tmp_path):
     assert "0 -> 2" in out and "2 -> 0" in out
 
 
-@pytest.mark.parametrize("subset", ["0,x", ",", "0,", "0,-1", "0,7"],
+@pytest.mark.parametrize("subset", ["0,x", ",", "0,", "0,-1", "0,7",
+                                    "0," + "9" * 640],
                          ids=["point-x", "bare-comma", "trailing-comma",
-                              "negative", "out-of-range"])
+                              "negative", "out-of-range", "640-nines"])
 def test_first_return_bad_subset_exits_1(capsys, tmp_path, subset):
     path = tmp_path / "act.txt"
     path.write_text("points 5\nperm s1: (0 1 2 3 4)\nperm s2: id\n")
     code, out, err = run(capsys, "first-return", "--action", str(path),
                          "--gen", "1", "--subset", subset)
     assert code == 1
-    assert out == "" and err.startswith("error:")
+    assert out == "" and err.startswith("error:") and len(err.encode()) < 200
 
 
 @pytest.mark.parametrize("extra", [
@@ -449,19 +451,20 @@ RANK3_SUBSHIFT_TEXT = SUBSHIFT_TEXT.replace("perm s2: id",
                                            "perm s2: id\nperm s3: (0 1)")
 
 
-@pytest.mark.parametrize("text, length, code", [
-    (SUBSHIFT_TEXT, "80", 0),
-    (SUBSHIFT_TEXT, "81", 1),
-    (RANK3_SUBSHIFT_TEXT, "54", 0),
-    (RANK3_SUBSHIFT_TEXT, "55", 1),
-    (SUBSHIFT_TEXT, "1" + "0" * 700, 1),
+@pytest.mark.parametrize("text, length, code, error", [
+    (SUBSHIFT_TEXT, "80", 0, None),
+    (SUBSHIFT_TEXT, "81", 1, "gives 2^128"),
+    (RANK3_SUBSHIFT_TEXT, "54", 0, None),
+    (RANK3_SUBSHIFT_TEXT, "55", 1, "gives 2^128"),
+    (SUBSHIFT_TEXT, "1" + "0" * 700, 1, "integer '1000"),
 ], ids=["rank2-80", "rank2-81", "rank3-54", "rank3-55", "rank2-10^700"])
 def test_check_equivariance_draws_one_of_fewer_than_2_128_words(
-        capsys, tmp_path, text, length, code):
+        capsys, tmp_path, text, length, code, error):
     """A trial draws its word by shortlex position with one 128-bit draw,
     so a length whose 2r((2r - 1)^n - 1)/(2r - 2) words reach 2^128 is
     refused: at rank 2 by (2r - 1)^n, at rank 3 (1.5 * 5^55) by the count
-    itself. The longest accepted lengths run without listing any word."""
+    itself. The longest accepted lengths run without listing any word. A
+    length of more than 640 digits is refused as it is read."""
     path = tmp_path / "s.sub"
     path.write_text(text)
     tracemalloc.start()
@@ -474,7 +477,7 @@ def test_check_equivariance_draws_one_of_fewer_than_2_128_words(
         tracemalloc.stop()
     assert got == code
     if code:
-        assert out == "" and err.startswith("error: --max-word-len gives 2^128")
+        assert out == "" and err.startswith(f"error: --max-word-len {error}")
     else:
         assert out.endswith("equivariance trials 5 failures 0: PASS\n")
     assert peak < 2_000_000
@@ -677,6 +680,30 @@ def test_a_number_field_of_5000_digits_exits_1(capsys, tmp_path, command,
 
 
 LONG = "x" * 3000
+
+
+@pytest.mark.parametrize("rank, radius, code", [
+    ("2", "11", 0), ("2", "12", 2), ("2", "40", 2), ("2", HUGE[:640], 2),
+    ("1", "100", 0), ("1", "500000", 2), ("3", "8", 0), ("3", "9", 2),
+], ids=["rank2-11", "rank2-12", "rank2-40", "rank2-640-nines",
+        "rank1-100", "rank1-500000", "rank3-8", "rank3-9"])
+def test_fingerprint_words_past_the_budget_exit_2(capsys, rank, radius, code):
+    """A fingerprint lists every word of length <= radius: 2 * 3^R - 1 at
+    rank 2 (354 293 at radius 11, 1 062 881 at 12), 2R + 1 at rank 1. Past
+    DEFAULT_BUDGET it exits 2 before it lists any word."""
+    start = time.perf_counter()
+    try:
+        got, out, err = run(capsys, "fingerprint", "--base", "trivial",
+                            "--rank", rank, "--radius", radius)
+    finally:
+        fingerprint_plan.cache_clear()  # the radius-11 plan holds 150 MB
+    assert got == code
+    if code:
+        assert time.perf_counter() - start < 0.5
+        assert (out, err) == ("", "error: fingerprint words exceed budget "
+                                  "1000000\n")
+    else:
+        assert out.splitlines()[1:] == ["e"]
 
 
 @pytest.mark.parametrize("command, text, start", [
@@ -898,6 +925,61 @@ def test_a_negative_budget_exits_1(capsys, index2_file, argv, budget,
         assert "exceed" in err and "budget 0" in err
 
 
+# Per numeric option, and per list option, a command that takes it; the
+# value goes last. A list option gets the value as its second item.
+HOSTILE_ARGV = {
+    "rank": ("fingerprint", "--base", "trivial", "--radius", "0"),
+    "p": ("ball", "--base", "normalizer:trivial", "--radius", "1"),
+    "seed": ("ball", "--base", "trivial", "--radius", "1"),
+    "other-seed": ("metric", "--base", "trivial", "--other", "trivial",
+                   "--max-radius", "1"),
+    "radius": ("ball", "--base", "trivial"),
+    "max-radius": ("metric", "--base", "trivial", "--other", "trivial"),
+    "max-word-len": ("check-equivariance", "--subshift", "{subshift}",
+                     "--trials", "1"),
+    "samples": ("estimate", "--sampler", "trivial", "--radius", "1"),
+    "min-mass": ("invariance", "--sampler", "trivial", "--radius", "1",
+                 "--samples", "10"),
+    "gen": ("first-return", "--action", "{action}", "--subset", "0"),
+    "budget": ("ball", "--base", "trivial", "--radius", "1"),
+    "basepoint": ("encode", "--subshift", "{subshift}", "--radius", "2"),
+    "trials": ("check-equivariance", "--subshift", "{subshift}"),
+    "z-threshold": ("invariance", "--sampler", "trivial", "--radius", "1",
+                    "--samples", "10"),
+    "p-list": ("sweep", "--base", "trivial", "--radius", "1", "--samples",
+               "1"),
+    "subset": ("first-return", "--action", "{action}", "--gen", "1"),
+    "fingerprint": ("estimate", "--sampler", "trivial", "--radius", "1",
+                    "--samples", "1"),
+}
+LIST_HEADS = {"p-list": "1/2,", "subset": "0,", "fingerprint": "e,s"}
+
+
+def test_the_hostile_table_covers_every_numeric_option():
+    numeric = {name for name, (_, _, *spec) in OPTIONS.items() if spec}
+    assert set(HOSTILE_ARGV) == numeric | {"fingerprint"}
+    assert set(LIST_HEADS) == set(LISTS) | {"fingerprint"}
+
+
+@pytest.mark.parametrize("value", [HUGE, "-1", "x"],
+                         ids=["5000-nines", "minus-1", "x"])
+@pytest.mark.parametrize("option", list(HOSTILE_ARGV))
+def test_a_hostile_number_exits_1_with_one_short_error(
+        capsys, tmp_path, subshift_file, option, value):
+    """Every number the command line takes is read by `lines.number`: past
+    640 digits, below its bound or not a number, it is one short `error:`
+    line and exit 1, never a traceback or an echo of the whole value."""
+    action = tmp_path / "act.txt"
+    action.write_text(ACTION_TEXT)
+    argv = [a.format(subshift=subshift_file, action=action)
+            for a in HOSTILE_ARGV[option]]
+    value = LIST_HEADS.get(option, "") + value
+    code, out, err = run(capsys, *argv, f"--{option}={value}")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert all(len(line.encode()) < 200 for line in err.splitlines())
+
+
 @pytest.mark.parametrize("argv, option, a, b", [
     (("metric", "--base", "trivial", "--other", "normalizer:trivial", "--p",
       "1/2", "--max-radius", "1"), "--other-seed", "1", "2"),
@@ -937,13 +1019,14 @@ def test_header_echoes_each_option_that_changes_the_output(
 # choices, action class, type name); each dest is the option string
 # without its dashes. Every subcommand also takes --out. Help wording is
 # left out, since argparse wraps it differently across Python versions.
+# No number option has an argparse type: main reads them after parsing.
 _REQ = (None, True, None, "_StoreAction", None)
-_REQ_INT = (None, True, None, "_StoreAction", "int")
+_REQ_INT = (None, True, None, "_StoreAction", None)
 _ALIAS = (None, True, None, "_StoreAction", "<lambda>")
-_SEED = (0, False, None, "_StoreAction", "parse_seed")
-_RANK = (2, False, None, "_StoreAction", "int")
-_P = (None, False, None, "_StoreAction", "parse_rational")
-_BUDGET = (10**6, False, None, "_StoreAction", "parse_budget")
+_SEED = (0, False, None, "_StoreAction", None)
+_RANK = (2, False, None, "_StoreAction", None)
+_P = (None, False, None, "_StoreAction", None)
+_BUDGET = (10**6, False, None, "_StoreAction", None)
 _TEXT_CSV = ("text", False, ("text", "csv"), "_StoreAction", None)
 _DRAWN = {"--seed": _SEED, "--rank": _RANK, "--p": _P}
 _BALL = {"--base": _REQ, "--radius": _REQ_INT, **_DRAWN, "--budget": _BUDGET}
@@ -965,17 +1048,17 @@ PARSER_SURFACE = {
     "enumerate-normalizer": ("cmd_enumerate_normalizer", {}, {
         "--base": _REQ,
         "--check-invariance": (False, False, None, "_StoreTrueAction", None),
-        "--radius": (2, False, None, "_StoreAction", "int"),
+        "--radius": (2, False, None, "_StoreAction", None),
         "--p": _P, "--budget": _BUDGET}),
     "encode": ("cmd_encode", {}, {
         "--subshift": _REQ, "--radius": _REQ_INT,
-        "--basepoint": (None, False, None, "_StoreAction", "int"),
+        "--basepoint": (None, False, None, "_StoreAction", None),
         "--budget": _BUDGET}),
     "decode": ("cmd_decode", {}, {"--graph": _REQ, "--radius": _REQ_INT}),
     "check-equivariance": ("cmd_check_equivariance", {}, {
         "--subshift": _REQ, "--trials": _REQ_INT,
-        "--radius": (4, False, None, "_StoreAction", "int"),
-        "--max-word-len": (3, False, None, "_StoreAction", "int"),
+        "--radius": (4, False, None, "_StoreAction", None),
+        "--max-word-len": (3, False, None, "_StoreAction", None),
         "--seed": _SEED, "--budget": _BUDGET}),
     "upsilon": ("cmd_upsilon", {}, {
         "--graph": _REQ, "--subshift": _REQ, "--radius": _REQ_INT,
@@ -991,9 +1074,8 @@ PARSER_SURFACE = {
         "--radius": _REQ_INT, "--samples": _REQ_INT, **_DRAWN}),
     "invariance": ("cmd_invariance", {}, {
         "--sampler": _REQ, "--radius": _REQ_INT, "--samples": _REQ_INT,
-        "--min-mass": (Fraction(1, 100), False, None, "_StoreAction",
-                       "parse_rational"),
-        "--z-threshold": (4.0, False, None, "_StoreAction", "float"),
+        "--min-mass": (Fraction(1, 100), False, None, "_StoreAction", None),
+        "--z-threshold": (4.0, False, None, "_StoreAction", None),
         **_DRAWN, "--format": _TEXT_CSV}),
     "sweep": ("cmd_sweep", {}, {
         "--construction": ("poulsen", False, ("poulsen", "normalizer"),

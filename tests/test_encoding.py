@@ -41,6 +41,8 @@ from irslab.words import (
 from helpers import (
     contains,
     emit_subshift,
+    point_pattern,
+    point_symbol,
     random_subshift_space,
     reference_lambda_pushforward,
 )
@@ -94,7 +96,7 @@ def test_psi_generator_families():
     x = space.point(0)
     # family (1)-type at a neighbor with symbol 1: phi(s1)=s1^2 shifts to
     # the point with x(s1)=symbol at basepoint.s1
-    sym = x.symbol((1,))
+    sym = point_symbol(x, (1,))
     word = phi_word((1,)) + (1,) + (2,) * sym + (-1,) + inverse_word(phi_word((1,)))
     assert contains(psi, word)
 
@@ -156,7 +158,7 @@ def test_injectivity_at_radius():
         sb = random_subshift_space(3, 2, 3, seed=3000 + case)
         xa, xb = sa.point(0), sb.point(0)
         radius = 1
-        if xa.pattern(radius) == xb.pattern(radius):
+        if point_pattern(xa, radius) == point_pattern(xb, radius):
             continue
         found_pairs += 1
         ba = ball(PsiOracle(xa), 2 * radius + 2)
@@ -183,7 +185,7 @@ def test_decode_roundtrip_random():
         space = random_subshift_space(2 + case % 6, 2, 4, seed=4000 + case)
         x = space.point(case % space.action.n)
         pattern = decode(PsiOracle(x), 6)
-        assert pattern == x.pattern(4)
+        assert pattern == point_pattern(x, 4)
 
 
 def test_decode_equivariance():
@@ -192,7 +194,7 @@ def test_decode_equivariance():
     x = space.point(0)
     f = (1,)
     moved = conjugate(PsiOracle(x), phi_word(f))
-    assert decode(moved, 5) == x.shifted(f).pattern(3)
+    assert decode(moved, 5) == point_pattern(x.shifted(f), 3)
 
 
 def test_decode_rejects_non_encoding():

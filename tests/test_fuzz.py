@@ -5,7 +5,7 @@ its farthest layer, and which reads back from its own text unchanged."""
 
 from fractions import Fraction
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from irslab.actions import parse_action
 from irslab.analysis import ball_code
@@ -163,6 +163,9 @@ def test_parse_subshift_raises_only_domain_errors(text):
 
 @FUZZ
 @given(st.one_of(mutated("word"), pieced()), st.sampled_from([None, 1, 2, 3]))
+@example("s" + "9" * 5000, None)  # int() refuses more than 4 300 digits
+@example("s1*s" + "9" * 5000 + "^-1", 2)
+@example("s" + "9" * 640, 2)
 def test_word_from_str_raises_only_domain_errors(text, rank):
     try:
         w = word_from_str(text, rank)

@@ -132,23 +132,29 @@ def test_public_names_are_referenced():
     entry must name a public name. A user is a name read in src/, scripts/
     or bench/, bare or as an attribute, or a string constant of bench/,
     since bench/tracing.py patches functions by name; the re-exports of the
-    package module do not count. Users are matched by spelling, so an
-    unrelated name (bench's `clock.mark()`) can count as one."""
-    used = set()
+    package module do not count. A method's user must read it as an
+    attribute (`x.name`) or be such a string. Users are matched by
+    spelling, so an unrelated name (bench's `clock.mark()`, or `dict.keys`
+    for a method `keys`) can count as one."""
+    used, attributes = set(), set()
     for top in ("src", "scripts", "bench"):
         for path in (ROOT / top).rglob("*.py"):
             if path == PACKAGE / "__init__.py":
                 continue
             tree = _tree(path)
             used |= _used_names(tree)
+            attributes |= {node.attr for node in ast.walk(tree)
+                           if isinstance(node, ast.Attribute)}
             if top == "bench":
-                used |= {node.value for node in ast.walk(tree)
-                         if isinstance(node, ast.Constant)
-                         and isinstance(node.value, str)}
+                attributes |= {node.value for node in ast.walk(tree)
+                               if isinstance(node, ast.Constant)
+                               and isinstance(node.value, str)}
+    used |= attributes
     public = dict(_public_names())
     assert set(KEEP) <= set(public), set(KEEP) - set(public)
     unused = [qualified for qualified, name in public.items()
-              if name not in used and qualified not in KEEP]
+              if name not in (attributes if qualified.count(".") == 2
+                              else used) and qualified not in KEEP]
     assert not unused, f"public names only the tests use: {unused}"
 
 

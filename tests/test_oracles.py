@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,11 +19,13 @@ from irslab.oracles import (
     BallBackedOracle,
     BallView,
     CayleyOracle,
+    DEFAULT_BUDGET,
     FiniteAction,
     FiniteOracle,
     STAR,
     SchreierOracle,
     ball,
+    bfs,
     conjugate,
     sub_ball,
     trace,
@@ -105,6 +108,24 @@ def test_cayley_token_of_a_long_word():
     cayley = CayleyOracle(2)
     assert cayley.token(trace(cayley, w)) == word_to_str(w)
     assert cayley.token(trace(cayley, w[:2500])) == word_to_str(w[:2500])
+
+
+def test_a_rank_50000_cayley_graph_and_its_radius_0_ball_build_at_once():
+    """The inverse of letters[j] is letters[j ^ 1], so the oracle's move
+    table and a ball's are linear in the rank; finding each inverse with
+    list.index took about 1.6 s at rank 8 000."""
+    start = time.perf_counter()
+    cayley = CayleyOracle(50_000)
+    number, depth, cells = bfs(cayley.root, cayley.neighbor,
+                               letters_ordered(50_000), 0)
+    assert time.perf_counter() - start < 5
+    assert (number, depth, cells) == ({0: 0}, [0], [None] * 100_000)
+    assert cayley.neighbor(cayley.neighbor(0, -50_000), 50_000) == 0
+
+
+def test_a_rank_past_the_budget_is_refused():
+    with pytest.raises(BudgetError, match="rank exceeds budget"):
+        CayleyOracle(DEFAULT_BUDGET + 1)
 
 
 def test_a_filled_token_memo_names_a_ball_as_a_fresh_one():

@@ -14,6 +14,7 @@ from irslab.words import (
     shortlex_key,
     shortlex_walk,
     shortlex_word,
+    word_count,
     word_from_str,
     word_to_str,
     words_upto,
@@ -151,3 +152,13 @@ def test_word_to_str_matches_the_letter_formula(raw):
     assert word_to_str(tuple(raw)) == reference_word_to_str(raw)
     w = reduce_word(raw)
     assert word_from_str(word_to_str(w)) == w
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_word_count_counts_the_words_up_to_a_bound(rank):
+    for n in range(6):
+        count = len(words_upto(rank, n))
+        assert word_count(rank, n, count) == count
+        assert word_count(rank, n, count - 1) is None
+    # a length of 600 digits is refused without its power being taken
+    assert word_count(rank, 10**600, 10**6) is None
